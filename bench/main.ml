@@ -6,19 +6,12 @@
      dune exec bench/main.exe -- fig6            RQ2/RQ3: splicing
      dune exec bench/main.exe -- fig7            RQ4: candidate scaling, plus
                                                  buildcache-pool scaling
-                                                 (pruning / sessions /
-                                                 delta-reground; writes
+                                                 (unpruned vs pruned; writes
                                                  BENCH_fig7.json; tiers via
                                                  --sizes)
      dune exec bench/main.exe -- ablate          design-choice ablations
      dune exec bench/main.exe -- micro           bechamel substrate micro-benches
      dune exec bench/main.exe -- resil-smoke     mirror-layer fault-injection smoke
-     dune exec bench/main.exe -- ground-smoke    delta-grounding + on-disk ground
-                                                 cache gates at the 5000-node
-                                                 pool: 1%-churn delta >= 5x a
-                                                 cold reground, cached cold
-                                                 start >= 10x (also: dune build
-                                                 @ground-smoke)
      dune exec bench/main.exe -- perf-smoke      small pool-scaling config + batch
                                                  determinism (also: dune build
                                                  @perf-smoke)
@@ -35,8 +28,9 @@
                                                  replay over 4 worker domains,
                                                  byte-equivalence vs one-shot
                                                  solves, p50/p99 latency and
-                                                 warm-vs-cold gates (also: dune
-                                                 build @serve-smoke; writes
+                                                 speedup-vs-stateless gates
+                                                 (also: dune build
+                                                 @serve-smoke; writes
                                                  BENCH_serve.json)
      dune exec bench/main.exe -- all             everything (the default)
 
@@ -285,20 +279,18 @@ let fig7 () =
     (mean !increases)
 
 (* Buildcache-pool scaling: how concretization cost grows with the
-   reusable pool, and what reuse-pool pruning and incremental solve
-   sessions buy back. Three modes over the same pool:
+   reusable pool, and what reuse-pool pruning buys back. Two modes over
+   the same pool:
 
      unpruned   fresh solve over every pool spec (the pre-pruning
                 behaviour: hash_attr facts for all 5000 entries)
      pruned     fresh solve over the dependency closure of the request
-     session    ground the pruned universe once, then serve every
-                request by solving under assumptions
 
-   All three must agree on optimal costs and produce Verify-clean
-   specs — asserted here, not just eyeballed. Results also land in
+   Both must agree on optimal costs and produce Verify-clean specs —
+   asserted here, not just eyeballed. Results also land in
    BENCH_fig7.json for machine consumption. *)
 let fig7_pool ?(sizes = [ 50; 200; 1000; 5000 ]) ?(assert_speedup = true) () =
-  Printf.printf "\n=== Figure 7b: buildcache-pool scaling (pruning / sessions) ===\n";
+  Printf.printf "\n=== Figure 7b: buildcache-pool scaling (pruning) ===\n";
   let specs = [ "mfem"; "hypre"; "visit" ] in
   Printf.printf "%d requests (%s) per cell; times in ms (total over requests)\n"
     (List.length specs) (String.concat ", " specs);
@@ -328,9 +320,7 @@ let fig7_pool ?(sizes = [ 50; 200; 1000; 5000 ]) ?(assert_speedup = true) () =
           ("peak_words", Sjson.Int (Gc.quick_stat ()).Gc.top_heap_words) ]
       :: !json_rows
   in
-  (* total grounding time across the requests of one mode, in ms
-     (sessions report zero per-request ground seconds — accurate: the
-     session's grounding is paid once in create, not per request) *)
+  (* total grounding time across the requests of one mode, in ms *)
   let ground_ms outs =
     1000.0
     *. List.fold_left
@@ -379,28 +369,6 @@ let fig7_pool ?(sizes = [ 50; 200; 1000; 5000 ]) ?(assert_speedup = true) () =
         in
         ((Obs.Clock.now_s () -. t0) *. 1000.0, outs)
       in
-      let run_session () =
-        let t0 = Obs.Clock.now_s () in
-        match
-          Core.Concretizer.Session.create ~repo ~options:(options true)
-            ~roots:specs ()
-        with
-        | Error e -> failwith ("session create: " ^ e)
-        | Ok s ->
-          let outs =
-            List.map
-              (fun name ->
-                match
-                  Core.Concretizer.Session.solve s
-                    (Core.Encode.request_of_string name)
-                with
-                | Ok o -> (name, o)
-                | Error f ->
-                  failwith (name ^ ": " ^ f.Core.Concretizer.f_message))
-              specs
-          in
-          ((Obs.Clock.now_s () -. t0) *. 1000.0, outs)
-      in
       (* above 5000 nodes the unpruned mode (full from-scratch ground of
          every pool entry per request) is the cost this bench exists to
          show is avoidable — skip it rather than spend minutes proving
@@ -410,34 +378,21 @@ let fig7_pool ?(sizes = [ 50; 200; 1000; 5000 ]) ?(assert_speedup = true) () =
         Printf.printf "(pool target %d: skipping unpruned mode above 5000 nodes)\n%!"
           target;
       let pruned_ms, pruned = run_fresh true in
-      let session_ms, session = run_session () in
-      let baseline_outs, baseline_label =
-        match unpruned_res with
-        | Some (_, outs) -> (outs, "unpruned")
-        | None -> (pruned, "pruned")
-      in
-      (* agreement: every mode, same optimal costs, Verify-clean spec *)
-      List.iter
-        (fun (mode, outs) ->
-          List.iter2
-            (fun (name, (a : Core.Concretizer.outcome)) (name', b) ->
-              assert (name = name');
-              if
-                a.Core.Concretizer.stats.Core.Concretizer.costs
-                <> b.Core.Concretizer.stats.Core.Concretizer.costs
-              then
-                failwith
-                  (Printf.sprintf "fig7b: %s costs diverge (%s vs %s) on %s" name
-                     baseline_label mode name);
-              let spec =
-                List.hd b.Core.Concretizer.solution.Core.Decode.specs
-              in
-              if not (verify_clean name spec) then
-                failwith
-                  (Printf.sprintf "fig7b: %s solution for %s failed Verify" mode
-                     name))
-            baseline_outs outs)
-        [ ("pruned", pruned); ("session", session) ];
+      (* agreement: same optimal costs as unpruned, Verify-clean spec *)
+      List.iter2
+        (fun (name, (a : Core.Concretizer.outcome)) (name', b) ->
+          assert (name = name');
+          if
+            a.Core.Concretizer.stats.Core.Concretizer.costs
+            <> b.Core.Concretizer.stats.Core.Concretizer.costs
+          then
+            failwith
+              (Printf.sprintf "fig7b: %s costs diverge (unpruned vs pruned)" name);
+          let spec = List.hd b.Core.Concretizer.solution.Core.Decode.specs in
+          if not (verify_clean name spec) then
+            failwith (Printf.sprintf "fig7b: pruned solution for %s failed Verify" name))
+        (match unpruned_res with Some (_, outs) -> outs | None -> pruned)
+        pruned;
       let worst f outs =
         List.fold_left
           (fun acc (_, (o : Core.Concretizer.outcome)) ->
@@ -475,43 +430,9 @@ let fig7_pool ?(sizes = [ 50; 200; 1000; 5000 ]) ?(assert_speedup = true) () =
           (Printf.sprintf
              "fig7b: pruned wall %.0f ms at pool target %d exceeds the 10 s budget"
              pruned_ms target);
-      emit ~pool_size:(List.length pool) ~mode:"session" ~wall_ms:session_ms
-        ~ground_ms:(ground_ms session) ~atoms:(worst atoms session)
-        ~clauses:(worst clauses session) ~baseline:baseline_ms;
-      (* delta-reground: ground the universe once as a warm layered
-         program ({!Concretizer.Warm}), then apply a 1% pool churn as a
-         fact-level delta instead of regrounding from scratch *)
-      let n = List.length pool in
-      let churn = max 1 (n / 100) in
-      let pool_less = List.filteri (fun i _ -> i >= churn) pool in
-      let wopts =
-        { Core.Concretizer.default_options with Core.Concretizer.reuse = pool_less }
-      in
-      (match Core.Concretizer.Warm.create ~repo ~options:wopts ~roots:specs () with
-      | Error e -> failwith ("fig7b: warm create: " ^ e)
-      | Ok warm ->
-        let full_ms = Core.Concretizer.Warm.setup_seconds warm *. 1000.0 in
-        let t0 = Obs.Clock.now_s () in
-        ignore (Core.Concretizer.Warm.set_pool warm pool);
-        let delta_ms = (Obs.Clock.now_s () -. t0) *. 1000.0 in
-        let speedup = if delta_ms > 0.0 then full_ms /. delta_ms else 0.0 in
-        Printf.printf
-          "%-9d %-10s | cold ground %.1f ms, +%d-entry delta %.1f ms (%.1fx)\n%!" n
-          "delta" full_ms churn delta_ms speedup;
-        json_rows :=
-          Sjson.Object
-            [ ("mode", Sjson.String "delta");
-              ("pool_size", Sjson.Int n);
-              ("full_ground_ms", Sjson.Float full_ms);
-              ("delta_reground_ms", Sjson.Float delta_ms);
-              ("delta_entries", Sjson.Int churn);
-              ("speedup", Sjson.Float speedup);
-              ("warm_words", Sjson.Int (Core.Concretizer.Warm.words warm));
-              ("peak_words", Sjson.Int (Gc.quick_stat ()).Gc.top_heap_words) ]
-          :: !json_rows);
       (match unpruned_res with
       | Some (unpruned_ms, _) ->
-        speedup_at_max := Some (List.length pool, unpruned_ms /. session_ms)
+        speedup_at_max := Some (List.length pool, unpruned_ms /. pruned_ms)
       | None -> ()))
     sizes;
   let json = Sjson.Object [ ("fig7_pool", Sjson.Array (List.rev !json_rows)) ] in
@@ -523,123 +444,11 @@ let fig7_pool ?(sizes = [ 50; 200; 1000; 5000 ]) ?(assert_speedup = true) () =
   match !speedup_at_max with
   | None -> ()
   | Some (pool_size, s) ->
-    Printf.printf
-      "[fig7b] pool=%d: pruned+session %.1fx faster than unpruned from-scratch\n"
-      pool_size s;
+    Printf.printf "[fig7b] pool=%d: pruned %.1fx faster than unpruned\n" pool_size s;
     if assert_speedup && s < 5.0 then
       failwith
         (Printf.sprintf
-           "fig7b: expected >= 5x from pruning + sessions at the largest pool, got %.1fx"
-           s)
-
-(* Ground-smoke (dune build @ground-smoke): gates the two speedups the
-   delta-grounding layer exists for, at the 5000-node pool and inside a
-   tier-1 time budget:
-
-     - a 1% pool update applied as a fact-level delta
-       ({!Concretizer.Warm.set_pool} -> {!Asp.Ground.layered_update})
-       regrounds >= 5x faster than the cold full ground it replaces;
-     - a cold start served from the on-disk ground cache
-       ({!Core.Groundcache}) loads >= 10x faster than regrounding.
-
-   Both paths must still produce correct answers: after the delta the
-   warm session's costs are compared against fresh pruned solves and
-   the specs re-verified. *)
-let ground_smoke () =
-  Printf.printf "\n=== ground-smoke: delta-grounding + ground-cache gates ===\n";
-  let roots = [ "mfem"; "hypre"; "visit" ] in
-  let public, synthetic =
-    Radiuss.Caches.public_scaled ~repo ~configs:3 ~target_nodes:5000 ()
-  in
-  let raw_pool = Radiuss.Caches.reusable_specs public @ synthetic in
-  let pool =
-    List.filter (fun s -> Core.Verify.check_solution ~repo s = []) raw_pool
-  in
-  let n = List.length pool in
-  let churn = max 1 (n / 100) in
-  let pool_less = List.filteri (fun i _ -> i >= churn) pool in
-  let options pool =
-    { Core.Concretizer.default_options with Core.Concretizer.reuse = pool }
-  in
-  let create ?ground_cache pool =
-    match
-      Core.Concretizer.Warm.create ~repo ~options:(options pool) ?ground_cache
-        ~roots ()
-    with
-    | Ok w -> w
-    | Error e -> failwith ("ground-smoke: warm create: " ^ e)
-  in
-  (* gate 1: 1% churn as a delta vs the cold ground it replaces *)
-  let warm = create pool_less in
-  let full_ms = Core.Concretizer.Warm.setup_seconds warm *. 1000.0 in
-  let t0 = Obs.Clock.now_s () in
-  ignore (Core.Concretizer.Warm.set_pool warm pool);
-  let delta_ms = (Obs.Clock.now_s () -. t0) *. 1000.0 in
-  let delta_speedup = full_ms /. max delta_ms 1e-6 in
-  Printf.printf
-    "pool %d specs: cold ground %.1f ms; 1%% update (%d entries) as delta %.1f ms (%.1fx)\n%!"
-    n full_ms churn delta_ms delta_speedup;
-  if delta_speedup < 5.0 then
-    failwith
-      (Printf.sprintf
-         "ground-smoke: expected >= 5x delta-reground vs cold ground, got %.1fx"
-         delta_speedup);
-  (* the delta-grounded universe still answers correctly: session costs
-     match fresh pruned solves (pruning is cost-sound) and verify clean *)
-  let s = Core.Concretizer.Warm.session warm in
-  List.iter
-    (fun name ->
-      let req = Core.Encode.request_of_string name in
-      match Core.Concretizer.Session.solve s req with
-      | Error f ->
-        failwith ("ground-smoke: warm solve " ^ name ^ ": "
-                  ^ f.Core.Concretizer.f_message)
-      | Ok w -> (
-        (match
-           Core.Verify.check_solution ~repo ~request:(Spec.Parser.parse name)
-             (List.hd w.Core.Concretizer.solution.Core.Decode.specs)
-         with
-        | [] -> ()
-        | _ -> failwith ("ground-smoke: warm solution for " ^ name
-                         ^ " failed Verify"));
-        match
-          Core.Concretizer.concretize_v ~repo ~options:(options pool) [ req ]
-        with
-        | Error f ->
-          failwith ("ground-smoke: fresh solve " ^ name ^ ": "
-                    ^ f.Core.Concretizer.f_message)
-        | Ok f ->
-          if
-            w.Core.Concretizer.stats.Core.Concretizer.costs
-            <> f.Core.Concretizer.stats.Core.Concretizer.costs
-          then
-            failwith ("ground-smoke: warm costs diverge from fresh on " ^ name)))
-    roots;
-  Printf.printf "delta-grounded session: costs match fresh solves, Verify-clean\n%!";
-  (* gate 2: cached cold start vs cold reground, identical pool *)
-  let dir =
-    Filename.concat (Filename.get_temp_dir_name ())
-      (Printf.sprintf "spackml-ground-smoke-%d" (Unix.getpid ()))
-  in
-  let warm1 = create ~ground_cache:dir pool in
-  let cold_ms = Core.Concretizer.Warm.setup_seconds warm1 *. 1000.0 in
-  let warm2 = create ~ground_cache:dir pool in
-  if not (Core.Concretizer.Warm.from_cache warm2) then
-    failwith "ground-smoke: second cold start missed the ground cache";
-  let cached_ms = Core.Concretizer.Warm.setup_seconds warm2 *. 1000.0 in
-  let cache_speedup = cold_ms /. max cached_ms 1e-6 in
-  Printf.printf
-    "cached cold start: %.1f ms vs %.1f ms cold reground (%.1fx)\n%!" cached_ms
-    cold_ms cache_speedup;
-  Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-  Sys.rmdir dir;
-  if cache_speedup < 10.0 then
-    failwith
-      (Printf.sprintf
-         "ground-smoke: expected >= 10x cached cold start vs cold reground, got %.1fx"
-         cache_speedup);
-  Printf.printf "[ground-smoke] gates passed (delta %.1fx, cache %.1fx)\n%!"
-    delta_speedup cache_speedup
+           "fig7b: expected >= 5x from pruning at the largest pool, got %.1fx" s)
 
 (* Ablations over the design choices DESIGN.md calls out. *)
 let ablate () =
@@ -1553,18 +1362,16 @@ let resil_smoke () =
     [ 11; 42; 1337 ]
 
 (* Resident-server smoke (dune build @serve-smoke): replay >= 2000
-   mixed requests (warm-session solves, fresh solves, pings) over
-   >= 4 worker domains from 4 concurrent client connections, and gate
+   mixed requests (solves and pings) over >= 4 worker domains from 4
+   concurrent client connections, and gate
 
      - byte-equivalence: every solve response's canonical result is
        byte-identical to a one-shot [concretize_v] run on the same
        repo, pool, and options;
      - latency: p50/p99 of the server-side serve.latency_ms histogram
        (receipt to response, queueing included);
-     - warm-vs-cold: the first session solve pays the session build
-       (encode + ground + translate of the whole universe); the warm
-       p50 must sit far below it — that gap is the reason the server
-       exists.
+     - speedup: the served p50 against the stateless baseline of every
+       client grounding the whole buildcache per request.
 
    The numbers land in BENCH_serve.json. *)
 let serve_smoke () =
@@ -1575,20 +1382,7 @@ let serve_smoke () =
   let options =
     { Core.Concretizer.default_options with Core.Concretizer.reuse = pool; obs }
   in
-  (* Fresh is the default serving mode: per-root pruning keeps each
-     ground program a fraction of the joint universe, the resident
-     closure cache strips the per-request closure walk, and responses
-     are byte-deterministic. The warm sessions (scoped to the
-     objective roots) serve a quarter of the trace — they answer from
-     one shared ground program, which costs more per solve here but is
-     what amortizes when requests outnumber the universe. *)
-  let config =
-    { Core.Serve.default_config with
-      Core.Serve.workers;
-      default_mode = Core.Serve.Fresh;
-      session_roots = quick_specs;
-      options }
-  in
+  let config = { Core.Serve.default_config with Core.Serve.workers; options } in
   let socket = Printf.sprintf "/tmp/spackml-bench-%d.sock" (Unix.getpid ()) in
   let t =
     match Core.Serve.start ~repo ~config ~socket () with
@@ -1620,7 +1414,7 @@ let serve_smoke () =
     one_shot_ms;
   (* the stateless baseline the server replaces: every client running
      its own from-scratch concretizer, grounding the whole buildcache
-     per request (the same baseline fig7b gates sessions against).
+     per request (the unpruned mode of fig7b).
      Measured at the replay's client concurrency so both sides pay the
      same core-contention and domain-GC tax. *)
   let unpruned_opts = { one_shot_opts with Core.Concretizer.prune = false } in
@@ -1658,7 +1452,7 @@ let serve_smoke () =
     | Ok c -> c
     | Error e -> failwith ("serve-smoke: connect: " ^ e)
   in
-  (* cold: the first request on a fresh worker builds its session *)
+  (* cold: the first request computes its root's closure *)
   let cold_ms =
     let c = connect () in
     let t0 = Obs.Clock.now_s () in
@@ -1672,11 +1466,10 @@ let serve_smoke () =
     Core.Serve.Client.close c;
     ms
   in
-  Printf.printf "cold first request (includes session build): %.1f ms\n%!"
+  Printf.printf "cold first request (includes the closure walk): %.1f ms\n%!"
     cold_ms;
   (* replay: [total] mixed requests round-robin over [clients] client
-     domains; every 4th request is a warm-session solve, every 100th a
-     ping, the rest fresh-mode solves *)
+     domains; every 100th is a ping, the rest solves *)
   let run_client cid =
     let c = connect () in
     let mismatches = ref 0 and pings = ref 0 and not_ok = ref 0 in
@@ -1693,10 +1486,7 @@ let serve_smoke () =
        end
        else begin
          let spec = specs.(idx mod nspecs) in
-         let mode =
-           if idx mod 4 = 1 then Some Core.Serve.Session else None
-         in
-         match Core.Serve.Client.solve ?mode c spec with
+         match Core.Serve.Client.solve c spec with
          | Ok resp ->
            if Sjson.get_string (Sjson.member "status" resp) <> "ok" then
              incr not_ok;
@@ -1742,10 +1532,8 @@ let serve_smoke () =
     (float_of_int total /. replay_s);
   Printf.printf
     "latency p50 %.2f ms, p99 %.2f ms (%d samples); vs stateless %.1fx; \
-     steals %d, session builds %d (%d recycles), closure hits/misses %d/%d\n%!"
+     steals %d, closure hits/misses %d/%d\n%!"
     p50 p99 (Obs.Hist.count lat) warm_speedup (counter "serve.steals")
-    (counter "serve.session_builds")
-    (counter "serve.session_recycles")
     (counter "serve.closure_hits")
     (counter "serve.closure_misses");
   let json =
@@ -1766,8 +1554,6 @@ let serve_smoke () =
         ("pings", Sjson.Int pings);
         ("statuses_not_ok", Sjson.Int not_ok);
         ("steals", Sjson.Int (counter "serve.steals"));
-        ("session_builds", Sjson.Int (counter "serve.session_builds"));
-        ("session_recycles", Sjson.Int (counter "serve.session_recycles"));
         ("closure_hits", Sjson.Int (counter "serve.closure_hits"));
         ("closure_misses", Sjson.Int (counter "serve.closure_misses")) ]
   in
@@ -1784,22 +1570,15 @@ let serve_smoke () =
          mismatches);
   if not_ok > 0 then
     failwith (Printf.sprintf "serve-smoke: %d requests did not answer ok" not_ok);
-  if counter "serve.session_builds" < workers then
-    failwith
-      (Printf.sprintf
-         "serve-smoke: expected at least %d session builds (one per worker), \
-          got %d"
-         workers
-         (counter "serve.session_builds"));
   if p50 > 250.0 then
-    failwith (Printf.sprintf "serve-smoke: warm p50 %.1f ms > 250 ms" p50);
+    failwith (Printf.sprintf "serve-smoke: p50 %.1f ms > 250 ms" p50);
   if p99 > 2500.0 then
     failwith (Printf.sprintf "serve-smoke: p99 %.1f ms > 2500 ms" p99);
   if warm_speedup < 2.0 then
     failwith
       (Printf.sprintf
-         "serve-smoke: warm p50 only %.2fx faster than stateless full-pool \
-          grounding — the resident state is not paying for itself"
+         "serve-smoke: p50 only %.2fx faster than stateless full-pool \
+          grounding — the resident server is not paying for itself"
          warm_speedup)
 
 (* Live-telemetry smoke (dune build @obs-live-smoke): the windowed
@@ -1834,12 +1613,7 @@ let obs_live_smoke () =
       { Core.Concretizer.default_options with Core.Concretizer.reuse = pool; obs }
     in
     let config =
-      { Core.Serve.default_config with
-        Core.Serve.workers;
-        default_mode = Core.Serve.Fresh;
-        session_roots = quick_specs;
-        telemetry;
-        options }
+      { Core.Serve.default_config with Core.Serve.workers; telemetry; options }
     in
     let socket =
       Printf.sprintf "/tmp/spackml-obslive-%d-%s.sock" (Unix.getpid ()) tag
@@ -1859,10 +1633,8 @@ let obs_live_smoke () =
     | _ -> failwith "obs-live-smoke: expected a JSON number"
   in
   (* Replay [total] solve requests round-robin over [clients] client
-     domains; with [sessions], every 4th request is a warm-session
-     solve (the serve-smoke mix), otherwise all run fresh. Returns
-     wall seconds and the count of non-ok responses. *)
-  let replay ~sessions socket total =
+     domains. Returns wall seconds and the count of non-ok responses. *)
+  let replay socket total =
     let run_client cid =
       let c = connect socket in
       let not_ok = ref 0 in
@@ -1870,10 +1642,7 @@ let obs_live_smoke () =
       while !i < total do
         let idx = !i in
         let spec = specs.(idx mod nspecs) in
-        let mode =
-          if sessions && idx mod 4 = 1 then Some Core.Serve.Session else None
-        in
-        (match Core.Serve.Client.solve ?mode c spec with
+        (match Core.Serve.Client.solve c spec with
         | Ok resp ->
           if Sjson.get_string (Sjson.member "status" resp) <> "ok" then
             incr not_ok
@@ -1901,7 +1670,7 @@ let obs_live_smoke () =
   let miss_rid = "bench-deadline-miss" in
   let replay_s, w_count, w_p50, w_p99, recorder_seen, recorder_kept =
     Fun.protect ~finally:(fun () -> Core.Serve.stop t) @@ fun () ->
-    let replay_s, not_ok = replay ~sessions:true socket total in
+    let replay_s, not_ok = replay socket total in
     if not_ok > 0 then
       failwith
         (Printf.sprintf "obs-live-smoke: %d replay requests not ok" not_ok);
@@ -1997,12 +1766,12 @@ let obs_live_smoke () =
   in
   Fun.protect ~finally:(fun () -> Core.Serve.stop t_on) @@ fun () ->
   (* warm both servers (closure caches) outside the measurement *)
-  ignore (replay ~sessions:false sock_off (4 * nspecs));
-  ignore (replay ~sessions:false sock_on (4 * nspecs));
+  ignore (replay sock_off (4 * nspecs));
+  ignore (replay sock_on (4 * nspecs));
   let off_min = ref infinity and on_min = ref infinity in
   for _ = 1 to reps do
-    let s_off, n_off = replay ~sessions:false sock_off rep_total in
-    let s_on, n_on = replay ~sessions:false sock_on rep_total in
+    let s_off, n_off = replay sock_off rep_total in
+    let s_on, n_on = replay sock_on rep_total in
     if n_off > 0 || n_on > 0 then
       failwith "obs-live-smoke: overhead replay requests not ok";
     off_min := Float.min !off_min s_off;
@@ -2420,7 +2189,6 @@ let () =
     | "micro" -> micro ()
     | "fuzz-smoke" -> fuzz_smoke ()
     | "resil-smoke" -> resil_smoke ()
-    | "ground-smoke" -> ground_smoke ()
     | "perf-smoke" -> perf_smoke ()
     | "sat-smoke" -> sat_smoke ()
     | "portfolio-smoke" -> portfolio_smoke ()
@@ -2439,7 +2207,7 @@ let () =
     | other ->
       Printf.eprintf
         "unknown command %s (try \
-         table1|fig5|fig6|fig7|ablate|micro|fuzz-smoke|resil-smoke|ground-smoke|perf-smoke|sat-smoke|portfolio-smoke|obs-smoke|serve-smoke|obs-live-smoke|install-storm|all)\n"
+         table1|fig5|fig6|fig7|ablate|micro|fuzz-smoke|resil-smoke|perf-smoke|sat-smoke|portfolio-smoke|obs-smoke|serve-smoke|obs-live-smoke|install-storm|all)\n"
         other;
       exit 2
   in

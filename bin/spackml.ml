@@ -26,25 +26,6 @@ let concretize_one ~opts text =
   | Ok o -> Ok o
   | Error e -> Error e
 
-(* One-shot concretize through the persistent ground cache: build (or
-   load) a warm delta-grounded universe rooted at the request's root
-   and solve the request as a session assumption set against it. *)
-let concretize_warm ~opts ~dir text =
-  match Core.Encode.request_of_string text with
-  | exception Spec.Parser.Parse_error e -> Error ("parse error: " ^ e)
-  | request -> (
-    let root = request.Core.Encode.req.Spec.Abstract.root.Spec.Abstract.name in
-    match
-      Core.Concretizer.Warm.create ~repo ~options:opts ~ground_cache:dir
-        ~roots:[ root ] ()
-    with
-    | Error e -> Error e
-    | Ok warm -> (
-      let s = Core.Concretizer.Warm.session warm in
-      match Core.Concretizer.Session.solve s request with
-      | Ok o -> Ok o
-      | Error f -> Error f.Core.Concretizer.f_message))
-
 (* ---- flags shared by several commands ---- *)
 
 let reuse_flag =
@@ -59,14 +40,6 @@ let old_flag =
 
 let stats_flag =
   Arg.(value & flag & info [ "stats" ] ~doc:"Print solver statistics.")
-
-let ground_cache_flag =
-  Arg.(value & opt (some string) None & info [ "ground-cache" ] ~docv:"DIR"
-      ~doc:"Persistent on-disk ground cache: load the grounded \
-            request-independent program from DIR when its content key \
-            (program + repo encoding + buildcache digests) matches, and \
-            persist new groundings there. Turns a cold start against a \
-            large buildcache into a load instead of a reground.")
 
 let ground_jobs_flag =
   Arg.(value & opt int 1 & info [ "ground-jobs" ] ~docv:"N"
@@ -135,12 +108,6 @@ let jobs_flag =
   Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N"
       ~doc:"Solve a $(b,--batch) over N parallel domains (default 1).")
 
-let session_flag =
-  Arg.(value & flag & info [ "session" ]
-      ~doc:"Serve the $(b,--batch) from one incremental solve session per \
-            domain (ground once, solve each request under assumptions) \
-            instead of solving each request from scratch.")
-
 let read_batch_file file =
   let ic = open_in file in
   let rec go acc =
@@ -154,7 +121,7 @@ let read_batch_file file =
   in
   go []
 
-let run_batch ~opts ~jobs ~session ~stats file =
+let run_batch ~opts ~jobs ~stats file =
   let texts = read_batch_file file in
   match
     List.map
@@ -171,8 +138,7 @@ let run_batch ~opts ~jobs ~session ~stats file =
   | pairs ->
     let t0 = Obs.Clock.now_s () in
     let results =
-      Core.Concretizer.concretize_batch ~repo ~options:opts ~jobs ~session
-        (List.map snd pairs)
+      Core.Concretizer.concretize_batch ~repo ~options:opts ~jobs (List.map snd pairs)
     in
     let failures = ref 0 in
     List.iter2
@@ -181,9 +147,6 @@ let run_batch ~opts ~jobs ~session ~stats file =
         | Ok (o : Core.Concretizer.outcome) ->
           let spec = List.hd o.Core.Concretizer.solution.Core.Decode.specs in
           Format.printf "%s: %s@." text (Spec.Concrete.to_string spec);
-          (* per-request statistics: in [session] mode the solver
-             counters are per-request deltas, not the session's
-             cumulative totals *)
           if stats then
             Format.printf "  %a@." Core.Concretizer.pp_stats
               o.Core.Concretizer.stats
@@ -192,16 +155,15 @@ let run_batch ~opts ~jobs ~session ~stats file =
           Format.printf "%s: error: %s@." text f.Core.Concretizer.f_message)
       pairs results;
     if stats then
-      Format.printf "batch: %d specs, %d failures, jobs=%d%s, %.3fs@."
+      Format.printf "batch: %d specs, %d failures, jobs=%d, %.3fs@."
         (List.length pairs) !failures jobs
-        (if session then " (session mode)" else "")
         (Obs.Clock.now_s () -. t0);
     if !failures = 0 then 0 else 1
 
 let concretize_cmd =
   let spec_opt_arg = Arg.(value & pos 0 (some string) None & info [] ~docv:"SPEC") in
-  let run reuse splicing old_encoding stats json dot batch jobs session
-      ground_cache ground_jobs portfolio trace trace_format spec_text =
+  let run reuse splicing old_encoding stats json dot batch jobs ground_jobs
+      portfolio trace trace_format spec_text =
     with_trace ~trace ~trace_format @@ fun obs ->
     let opts = options ~reuse ~splicing ~old_encoding in
     (* A traced concretize also re-validates its solutions: the verify
@@ -214,7 +176,7 @@ let concretize_cmd =
         portfolio = max 1 portfolio }
     in
     match (batch, spec_text) with
-    | Some file, None -> run_batch ~opts ~jobs ~session ~stats file
+    | Some file, None -> run_batch ~opts ~jobs ~stats file
     | Some _, Some _ ->
       Format.eprintf "error: give either a SPEC or --batch FILE, not both@.";
       2
@@ -222,11 +184,7 @@ let concretize_cmd =
       Format.eprintf "error: give a SPEC or --batch FILE@.";
       2
     | None, Some spec_text -> (
-    match
-      match ground_cache with
-      | Some dir -> concretize_warm ~opts ~dir spec_text
-      | None -> concretize_one ~opts spec_text
-    with
+    match concretize_one ~opts spec_text with
     | Error e ->
       Format.eprintf "error: %s@." e;
       1
@@ -259,9 +217,8 @@ let concretize_cmd =
          "Resolve an abstract spec to a concrete spec DAG, or a whole file of \
           specs with $(b,--batch) (optionally in parallel with $(b,--jobs)).")
     Term.(const run $ reuse_flag $ splice_flag $ old_flag $ stats_flag $ json_flag
-          $ dot_flag $ batch_flag $ jobs_flag $ session_flag $ ground_cache_flag
-          $ ground_jobs_flag $ portfolio_flag $ trace_flag $ trace_format_flag
-          $ spec_opt_arg)
+          $ dot_flag $ batch_flag $ jobs_flag $ ground_jobs_flag $ portfolio_flag
+          $ trace_flag $ trace_format_flag $ spec_opt_arg)
 
 (* ---- install ---- *)
 
@@ -937,20 +894,10 @@ let serve_cmd =
         ~doc:"Default per-request deadline, enforced inside the SAT core; \
               preempted requests answer $(b,timeout).")
   in
-  let mode_flag =
-    Arg.(value & opt string "session" & info [ "mode" ] ~docv:"MODE"
-        ~doc:"Default solve mode: $(b,session) (warm incremental sessions) \
-              or $(b,fresh) (byte-deterministic from-scratch solves).")
-  in
   let socket_opt =
     Arg.(value & opt string "/tmp/spackml.sock"
         & info [ "socket" ] ~docv:"PATH"
             ~doc:"Unix socket path (default /tmp/spackml.sock).")
-  in
-  let recycle_flag =
-    Arg.(value & opt int 32 & info [ "recycle" ] ~docv:"N"
-        ~doc:"Rebuild a worker's warm session after N solves to bound \
-              solver-state growth; 0 never recycles (default 32).")
   in
   let horizon_flag =
     Arg.(value & opt float 60.0 & info [ "stats-horizon" ] ~docv:"S"
@@ -970,77 +917,57 @@ let serve_cmd =
         ~doc:"Disable live telemetry entirely: no rolling-window stats, \
               no flight recorder.")
   in
-  let run reuse splicing workers queue deadline_ms mode socket recycle
-      horizon recorder no_live ground_cache ground_jobs portfolio trace
-      trace_format =
+  let run reuse splicing workers queue deadline_ms socket horizon recorder
+      no_live ground_jobs portfolio trace trace_format =
     with_trace ~trace ~trace_format @@ fun obs ->
-    match
-      match mode with
-      | "session" -> Ok Core.Serve.Session
-      | "fresh" -> Ok Core.Serve.Fresh
-      | m -> Error m
-    with
-    | Error m ->
-      Format.eprintf "error: --mode: unknown mode %S (try session or fresh)@." m;
-      2
-    | Ok default_mode ->
-      let opts = options ~reuse ~splicing ~old_encoding:false in
-      let opts =
-        { opts with Core.Concretizer.obs; ground_jobs = max 1 ground_jobs }
-      in
-      let config =
-        { Core.Serve.default_config with
-          Core.Serve.workers;
-          max_queue = queue;
-          default_deadline_ms = deadline_ms;
-          default_mode;
-          portfolio = max 1 portfolio;
-          session_recycle = (if recycle <= 0 then None else Some recycle);
-          telemetry =
-            (if no_live then None
-             else
-               Some
-                 { Core.Serve.default_telemetry with
-                   Core.Serve.horizon_s = horizon;
-                   recorder_capacity = max 0 recorder });
-          reuse_source =
-            (if reuse then
-               Some (fun () -> Radiuss.Caches.reusable_specs (Lazy.force local_cache))
-             else None);
-          ground_cache;
-          options = opts }
-      in
-      (match Core.Serve.start ~repo ~config ~socket () with
-      | Error e ->
-        Format.eprintf "error: %s@." e;
-        1
-      | Ok t ->
-        Format.printf "serving on %s (%d workers, %s mode, pool %s)@."
-          socket workers mode
-          (Chash.short (Core.Serve.pool_digest_of t));
-        Core.Serve.wait t;
-        Format.printf "server stopped@.";
-        0)
+    let opts = options ~reuse ~splicing ~old_encoding:false in
+    let opts =
+      { opts with Core.Concretizer.obs; ground_jobs = max 1 ground_jobs }
+    in
+    let config =
+      { Core.Serve.default_config with
+        Core.Serve.workers;
+        max_queue = queue;
+        default_deadline_ms = deadline_ms;
+        portfolio = max 1 portfolio;
+        telemetry =
+          (if no_live then None
+           else
+             Some
+               { Core.Serve.default_telemetry with
+                 Core.Serve.horizon_s = horizon;
+                 recorder_capacity = max 0 recorder });
+        reuse_source =
+          (if reuse then
+             Some (fun () -> Radiuss.Caches.reusable_specs (Lazy.force local_cache))
+           else None);
+        options = opts }
+    in
+    match Core.Serve.start ~repo ~config ~socket () with
+    | Error e ->
+      Format.eprintf "error: %s@." e;
+      1
+    | Ok t ->
+      Format.printf "serving on %s (%d workers, pool %s)@." socket workers
+        (Chash.short (Core.Serve.pool_digest_of t));
+      Core.Serve.wait t;
+      Format.printf "server stopped@.";
+      0
   in
   Cmd.v
     (Cmd.info "serve"
        ~doc:
-         "Run a resident concretization server: warm solve sessions per \
-          worker domain, bounded admission, per-request deadlines, and a \
-          length-prefixed JSON protocol over a Unix socket. Stop it with \
+         "Run a resident concretization server: worker domains answering \
+          pruned one-shot concretizations with a resident closure cache, \
+          bounded admission, per-request deadlines, and a length-prefixed \
+          JSON protocol over a Unix socket. Stop it with \
           $(b,spackml client --shutdown).")
     Term.(const run $ reuse_flag $ splice_flag $ workers_flag $ queue_flag
-          $ deadline_flag $ mode_flag $ socket_opt $ recycle_flag
-          $ horizon_flag $ recorder_flag $ no_live_flag
-          $ ground_cache_flag $ ground_jobs_flag $ portfolio_flag
-          $ trace_flag $ trace_format_flag)
+          $ deadline_flag $ socket_opt $ horizon_flag $ recorder_flag
+          $ no_live_flag $ ground_jobs_flag $ portfolio_flag $ trace_flag
+          $ trace_format_flag)
 
 let client_cmd =
-  let mode_flag =
-    Arg.(value & opt (some string) None & info [ "mode" ] ~docv:"MODE"
-        ~doc:"Solve mode for this request: $(b,session) or $(b,fresh) \
-              (default: the server's).")
-  in
   let deadline_flag =
     Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS"
         ~doc:"Per-request deadline.")
@@ -1072,69 +999,58 @@ let client_cmd =
         ~doc:"Base retry delay, doubling per retry (with $(b,--retries)).")
   in
   let specs_arg = Arg.(value & pos_all string [] & info [] ~docv:"SPEC") in
-  let run socket mode deadline_ms conflicts retries backoff_ms ping stats reload
+  let run socket deadline_ms conflicts retries backoff_ms ping stats reload
       shutdown specs =
-    match
-      match mode with
-      | None -> Ok None
-      | Some "session" -> Ok (Some Core.Serve.Session)
-      | Some "fresh" -> Ok (Some Core.Serve.Fresh)
-      | Some m -> Error m
-    with
-    | Error m ->
-      Format.eprintf "error: --mode: unknown mode %S@." m;
-      2
-    | Ok mode -> (
-      match Core.Serve.Client.connect ~retries ~backoff_ms socket with
-      | Error e ->
-        Format.eprintf "error: %s@." e;
-        1
-      | Ok c ->
-        Fun.protect ~finally:(fun () -> Core.Serve.Client.close c) @@ fun () ->
-        let failures = ref 0 in
-        let show label = function
-          | Ok resp -> Format.printf "%s%s@." label (Sjson.to_string ~pretty:true resp)
+    match Core.Serve.Client.connect ~retries ~backoff_ms socket with
+    | Error e ->
+      Format.eprintf "error: %s@." e;
+      1
+    | Ok c ->
+      Fun.protect ~finally:(fun () -> Core.Serve.Client.close c) @@ fun () ->
+      let failures = ref 0 in
+      let show label = function
+        | Ok resp -> Format.printf "%s%s@." label (Sjson.to_string ~pretty:true resp)
+        | Error e ->
+          incr failures;
+          Format.eprintf "%serror: %s@." label e
+      in
+      if ping then show "" (Core.Serve.Client.ping c);
+      if stats then show "" (Core.Serve.Client.stats c);
+      if reload then show "" (Core.Serve.Client.reload c);
+      List.iter
+        (fun spec ->
+          let label = spec ^ ": " in
+          match Core.Serve.Client.solve ?deadline_ms ?conflicts c spec with
           | Error e ->
             incr failures;
             Format.eprintf "%serror: %s@." label e
-        in
-        if ping then show "" (Core.Serve.Client.ping c);
-        if stats then show "" (Core.Serve.Client.stats c);
-        if reload then show "" (Core.Serve.Client.reload c);
-        List.iter
-          (fun spec ->
-            let label = spec ^ ": " in
-            match Core.Serve.Client.solve ?mode ?deadline_ms ?conflicts c spec with
-            | Error e ->
-              incr failures;
-              Format.eprintf "%serror: %s@." label e
-            | Ok resp ->
-              let status =
-                match Sjson.member_opt "status" resp with
-                | Some (Sjson.String s) -> s
-                | _ -> "?"
-              in
-              if status <> "ok" then incr failures;
-              Format.printf "%s%s %s@." label status
-                (Sjson.to_string (Sjson.member "result" resp)))
-          specs;
-        if shutdown then show "" (Core.Serve.Client.shutdown c);
-        if (not ping) && (not stats) && (not reload) && (not shutdown)
-           && specs = []
-        then begin
-          Format.eprintf "error: give SPECs or one of --ping/--stats/--reload/--shutdown@.";
-          2
-        end
-        else if !failures = 0 then 0
-        else 1)
+          | Ok resp ->
+            let status =
+              match Sjson.member_opt "status" resp with
+              | Some (Sjson.String s) -> s
+              | _ -> "?"
+            in
+            if status <> "ok" then incr failures;
+            Format.printf "%s%s %s@." label status
+              (Sjson.to_string (Sjson.member "result" resp)))
+        specs;
+      if shutdown then show "" (Core.Serve.Client.shutdown c);
+      if (not ping) && (not stats) && (not reload) && (not shutdown)
+         && specs = []
+      then begin
+        Format.eprintf "error: give SPECs or one of --ping/--stats/--reload/--shutdown@.";
+        2
+      end
+      else if !failures = 0 then 0
+      else 1
   in
   Cmd.v
     (Cmd.info "client"
        ~doc:
          "Drive a running $(b,spackml serve): solve specs (optionally with \
-          per-request deadlines and modes), ping, fetch stats, trigger a \
-          buildcache reload, or shut the server down.")
-    Term.(const run $ socket_flag $ mode_flag $ deadline_flag $ conflicts_flag
+          per-request deadlines), ping, fetch stats, trigger a buildcache \
+          reload, or shut the server down.")
+    Term.(const run $ socket_flag $ deadline_flag $ conflicts_flag
           $ client_retries_flag $ backoff_flag $ ping_flag $ stats_flag'
           $ reload_flag $ shutdown_flag $ specs_arg)
 
@@ -1186,13 +1102,11 @@ let top_cmd =
     Format.printf "spackml top — %s   uptime %.0fs   generation %d@." socket
       (n [ "result"; "uptime_s" ])
       (int_of_float (n [ "result"; "generation" ]));
-    Format.printf
-      "workers %d   pending %d   served %d   rejected %d   roots %d@."
+    Format.printf "workers %d   pending %d   served %d   rejected %d@."
       (int_of_float (n [ "result"; "workers" ]))
       (int_of_float (n [ "result"; "pending" ]))
       (int_of_float (n [ "result"; "served" ]))
-      (int_of_float (n [ "result"; "rejected" ]))
-      (int_of_float (n [ "result"; "roots" ]));
+      (int_of_float (n [ "result"; "rejected" ]));
     (match Sjson.member_opt "window" (Sjson.member "result" stats) with
     | None ->
       Format.printf "@.(live telemetry disabled on this server)@."
@@ -1216,11 +1130,7 @@ let top_cmd =
         (pct (wn [ "overload_rate" ]))
         (pct (wn [ "deadline_miss_rate" ]))
         (pct (wn [ "error_rate" ]));
-      Format.printf
-        "caches: closure %.1f%%   ground %.1f%%   session recycles %d@."
-        (pct (wn [ "closure_hit_rate" ]))
-        (pct (wn [ "ground_cache_hit_rate" ]))
-        (int_of_float (wn [ "session_recycles" ])));
+      Format.printf "caches: closure %.1f%%@." (pct (wn [ "closure_hit_rate" ])));
     match dump with
     | None -> ()
     | Some d ->
@@ -1278,8 +1188,8 @@ let top_cmd =
        ~doc:
          "Live dashboard for a running $(b,spackml serve): polls the wire \
           $(b,stats) and $(b,dump) ops and renders rolling-window latency \
-          quantiles, queue occupancy, overload/deadline-miss rates, cache \
-          hit rates, and the flight recorder's recent traces.")
+          quantiles, queue occupancy, overload/deadline-miss rates, the \
+          closure-cache hit rate, and the flight recorder's recent traces.")
     Term.(const run $ socket_flag $ interval_flag $ window_flag $ count_flag
           $ once_flag)
 

@@ -16,7 +16,6 @@
 
 module Term = Term
 module Ast = Ast
-module Factstore = Factstore
 module Lexer = Lexer
 module Parser = Parser
 module Ground = Ground
@@ -34,7 +33,3 @@ let parse = Parser.parse_program
 let solve_text ?(facts = []) ?(certify = false) text =
   let prog = parse text @ facts in
   Logic.solve ~certify (Ground.ground prog)
-
-(** Render facts as ASP text (used by golden tests and debugging). *)
-let facts_to_string facts =
-  Format.asprintf "%a" Ast.pp_program facts

@@ -29,9 +29,8 @@ module Arg_tbl = Hashtbl.Make (struct
 end)
 
 (* Join-index hit/miss tally. The store carries one for the whole
-   grounding; parallel phase-2 workers and the layered pool stratum use
-   private tallies so counts stay deterministic (no racy increments)
-   and attributable per layer. *)
+   grounding; parallel phase-2 workers use private tallies so counts
+   stay deterministic (no racy increments). *)
 type tally = { mutable t_hits : int; mutable t_misses : int }
 
 (* Interned atom store. Atoms interned with [~possible:true] can be
@@ -189,15 +188,8 @@ exception Stuck_cmp
    evaluated when ground, with [V = ground-term] acting as a binding;
    not-yet-evaluable comparisons are delayed past the next positive
    literal. Negative literals are handled by [on_neg] (phase 1 ignores
-   them; phase 2 records them).
-
-   Each literal carries an [exclude_new] flag: a flagged positive
-   literal refuses to match atoms for which [is_new] holds. Delta
-   instantiation uses this for the classic semi-naive decomposition —
-   seeding a rule at literal i, literals before i see only the old
-   store, literals after i see old + delta — so every new instance is
-   enumerated exactly once across all seeds, with no dedup table. *)
-let join_flagged ?tally st lits subst ~is_new ~on_neg ~k =
+   them; phase 2 records them). *)
+let join ?tally st lits subst ~on_neg ~k =
   let rec go lits delayed subst negs =
     match lits with
     | [] ->
@@ -211,7 +203,7 @@ let join_flagged ?tally st lits subst ~is_new ~on_neg ~k =
           delayed
       in
       if ok then k subst (List.rev negs)
-    | (Ast.Pos pattern, exclude_new) :: rest ->
+    | Ast.Pos pattern :: rest ->
       (* the first literal of every seeding joins under the empty
          substitution — skip the per-candidate pattern rebuild there *)
       let pattern' =
@@ -222,12 +214,12 @@ let join_flagged ?tally st lits subst ~is_new ~on_neg ~k =
       List.iter
         (fun id ->
           let subject = st.arr.(id) in
-          if Bytes.get st.possible id = '\001' && not (exclude_new && is_new id) then
+          if Bytes.get st.possible id = '\001' then
             match match_atom ~pattern:pattern' subst subject with
             | Some subst' -> go rest delayed subst' negs
             | None -> ())
         (candidates ?tally st pattern')
-    | (Ast.Cmp (op, l, r), _) :: rest -> (
+    | Ast.Cmp (op, l, r) :: rest -> (
       let l' = Term.subst_term subst l and r' = Term.subst_term subst r in
       match (Term.is_ground l', Term.is_ground r') with
       | true, true -> if term_cmp_value op l' r' then go rest delayed subst negs
@@ -240,7 +232,7 @@ let join_flagged ?tally st lits subst ~is_new ~on_neg ~k =
         | Term.Var v -> go rest delayed (Term.Smap.add v l' subst) negs
         | _ -> go rest ((op, l, r) :: delayed) subst negs)
       | _ -> go rest ((op, l, r) :: delayed) subst negs)
-    | (Ast.Neg pattern, _) :: rest -> (
+    | Ast.Neg pattern :: rest -> (
       match on_neg with
       | `Ignore -> go rest delayed subst negs
       | `Record ->
@@ -253,13 +245,6 @@ let join_flagged ?tally st lits subst ~is_new ~on_neg ~k =
         go rest delayed subst (a :: negs))
   in
   go lits [] subst []
-
-let no_new _ = false
-
-let join ?tally st lits subst ~on_neg ~k =
-  join_flagged ?tally st
-    (List.map (fun l -> (l, false)) lits)
-    subst ~is_new:no_new ~on_neg ~k
 
 type t = {
   st : store;
@@ -302,12 +287,25 @@ let build_trigger_index pseudos =
     pseudos;
   by_trigger
 
-(* Delta loop: for each new atom, re-evaluate rules triggered through
-   the matching body position, seeding the join there. [notify] fires
-   on every freshly possible atom; [record] additionally receives the
-   witnessing substitution and pseudo-rule (the layered grounder keeps
-   first-derivation edges for delete-rederive). *)
-let phase1_run ?tally st pseudos by_trigger queue ~notify ~record =
+let phase1 st prog =
+  let pseudos = Array.of_list (pseudo_rules prog) in
+  let by_trigger = build_trigger_index pseudos in
+  let queue = Queue.create () in
+  (* Seed: rules with no positive body literal fire immediately. *)
+  Array.iter
+    (fun p ->
+      let has_pos = List.exists (function Ast.Pos _ -> true | _ -> false) p.pbody in
+      if not has_pos then
+        try
+          join st p.pbody Term.Smap.empty ~on_neg:`Ignore ~k:(fun subst _ ->
+              let h = subst_atom p.phead subst in
+              let id, fresh = intern st h ~possible:true in
+              if fresh then Queue.add id queue)
+        with Stuck_cmp ->
+          invalid_arg "grounder: comparison with unbound variables (unsafe rule)")
+    pseudos;
+  (* Delta loop: for each new atom, re-evaluate rules triggered through
+     the matching body position, seeding the join there. *)
   let iters = ref 0 in
   while not (Queue.is_empty queue) do
     incr iters;
@@ -330,14 +328,10 @@ let phase1_run ?tally st pseudos by_trigger queue ~notify ~record =
           | None -> ()
           | Some subst -> (
             try
-              join ?tally st rest subst ~on_neg:`Ignore ~k:(fun subst _ ->
+              join st rest subst ~on_neg:`Ignore ~k:(fun subst _ ->
                   let h = subst_atom p.phead subst in
                   let hid, fresh = intern st h ~possible:true in
-                  if fresh then begin
-                    Queue.add hid queue;
-                    notify hid;
-                    record hid subst p
-                  end)
+                  if fresh then Queue.add hid queue)
             with Stuck_cmp ->
               invalid_arg "grounder: comparison with unbound variables (unsafe rule)"))
         | _ -> assert false)
@@ -345,47 +339,15 @@ let phase1_run ?tally st pseudos by_trigger queue ~notify ~record =
   done;
   !iters
 
-let phase1_seed st pseudos queue =
-  (* Seed: rules with no positive body literal fire immediately. *)
-  Array.iter
-    (fun p ->
-      let has_pos = List.exists (function Ast.Pos _ -> true | _ -> false) p.pbody in
-      if not has_pos then
-        try
-          join st p.pbody Term.Smap.empty ~on_neg:`Ignore ~k:(fun subst _ ->
-              let h = subst_atom p.phead subst in
-              let id, fresh = intern st h ~possible:true in
-              if fresh then Queue.add id queue)
-        with Stuck_cmp ->
-          invalid_arg "grounder: comparison with unbound variables (unsafe rule)")
-    pseudos
-
-let phase1 st prog =
-  let pseudos = Array.of_list (pseudo_rules prog) in
-  let by_trigger = build_trigger_index pseudos in
-  let queue = Queue.create () in
-  phase1_seed st pseudos queue;
-  phase1_run st pseudos by_trigger queue
-    ~notify:(fun _ -> ())
-    ~record:(fun _ _ _ -> ())
-
 (* Phase 2: emit ground statements over the fixed atom set. The
    emitter abstracts where atoms are interned and where output lands:
    the serial path writes straight into the store and rule list,
    parallel workers write into private overlays merged
-   deterministically afterwards, and the layered grounder captures
-   choice instances with their substitutions for later delta repair. *)
+   deterministically afterwards. *)
 type emitter = {
   em_intern : Ast.atom -> possible:bool -> atom_id;
   em_rule : grule -> unit;
   em_min : gmin -> unit;
-  em_choice :
-    (si:int ->
-    subst:Term.subst ->
-    pos:atom_id list ->
-    neg:atom_id list ->
-    unit)
-    option;
   em_tally : tally option;
 }
 
@@ -402,36 +364,32 @@ let choice_elems st em (elems : Ast.choice_elem list) subst =
     elems;
   List.rev !gelems
 
-(* Solve [join_lits] starting from [subst0]; for every solution, hand
-   back the interned positive body (computed over the full original
-   body, so seeded joins include their seed atom) and negatives. *)
-let ground_body ?(is_new = no_new) st em ~all_body ~join_lits subst0 k =
-  join_flagged ?tally:em.em_tally st join_lits subst0 ~is_new ~on_neg:`Record
+(* Solve [body]; for every solution, hand back the interned positive
+   body and negatives. *)
+let ground_body st em body k =
+  join ?tally:em.em_tally st body Term.Smap.empty ~on_neg:`Record
     ~k:(fun subst negs ->
       let pos =
         List.filter_map
           (function
             | Ast.Pos a -> Some (em.em_intern (subst_atom a subst) ~possible:false)
             | _ -> None)
-          all_body
+          body
       in
       (* Positive atoms were matched against possible atoms, so the
          lookup above finds existing ids. *)
       let neg = List.map (fun a -> em.em_intern a ~possible:false) negs in
       k subst pos neg)
 
-let emit_head st em ~si (head : Ast.head) subst pos neg =
+let emit_head st em (head : Ast.head) subst pos neg =
   match head with
   | Ast.Head_atom h ->
     let ghead = Gatom (em.em_intern (subst_atom h subst) ~possible:true) in
     em.em_rule { ghead; gpos = pos; gneg = neg }
   | Ast.Head_none -> em.em_rule { ghead = Gconstraint; gpos = pos; gneg = neg }
-  | Ast.Head_choice { lo; hi; elems } -> (
-    match em.em_choice with
-    | Some f -> f ~si ~subst ~pos ~neg
-    | None ->
-      let gelems = choice_elems st em elems subst in
-      em.em_rule { ghead = Gchoice { lo; hi; gelems }; gpos = pos; gneg = neg })
+  | Ast.Head_choice { lo; hi; elems } ->
+    let gelems = choice_elems st em elems subst in
+    em.em_rule { ghead = Gchoice { lo; hi; gelems }; gpos = pos; gneg = neg }
 
 let emit_min em (e : Ast.min_elem) subst pos neg =
   let w =
@@ -449,63 +407,18 @@ let emit_min em (e : Ast.min_elem) subst pos neg =
   em.em_min
     { gweight = w; gpriority = e.priority; gkey = key; gcond_pos = pos; gcond_neg = neg }
 
-let unflagged body = List.map (fun l -> (l, false)) body
-
-let ground_stmt st em si (stmt : Ast.statement) =
+let ground_stmt st em (stmt : Ast.statement) =
   match stmt with
   | Ast.Rule { head; body } -> (
     try
-      ground_body st em ~all_body:body ~join_lits:(unflagged body) Term.Smap.empty
-        (fun subst pos neg -> emit_head st em ~si head subst pos neg)
+      ground_body st em body (fun subst pos neg -> emit_head st em head subst pos neg)
     with Stuck_cmp -> invalid_arg "grounder: unsafe comparison")
   | Ast.Minimize elems ->
     List.iter
       (fun (e : Ast.min_elem) ->
-        try
-          ground_body st em ~all_body:e.mcond ~join_lits:(unflagged e.mcond)
-            Term.Smap.empty
-            (fun subst pos neg -> emit_min em e subst pos neg)
+        try ground_body st em e.mcond (fun subst pos neg -> emit_min em e subst pos neg)
         with Stuck_cmp -> invalid_arg "grounder: unsafe comparison")
       elems
-
-(* Seeded (delta) instantiation of one statement: literal [li] of the
-   body (or of minimize element [ei]) is matched against [atom], and
-   the flags realize the semi-naive split around the seed. *)
-let delta_flags body li =
-  List.filteri (fun i _ -> i <> li) (List.mapi (fun i l -> (l, i < li)) body)
-
-let ground_stmt_seeded st em ~is_new si (stmt : Ast.statement) li atom =
-  match stmt with
-  | Ast.Rule { head; body } -> (
-    match List.nth body li with
-    | Ast.Pos pattern -> (
-      match match_atom ~pattern Term.Smap.empty atom with
-      | None -> ()
-      | Some subst0 -> (
-        try
-          ground_body ~is_new st em ~all_body:body ~join_lits:(delta_flags body li)
-            subst0
-            (fun subst pos neg -> emit_head st em ~si head subst pos neg)
-        with Stuck_cmp -> invalid_arg "grounder: unsafe comparison"))
-    | _ -> assert false)
-  | Ast.Minimize _ -> assert false
-
-let ground_min_seeded st em ~is_new (stmt : Ast.statement) ei li atom =
-  match stmt with
-  | Ast.Minimize elems -> (
-    let e = List.nth elems ei in
-    match List.nth e.Ast.mcond li with
-    | Ast.Pos pattern -> (
-      match match_atom ~pattern Term.Smap.empty atom with
-      | None -> ()
-      | Some subst0 -> (
-        try
-          ground_body ~is_new st em ~all_body:e.Ast.mcond
-            ~join_lits:(delta_flags e.Ast.mcond li) subst0
-            (fun subst pos neg -> emit_min em e subst pos neg)
-        with Stuck_cmp -> invalid_arg "grounder: unsafe comparison"))
-    | _ -> assert false)
-  | Ast.Rule _ -> assert false
 
 (* Bodies of length 0/1 are already sorted; skip the sort allocation —
    at buildcache scale most rules have tiny bodies. *)
@@ -558,10 +471,9 @@ let phase2 st prog =
             grules := r :: !grules
           end);
       em_min = (fun m -> gmins := m :: !gmins);
-      em_choice = None;
       em_tally = None }
   in
-  List.iteri (fun si stmt -> ground_stmt st em si stmt) prog;
+  List.iter (ground_stmt st em) prog;
   (List.rev !grules, List.rev !gmins)
 
 (* Parallel phase 2: statements are partitioned round-robin across
@@ -615,10 +527,9 @@ let phase2_par st prog jobs =
         { em_intern = ov_intern;
           em_rule = (fun r -> acc := Rrule r :: !acc);
           em_min = (fun m -> acc := Rmin m :: !acc);
-          em_choice = None;
           em_tally = Some tallies.(d) }
       in
-      (try ground_stmt st em !si stmts.(!si) with e -> errs.(!si) <- Some e);
+      (try ground_stmt st em stmts.(!si) with e -> errs.(!si) <- Some e);
       outs.(!si) <- List.rev !acc;
       si := !si + jobs
     done;
@@ -849,8 +760,6 @@ let possible t id = Bytes.get t.st.possible id = '\001'
 
 let atom_of_id t id = t.st.arr.(id)
 
-let find_atom t a = Ast.Atom_tbl.find_opt t.st.tbl a
-
 let pp_atom_id t fmt id = Ast.pp_atom fmt (atom_of_id t id)
 
 let pp fmt t =
@@ -880,505 +789,3 @@ let pp fmt t =
       end;
       Format.fprintf fmt ".@.")
     t.grules
-
-(* ------------------------------------------------------------------ *)
-(* Layered (delta) grounding.
-
-   The program is grounded once into a request-independent base; pool
-   facts then arrive and leave as named {e entries} (groups of ground
-   facts). An update re-runs the possible-atom fixpoint and phase-2
-   instantiation only for the delta:
-
-   - Additions run the standard semi-naive extension: new facts seed
-     phase 1 through the trigger index; every freshly possible atom
-     then seeds phase-2 instantiation of the statements it can occur
-     in, with the delta split guaranteeing each new instance is built
-     exactly once.
-
-   - Deletions use delete/re-derive (DRed). While grounding the pool
-     stratum we record, for every atom first derived there, edges from
-     the positive body atoms of its first derivation. Removing an
-     entry decrements per-fact reference counts; facts reaching zero
-     over-delete their transitive first-derivation descendants
-     (skipping atoms still backed by a surviving entry), and a
-     re-derivation pass revives any over-deleted atom that still has a
-     witness among surviving possible atoms. Ground rules and
-     minimize instances mentioning a finally-dead atom positively are
-     dropped; deletion itself is just clearing the possible byte, so
-     joins never see dead atoms and a later re-addition revives the
-     same id.
-
-   - Choice instances are stored with their body substitution;
-     statements whose element conditions mention a changed predicate
-     get their element lists recomputed at the end of the update.
-
-   [layered_snapshot] stitches base + pool layers together, re-applies
-   the duplicate-rule filter across layers and runs the same [simplify]
-   pass as a from-scratch grounding, yielding a [t] that is
-   semantically identical to regrounding the whole program. *)
-
-type p2_trig =
-  | T_rule of int * int  (** statement idx, body literal idx *)
-  | T_min of int * int * int  (** statement idx, elem idx, cond literal idx *)
-
-type inst = {
-  i_si : int;
-  i_subst : Term.subst;
-  i_pos : atom_id list;
-  i_neg : atom_id list;
-  mutable i_elems : atom_id list;
-}
-
-type layered = {
-  l_st : store;
-  l_stmts : Ast.statement array;
-  l_pseudos : pseudo array;
-  l_p1_triggers : (string * int, (int * int) list ref) Hashtbl.t;
-  l_by_head : (string * int, int list ref) Hashtbl.t;
-  l_p2_triggers : (string * int, p2_trig list ref) Hashtbl.t;
-  l_elem_stmts : (string * int, int list ref) Hashtbl.t;
-  l_base_count : int;
-  l_base_possible : Bytes.t;
-  l_base_rules : grule list;
-  l_base_gmins : gmin list;
-  l_gmin_priorities : int list;
-  l_insts : inst list ref array;  (** per statement, reverse creation order *)
-  l_entries : (string, Ast.atom list) Hashtbl.t;
-  l_fact_rc : (atom_id, int ref) Hashtbl.t;
-  l_children : (atom_id, atom_id list ref) Hashtbl.t;
-  mutable l_pool_rules : grule list;  (** reverse emission order *)
-  mutable l_pool_gmins : gmin list;  (** reverse emission order *)
-  l_tally : tally;
-  mutable l_generation : int;
-}
-
-(* Atoms possible before any pool entry arrived are permanent: the base
-   grounding supports them forever, so deltas never track or delete
-   them. Everything else (including base-interned atoms first made
-   possible by a pool fact) lives under reference counts and edges. *)
-let is_permanent t id =
-  id < t.l_base_count && Bytes.get t.l_base_possible id = '\001'
-
-let record_edges t p subst id =
-  List.iter
-    (function
-      | Ast.Pos a -> (
-        match Ast.Atom_tbl.find_opt t.l_st.tbl (subst_atom a subst) with
-        | Some pid when (not (is_permanent t pid)) && pid <> id ->
-          push_index t.l_children pid id
-        | _ -> ())
-      | _ -> ())
-    p.pbody
-
-let stmt_choice_elems (stmt : Ast.statement) =
-  match stmt with
-  | Ast.Rule { head = Ast.Head_choice { elems; _ }; _ } -> elems
-  | _ -> assert false
-
-let compute_elems t si subst =
-  let st = t.l_st in
-  let elems = stmt_choice_elems t.l_stmts.(si) in
-  let gelems = ref [] in
-  List.iter
-    (fun (e : Ast.choice_elem) ->
-      try
-        join ~tally:t.l_tally st e.cond subst ~on_neg:`Ignore ~k:(fun subst' _ ->
-            let a = subst_atom e.elem subst' in
-            let id = fst (intern st a ~possible:true) in
-            if not (List.mem id !gelems) then gelems := id :: !gelems)
-      with Stuck_cmp -> invalid_arg "grounder: unsafe comparison")
-    elems;
-  List.rev !gelems
-
-let layered_create ?(obs = Obs.disabled) prog =
-  (match Ast.check_safety prog with
-  | Ok () -> ()
-  | Error e -> invalid_arg ("grounder: " ^ e));
-  let st = store_create () in
-  let stmts = Array.of_list prog in
-  let pseudos = Array.of_list (pseudo_rules prog) in
-  let p1_triggers = build_trigger_index pseudos in
-  let by_head : (string * int, int list ref) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
-    (fun ri p ->
-      push_index by_head (p.phead.Ast.pred, List.length p.phead.Ast.args) ri)
-    pseudos;
-  let p2_triggers : (string * int, p2_trig list ref) Hashtbl.t = Hashtbl.create 64 in
-  let elem_stmts : (string * int, int list ref) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
-    (fun si stmt ->
-      match stmt with
-      | Ast.Rule { body; head } ->
-        List.iteri
-          (fun li lit ->
-            match lit with
-            | Ast.Pos a ->
-              push_index p2_triggers (a.Ast.pred, List.length a.Ast.args)
-                (T_rule (si, li))
-            | _ -> ())
-          body;
-        (match head with
-        | Ast.Head_choice { elems; _ } ->
-          List.iter
-            (fun (e : Ast.choice_elem) ->
-              List.iter
-                (function
-                  | Ast.Pos a ->
-                    let key = (a.Ast.pred, List.length a.Ast.args) in
-                    (match Hashtbl.find_opt elem_stmts key with
-                    | Some l -> if not (List.mem si !l) then l := si :: !l
-                    | None -> Hashtbl.add elem_stmts key (ref [ si ]))
-                  | _ -> ())
-                e.cond)
-            elems
-        | _ -> ())
-      | Ast.Minimize elems ->
-        List.iteri
-          (fun ei (e : Ast.min_elem) ->
-            List.iteri
-              (fun li lit ->
-                match lit with
-                | Ast.Pos a ->
-                  push_index p2_triggers (a.Ast.pred, List.length a.Ast.args)
-                    (T_min (si, ei, li))
-                | _ -> ())
-              e.Ast.mcond)
-          elems)
-    stmts;
-  let queue = Queue.create () in
-  Obs.with_span obs ~cat:"ground" "ground.layered.phase1" (fun _ ->
-      phase1_seed st pseudos queue;
-      ignore
-        (phase1_run st pseudos p1_triggers queue
-           ~notify:(fun _ -> ())
-           ~record:(fun _ _ _ -> ())));
-  let insts = Array.map (fun _ -> ref []) stmts in
-  let base_rules, base_gmins =
-    Obs.with_span obs ~cat:"ground" "ground.layered.phase2" (fun _ ->
-        let grules = ref [] in
-        let gmins = ref [] in
-        let seen_rules = Rule_key_tbl.create 65536 in
-        let em =
-          { em_intern = (fun a ~possible -> fst (intern st a ~possible));
-            em_rule =
-              (fun r ->
-                let key = rule_key r in
-                if not (Rule_key_tbl.mem seen_rules key) then begin
-                  Rule_key_tbl.add seen_rules key ();
-                  grules := r :: !grules
-                end);
-            em_min = (fun m -> gmins := m :: !gmins);
-            em_choice = None;
-            em_tally = None }
-        in
-        let em =
-          { em with
-            em_choice =
-              Some
-                (fun ~si ~subst ~pos ~neg ->
-                  let i =
-                    { i_si = si; i_subst = subst; i_pos = pos; i_neg = neg; i_elems = [] }
-                  in
-                  i.i_elems <-
-                    (let elems = stmt_choice_elems stmts.(si) in
-                     choice_elems st em elems subst);
-                  insts.(si) := i :: !(insts.(si))) }
-        in
-        Array.iteri (fun si stmt -> ground_stmt st em si stmt) stmts;
-        (List.rev !grules, List.rev !gmins))
-  in
-  { l_st = st;
-    l_stmts = stmts;
-    l_pseudos = pseudos;
-    l_p1_triggers = p1_triggers;
-    l_by_head = by_head;
-    l_p2_triggers = p2_triggers;
-    l_elem_stmts = elem_stmts;
-    l_base_count = st.count;
-    l_base_possible = Bytes.sub st.possible 0 (max 1 st.count);
-    l_base_rules = base_rules;
-    l_base_gmins = base_gmins;
-    l_gmin_priorities = declared_priorities prog;
-    l_insts = insts;
-    l_entries = Hashtbl.create 256;
-    l_fact_rc = Hashtbl.create 1024;
-    l_children = Hashtbl.create 1024;
-    l_pool_rules = [];
-    l_pool_gmins = [];
-    l_tally = { t_hits = 0; t_misses = 0 };
-    l_generation = 0 }
-
-let layered_update ?(obs = Obs.disabled) t ~removed ~added =
-  let st = t.l_st in
-  let tally = t.l_tally in
-  let hits0 = tally.t_hits and misses0 = tally.t_misses in
-  let dirty : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  let mark_dirty_atom (a : Ast.atom) =
-    match Hashtbl.find_opt t.l_elem_stmts (a.Ast.pred, List.length a.Ast.args) with
-    | Some l -> List.iter (fun si -> Hashtbl.replace dirty si ()) !l
-    | None -> ()
-  in
-  let fact_rule id = { ghead = Gatom id; gpos = []; gneg = [] } in
-  (* ---- removals: refcounts, over-delete, re-derive -------------- *)
-  let zero = ref [] in
-  (* atoms whose explicit fact rule must go — even when the atom
-     itself survives (permanent, or revived by re-derivation below) *)
-  let drop_facts : (int, unit) Hashtbl.t = Hashtbl.create 16 in
-  List.iter
-    (fun key ->
-      match Hashtbl.find_opt t.l_entries key with
-      | None -> invalid_arg ("layered grounder: unknown pool entry " ^ key)
-      | Some facts ->
-        Hashtbl.remove t.l_entries key;
-        List.iter
-          (fun (a : Ast.atom) ->
-            match Ast.Atom_tbl.find_opt st.tbl a with
-            | None -> ()
-            | Some id -> (
-              match Hashtbl.find_opt t.l_fact_rc id with
-              | None -> ()
-              | Some rc ->
-                decr rc;
-                if !rc <= 0 then begin
-                  Hashtbl.remove t.l_fact_rc id;
-                  Hashtbl.replace drop_facts id ();
-                  if not (is_permanent t id) then zero := id :: !zero
-                end))
-          facts)
-    removed;
-  let dead : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let stack = ref [] in
-  List.iter
-    (fun id ->
-      if not (Hashtbl.mem dead id) then begin
-        Hashtbl.replace dead id ();
-        stack := id :: !stack
-      end)
-    !zero;
-  while !stack <> [] do
-    let id = List.hd !stack in
-    stack := List.tl !stack;
-    match Hashtbl.find_opt t.l_children id with
-    | None -> ()
-    | Some l ->
-      List.iter
-        (fun c ->
-          if
-            (not (Hashtbl.mem dead c))
-            && Bytes.get st.possible c = '\001'
-            && (not (is_permanent t c))
-            && not (Hashtbl.mem t.l_fact_rc c)
-          then begin
-            Hashtbl.replace dead c ();
-            stack := c :: !stack
-          end)
-        !l;
-      Hashtbl.remove t.l_children id
-  done;
-  Hashtbl.iter (fun id () -> Bytes.set st.possible id '\000') dead;
-  (* Re-derive: an over-deleted atom with a witness among surviving
-     possible atoms comes back (with fresh first-derivation edges).
-     Each revival can enable another's witness, so loop to fixpoint. *)
-  let try_rederive id =
-    let a = st.arr.(id) in
-    let found = ref None in
-    (match Hashtbl.find_opt t.l_by_head (a.Ast.pred, List.length a.Ast.args) with
-    | None -> ()
-    | Some l ->
-      List.iter
-        (fun ri ->
-          if !found = None then
-            let p = t.l_pseudos.(ri) in
-            match match_atom ~pattern:p.phead Term.Smap.empty a with
-            | None -> ()
-            | Some subst -> (
-              try
-                join ~tally st p.pbody subst ~on_neg:`Ignore ~k:(fun s _ ->
-                    found := Some (p, s);
-                    raise Exit)
-              with
-              | Exit -> ()
-              | Stuck_cmp -> invalid_arg "grounder: unsafe comparison"))
-        !l);
-    match !found with
-    | None -> false
-    | Some (p, s) ->
-      Bytes.set st.possible id '\001';
-      record_edges t p s id;
-      true
-  in
-  let changed = ref (Hashtbl.length dead > 0) in
-  while !changed do
-    changed := false;
-    let pending = Hashtbl.fold (fun id () acc -> id :: acc) dead [] in
-    List.iter
-      (fun id ->
-        if Hashtbl.mem dead id && try_rederive id then begin
-          Hashtbl.remove dead id;
-          changed := true
-        end)
-      pending
-  done;
-  if Hashtbl.length dead > 0 || Hashtbl.length drop_facts > 0 then begin
-    let uses_dead ids = List.exists (Hashtbl.mem dead) ids in
-    t.l_pool_rules <-
-      List.filter
-        (fun r ->
-          not
-            (uses_dead r.gpos
-            ||
-            match r.ghead with
-            | Gatom h ->
-              Hashtbl.mem dead h
-              || (r.gpos = [] && r.gneg = [] && Hashtbl.mem drop_facts h)
-            | _ -> false))
-        t.l_pool_rules;
-    t.l_pool_gmins <-
-      List.filter (fun m -> not (uses_dead m.gcond_pos)) t.l_pool_gmins;
-    Array.iter
-      (fun l -> l := List.filter (fun i -> not (uses_dead i.i_pos)) !l)
-      t.l_insts;
-    Hashtbl.iter
-      (fun id () ->
-        mark_dirty_atom st.arr.(id);
-        Hashtbl.remove t.l_children id)
-      dead
-  end;
-  (* ---- additions: phase-1 extension, seeded phase 2 ------------- *)
-  let queue = Queue.create () in
-  let new_atoms = ref [] in
-  let new_set : (int, unit) Hashtbl.t = Hashtbl.create 64 in
-  let note_new id =
-    Hashtbl.replace new_set id ();
-    new_atoms := id :: !new_atoms;
-    mark_dirty_atom st.arr.(id)
-  in
-  List.iter
-    (fun (key, facts) ->
-      if Hashtbl.mem t.l_entries key then
-        invalid_arg ("layered grounder: duplicate pool entry " ^ key);
-      Hashtbl.add t.l_entries key facts;
-      List.iter
-        (fun (a : Ast.atom) ->
-          if not (List.for_all Term.is_ground a.Ast.args) then
-            invalid_arg
-              (Format.asprintf "layered grounder: non-ground pool fact %a" Ast.pp_atom a);
-          let id, fresh = intern st a ~possible:true in
-          (match Hashtbl.find_opt t.l_fact_rc id with
-          | Some rc -> incr rc
-          | None ->
-            Hashtbl.add t.l_fact_rc id (ref 1);
-            t.l_pool_rules <- fact_rule id :: t.l_pool_rules);
-          if fresh then begin
-            Queue.add id queue;
-            note_new id
-          end)
-        facts)
-    added;
-  ignore
-    (phase1_run ~tally st t.l_pseudos t.l_p1_triggers queue ~notify:note_new
-       ~record:(fun id subst p -> record_edges t p subst id));
-  let em =
-    { em_intern = (fun a ~possible -> fst (intern st a ~possible));
-      em_rule = (fun r -> t.l_pool_rules <- r :: t.l_pool_rules);
-      em_min = (fun m -> t.l_pool_gmins <- m :: t.l_pool_gmins);
-      em_choice =
-        Some
-          (fun ~si ~subst ~pos ~neg ->
-            let i =
-              { i_si = si; i_subst = subst; i_pos = pos; i_neg = neg; i_elems = [] }
-            in
-            (* elements are filled by the dirty recompute below — the
-               statement is necessarily dirty: its body just matched a
-               new atom, and every element condition is re-joined *)
-            Hashtbl.replace dirty si ();
-            t.l_insts.(si) := i :: !(t.l_insts.(si)))
-      ;
-      em_tally = Some tally }
-  in
-  let is_new id = Hashtbl.mem new_set id in
-  List.iter
-    (fun id ->
-      let a = st.arr.(id) in
-      match Hashtbl.find_opt t.l_p2_triggers (a.Ast.pred, List.length a.Ast.args) with
-      | None -> ()
-      | Some l ->
-        List.iter
-          (function
-            | T_rule (si, li) ->
-              ground_stmt_seeded st em ~is_new si t.l_stmts.(si) li a
-            | T_min (si, ei, li) ->
-              ground_min_seeded st em ~is_new t.l_stmts.(si) ei li a)
-          !l)
-    (List.rev !new_atoms);
-  (* ---- choice element repair ------------------------------------ *)
-  Hashtbl.iter
-    (fun si () ->
-      List.iter (fun i -> i.i_elems <- compute_elems t si i.i_subst) !(t.l_insts.(si)))
-    dirty;
-  t.l_generation <- t.l_generation + 1;
-  Obs.incr obs ~by:(tally.t_hits - hits0) "ground.index_hits.pool";
-  Obs.incr obs ~by:(tally.t_misses - misses0) "ground.index_misses.pool";
-  Obs.incr obs "ground.pool_updates";
-  Obs.gauge obs "ground.atoms" st.count
-
-let layered_snapshot ?(obs = Obs.disabled) t =
-  Obs.with_span obs ~cat:"ground" "ground.snapshot" (fun sp ->
-      let choice_rules =
-        Array.to_list t.l_insts
-        |> List.concat_map (fun l ->
-               List.rev_map
-                 (fun i ->
-                   let lo, hi =
-                     match t.l_stmts.(i.i_si) with
-                     | Ast.Rule { head = Ast.Head_choice { lo; hi; _ }; _ } -> (lo, hi)
-                     | _ -> assert false
-                   in
-                   { ghead = Gchoice { lo; hi; gelems = i.i_elems };
-                     gpos = i.i_pos;
-                     gneg = i.i_neg })
-                 !l)
-      in
-      let all = t.l_base_rules @ List.rev t.l_pool_rules @ choice_rules in
-      (* re-apply phase 2's duplicate filter across layers *)
-      let seen = Rule_key_tbl.create 4096 in
-      let all =
-        List.filter
-          (fun r ->
-            let key = rule_key r in
-            if Rule_key_tbl.mem seen key then false
-            else begin
-              Rule_key_tbl.add seen key ();
-              true
-            end)
-          all
-      in
-      let gmins = t.l_base_gmins @ List.rev t.l_pool_gmins in
-      let grules, gmins = simplify t.l_st all gmins in
-      Obs.set_attr sp "rules" (Obs.I (List.length grules));
-      Obs.incr obs ~by:(List.length grules) "ground.rules";
-      Obs.gauge obs "ground.atoms" t.l_st.count;
-      { st = t.l_st;
-        grules;
-        gmins;
-        gmin_priorities = t.l_gmin_priorities })
-
-let layered_has_entry t key = Hashtbl.mem t.l_entries key
-
-(* Facts currently applied through pool-entry groups — the pool-layer
-   size a cache-hit cold start reports without re-encoding the pool. *)
-let layered_pool_facts t =
-  Hashtbl.fold (fun _ facts acc -> acc + List.length facts) t.l_entries 0
-
-let layered_entry_keys t =
-  Hashtbl.fold (fun k _ acc -> k :: acc) t.l_entries [] |> List.sort String.compare
-
-let layered_generation t = t.l_generation
-
-let layered_atom_count t = t.l_st.count
-
-let layered_pool_index_hits t = t.l_tally.t_hits
-
-let layered_pool_index_misses t = t.l_tally.t_misses
-
-let layered_words t = Obj.reachable_words (Obj.repr t)

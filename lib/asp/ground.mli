@@ -67,77 +67,7 @@ val possible : t -> atom_id -> bool
 
 val atom_of_id : t -> atom_id -> Ast.atom
 
-val find_atom : t -> Ast.atom -> atom_id option
-(** Look up a ground atom. *)
-
 val pp_atom_id : t -> Format.formatter -> atom_id -> unit
 
 val pp : Format.formatter -> t -> unit
 (** Debug dump of the ground program. *)
-
-(** {2 Layered (delta) grounding}
-
-    A layered grounding splits the program into a request-independent
-    base stratum, grounded once, and a pool stratum of named fact
-    {e entries} (e.g. one per buildcache spec) that can be added and
-    removed incrementally. Updates re-run the possible-atom fixpoint
-    and phase-2 instantiation only for the delta: additions extend
-    semi-naively through the grounder's trigger indexes; removals use
-    delete/re-derive over recorded first-derivation edges, so an atom
-    still supported by surviving entries (or by the base) survives.
-    Choice-rule instances are stored with their body substitution and
-    have their element lists repaired when a condition predicate
-    changes.
-
-    The layered value contains no closures, so it can be marshalled —
-    the persistent on-disk ground cache serializes it directly. *)
-
-type layered
-
-val layered_create : ?obs:Obs.ctx -> Ast.program -> layered
-(** Ground the base stratum of [prog] (no pool entries yet). *)
-
-val layered_update :
-  ?obs:Obs.ctx ->
-  layered ->
-  removed:string list ->
-  added:(string * Ast.atom list) list ->
-  unit
-(** Apply a pool delta: remove the named entries, then add the given
-    ones (each a named group of ground fact atoms). Removing an
-    unknown key or adding a duplicate one raises [Invalid_argument].
-    Removals are processed before additions, so an entry may be
-    replaced in a single update. Counts pool-stratum join-index
-    hits/misses separately ([ground.index_hits.pool] /
-    [ground.index_misses.pool] under [?obs]). *)
-
-val layered_snapshot : ?obs:Obs.ctx -> layered -> t
-(** The ground program for the current entry set — semantically
-    identical (same rules up to order, same minimize instances, same
-    costs) to regrounding base + current pool facts from scratch. The
-    snapshot shares the layered atom store: it remains valid until the
-    next {!layered_update}. *)
-
-val layered_has_entry : layered -> string -> bool
-
-val layered_entry_keys : layered -> string list
-(** Applied entry keys, sorted. *)
-
-val layered_pool_facts : layered -> int
-(** Facts currently applied through pool-entry groups. *)
-
-val layered_generation : layered -> int
-(** Bumped by every {!layered_update}. *)
-
-val layered_atom_count : layered -> int
-
-val layered_pool_index_hits : layered -> int
-(** Pool-stratum joins seeded through the argument index (cumulative
-    across updates). *)
-
-val layered_pool_index_misses : layered -> int
-(** Pool-stratum joins that fell back to a full per-predicate scan. *)
-
-val layered_words : layered -> int
-(** Heap words reachable from the layered grounding (atom store,
-    indexes, rules, edges) — the resident-memory gauge. *)

@@ -18,17 +18,6 @@ module type S = sig
   val solve :
     ?certify:bool -> ?obs:Obs.ctx -> ?budget:Solver_intf.budget ->
     ?portfolio:int -> Ground.t -> outcome
-
-  type session
-
-  val session_create :
-    ?certify:bool -> ?obs:Obs.ctx -> ?portfolio:int -> Ground.t -> session
-  val session_solve : session -> assume:(Ast.atom * bool) list -> outcome
-  val session_set_budget : session -> Solver_intf.budget option -> unit
-  val session_set_portfolio : session -> int -> unit
-  val session_ground : session -> Ground.t
-  val session_sat_stats : session -> (string * int) list
-  val session_solves : session -> int
   val holds : model -> Ast.atom -> bool
   val enumerate : ?limit:int -> Ground.t -> model list
 end
@@ -370,37 +359,33 @@ let extract_atoms ctx =
   !out
 
 (* Lexicographic descent: fix each priority level at its minimum before
-   optimizing the next. Shared by the one-shot [solve] and incremental
-   sessions, so every constraint it adds must stay valid for later
-   solves under *different* assumptions: bound probes and level freezes
-   are pseudo-Boolean constraints gated by a fresh activation literal —
-   inactive (hence trivially satisfied) unless assumed — and only the
-   activation literals of the current request are assumed. Permanently
-   clausing an activation literal false merely retires its constraint.
-   Returns the per-priority costs of the optimal model (left loaded in
-   the SAT core), or [None] when UNSAT under [assumptions]. *)
-let optimize ?(portfolio = 1) ctx objectives ~assumptions =
+   optimizing the next. Bound probes and level freezes are
+   pseudo-Boolean constraints gated by a fresh activation literal —
+   inactive (hence trivially satisfied) unless assumed — so a failed
+   probe is retired by permanently clausing its activation literal
+   false. Returns the per-priority costs of the optimal model (left
+   loaded in the SAT core), or [None] when UNSAT. *)
+let optimize ?(portfolio = 1) ctx objectives =
   (* Only the initial (pre-descent) stable solve is raced: it carries
      the bulk of the search, and under the byte-identity election rule
      racers contribute UNSAT verdicts only — the primary's own model
      and learnt state are untouched. The descent probes below must run
-     single: their learnt clauses are the baseline every later solve
-     of this session builds on, so seeding them from a race would make
-     costs depend on scheduling. *)
+     single: their learnt clauses seed every later probe, so taking
+     them from a race would make costs depend on scheduling. *)
   let initial_stable () =
-    if portfolio <= 1 then solve_stable ctx ~assumptions
+    if portfolio <= 1 then solve_stable ctx ~assumptions:[]
     else begin
       S.set_portfolio ctx.sat (Some (Solver_intf.portfolio portfolio));
       Fun.protect
         ~finally:(fun () -> S.set_portfolio ctx.sat None)
-        (fun () -> solve_stable ctx ~assumptions)
+        (fun () -> solve_stable ctx ~assumptions:[])
     end
   in
   if not (initial_stable ()) then None
   else begin
-    (* Activation literals of the freezes accumulated this request. *)
+    (* Activation literals of the freezes accumulated so far. *)
     let frozen = ref [] in
-    let assume extra = extra @ !frozen @ assumptions in
+    let assume extra = extra @ !frozen in
     List.iter
       (fun obj ->
         let terms = List.map (fun (w, t) -> (w, S.pos t)) obj.terms in
@@ -435,15 +420,14 @@ let optimize ?(portfolio = 1) ctx objectives ~assumptions =
             else begin
               S.add_clause ctx.sat [ S.neg a ];
               improved := false;
-              (* Re-establish a model consistent with this request's
-                 constraints for cost extraction at lower levels. *)
+              (* Re-establish a model consistent with the frozen levels
+                 for cost extraction at lower levels. *)
               let ok = solve_stable ctx ~assumptions:(assume []) in
               assert ok
             end
           end
         done;
-        (* Freeze this level at its minimum for the rest of the
-           request. *)
+        (* Freeze this level at its minimum for the levels below. *)
         if !current < total then begin
           let f = S.new_var ctx.sat in
           S.add_pb_le ctx.sat ((total - !current, S.pos f) :: terms) total;
@@ -459,7 +443,7 @@ let solve ?(certify = false) ?(obs = Obs.disabled) ?budget ?(portfolio = 1) g =
   let ctx = translate ~certify ~obs g in
   S.set_budget ctx.sat budget;
   let objectives = build_objectives ctx in
-  match optimize ~portfolio ctx objectives ~assumptions:[] with
+  match optimize ~portfolio ctx objectives with
   | None -> Unsat (S.proof ctx.sat)
   | Some costs ->
     Sat
@@ -468,76 +452,6 @@ let solve ?(certify = false) ?(obs = Obs.disabled) ?budget ?(portfolio = 1) g =
         sat_stats = S.stats ctx.sat;
         stable_checks = ctx.stable_checks;
         loop_clauses = ctx.loop_clauses }
-
-(* ----- incremental sessions --------------------------------------- *)
-
-type session = {
-  s_ctx : ctx;
-  s_objectives : objective list;
-  mutable s_portfolio : int;
-  mutable s_solves : int;
-}
-
-let session_create ?(certify = false) ?(obs = Obs.disabled) ?(portfolio = 1) g
-    =
-  let ctx = translate ~certify ~obs g in
-  { s_ctx = ctx;
-    s_objectives = build_objectives ctx;
-    s_portfolio = portfolio;
-    s_solves = 0 }
-
-let session_ground s = s.s_ctx.g
-
-(* Budgets only ever raise out of [solve] with the solver unwound to
-   level 0, and everything the optimization descent adds is gated by
-   activation literals, so a preempted request leaves the session
-   consistent for the next one. *)
-let session_set_budget s b = S.set_budget s.s_ctx.sat b
-
-(* Portfolio width for subsequent requests. Safe to retune between
-   requests: racing only ever touches clones, so the session's own
-   solver state is identical whatever the width. *)
-let session_set_portfolio s n = s.s_portfolio <- max 1 n
-
-let session_sat_stats s = S.stats s.s_ctx.sat
-
-let session_solves s = s.s_solves
-
-exception Unknown_true_assumption
-
-let session_solve s ~assume =
-  let ctx = s.s_ctx in
-  s.s_solves <- s.s_solves + 1;
-  Obs.with_span ctx.obs ~cat:"solve" "session.solve"
-    ~attrs:[ ("solve_index", Obs.I s.s_solves) ]
-  @@ fun span ->
-  match
-    List.filter_map
-      (fun (a, b) ->
-        match Ground.find_atom ctx.g a with
-        | Some id -> Some ((if b then S.pos else S.neg) ctx.atom_var.(id))
-        | None ->
-          (* An atom outside the Herbrand base is constant false:
-             assuming it false is vacuous, assuming it true is
-             unsatisfiable. *)
-          if b then raise Unknown_true_assumption else None)
-      assume
-  with
-  | exception Unknown_true_assumption -> Unsat None
-  | assumptions -> (
-    let before = S.stats ctx.sat in
-    match optimize ~portfolio:s.s_portfolio ctx s.s_objectives ~assumptions with
-    | None -> Unsat (S.proof ctx.sat)
-    | Some costs ->
-      let delta = S.stats_delta ~before ctx.sat in
-      if Obs.enabled ctx.obs then
-        List.iter (fun (k, v) -> Obs.set_attr span k (Obs.I v)) delta;
-      Sat
-        { atoms = extract_atoms ctx;
-          costs;
-          sat_stats = delta;
-          stable_checks = ctx.stable_checks;
-          loop_clauses = ctx.loop_clauses })
 
 let holds m a = List.exists (fun a' -> a' = a) m.atoms
 

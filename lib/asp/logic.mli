@@ -59,64 +59,6 @@ module type S = sig
       state seeds later solves. No-op on cores without portfolio
       support (the baseline). *)
 
-  (** {2 Incremental sessions}
-
-      A session translates a ground program to SAT once and then serves
-      many solve requests against it, each under its own assumptions
-      over ground atoms. Learned clauses, loop clauses, variable
-      activities, and saved phases persist across requests — they are
-      consequences of the (request-independent) program, so retaining
-      them is sound; the optimization descent only ever adds
-      constraints gated by activation literals assumed for a single
-      request. Under the glucose-class core, retained learnt clauses
-      are additionally subject to LBD-driven reduction between
-      requests, which deletes only redundant (derived) clauses and so
-      preserves soundness and completeness. *)
-
-  type session
-
-  val session_create :
-    ?certify:bool -> ?obs:Obs.ctx -> ?portfolio:int -> Ground.t -> session
-  (** [?obs] traces the one-time translation and then every
-      {!session_solve} as a [session.solve] span carrying that
-      request's solver-stat deltas. [?portfolio] (default 1) races the
-      initial stable solve of every {!session_solve} across that many
-      diversified clones, with outcomes byte-identical to a
-      single-solver session (see {!solve}). *)
-
-  val session_solve : session -> assume:(Ast.atom * bool) list -> outcome
-  (** Solve for the optimal stable model consistent with the assumed
-      atom truth values. Atoms absent from the ground program are
-      constant false: assuming one [false] is vacuous, assuming one
-      [true] yields [Unsat None] immediately. [sat_stats] in the
-      returned model are this request's deltas ({!Sat.stats_delta});
-      [stable_checks] and [loop_clauses] are session-cumulative. *)
-
-  val session_set_budget : session -> Solver_intf.budget option -> unit
-  (** Install (or clear) a preemption budget on the session's solver,
-      honored by every SAT call of subsequent {!session_solve}s. A
-      request preempted by {!Solver_intf.Timeout} leaves the session
-      fully reusable: the solver is unwound to level 0 and all
-      optimization constraints are activation-literal-gated, so the
-      next request is unaffected (this is the solve server's deadline
-      mechanism). *)
-
-  val session_set_portfolio : session -> int -> unit
-  (** Retune the portfolio width ({!session_create}'s [?portfolio]) for
-      subsequent requests; clamped to at least 1. Safe between
-      requests — racing only ever touches throwaway clones, so session
-      state (and every outcome) is independent of the width. The solve
-      server uses this to widen a request to however many worker slots
-      are idle at admission time. *)
-
-  val session_ground : session -> Ground.t
-
-  val session_sat_stats : session -> (string * int) list
-  (** Session-cumulative solver counters. *)
-
-  val session_solves : session -> int
-  (** Requests served so far. *)
-
   val holds : model -> Ast.atom -> bool
 
   val enumerate : ?limit:int -> Ground.t -> model list

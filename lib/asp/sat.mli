@@ -116,8 +116,7 @@ val set_budget : t -> Solver_intf.budget option -> unit
     {!Solver_intf.stop_poll_interval} conflicts (the deadline hook the
     solve server uses). Exhaustion raises {!Solver_intf.Timeout} with
     the solver unwound to level 0 — learnt clauses, activities and
-    phases survive, so the solver and any session on top of it remain
-    fully reusable. *)
+    phases survive, so the solver remains fully reusable. *)
 
 val new_var : t -> int
 (** Returns the fresh variable's index. *)
@@ -177,8 +176,8 @@ val solve : ?assumptions:lit list -> t -> bool
 (** Search for a model extending the assumptions. [true] = SAT: query
     values with {!value}. [false] = UNSAT under these assumptions
     (permanently UNSAT if there were none). Learnt clauses, LBD scores
-    and activities persist across calls, which is what makes
-    {!Logic.session_solve} cheap. *)
+    and activities persist across calls, which is what keeps the
+    optimization descent's repeated probes ({!Logic.solve}) cheap. *)
 
 val value : t -> int -> bool
 (** Value of a variable in the most recent model. Only meaningful after
@@ -206,5 +205,5 @@ val stats : t -> (string * int) list
 
 val stats_delta : before:(string * int) list -> t -> (string * int) list
 (** {!stats} relative to an earlier snapshot: monotonic counters are
-    differenced, gauges reported absolute. Lets a long-lived session
-    attribute solver work to individual requests. *)
+    differenced, gauges reported absolute. Lets a trace attribute
+    solver work to individual {!solve} calls. *)

@@ -18,9 +18,8 @@ type lit = int
    polled every [stop_poll_interval] conflicts, so a wedged search is
    interrupted within a bounded amount of work. Exceeding either raises
    {!Timeout} with the solver backtracked to decision level 0: learnt
-   clauses, activities and phases survive, so the solver (and any
-   session built on it) remains fully reusable — a preempted request
-   costs nothing but its own time. *)
+   clauses, activities and phases survive, so the solver remains fully
+   reusable — a preempted request costs nothing but its own time. *)
 type budget = {
   b_conflicts : int option;
   b_stop : (unit -> bool) option;

@@ -108,12 +108,6 @@ type failure = {
 
 let fail msg = Error { f_message = msg; f_proof = None; f_timeout = false }
 
-let fail_timeout () =
-  Error
-    { f_message = "timeout: solve budget exhausted";
-      f_proof = None;
-      f_timeout = true }
-
 (* Independent re-validation of the solution ([options.verify]): each
    returned spec is checked against the repo and its request without
    the solver. Returns the total violation count. *)
@@ -206,7 +200,11 @@ let concretize_v ~repo ?(options = default_options) ?budget ?closure
   in
   let t3 = now () in
   match result with
-  | None -> fail_timeout ()
+  | None ->
+    Error
+      { f_message = "timeout: solve budget exhausted";
+        f_proof = None;
+        f_timeout = true }
   | Some (Asp.Logic.Unsat proof) ->
     Error
       { f_message = "UNSAT: no valid concretization exists";
@@ -282,368 +280,9 @@ let pp_stats fmt s =
   | Some 0 -> Format.fprintf fmt " verify=ok"
   | Some n -> Format.fprintf fmt " verify=%d-violation(s)" n
 
-(* ----- incremental sessions ---------------------------------------- *)
-
-module Session = struct
-  type conc_options = options
-
-  type t = {
-    repo : Pkg.Repo.t;
-    options : conc_options;
-    env : Encode.session_env;
-    pool : Encode.reuse_pool;
-    session : Asp.Logic.session;
-    ground_atoms : int;
-    ground_rules : int;
-    fact_count : int;
-    pool_total : int;
-    pool_used : int;
-    setup_seconds : float;
-  }
-
-  let check_roots ~repo roots =
-    List.find_map
-      (fun n ->
-        if Pkg.Repo.is_virtual repo n then
-          Some (Printf.sprintf "virtual packages cannot be session roots: %s" n)
-        else if not (Pkg.Repo.mem repo n) then
-          Some (Printf.sprintf "unknown package: %s" n)
-        else None)
-      roots
-
-  let create ~repo ?(options = default_options) ?closure ~roots () =
-    match check_roots ~repo roots with
-    | Some e -> Error e
-    | None ->
-      let obs = options.obs in
-      Obs.with_span obs ~cat:"concretize" "session.create"
-        ~attrs:[ ("roots", Obs.I (List.length roots)) ]
-      @@ fun _span ->
-      let t0 = now () in
-      let encoded, env =
-        Obs.with_span obs ~cat:"concretize" "encode" (fun _ ->
-            Encode.encode_session ~repo ~encoding:options.encoding
-              ~splicing:options.splicing ~reuse:(effective_reuse options)
-              ~prune:options.prune ?closure ~obs ~host_os:options.host_os
-              ~host_target:options.host_target ~roots ())
-      in
-      let statements =
-        Obs.with_span obs ~cat:"concretize" "assemble" (fun _ ->
-            let program_text =
-              Program.assemble ~session:true ~encoding:options.encoding
-                ~splicing:options.splicing ()
-            in
-            Asp.parse program_text @ encoded.Encode.rules @ encoded.Encode.facts)
-      in
-      let ground =
-        Obs.with_span obs ~cat:"concretize" "ground" (fun _ ->
-            Asp.Ground.ground ~obs ~jobs:options.ground_jobs statements)
-      in
-      let session =
-        Asp.Logic.session_create ~certify:options.certify ~obs
-          ~portfolio:options.portfolio ground
-      in
-      Ok
-        { repo;
-          options;
-          env;
-          pool = encoded.Encode.pool;
-          session;
-          ground_atoms = Asp.Ground.atom_count ground;
-          ground_rules = List.length (Asp.Ground.rules ground);
-          fact_count = List.length encoded.Encode.facts;
-          pool_total = encoded.Encode.pool_total;
-          pool_used = Encode.pool_size encoded.Encode.pool;
-          setup_seconds = now () -. t0 }
-
-  let setup_seconds s = s.setup_seconds
-
-  let sat_stats s = Asp.Logic.session_sat_stats s.session
-
-  let solves s = Asp.Logic.session_solves s.session
-
-  let set_portfolio s n = Asp.Logic.session_set_portfolio s.session n
-
-  let solve ?budget ?obs ?(attrs = []) s (request : Encode.request) =
-    match check_known ~repo:s.repo [ request ] with
-    | Some e -> fail e
-    | None -> (
-      match Encode.assumptions_for s.env request with
-      | Error e -> fail e
-      | Ok assume -> (
-        (* [?obs] overrides the session's context for this request's
-           spans and stats — the serve layer tees in a per-request
-           flight-recorder context here. The solver-internal spans
-           still go to the context captured at session creation. *)
-        let obs = match obs with Some o -> o | None -> s.options.obs in
-        Obs.with_span obs ~cat:"concretize" "session.request"
-          ~attrs:
-            (( "root",
-               Obs.S request.Encode.req.Spec.Abstract.root.Spec.Abstract.name )
-            :: attrs)
-        @@ fun _span ->
-        (* The budget is installed per call (and cleared when absent):
-           a preempted request unwinds the solver to level 0 and all
-           descent constraints are activation-gated, so the session
-           stays valid for the next request. *)
-        Asp.Logic.session_set_budget s.session budget;
-        let t0 = now () in
-        match Asp.Logic.session_solve s.session ~assume with
-        | exception Asp.Solver_intf.Timeout -> fail_timeout ()
-        | Asp.Logic.Unsat proof ->
-          Error
-            { f_message = "UNSAT: no valid concretization exists";
-              f_proof = proof;
-              f_timeout = false }
-        | Asp.Logic.Sat model -> (
-          let t1 = now () in
-          let decoded =
-            Obs.with_span obs ~cat:"concretize" "decode" (fun _ ->
-                Decode.decode ~pool:s.pool ~requests:[ request ] model)
-          in
-          match decoded with
-          | Error e -> fail ("decode: " ^ e)
-          | Ok solution ->
-            let verify_violations =
-              if s.options.verify then
-                Some
-                  (run_verify ~repo:s.repo ~options:s.options
-                     ~requests:[ request ] solution)
-              else None
-            in
-            let stats =
-              { ground_atoms = s.ground_atoms;
-                ground_rules = s.ground_rules;
-                fact_count = s.fact_count;
-                pool_total = s.pool_total;
-                pool_used = s.pool_used;
-                sat_stats = model.Asp.Logic.sat_stats;
-                stable_checks = model.Asp.Logic.stable_checks;
-                costs = model.Asp.Logic.costs;
-                verify_violations;
-                encode_seconds = 0.;
-                ground_seconds = 0.;
-                solve_seconds = t1 -. t0;
-                total_seconds = now () -. t0 }
-            in
-            publish_stats obs stats;
-            Ok { solution; stats })))
-end
-
-(* ----- warm delta-grounded universes ------------------------------- *)
-
-module Warm = struct
-  type conc_options = options
-
-  type t = {
-    repo : Pkg.Repo.t;
-    options : conc_options;
-    base : Encode.layered_base;
-    program_digest : string;  (* program text + rendered base layer *)
-    cache_dir : string option;
-    mutable layered : Asp.Ground.layered;
-    mutable pool : Encode.reuse_pool;
-    mutable env : Encode.session_env;
-    mutable digest : string;  (* current pool digest *)
-    mutable pool_facts : int;  (* facts in the current pool layer *)
-    mutable loaded_from_cache : bool;
-    mutable setup_seconds : float;
-  }
-
-  (* The buildcache identity: a content hash over the sorted DAG
-     hashes of the reusable specs (same scheme the solve server keys
-     its eviction generation on). *)
-  let pool_digest specs =
-    List.map Spec.Concrete.dag_hash specs
-    |> List.sort String.compare
-    |> String.concat "\n"
-    |> Chash.hash_string
-
-  (* Diff the target pool's group keys against the applied entries and
-     feed the delta to the layered grounder. Entries are named fact
-     groups, so a buildcache swap costs one update proportional to the
-     churn, not the pool. *)
-  let apply_pool t specs =
-    let obs = t.options.obs in
-    let pool = Encode.pool_of_specs specs in
-    let fs = Encode.pool_groups ~obs t.base pool in
-    let removed =
-      List.filter
-        (fun k -> not (Asp.Factstore.mem fs k))
-        (Asp.Ground.layered_entry_keys t.layered)
-    in
-    let added =
-      List.filter_map
-        (fun k ->
-          if Asp.Ground.layered_has_entry t.layered k then None
-          else Some (k, Asp.Factstore.group_atoms fs k))
-        (Asp.Factstore.keys fs)
-    in
-    Asp.Ground.layered_update ~obs t.layered ~removed ~added;
-    t.pool <- pool;
-    t.pool_facts <- Asp.Factstore.fact_count fs;
-    t.env <- Encode.layered_env t.base pool;
-    (* layered_words is a whole-heap reachability walk — only pay for
-       it when someone is actually collecting the gauge *)
-    if Obs.enabled obs then
-      Obs.gauge obs "warm.ground_words" (Asp.Ground.layered_words t.layered)
-
-  let save_cache t key =
-    match t.cache_dir with
-    | None -> ()
-    | Some dir ->
-      ignore (Groundcache.save ~obs:t.options.obs ~dir key t.layered)
-
-  let cache_key t pool_dig =
-    Groundcache.key ~program:t.program_digest ~pool:pool_dig
-
-  let create ~repo ?(options = default_options) ?ground_cache ~roots () =
-    match Session.check_roots ~repo roots with
-    | Some e -> Error e
-    | None ->
-      let obs = options.obs in
-      Obs.with_span obs ~cat:"concretize" "warm.create"
-        ~attrs:[ ("roots", Obs.I (List.length roots)) ]
-      @@ fun _span ->
-      let t0 = now () in
-      let base =
-        Obs.with_span obs ~cat:"concretize" "encode" (fun _ ->
-            Encode.encode_layered_base ~repo ~encoding:options.encoding
-              ~splicing:options.splicing ~obs ~host_os:options.host_os
-              ~host_target:options.host_target ~roots ())
-      in
-      let text =
-        Program.assemble ~session:true ~encoding:options.encoding
-          ~splicing:options.splicing ()
-      in
-      (* The cache key's program side: logic program text plus the
-         rendered base layer, which covers the repo's entire encoding
-         (package facts, hooks' emitted declared-range facts, splice
-         rules) — a repo change lands on a new key without hashing the
-         repo itself. *)
-      let program_digest =
-        Chash.hash_string
-          (text ^ "\x00"
-          ^ Chash.hash_string
-              (Asp.facts_to_string
-                 (base.Encode.lb_rules @ base.Encode.lb_facts)))
-      in
-      let reuse = effective_reuse options in
-      let pdig = pool_digest reuse in
-      let empty_dig = pool_digest [] in
-      let load key =
-        match ground_cache with
-        | None -> None
-        | Some dir -> Groundcache.load ~obs ~dir key
-      in
-      let mk layered pool_specs digest from_cache =
-        let pool = Encode.pool_of_specs pool_specs in
-        { repo;
-          options;
-          base;
-          program_digest;
-          cache_dir = ground_cache;
-          layered;
-          pool;
-          env = Encode.layered_env base pool;
-          digest;
-          pool_facts = 0;
-          loaded_from_cache = from_cache;
-          setup_seconds = 0. }
-      in
-      let full_key = Groundcache.key ~program:program_digest ~pool:pdig in
-      let t =
-        match load full_key with
-        | Some layered ->
-          let t = mk layered reuse pdig true in
-          (* the snapshot already carries its applied pool groups — no
-             need to re-encode the pool just to report the layer size *)
-          t.pool_facts <- Asp.Ground.layered_pool_facts layered;
-          t
-        | None ->
-          let base_key =
-            Groundcache.key ~program:program_digest ~pool:empty_dig
-          in
-          let layered, base_cached =
-            match load base_key with
-            | Some l -> (l, true)
-            | None ->
-              let statements =
-                Obs.with_span obs ~cat:"concretize" "assemble" (fun _ ->
-                    Asp.parse text @ base.Encode.lb_rules
-                    @ base.Encode.lb_facts)
-              in
-              let l =
-                Obs.with_span obs ~cat:"concretize" "ground" (fun _ ->
-                    Asp.Ground.layered_create ~obs statements)
-              in
-              (l, false)
-          in
-          let t = mk layered [] empty_dig base_cached in
-          if not base_cached then save_cache t base_key;
-          if reuse <> [] then begin
-            apply_pool t reuse;
-            t.digest <- pdig;
-            save_cache t full_key
-          end;
-          t
-      in
-      t.setup_seconds <- now () -. t0;
-      Ok t
-
-  (* Swap the buildcache; [true] when the digest (and hence the
-     grounding) changed. The delta path replaces eviction: warm ground
-     state survives, only the churned entries reground. *)
-  let set_pool t specs =
-    let d = pool_digest specs in
-    if String.equal d t.digest then false
-    else begin
-      Obs.with_span t.options.obs ~cat:"concretize" "warm.set_pool"
-        ~attrs:[ ("specs", Obs.I (List.length specs)) ]
-      @@ fun _span ->
-      apply_pool t specs;
-      t.digest <- d;
-      save_cache t (cache_key t d);
-      true
-    end
-
-  (* A fresh solve session over the current grounding: snapshot the
-     layered ground program (shares the warm atom store) and translate
-     it for the incremental solver. Cheap relative to regrounding —
-     this is what a worker rebuilds after an eviction or a recycle. *)
-  let session t =
-    let obs = t.options.obs in
-    Obs.with_span obs ~cat:"concretize" "warm.session" @@ fun _span ->
-    let t0 = now () in
-    let g = Asp.Ground.layered_snapshot ~obs t.layered in
-    let session =
-      Asp.Logic.session_create ~certify:t.options.certify ~obs
-        ~portfolio:t.options.portfolio g
-    in
-    { Session.repo = t.repo;
-      options = t.options;
-      env = t.env;
-      pool = t.pool;
-      session;
-      ground_atoms = Asp.Ground.atom_count g;
-      ground_rules = List.length (Asp.Ground.rules g);
-      fact_count = List.length t.base.Encode.lb_facts + t.pool_facts;
-      pool_total = Encode.pool_size t.pool;
-      pool_used = Encode.pool_size t.pool;
-      setup_seconds = now () -. t0 }
-
-  let generation t = Asp.Ground.layered_generation t.layered
-  let entry_count t = List.length (Asp.Ground.layered_entry_keys t.layered)
-  let digest t = t.digest
-  let words t = Asp.Ground.layered_words t.layered
-  let from_cache t = t.loaded_from_cache
-  let setup_seconds t = t.setup_seconds
-end
-
 (* ----- multicore batch concretization ------------------------------ *)
 
-let concretize_batch ~repo ?(options = default_options) ?(jobs = 1)
-    ?(session = false) requests =
+let concretize_batch ~repo ?(options = default_options) ?(jobs = 1) requests =
   (* Resolve the mirror layer once, before any domain spawns: mirror
      probing mutates breaker state and must not race (and every domain
      must see the same pool for determinism). *)
@@ -658,36 +297,16 @@ let concretize_batch ~repo ?(options = default_options) ?(jobs = 1)
   let jobs = if n = 0 then 1 else max 1 (min jobs n) in
   (* Static round-robin partition: request [i] is solved by domain
      [i mod jobs] and written to slot [i], so the result list does not
-     depend on the number of domains. In the default per-request-fresh
-     mode the solves are fully independent, making batch output
-     byte-identical for any [jobs]; in [session] mode each domain
-     builds one session over all batch roots and results are
-     cost-deterministic (learned-clause carryover may break ties
-     differently between partitions). The shared [obs] context is
-     domain-safe; each domain's spans carry its own [tid], which is
-     what renders the batch as per-domain timelines. *)
+     depend on the number of domains. The solves are fully independent,
+     making batch output byte-identical for any [jobs]. The shared
+     [obs] context is domain-safe; each domain's spans carry its own
+     [tid], which is what renders the batch as per-domain timelines. *)
   let worker j =
-    let each f =
-      let i = ref j in
-      while !i < n do
-        results.(!i) <- Some (f !i);
-        i := !i + jobs
-      done
-    in
-    if session then begin
-      let roots =
-        List.map
-          (fun (r : Encode.request) ->
-            r.Encode.req.Spec.Abstract.root.Spec.Abstract.name)
-          requests
-        |> List.filter (fun r -> Pkg.Repo.mem repo r && not (Pkg.Repo.is_virtual repo r))
-        |> List.sort_uniq String.compare
-      in
-      match Session.create ~repo ~options ~roots () with
-      | Error e -> each (fun _ -> fail e)
-      | Ok s -> each (fun i -> Session.solve s arr.(i))
-    end
-    else each (fun i -> concretize_v ~repo ~options [ arr.(i) ])
+    let i = ref j in
+    while !i < n do
+      results.(!i) <- Some (concretize_v ~repo ~options [ arr.(!i) ]);
+      i := !i + jobs
+    done
   in
   if jobs <= 1 then worker 0
   else begin

@@ -44,12 +44,11 @@ type options = {
           CDCL core) instead of the glucose-class default. Outcomes are
           interchangeable; used by the [sat-smoke] bench and
           differential tests to compare the two cores on identical
-          encodings. Sessions always run the default core. *)
+          encodings. *)
   ground_jobs : int;
       (** partition the grounder's phase-2 instantiation across this
           many OCaml 5 domains ({!Asp.Ground.ground}'s [jobs]); the
-          ground program is byte-identical for any value. Applies to
-          one-shot solves and {!Session.create}; default 1. *)
+          ground program is byte-identical for any value; default 1. *)
   portfolio : int;
       (** race the initial stable solve of every request across this
           many diversified SAT-solver clones (restart mode, phase
@@ -103,9 +102,15 @@ type failure = {
   f_timeout : bool;
       (** the solve was preempted by an exhausted
           {!Asp.Solver_intf.budget} (deadline or conflict cap) rather
-          than answered; the underlying solver/session remains
-          reusable *)
+          than answered *)
 }
+
+val check_known : repo:Pkg.Repo.t -> Encode.request list -> string option
+(** The first request naming an unknown package (root or [^dep]), or a
+    virtual package as its root, as the failure message
+    {!concretize_v} answers with ("unknown package: NAME", "virtual
+    packages cannot be requested as roots: ..."); [None] when every
+    name is known. *)
 
 val concretize_v :
   repo:Pkg.Repo.t ->
@@ -138,135 +143,15 @@ val concretize_spec :
 
 val pp_stats : Format.formatter -> stats -> unit
 
-(** Incremental solve sessions: encode and ground the universe once,
-    then serve many single-root requests against it by solving under
-    assumptions ({!Asp.Logic.session_solve}). Learned clauses, variable
-    activities, and saved phases carry over between requests, so a
-    session amortizes both the ground cost and the solver's warm-up.
-    Sessions return the same optimal costs as fresh solves; on cost
-    ties the specific model may differ (both are optimal). *)
-module Session : sig
-  type t
-
-  val create :
-    repo:Pkg.Repo.t ->
-    ?options:options ->
-    ?closure:(string, unit) Hashtbl.t ->
-    roots:string list ->
-    unit ->
-    (t, string) result
-  (** Ground the universe for requests rooted at any of [roots]
-      (deduplicated; must be known non-virtual packages). With
-      [options.prune], the universe is the closure of all [roots]
-      jointly; [?closure] supplies it precomputed (see
-      {!Encode.encode}). *)
-
-  val solve :
-    ?budget:Asp.Solver_intf.budget ->
-    ?obs:Obs.ctx ->
-    ?attrs:(string * Obs.value) list ->
-    t ->
-    Encode.request ->
-    (outcome, failure) result
-  (** Serve one single-root request. [stats] report the session's
-      (amortized) ground numbers, zero encode/ground seconds, and
-      per-request deltas for the solver counters. [?budget] bounds this
-      request's solver work; a preempted request fails with
-      [f_timeout = true] and leaves the session fully reusable (the
-      solve server's deadline mechanism). [?obs] overrides the
-      session's context for this request's ["session.request"]/decode
-      spans and published stats (request-scoped tracing); [?attrs] are
-      stamped on the ["session.request"] span. *)
-
-  val setup_seconds : t -> float
-  (** One-time encode + ground + translate cost paid by [create]. *)
-
-  val sat_stats : t -> (string * int) list
-  (** Session-cumulative solver counters. *)
-
-  val solves : t -> int
-
-  val set_portfolio : t -> int -> unit
-  (** Retune the portfolio width (initially [options.portfolio]) for
-      subsequent requests; clamped to at least 1. Safe between
-      requests — outcomes are width-independent (byte-identity rule),
-      only wall time changes. *)
-end
-
-(** Warm delta-grounded universes: the request-independent session
-    program grounded once through {!Asp.Ground.layered_create}, with
-    the buildcache applied as named per-entry fact groups
-    ({!Encode.pool_groups}). A buildcache swap becomes a
-    {!Asp.Ground.layered_update} delta proportional to the churn
-    instead of a full reground, and the grounding itself can be
-    persisted to disk ({!Groundcache}) so a cold start at 20k pool
-    entries loads instead of regrounding. *)
-module Warm : sig
-  type t
-
-  val create :
-    repo:Pkg.Repo.t ->
-    ?options:options ->
-    ?ground_cache:string ->
-    roots:string list ->
-    unit ->
-    (t, string) result
-  (** Ground the (never-pruned) base universe for session requests
-      rooted at any of [roots], then apply [options.reuse] as the
-      initial pool delta. With [?ground_cache DIR], first try to load
-      the grounding keyed by (program + base facts digest, pool
-      digest) — a hit skips grounding entirely — and persist whatever
-      had to be computed for the next cold start. *)
-
-  val set_pool : t -> Spec.Concrete.t list -> bool
-  (** Swap the buildcache; [true] iff the pool digest changed. Applies
-      the entry-group delta in place (removed entries retract through
-      delete/re-derive, added ones extend semi-naively) and persists
-      the new grounding when a cache dir is configured. Any
-      {!session} built earlier must be discarded — it shares the
-      mutated atom store. *)
-
-  val session : t -> Session.t
-  (** A solve session over the current grounding (snapshot +
-      translate; no regrounding). Valid until the next {!set_pool}. *)
-
-  val pool_digest : Spec.Concrete.t list -> string
-  (** Content digest of a buildcache (sorted DAG hashes) — the pool
-      half of the ground-cache key, shared with the solve server's
-      eviction generation. *)
-
-  val generation : t -> int
-  (** Bumped by every applied pool delta. *)
-
-  val entry_count : t -> int
-
-  val digest : t -> string
-  (** Pool digest of the currently applied buildcache. *)
-
-  val words : t -> int
-  (** Resident heap words of the warm grounding. *)
-
-  val from_cache : t -> bool
-  (** Whether {!create} loaded the grounding from disk. *)
-
-  val setup_seconds : t -> float
-end
-
 val concretize_batch :
   repo:Pkg.Repo.t ->
   ?options:options ->
   ?jobs:int ->
-  ?session:bool ->
   Encode.request list ->
   (outcome, failure) result list
 (** Concretize independent requests in parallel over [jobs] OCaml
     domains (default 1), one result per request in request order.
     Requests are partitioned statically (request [i] on domain
-    [i mod jobs]), so results are order-stable for any [jobs]; the
-    default mode solves each request fresh (with pruning per
-    [options]) and is byte-deterministic regardless of [jobs].
-    [session] instead builds one {!Session} per domain over all batch
-    roots and reuses it for that domain's requests — faster for many
-    requests over one big universe, deterministic in costs but not
-    necessarily in cost-tied model choice. The mirror layer is
-    consulted once, before any domain spawns. *)
+    [i mod jobs]) and each is solved by {!concretize_v}, so results
+    are byte-identical for any [jobs]. The mirror layer is consulted
+    once, before any domain spawns. *)

@@ -72,23 +72,6 @@ let versions_of universe p =
 let versions_satisfying universe p range =
   List.filter (fun v -> Vers.Range.satisfies v range) (versions_of universe p)
 
-(* A version hook: a place where a version range was precompiled
-   against the version universe. The layered encoding grounds the base
-   against the declared universe only and re-runs each hook against
-   pool-only versions when a buildcache entry arrives, so the base
-   layer never depends on pool contents. *)
-type hook = {
-  hk_pred : string;  (* cond_version_ok | dep_version_ok | splice_*_version_ok *)
-  hk_id : string;  (* condition or splice id, the fact's first argument *)
-  hk_pkg : string;  (* package whose versions the range tests *)
-  hk_range : Vers.Range.t;
-}
-
-let note_hook hooks pred id pkg range =
-  match hooks with
-  | None -> ()
-  | Some acc -> acc := { hk_pred = pred; hk_id = id; hk_pkg = pkg; hk_range = range } :: !acc
-
 (* ---- package facts ---------------------------------------------- *)
 
 let bool_values = [ "True"; "False" ]
@@ -116,20 +99,18 @@ let fresh_cond counter =
   incr counter;
   Printf.sprintf "c%d" !counter
 
-let encode_when ?hooks universe pname (w : Spec.Abstract.node option) cid =
+let encode_when universe pname (w : Spec.Abstract.node option) cid =
   let base = [ f "condition_requirement" [ str cid; str "node"; str pname ] ] in
   match w with
   | None -> base
   | Some n ->
     let version_reqs =
       if Vers.Range.is_any n.Spec.Abstract.version then []
-      else begin
-        note_hook hooks "cond_version_ok" cid pname n.Spec.Abstract.version;
+      else
         f "condition_requirement" [ str cid; str "version_ok"; str pname ]
         :: List.map
              (fun v -> f "cond_version_ok" [ str cid; str (vstr v) ])
              (versions_satisfying universe pname n.Spec.Abstract.version)
-      end
     in
     let variant_reqs =
       Spec.Types.Smap.fold
@@ -146,26 +127,24 @@ let deptype_atoms (dt : Spec.Types.deptypes) =
   (if dt.Spec.Types.link then [ "link" ] else [])
   @ if dt.Spec.Types.build then [ "build" ] else []
 
-let encode_dependency ?hooks cond universe pname (d : Pkg.Package.dep_decl) =
+let encode_dependency cond universe pname (d : Pkg.Package.dep_decl) =
   let cid = fresh_cond cond in
   let dname = d.Pkg.Package.d_spec.Spec.Abstract.root.Spec.Abstract.name in
   let droot = d.Pkg.Package.d_spec.Spec.Abstract.root in
   let base =
     (f "condition" [ str cid ]
-    :: encode_when ?hooks universe pname d.Pkg.Package.d_when cid)
+    :: encode_when universe pname d.Pkg.Package.d_when cid)
     @ List.map
         (fun dt -> f "imposed_dep" [ str cid; str pname; str dname; str dt ])
         (deptype_atoms d.Pkg.Package.d_types)
   in
   let version_constraint =
     if Vers.Range.is_any droot.Spec.Abstract.version then []
-    else begin
-      note_hook hooks "dep_version_ok" cid dname droot.Spec.Abstract.version;
+    else
       f "dep_req_version" [ str cid; str dname ]
       :: List.map
            (fun v -> f "dep_version_ok" [ str cid; str (vstr v) ])
            (versions_satisfying universe dname droot.Spec.Abstract.version)
-    end
   in
   let variant_constraints =
     Spec.Types.Smap.fold
@@ -178,7 +157,7 @@ let encode_dependency ?hooks cond universe pname (d : Pkg.Package.dep_decl) =
   in
   base @ version_constraint @ variant_constraints
 
-let encode_conflict ?hooks cond universe pname (c : Pkg.Package.conflict_decl) =
+let encode_conflict cond universe pname (c : Pkg.Package.conflict_decl) =
   let cid = fresh_cond cond in
   (* The conflict fires when both the when-condition and the conflicting
      configuration hold: merge both into the requirements. *)
@@ -190,10 +169,10 @@ let encode_conflict ?hooks cond universe pname (c : Pkg.Package.conflict_decl) =
   match merged with
   | None -> [] (* contradictory condition can never fire *)
   | Some m ->
-    (f "condition" [ str cid ] :: encode_when ?hooks universe pname (Some m) cid)
+    (f "condition" [ str cid ] :: encode_when universe pname (Some m) cid)
     @ [ f "imposed_conflict" [ str cid ] ]
 
-let encode_package ?hooks cond universe (pkg : Pkg.Package.t) =
+let encode_package cond universe (pkg : Pkg.Package.t) =
   let pname = pkg.Pkg.Package.name in
   let versions =
     List.concat
@@ -206,14 +185,14 @@ let encode_package ?hooks cond universe (pkg : Pkg.Package.t) =
   versions
   @ List.concat_map (encode_variant_decl pname) pkg.Pkg.Package.variants
   @ List.concat_map
-      (encode_dependency ?hooks cond universe pname)
+      (encode_dependency cond universe pname)
       pkg.Pkg.Package.dependencies
   @ List.concat_map
       (fun (p : Pkg.Package.provide_decl) ->
         [ f "provides" [ str pname; str p.Pkg.Package.p_virtual ];
           f "virtual" [ str p.Pkg.Package.p_virtual ] ])
       pkg.Pkg.Package.provides
-  @ List.concat_map (encode_conflict ?hooks cond universe pname) pkg.Pkg.Package.conflicts
+  @ List.concat_map (encode_conflict cond universe pname) pkg.Pkg.Package.conflicts
 
 (* Versions present only in the reuse pool still need version_decl /
    version_weight facts so the choice rule can select them; they rank
@@ -273,9 +252,7 @@ let encode_request universe (r : request) =
 (* ---- reusable specs --------------------------------------------- *)
 
 (* Attribute tuples shared by both encodings; the predicate differs
-   (imposed_constraint directly, or hash_attr + recovery rules). Every
-   argument is a constant string, so the columnar pool layer can pack
-   the same tuples as interned ids. *)
+   (imposed_constraint directly, or hash_attr + recovery rules). *)
 let entry_tuples h spec =
   let n = Spec.Concrete.root_node spec in
   let p = n.Spec.Concrete.name in
@@ -359,7 +336,7 @@ let encode_reusable ~encoding pool =
    can_splice(node(S), T, Hash) :-
      installed_hash(T, Hash), attr("node", node(S)),
      <when-conditions over node(S)>, <target conditions over hash_attr>. *)
-let encode_can_splice ?hooks scounter universe (pkg : Pkg.Package.t)
+let encode_can_splice scounter universe (pkg : Pkg.Package.t)
     (s : Pkg.Package.splice_decl) =
   incr scounter;
   let sid = Printf.sprintf "s%d" !scounter in
@@ -373,7 +350,6 @@ let encode_can_splice ?hooks scounter universe (pkg : Pkg.Package.t)
     let version =
       if Vers.Range.is_any w.Spec.Abstract.version then []
       else begin
-        note_hook hooks "splice_when_version_ok" sid sname w.Spec.Abstract.version;
         facts :=
           List.map
             (fun v -> f "splice_when_version_ok" [ str sid; str (vstr v) ])
@@ -399,8 +375,6 @@ let encode_can_splice ?hooks scounter universe (pkg : Pkg.Package.t)
     let version =
       if Vers.Range.is_any target.Spec.Abstract.version then []
       else begin
-        note_hook hooks "splice_target_version_ok" sid tname
-          target.Spec.Abstract.version;
         facts :=
           List.map
             (fun v -> f "splice_target_version_ok" [ str sid; str (vstr v) ])
@@ -519,21 +493,13 @@ let provider_weight_facts ~repo packages =
 let target_ok_facts host_target =
   List.map (fun t -> f "target_ok" [ str t ]) (Spec.Targets.ancestors host_target)
 
-(* Everything request-independent: package facts (closure-filtered when
-   pruning), the reusable pool, splice rules, provider weights, host
-   facts. *)
-type base = {
-  b_facts : statement list;
-  b_rules : statement list;
-  b_pool : reuse_pool;
-  b_pool_total : int;
-  b_universe : (string, Vers.Version.t list ref) Hashtbl.t;
-  b_packages : Pkg.Package.t list;  (* closure packages, sorted *)
-  b_closure : (string, unit) Hashtbl.t option;  (* None when not pruning *)
-}
-
-let encode_base ~obs ~repo ~encoding ~splicing ~reuse ~prune ~closure_hint
-    ~host_os ~host_target ~roots =
+let encode ~repo ~encoding ~splicing ~reuse ?(prune = false) ?closure:closure_hint
+    ?(obs = Obs.disabled) ~host_os ~host_target requests =
+  let roots =
+    List.map
+      (fun (r : request) -> r.req.Spec.Abstract.root.Spec.Abstract.name)
+      requests
+  in
   let cond = ref 0 in
   let scounter = ref 0 in
   let full_pool = pool_of_specs reuse in
@@ -593,430 +559,15 @@ let encode_base ~obs ~repo ~encoding ~splicing ~reuse ~prune ~closure_hint
     end
     else ([], [])
   in
-  let provider_weights = provider_weight_facts ~repo packages in
-  let target_facts = target_ok_facts host_target in
   let facts =
     (f "host_os" [ str host_os ] :: f "host_target" [ str host_target ] :: package_facts)
-    @ target_facts
-    @ provider_weights
+    @ target_ok_facts host_target
+    @ provider_weight_facts ~repo packages
     @ encode_pool_versions ~repo universe
     @ encode_reusable ~encoding pool
     @ splice_facts
+    @ List.concat_map (encode_request universe) requests
   in
   Obs.gauge obs "encode.pool_total" pool_total;
   Obs.gauge obs "encode.pool_kept" (pool_size pool);
-  { b_facts = facts;
-    b_rules = splice_rules;
-    b_pool = pool;
-    b_pool_total = pool_total;
-    b_universe = universe;
-    b_packages = packages;
-    b_closure = keep }
-
-let encode ~repo ~encoding ~splicing ~reuse ?(prune = false) ?closure
-    ?(obs = Obs.disabled) ~host_os ~host_target requests =
-  let roots =
-    List.map
-      (fun (r : request) -> r.req.Spec.Abstract.root.Spec.Abstract.name)
-      requests
-  in
-  let b =
-    encode_base ~obs ~repo ~encoding ~splicing ~reuse ~prune ~closure_hint:closure
-      ~host_os ~host_target ~roots
-  in
-  { facts = b.b_facts @ List.concat_map (encode_request b.b_universe) requests;
-    rules = b.b_rules;
-    pool = b.b_pool;
-    pool_total = b.b_pool_total }
-
-(* ---- incremental sessions ----------------------------------------- *)
-
-type session_env = {
-  se_roots : string list;
-  se_names : string list;
-  se_versions : (string * Vers.Version.t list) list;
-  se_variants : ((string * string) * string list) list;
-}
-
-let session_unsat_atom = atom "session_unsat" []
-
-let encode_session ~repo ~encoding ~splicing ~reuse ?(prune = true) ?closure
-    ?(obs = Obs.disabled) ~host_os ~host_target ~roots () =
-  let roots = List.sort_uniq String.compare roots in
-  let b =
-    encode_base ~obs ~repo ~encoding ~splicing ~reuse ~prune ~closure_hint:closure
-      ~host_os ~host_target ~roots
-  in
-  let names =
-    (* Every package name whose facts were emitted, plus every name the
-       closure touched (virtuals, pool-only packages): the domain of
-       [req_dep]/[forbid_pkg]. *)
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun (p : Pkg.Package.t) -> Hashtbl.replace tbl p.Pkg.Package.name ())
-      b.b_packages;
-    (match b.b_closure with
-    | Some cl -> Hashtbl.iter (fun n () -> Hashtbl.replace tbl n ()) cl
-    | None ->
-      List.iter
-        (fun (p : Pkg.Package.t) ->
-          List.iter
-            (fun (pr : Pkg.Package.provide_decl) ->
-              Hashtbl.replace tbl pr.Pkg.Package.p_virtual ())
-            p.Pkg.Package.provides)
-        b.b_packages);
-    Hashtbl.fold (fun n () acc -> n :: acc) tbl [] |> List.sort String.compare
-  in
-  let versions =
-    (* The [version_decl] domain per package: declared versions plus
-       pool-only ones — exactly what the emitted facts cover. *)
-    List.map
-      (fun (p : Pkg.Package.t) ->
-        (p.Pkg.Package.name, versions_of b.b_universe p.Pkg.Package.name))
-      b.b_packages
-  in
-  let variants =
-    List.concat_map
-      (fun (p : Pkg.Package.t) ->
-        List.map
-          (fun (v : Pkg.Package.variant_decl) ->
-            let values =
-              match v.Pkg.Package.v_values with Some vs -> vs | None -> bool_values
-            in
-            ((p.Pkg.Package.name, v.Pkg.Package.v_name), values))
-          p.Pkg.Package.variants)
-      b.b_packages
-  in
-  let env =
-    { se_roots = roots; se_names = names; se_versions = versions;
-      se_variants = variants }
-  in
-  let session_facts =
-    List.map (fun p -> f "possible_root" [ str p ]) roots
-    @ List.map (fun n -> f "known_name" [ str n ]) names
-  in
-  ( { facts = b.b_facts @ session_facts;
-      rules = b.b_rules;
-      pool = b.b_pool;
-      pool_total = b.b_pool_total },
-    env )
-
-let assumptions_for env (r : request) =
-  let root = r.req.Spec.Abstract.root in
-  let rname = root.Spec.Abstract.name in
-  if not (List.mem rname env.se_roots) then
-    Error
-      (Printf.sprintf
-         "session does not cover root %s (declared roots: %s)" rname
-         (String.concat ", " env.se_roots))
-  else begin
-    (* Per-package constraints of this request: the root's own, plus
-       each named dependency's. *)
-    let constraints =
-      (rname, root)
-      :: List.map
-           (fun (d : Spec.Abstract.dep) ->
-             (d.Spec.Abstract.node.Spec.Abstract.name, d.Spec.Abstract.node))
-           r.req.Spec.Abstract.deps
-    in
-    let dep_names = List.map fst (List.tl constraints) in
-    let impossible = ref false in
-    let root_assumes =
-      List.map
-        (fun p -> (atom "root_on" [ str p ], String.equal p rname))
-        env.se_roots
-    in
-    let req_assumes =
-      List.map
-        (fun d -> (atom "req_dep" [ str d ], List.mem d dep_names))
-        env.se_names
-      (* A requested dependency outside the session universe: the atom
-         does not exist, and assuming a nonexistent atom true is how a
-         session expresses honest UNSAT. *)
-      @ List.filter_map
-          (fun d ->
-            if List.mem d env.se_names then None
-            else Some (atom "req_dep" [ str d ], true))
-          dep_names
-    in
-    let forbid_assumes =
-      (* Forbidding a name the universe cannot even produce is vacuous,
-         so names outside [se_names] are simply dropped. *)
-      List.map
-        (fun p -> (atom "forbid_pkg" [ str p ], List.mem p r.forbid))
-        env.se_names
-    in
-    let version_assumes =
-      List.concat_map
-        (fun (p, vs) ->
-          let range =
-            match List.assoc_opt p constraints with
-            | Some (n : Spec.Abstract.node) when not (Vers.Range.is_any n.Spec.Abstract.version) ->
-              Some n.Spec.Abstract.version
-            | _ -> None
-          in
-          List.map
-            (fun v ->
-              let forbidden =
-                match range with
-                | None -> false
-                | Some rg -> not (Vers.Range.satisfies v rg)
-              in
-              (atom "forbid_version" [ str p; str (vstr v) ], forbidden))
-            vs)
-        env.se_versions
-    in
-    let variant_assumes =
-      List.concat_map
-        (fun ((p, var), values) ->
-          let want =
-            match List.assoc_opt p constraints with
-            | Some (n : Spec.Abstract.node) ->
-              Spec.Types.Smap.find_opt var n.Spec.Abstract.variants
-            | None -> None
-          in
-          match want with
-          | None ->
-            List.map
-              (fun v -> (atom "forbid_variant" [ str p; str var; str v ], false))
-              values
-          | Some value ->
-            let vs = Spec.Types.variant_value_to_string value in
-            if not (List.mem vs values) then begin
-              (* Requested value is not a possible value: the fresh
-                 path's user_variant constraint makes this UNSAT. *)
-              impossible := true;
-              []
-            end
-            else
-              List.map
-                (fun v ->
-                  (atom "forbid_variant" [ str p; str var; str v ],
-                   not (String.equal v vs)))
-                values)
-        env.se_variants
-    in
-    (* A variant constraint on a package that does not declare the
-       variant at all is UNSAT on the fresh path too (the node must
-       exist — it is the root or a required dep — and can never carry
-       the value). *)
-    List.iter
-      (fun (p, (n : Spec.Abstract.node)) ->
-        Spec.Types.Smap.iter
-          (fun var _ ->
-            if
-              not
-                (List.exists
-                   (fun ((p', var'), _) -> String.equal p p' && String.equal var var')
-                   env.se_variants)
-            then impossible := true)
-          n.Spec.Abstract.variants)
-      constraints;
-    if !impossible then Ok [ (session_unsat_atom, true) ]
-    else
-      Ok
-        (root_assumes @ req_assumes @ forbid_assumes @ version_assumes
-       @ variant_assumes)
-  end
-
-(* ---- layered (delta) encoding ------------------------------------- *)
-
-(* The session encoding above is monolithic: package facts are
-   precompiled against the full version universe (declared plus pool
-   versions), so any buildcache change invalidates everything. The
-   layered encoding splits that into a pool-independent base — package
-   facts against the declared universe only, with every range
-   precompilation recorded as a {!hook} — plus per-entry fact groups
-   the delta grounder ({!Asp.Ground.layered_update}) can apply and
-   retract one buildcache entry at a time:
-
-   - group [h:HASH]: [installed_hash] + attribute tuples of one
-     reusable sub-DAG;
-   - group [v:PKG@VER]: [version_decl]/[version_weight 20] for a
-     version only the pool knows, plus every hook fact that version
-     satisfies — exactly what the monolithic encode would have emitted
-     had the version been in its universe.
-
-   Base + groups over pool P is fact-for-fact the unpruned session
-   encode over P (condition ids are allocated by the same traversal,
-   so they coincide). *)
-
-type layered_base = {
-  lb_repo : Pkg.Repo.t;
-  lb_encoding : encoding;
-  lb_splicing : bool;
-  lb_facts : statement list;  (* pool-independent facts *)
-  lb_rules : statement list;  (* can_splice rules *)
-  lb_hooks : hook list;
-  lb_packages : Pkg.Package.t list;
-  lb_roots : string list;
-  lb_names : string list;
-  lb_variants : ((string * string) * string list) list;
-}
-
-let encode_layered_base ~repo ~encoding ~splicing ?(obs = Obs.disabled)
-    ~host_os ~host_target ~roots () =
-  Obs.with_span obs ~cat:"encode" "encode.layered_base" @@ fun _span ->
-  let roots = List.sort_uniq String.compare roots in
-  let cond = ref 0 in
-  let scounter = ref 0 in
-  let hooks = ref [] in
-  let universe = version_universe ~repo ~pool:{ by_hash = Hashtbl.create 1 } in
-  let packages = Pkg.Repo.packages repo in
-  let package_facts =
-    List.concat_map (encode_package ~hooks cond universe) packages
-  in
-  let splice_rules, splice_facts =
-    if splicing then begin
-      if encoding = Old then
-        invalid_arg "encode: splicing requires the hash_attr encoding (§5.3)";
-      List.fold_left
-        (fun (rules, facts) (pkg : Pkg.Package.t) ->
-          List.fold_left
-            (fun (rules, facts) decl ->
-              let r, fs = encode_can_splice ~hooks scounter universe pkg decl in
-              (r :: rules, fs @ facts))
-            (rules, facts) pkg.Pkg.Package.splices)
-        ([], []) packages
-    end
-    else ([], [])
-  in
-  let names =
-    let tbl = Hashtbl.create 64 in
-    List.iter
-      (fun (p : Pkg.Package.t) ->
-        Hashtbl.replace tbl p.Pkg.Package.name ();
-        List.iter
-          (fun (pr : Pkg.Package.provide_decl) ->
-            Hashtbl.replace tbl pr.Pkg.Package.p_virtual ())
-          p.Pkg.Package.provides)
-      packages;
-    Hashtbl.fold (fun n () acc -> n :: acc) tbl [] |> List.sort String.compare
-  in
-  let variants =
-    List.concat_map
-      (fun (p : Pkg.Package.t) ->
-        List.map
-          (fun (v : Pkg.Package.variant_decl) ->
-            let values =
-              match v.Pkg.Package.v_values with Some vs -> vs | None -> bool_values
-            in
-            ((p.Pkg.Package.name, v.Pkg.Package.v_name), values))
-          p.Pkg.Package.variants)
-      packages
-  in
-  let session_facts =
-    List.map (fun p -> f "possible_root" [ str p ]) roots
-    @ List.map (fun n -> f "known_name" [ str n ]) names
-  in
-  let facts =
-    (f "host_os" [ str host_os ] :: f "host_target" [ str host_target ]
-   :: package_facts)
-    @ target_ok_facts host_target
-    @ provider_weight_facts ~repo packages
-    @ splice_facts @ session_facts
-  in
-  { lb_repo = repo;
-    lb_encoding = encoding;
-    lb_splicing = splicing;
-    lb_facts = facts;
-    lb_rules = splice_rules;
-    lb_hooks = List.rev !hooks;
-    lb_packages = packages;
-    lb_roots = roots;
-    lb_names = names;
-    lb_variants = variants }
-
-let pool_groups ?(obs = Obs.disabled) lb pool =
-  Obs.with_span obs ~cat:"encode" "encode.pool_groups" @@ fun _span ->
-  let fs = Asp.Factstore.create () in
-  let pred =
-    match lb.lb_encoding with Old -> "imposed_constraint" | Hash_attr -> "hash_attr"
-  in
-  let hashes =
-    Hashtbl.fold (fun h _ acc -> h :: acc) pool.by_hash []
-    |> List.sort String.compare
-  in
-  List.iter
-    (fun h ->
-      let spec = Hashtbl.find pool.by_hash h in
-      let p, tuples = entry_tuples h spec in
-      Asp.Factstore.add_group fs ("h:" ^ h)
-        (("installed_hash", [ Asp.Factstore.S p; Asp.Factstore.S h ])
-        :: List.map
-             (fun args -> (pred, List.map (fun a -> Asp.Factstore.S a) args))
-             tuples))
-    hashes;
-  (* Stray child hashes (see {!stray_hashes}) are a cross-entry property
-     — removing one entry can make another entry's child stray — so they
-     live in their own group, keyed by content: any change to the stray
-     set swaps the whole group through the delta machinery. *)
-  (match stray_hashes pool with
-  | [] -> ()
-  | strays ->
-    let key =
-      "~stray:"
-      ^ Chash.hash_string
-          (String.concat "\x00" (List.map (fun (c, ch) -> c ^ "\x01" ^ ch) strays))
-    in
-    Asp.Factstore.add_group fs key
-      (List.map
-         (fun (c, ch) ->
-           ("stray_hash", [ Asp.Factstore.S c; Asp.Factstore.S ch ]))
-         strays));
-  (* Versions only the pool knows, one group per (package, version):
-     several entries may share a root version, but the selectable
-     version domain is keyed by the pair, not the entry. *)
-  let declared p =
-    match Pkg.Repo.find lb.lb_repo p with
-    | Some pkg -> pkg.Pkg.Package.versions
-    | None -> []
-  in
-  let pool_only = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun _ spec ->
-      let n = Spec.Concrete.root_node spec in
-      let p = n.Spec.Concrete.name in
-      let v = n.Spec.Concrete.version in
-      if not (List.exists (Vers.Version.equal v) (declared p)) then
-        Hashtbl.replace pool_only (p, vstr v) v)
-    pool.by_hash;
-  let pairs =
-    Hashtbl.fold (fun (p, vs) v acc -> (p, vs, v) :: acc) pool_only []
-    |> List.sort (fun (p1, v1, _) (p2, v2, _) ->
-           match String.compare p1 p2 with 0 -> String.compare v1 v2 | c -> c)
-  in
-  List.iter
-    (fun (p, vs, v) ->
-      let hook_facts =
-        List.filter_map
-          (fun hk ->
-            if String.equal hk.hk_pkg p && Vers.Range.satisfies v hk.hk_range then
-              Some (hk.hk_pred, [ Asp.Factstore.S hk.hk_id; Asp.Factstore.S vs ])
-            else None)
-          lb.lb_hooks
-      in
-      Asp.Factstore.add_group fs ("v:" ^ p ^ "@" ^ vs)
-        (("version_decl", [ Asp.Factstore.S p; Asp.Factstore.S vs ])
-        :: ("version_weight",
-            [ Asp.Factstore.S p; Asp.Factstore.S vs; Asp.Factstore.I 20 ])
-        :: hook_facts))
-    pairs;
-  (* words is an Obj.reachable_words walk — skip it unless the gauge is
-     actually being collected *)
-  if Obs.enabled obs then begin
-    Obs.gauge obs "factstore.words" (Asp.Factstore.words fs);
-    Obs.gauge obs "factstore.facts" (Asp.Factstore.fact_count fs)
-  end;
-  fs
-
-let layered_env lb pool =
-  let universe = version_universe ~repo:lb.lb_repo ~pool in
-  { se_roots = lb.lb_roots;
-    se_names = lb.lb_names;
-    se_versions =
-      List.map
-        (fun (p : Pkg.Package.t) ->
-          (p.Pkg.Package.name, versions_of universe p.Pkg.Package.name))
-        lb.lb_packages;
-    se_variants = lb.lb_variants }
+  { facts; rules = splice_rules; pool; pool_total }

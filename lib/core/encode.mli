@@ -79,115 +79,3 @@ val encode :
     records the closure computation as an [encode.closure] span and
     the pool sizes as [encode.pool_total]/[encode.pool_kept]
     gauges. *)
-
-(** {2 Incremental sessions} *)
-
-type session_env = {
-  se_roots : string list;  (** [possible_root] domain *)
-  se_names : string list;  (** [req_dep]/[forbid_pkg] domain *)
-  se_versions : (string * Vers.Version.t list) list;
-      (** [forbid_version] domain per package *)
-  se_variants : ((string * string) * string list) list;
-      (** [forbid_variant] domain per (package, variant) *)
-}
-
-val encode_session :
-  repo:Pkg.Repo.t ->
-  encoding:encoding ->
-  splicing:bool ->
-  reuse:Spec.Concrete.t list ->
-  ?prune:bool ->
-  ?closure:(string, unit) Hashtbl.t ->
-  ?obs:Obs.ctx ->
-  host_os:string ->
-  host_target:string ->
-  roots:string list ->
-  unit ->
-  t * session_env
-(** Encode the request-independent universe for an incremental solve
-    session covering any single-root request whose root is in [roots]:
-    instead of user-request facts it emits [possible_root]/[known_name]
-    domains for the free choice atoms of {!Program.session_layer}.
-    [prune] (default [true]) restricts the universe to the closure of
-    [roots]. *)
-
-val assumptions_for :
-  session_env -> request -> ((Asp.Ast.atom * bool) list, string) result
-(** The complete truth assignment over the session's choice atoms that
-    makes the session program equivalent to a fresh encode of this
-    single request: the request's root on, all other roots off, every
-    version/variant value outside the requested ranges forbidden,
-    everything else explicitly off (leaving a choice atom unassumed
-    would let the solver activate it spuriously). Requests that are
-    trivially unsatisfiable (a variant value the package can never
-    take) are expressed as an assumption on a deliberately nonexistent
-    atom, which {!Asp.Logic.session_solve} reports as UNSAT. [Error]
-    only for misuse: a root the session was not created for. *)
-
-(** {2 Layered (delta) encoding}
-
-    The monolithic session encode precompiles version ranges against
-    the full version universe (declared plus buildcache versions), so
-    any pool change invalidates every emitted fact. The layered split
-    makes the buildcache a {e delta}: a pool-independent base (package
-    facts against the declared universe, every range precompilation
-    recorded as a hook) plus named per-entry fact groups that
-    {!Asp.Ground.layered_update} applies and retracts incrementally.
-    Base + the groups of pool [P] is fact-for-fact the unpruned
-    session encode over [P]. *)
-
-type hook = {
-  hk_pred : string;
-      (** [cond_version_ok] / [dep_version_ok] / [splice_when_version_ok]
-          / [splice_target_version_ok] *)
-  hk_id : string;  (** condition or splice id (the fact's first argument) *)
-  hk_pkg : string;  (** package whose versions the range tests *)
-  hk_range : Vers.Range.t;
-}
-(** A version-range precompilation site in the base encoding. A pool
-    version satisfying the range owes the base the corresponding
-    [hk_pred(hk_id, v)] fact; the version's pool group carries it. *)
-
-type layered_base = {
-  lb_repo : Pkg.Repo.t;
-  lb_encoding : encoding;
-  lb_splicing : bool;
-  lb_facts : Asp.Ast.statement list;  (** pool-independent facts *)
-  lb_rules : Asp.Ast.statement list;  (** generated can_splice rules *)
-  lb_hooks : hook list;
-  lb_packages : Pkg.Package.t list;
-  lb_roots : string list;
-  lb_names : string list;
-  lb_variants : ((string * string) * string list) list;
-}
-
-val encode_layered_base :
-  repo:Pkg.Repo.t ->
-  encoding:encoding ->
-  splicing:bool ->
-  ?obs:Obs.ctx ->
-  host_os:string ->
-  host_target:string ->
-  roots:string list ->
-  unit ->
-  layered_base
-(** The pool-independent base for a session universe covering [roots]
-    (deduplicated): everything {!encode_session} with [prune:false]
-    and an empty pool would emit, plus the hook list. Never pruned —
-    the layered grounding is shared across requests, and pruning is
-    superseded by delta-grounding only the entries actually present. *)
-
-val pool_groups :
-  ?obs:Obs.ctx -> layered_base -> reuse_pool -> Asp.Factstore.t
-(** The pool layer as named columnar fact groups: [h:HASH] per
-    reusable sub-DAG ([installed_hash] + attribute tuples) and
-    [v:PKG\@VER] per pool-only version ([version_decl] /
-    [version_weight 20] + satisfied hook facts). Group keys are what
-    a warm concretizer diffs to turn a buildcache swap into a
-    {!Asp.Ground.layered_update} delta. Records the store's resident
-    size as a [factstore.words] gauge under [?obs]. *)
-
-val layered_env : layered_base -> reuse_pool -> session_env
-(** The session assumption domains for base + this pool — same shape
-    {!encode_session} returns, with [se_versions] recomputed over
-    declared plus pool versions. *)

@@ -155,27 +155,6 @@ attr("splice", node(P), C, CH, S) :-
     splice_with(H, C, CH, S), hash_attr(H, "depends_on", P, C, DT).
 |}
 
-let session_layer =
-  {|
-%% ---------------- session request layer ----------------
-%% Free choice atoms an incremental solve session assumes true or false
-%% per request; each mirrors one of the user_* constraints above.
-%% Requests constrain by *forbidding* the complement: "root@2:" becomes
-%% forbid_version(root, V) for every V outside 2:. Every atom below is
-%% explicitly assumed by Encode.assumptions_for — an unassumed free
-%% atom could be activated spuriously by the solver.
-{ root_on(P) : possible_root(P) }.
-attr("root", node(P)) :- root_on(P).
-{ req_dep(D) : known_name(D) }.
-:- req_dep(D), not attr("node", node(D)).
-{ forbid_pkg(P) : known_name(P) }.
-:- forbid_pkg(P), attr("node", node(P)).
-{ forbid_version(P, V) : version_decl(P, V) }.
-:- forbid_version(P, V), attr("version", node(P), V).
-{ forbid_variant(P, Var, Val) : variant_possible(P, Var, Val) }.
-:- forbid_variant(P, Var, Val), attr("variant_value", node(P), Var, Val).
-|}
-
 let optimization =
   {|
 %% ---------------- objectives ----------------
@@ -200,14 +179,13 @@ let optimization =
 #minimize { 1@0, P, C : attr("splice", node(P), C, CH, S) }.
 |}
 
-let assemble ?(session = false) ~encoding ~splicing () =
+let assemble ~encoding ~splicing () =
   let sections =
     [ base; reuse ]
     @ (match encoding with
       | Encode.Old -> []
       | Encode.Hash_attr -> [ hash_attr_recovery ])
     @ (if splicing then [ splice_logic ] else [])
-    @ (if session then [ session_layer ] else [])
     @ [ optimization ]
   in
   String.concat "\n" sections

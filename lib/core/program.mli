@@ -27,12 +27,7 @@ val optimization : string
 (** Objectives: minimize builds (highest priority, weight 100 as in
     §5.1.2), version preference, non-default variants, splice count. *)
 
-val session_layer : string
-(** Free choice atoms ([root_on], [req_dep], [forbid_pkg],
-    [forbid_version], [forbid_variant]) that incremental solve sessions
-    assume true or false per request instead of re-encoding user-request
-    facts; domains come from {!Encode.encode_session}. *)
-
-val assemble :
-  ?session:bool -> encoding:Encode.encoding -> splicing:bool -> unit -> string
-(** [session] (default [false]) appends {!session_layer}. *)
+val assemble : encoding:Encode.encoding -> splicing:bool -> unit -> string
+(** The sections in order: {!base}, {!reuse}, {!hash_attr_recovery}
+    under the [Hash_attr] encoding, {!splice_logic} when [splicing],
+    then {!optimization}. *)

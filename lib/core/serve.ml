@@ -1,23 +1,20 @@
 (* spackml serve: a resident multi-tenant concretization server.
 
-   The one-shot CLI pays encode + ground + solver warm-up on every
-   request; the server keeps that state alive and serves requests over
-   a Unix socket instead:
+   Every solve is a pruned one-shot [Concretizer.concretize_v], so a
+   served answer is byte-identical to the CLI's. What stays resident is
+   what that call can reuse across requests, served over a Unix socket:
 
-   - a pool of OCaml 5 domain workers, each owning a warm
-     [Concretizer.Session] (ground program translated once, solved
-     under per-request assumptions);
-   - a work-distributing request queue with stealing: submission is
-     round-robin over per-worker queues, an idle worker drains its own
-     queue first and then steals from its neighbours; admission is
-     bounded ([max_queue] enqueued jobs) with a typed [overloaded]
-     rejection instead of unbounded latency;
+   - a pool of OCaml 5 domain workers fed by a work-distributing
+     request queue with stealing: submission is round-robin over
+     per-worker queues, an idle worker drains its own queue first and
+     then steals from its neighbours; admission is bounded
+     ([max_queue] enqueued jobs) with a typed [overloaded] rejection
+     instead of unbounded latency;
    - per-request deadlines and conflict caps enforced inside the SAT
      core by the [Asp.Solver_intf.budget] hook — a preempted request
-     answers [timeout] and leaves the worker's session reusable;
-   - dependency closures cached by (roots, pool digest) and evicted
-     whenever the buildcache digest changes ([set_reuse] bumps a
-     generation; stale sessions rebuild lazily);
+     answers [timeout];
+   - dependency closures cached by root and dropped whenever the
+     buildcache digest changes ([set_reuse] bumps a generation);
    - length-prefixed JSON frames ([Sjson.Frame]) as the wire protocol,
      with [Client] as the in-process driver.
 
@@ -27,8 +24,6 @@
    Workers write responses directly to the originating connection
    under its write mutex, so responses to pipelined requests may
    arrive out of order — they carry the request [id] for matching. *)
-
-type mode = Session | Fresh
 
 (* Live-telemetry knobs: rolling SLO windows plus the flight recorder.
    The horizon is split into [slots] rotating sub-windows, so the
@@ -55,27 +50,14 @@ type config = {
   max_queue : int;  (* admission bound: max enqueued-not-yet-running jobs *)
   default_deadline_ms : float option;
   default_conflicts : int option;
-  default_mode : mode;
   portfolio : int;
       (* upper bound on per-request portfolio width: a solve may race
          up to this many diversified SAT clones, but only by borrowing
          provably idle worker slots (a bounded token pool), so racing
          never steals CPU from queued requests. 1 = feature off. *)
-  session_roots : string list;
-      (* universe of the warm sessions; [] = every non-virtual package *)
-  session_recycle : int option;
-      (* rebuild a worker's session after this many solves: repeated
-         optimization descents leave deactivated constraints behind,
-         so a long-lived session slows down; recycling bounds that
-         growth at the cost of an amortized rebuild *)
   fault_injection : bool;  (* honor the "boom" request flag *)
   reuse_source : (unit -> Spec.Concrete.t list) option;
       (* backing of the wire "reload" op *)
-  ground_cache : string option;
-      (* persistent on-disk ground cache directory: workers load their
-         warm grounding from it on cold start and persist new pool
-         generations into it (keys carry the pool digest, so a reload
-         can never serve a stale grounding) *)
   telemetry : telemetry option;
       (* live windowed stats + flight recorder; [None] turns the whole
          layer off (the disabled path is a single branch per request) *)
@@ -87,19 +69,15 @@ let default_config =
     max_queue = 256;
     default_deadline_ms = None;
     default_conflicts = None;
-    default_mode = Session;
     portfolio = 1;
-    session_roots = [];
-    session_recycle = Some 32;
     fault_injection = false;
     reuse_source = None;
-    ground_cache = None;
     telemetry = Some default_telemetry;
     options = Concretizer.default_options }
 
 (* The buildcache identity: a content hash over the sorted DAG hashes
-   of the reusable specs. Cached closures and warm sessions are valid
-   exactly as long as this digest is. *)
+   of the reusable specs. Cached closures are valid exactly as long as
+   this digest is. *)
 let pool_digest specs =
   List.map Spec.Concrete.dag_hash specs
   |> List.sort String.compare
@@ -188,9 +166,6 @@ type live = {
   lv_deadline_miss : Obs.Window.counter;
   lv_closure_hits : Obs.Window.counter;
   lv_closure_misses : Obs.Window.counter;
-  lv_gcache_hits : Obs.Window.counter;
-  lv_gcache_misses : Obs.Window.counter;
-  lv_recycles : Obs.Window.counter;
   lv_recorder : Obs.Recorder.t option;
 }
 
@@ -209,9 +184,6 @@ let make_live (tc : telemetry) =
     lv_deadline_miss = c ();
     lv_closure_hits = c ();
     lv_closure_misses = c ();
-    lv_gcache_hits = c ();
-    lv_gcache_misses = c ();
-    lv_recycles = c ();
     lv_recorder =
       (if tc.recorder_capacity > 0 then
          Some
@@ -236,8 +208,6 @@ type t = {
   config : config;
   sock_path : string;
   listen_fd : Unix.file_descr;
-  roots : string list;  (* session universe, sorted *)
-  roots_set : (string, unit) Hashtbl.t;  (* read-only after start *)
   (* queueing (guarded by [mu]) *)
   mu : Mutex.t;
   nonempty : Condition.t;
@@ -254,7 +224,7 @@ type t = {
   mutable digest : string;
   mutable generation : int;
   closures : (string, (string, unit) Hashtbl.t) Hashtbl.t;
-      (* roots key -> closure; valid for the current generation only *)
+      (* root -> closure; valid for the current generation only *)
   (* Idle-worker tokens backing portfolio admission: capacity is
      [workers - 1] (every slot but the one doing the solve). A raced
      request CAS-borrows up to [portfolio - 1] tokens for its racer
@@ -294,11 +264,9 @@ let pool_digest_of t =
   Mutex.unlock t.pool_mu;
   d
 
-(* Swap the reusable pool. A digest change bumps the generation:
-   cached closures are dropped eagerly, warm sessions are invalidated
-   lazily (each worker compares generations before reusing its
-   session). Same digest = no-op, so callers can re-feed the same
-   buildcache freely. *)
+(* Swap the reusable pool. A digest change bumps the generation and
+   drops every cached closure. Same digest = no-op, so callers can
+   re-feed the same buildcache freely. *)
 let set_reuse t specs =
   Mutex.lock t.pool_mu;
   let d = pool_digest specs in
@@ -315,16 +283,15 @@ let set_reuse t specs =
   changed
 
 (* A consistent snapshot of the buildcache state plus the cached (or
-   freshly computed and cached) closure for [roots]. Taken under
+   freshly computed and cached) closure for [root]. Taken under
    [pool_mu] so a concurrent [set_reuse] can never pair an old closure
    with a new pool. *)
-let pool_snapshot t roots =
-  let key = String.concat "\x00" roots in
+let pool_snapshot t root =
   Mutex.lock t.pool_mu;
   let closure =
     if not t.config.options.Concretizer.prune then None
     else
-      match Hashtbl.find_opt t.closures key with
+      match Hashtbl.find_opt t.closures root with
       | Some cl ->
         Obs.incr (obs t) "serve.closure_hits";
         (match t.live with
@@ -334,9 +301,9 @@ let pool_snapshot t roots =
       | None ->
         let cl =
           Encode.closure ~repo:t.repo
-            ~splicing:t.config.options.Concretizer.splicing ~pool:t.pool roots
+            ~splicing:t.config.options.Concretizer.splicing ~pool:t.pool [ root ]
         in
-        Hashtbl.replace t.closures key cl;
+        Hashtbl.replace t.closures root cl;
         Obs.incr (obs t) "serve.closure_misses";
         (match t.live with
         | Some lv -> Obs.Window.add lv.lv_closure_misses 1
@@ -477,18 +444,6 @@ let field_bool k j =
   | Some (Sjson.Bool b) -> b
   | _ -> false
 
-type worker_session =
-  | No_session
-  | Warm of Concretizer.Session.t * int  (* session, generation *)
-  | Broken of string * int  (* create failed; don't retry this generation *)
-
-type worker = {
-  w_index : int;
-  mutable w_warm : Concretizer.Warm.t option;
-      (* the worker's delta-grounded universe; survives evictions *)
-  mutable w_session : worker_session;
-}
-
 let budget_of ~conflicts ~deadline : Asp.Solver_intf.budget option =
   match (conflicts, deadline) with
   | None, None -> None
@@ -497,9 +452,6 @@ let budget_of ~conflicts ~deadline : Asp.Solver_intf.budget option =
       { Asp.Solver_intf.b_conflicts = conflicts;
         b_stop =
           Option.map (fun d () -> Obs.Clock.now_s () > d) deadline }
-
-let solve_options t reuse =
-  { t.config.options with Concretizer.reuse; mirrors = None }
 
 (* CAS-borrow up to [want] idle-worker tokens for a portfolio race;
    returns how many were actually free (possibly 0 — the solve then
@@ -520,67 +472,13 @@ let borrow_tokens t want =
 let return_tokens t n =
   if n > 0 then ignore (Atomic.fetch_and_add t.idle_tokens n)
 
-(* The worker's warm session for the current generation. The worker
-   keeps a delta-grounded universe ([Concretizer.Warm]) across
-   evictions: a generation bump applies the buildcache delta to the
-   warm grounding instead of discarding it, and only the (cheap)
-   solver session is rebuilt from the updated snapshot. Recycling
-   likewise re-translates the existing grounding. [None] = warm-up
-   failed (served fresh instead). *)
-let ensure_session t w =
-  let reuse, gen, _closure = pool_snapshot t t.roots in
-  let worn_out s =
-    match t.config.session_recycle with
-    | Some cap when Concretizer.Session.solves s >= cap ->
-      Obs.incr (obs t) "serve.session_recycles";
-      (match t.live with
-      | Some lv -> Obs.Window.add lv.lv_recycles 1
-      | None -> ());
-      true
-    | _ -> false
-  in
-  (match w.w_session with
-  | Warm (s, g) when g = gen && not (worn_out s) -> ()
-  | Broken (_, g) when g = gen -> ()
-  | _ ->
-    Obs.incr (obs t) "serve.session_builds";
-    w.w_session <-
-      (match
-         (match w.w_warm with
-         | Some warm ->
-           ignore (Concretizer.Warm.set_pool warm reuse);
-           Ok warm
-         | None -> (
-           match
-             Concretizer.Warm.create ~repo:t.repo
-               ~options:(solve_options t reuse)
-               ?ground_cache:t.config.ground_cache ~roots:t.roots ()
-           with
-           | Ok warm ->
-             w.w_warm <- Some warm;
-             (match (t.live, t.config.ground_cache) with
-             | Some lv, Some _ ->
-               if Concretizer.Warm.from_cache warm then
-                 Obs.Window.add lv.lv_gcache_hits 1
-               else Obs.Window.add lv.lv_gcache_misses 1
-             | _ -> ());
-             Ok warm
-           | Error e -> Error e))
-       with
-      | Ok warm -> Warm (Concretizer.Warm.session warm, gen)
-      | Error e -> Broken (e, gen)
-      | exception e -> Broken (Printexc.to_string e, gen)));
-  match w.w_session with
-  | Warm (s, _) -> Some s
-  | Broken _ | No_session -> None
-
 (* Serve one solve request; returns (status, canonical result, extra
    response fields). [robs] is the request-scoped observation context
    (the shared server context teed with the job's flight-recorder
    context) — concretizer spans recorded through it land in both.
    Raises on internal faults (caught by the caller and answered as a
    typed error). *)
-let run_solve t w job robs =
+let run_solve t job robs =
   let payload = job.j_payload in
   if t.config.fault_injection && field_bool "boom" payload then
     failwith "injected worker fault";
@@ -599,23 +497,19 @@ let run_solve t w job robs =
         (* Died waiting in the queue: answer without touching a solver,
            so an overload burst drains in bounded time. *)
         ("timeout", canonical_timeout, [ ("expired_in_queue", Sjson.Bool true) ])
-      else begin
+      else
+        match Concretizer.check_known ~repo:t.repo [ request ] with
+        | Some e ->
+          (* Before [pool_snapshot]: an unknown root must not grow the
+             closure cache. *)
+          ("error", canonical_error e, [])
+        | None ->
         let conflicts =
           match field_int "conflicts" payload with
           | Some n -> Some n
           | None -> t.config.default_conflicts
         in
         let budget = budget_of ~conflicts ~deadline:job.j_deadline in
-        let mode =
-          match field_string "mode" payload with
-          | Some "fresh" -> Fresh
-          | Some "session" -> Session
-          | _ -> t.config.default_mode
-        in
-        let root =
-          request.Encode.req.Spec.Abstract.root.Spec.Abstract.name
-        in
-        let rid_attr = [ ("rid", Obs.S job.j_rid) ] in
         (* Portfolio admission: the request may ask for a width (the
            "portfolio" field, capped by the server's configured bound),
            but the race only materializes to the extent idle worker
@@ -632,44 +526,25 @@ let run_solve t w job robs =
         let pf_n = 1 + pf_tokens in
         Fun.protect ~finally:(fun () -> return_tokens t pf_tokens)
         @@ fun () ->
-        let fresh () =
-          let reuse, gen, closure = pool_snapshot t [ root ] in
-          let r =
-            Concretizer.concretize_v ~repo:t.repo
-              ~options:
-                { (solve_options t reuse) with
-                  Concretizer.obs = robs;
-                  portfolio = pf_n }
-              ?budget ?closure ~attrs:rid_attr [ request ]
-          in
-          (r, "fresh", gen)
+        let reuse, gen, closure =
+          pool_snapshot t request.Encode.req.Spec.Abstract.root.Spec.Abstract.name
         in
-        let result, mode_used, gen =
-          match mode with
-          | Fresh -> fresh ()
-          | Session -> (
-            (* Roots outside the warm universe can't be served under
-               assumptions; fall back to a fresh solve. *)
-            if not (Hashtbl.mem t.roots_set root) then fresh ()
-            else
-              match ensure_session t w with
-              | None -> fresh ()
-              | Some s ->
-                let gen =
-                  match w.w_session with Warm (_, g) -> g | _ -> assert false
-                in
-                Concretizer.Session.set_portfolio s pf_n;
-                ( Concretizer.Session.solve ?budget ~obs:robs ~attrs:rid_attr s
-                    request,
-                  "session",
-                  gen ))
+        let result =
+          Concretizer.concretize_v ~repo:t.repo
+            ~options:
+              { t.config.options with
+                Concretizer.reuse;
+                mirrors = None;
+                obs = robs;
+                portfolio = pf_n }
+            ?budget ?closure
+            ~attrs:[ ("rid", Obs.S job.j_rid) ]
+            [ request ]
         in
         ( status_of_result result,
           canonical_of_result result,
-          ("mode", Sjson.String mode_used)
-          :: ("generation", Sjson.Int gen)
-          :: (if pf_n > 1 then [ ("portfolio", Sjson.Int pf_n) ] else []) )
-      end)
+          ("generation", Sjson.Int gen)
+          :: (if pf_n > 1 then [ ("portfolio", Sjson.Int pf_n) ] else []) ))
 
 let hist_summary_json h =
   Sjson.Object
@@ -704,9 +579,7 @@ let live_stats_json lv ?window_s () =
   and overloaded = count lv.lv_overloaded
   and deadline_miss = count lv.lv_deadline_miss
   and cl_hits = count lv.lv_closure_hits
-  and cl_misses = count lv.lv_closure_misses
-  and gc_hits = count lv.lv_gcache_hits
-  and gc_misses = count lv.lv_gcache_misses in
+  and cl_misses = count lv.lv_closure_misses in
   Sjson.Object
     ([ ("window_s", Sjson.Float covered);
        ("horizon_s", Sjson.Float (Obs.Window.hist_horizon_s lv.lv_solve_ms));
@@ -724,9 +597,7 @@ let live_stats_json lv ?window_s () =
        ("overload_rate", Sjson.Float (rate overloaded));
        ("deadline_miss_rate", Sjson.Float (rate deadline_miss));
        ("error_rate", Sjson.Float (rate error));
-       ("closure_hit_rate", Sjson.Float (hit_rate cl_hits cl_misses));
-       ("ground_cache_hit_rate", Sjson.Float (hit_rate gc_hits gc_misses));
-       ("session_recycles", Sjson.Int (count lv.lv_recycles)) ]
+       ("closure_hit_rate", Sjson.Float (hit_rate cl_hits cl_misses)) ]
     @
     match lv.lv_recorder with
     | None -> []
@@ -749,7 +620,6 @@ let run_stats t payload =
        ("rejected", Sjson.Int rejected);
        ("generation", Sjson.Int (generation t));
        ("digest", Sjson.String (pool_digest_of t));
-       ("roots", Sjson.Int (List.length t.roots));
        ("uptime_s", Sjson.Float (Obs.Clock.now_s () -. t.started_s)) ]
     @
     match t.live with
@@ -792,7 +662,7 @@ let run_dump t payload =
         ("traces", Sjson.Array (List.map trace_json traces)) ]
   | _ -> canonical_error "dump: flight recorder disabled"
 
-let handle_job t w job =
+let handle_job t worker job =
   Fun.protect ~finally:(fun () -> conn_job_end job.j_conn) @@ fun () ->
   let queue_ms = (Obs.Clock.now_s () -. job.j_received) *. 1000. in
   Obs.observe (obs t) "serve.queue_ms" queue_ms;
@@ -802,19 +672,19 @@ let handle_job t w job =
      When both are disabled this is [Obs.disabled]. *)
   let robs = Obs.tee (obs t) job.j_obs in
   Obs.instant job.j_obs
-    ~attrs:[ ("worker", Obs.I w.w_index); ("queue_ms", Obs.F queue_ms) ]
+    ~attrs:[ ("worker", Obs.I worker); ("queue_ms", Obs.F queue_ms) ]
     "serve.dequeued";
   let status, result, extra =
     Obs.with_span robs ~cat:"serve" "serve.request"
       ~attrs:
         [ ("rid", Obs.S job.j_rid);
-          ("worker", Obs.I w.w_index);
+          ("worker", Obs.I worker);
           ("op", Obs.S op) ]
     @@ fun span ->
     let r =
       match
         match op with
-        | "solve" -> run_solve t w job robs
+        | "solve" -> run_solve t job robs
         | "ping" -> ("ok", Sjson.Object [ ("status", Sjson.String "pong") ], [])
         | "stats" -> ("ok", run_stats t job.j_payload, [])
         | "dump" -> ("ok", run_dump t job.j_payload, [])
@@ -848,7 +718,7 @@ let handle_job t w job =
     | Some r when op = "solve" || status <> "ok" ->
       ignore
         (Obs.Recorder.record r ~rid:job.j_rid ~op ~status ~deadline_missed
-           ~worker:w.w_index ~start_s:job.j_received ~dur_ms:latency_ms
+           ~worker ~start_s:job.j_received ~dur_ms:latency_ms
            ~queue_ms ~events:(Obs.events job.j_obs))
     | _ -> ())
   | None -> ());
@@ -863,18 +733,17 @@ let handle_job t w job =
          ("result", result);
          ( "server",
            Sjson.Object
-             (("worker", Sjson.Int w.w_index)
+             (("worker", Sjson.Int worker)
              :: ("queue_ms", Sjson.Float queue_ms)
              :: ("latency_ms", Sjson.Float latency_ms)
              :: extra) ) ])
 
 let worker_loop t i =
-  let w = { w_index = i; w_warm = None; w_session = No_session } in
   let rec go () =
     match take_job t i with
     | None -> ()
     | Some job ->
-      handle_job t w job;
+      handle_job t i job;
       go ()
   in
   go ()
@@ -1072,27 +941,12 @@ let start ~repo ?(config = default_config) ~socket () =
   | () ->
     Unix.listen listen_fd 64;
     let workers = max 1 config.workers in
-    let roots =
-      (match config.session_roots with
-      | [] ->
-        List.filter_map
-          (fun (p : Pkg.Package.t) ->
-            if Pkg.Repo.is_virtual repo p.Pkg.Package.name then None
-            else Some p.Pkg.Package.name)
-          (Pkg.Repo.packages repo)
-      | rs -> rs)
-      |> List.sort_uniq String.compare
-    in
-    let roots_set = Hashtbl.create 64 in
-    List.iter (fun r -> Hashtbl.replace roots_set r ()) roots;
     let reuse = config.options.Concretizer.reuse in
     let t =
       { repo;
         config;
         sock_path = socket;
         listen_fd;
-        roots;
-        roots_set;
         mu = Mutex.create ();
         nonempty = Condition.create ();
         queues = Array.init workers (fun _ -> Queue.create ());
@@ -1275,14 +1129,9 @@ module Client = struct
     in
     go 0 (Error "no attempt made")
 
-  let mode_field = function Session -> "session" | Fresh -> "fresh"
-
-  let solve ?mode ?deadline_ms ?conflicts ?(boom = false) ?rid c spec =
+  let solve ?deadline_ms ?conflicts ?(boom = false) ?rid c spec =
     let fields =
       [ ("op", Sjson.String "solve"); ("spec", Sjson.String spec) ]
-      @ (match mode with
-        | Some m -> [ ("mode", Sjson.String (mode_field m)) ]
-        | None -> [])
       @ (match deadline_ms with
         | Some ms -> [ ("deadline_ms", Sjson.Float ms) ]
         | None -> [])

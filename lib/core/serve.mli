@@ -1,29 +1,26 @@
 (** [spackml serve]: a resident multi-tenant concretization server.
 
-    Keeps the expensive request-independent state — ground program,
-    interned terms, warm {!Concretizer.Session}s, dependency closures —
-    alive across requests, turning the per-request cost from
-    encode+ground+warm-up into a solve under assumptions:
+    Every solve is a pruned one-shot {!Concretizer.concretize_v} of the
+    request against the current buildcache, so answers are
+    byte-identical to the CLI's. Resident across requests:
 
-    - a pool of OCaml 5 domain workers, each owning a warm session over
-      the configured root universe;
-    - per-worker request queues with stealing, bounded admission
-      ([max_queue]) answering a typed [overloaded] status instead of
-      queueing without bound;
+    - a pool of OCaml 5 domain workers behind per-worker request queues
+      with stealing, and bounded admission ([max_queue]) answering a
+      typed [overloaded] status instead of queueing without bound;
     - per-request deadlines and conflict caps enforced {e inside} the
       SAT core via {!Asp.Solver_intf.budget}: a preempted request
-      answers [timeout] and the worker's session stays reusable;
-    - dependency closures cached by (roots, buildcache digest);
-      {!set_reuse} bumps a generation when the digest changes, dropping
-      cached closures eagerly and warm sessions lazily;
+      answers [timeout];
+    - dependency closures ({!Encode.closure}) cached by root;
+      {!set_reuse} bumps a generation when the buildcache digest
+      changes and drops every cached closure;
     - length-prefixed JSON frames ({!Sjson.Frame}) over a Unix socket.
 
     {2 Wire protocol}
 
     Requests are JSON objects: [{"id": any, "op": "solve" | "ping" |
     "stats" | "dump" | "reload" | "shutdown", ...}]. A [solve] carries
-    ["spec"] (spec syntax), optional ["mode"] ("session"/"fresh"),
-    ["deadline_ms"], ["conflicts"], and (with fault injection) ["boom"].
+    ["spec"] (spec syntax), optional ["deadline_ms"], ["conflicts"],
+    ["portfolio"], and (with fault injection) ["boom"].
     Any request may carry a ["rid"] request id (string); the server
     assigns one (["srv-<n>"]) otherwise and stamps it on the request's
     span tree, so client and server traces join. Responses echo ["id"]
@@ -37,7 +34,7 @@
     With live telemetry on (the default), ["stats"] additionally
     answers a ["window"] object — rolling-window request counts, rps,
     solve/queue latency quantiles, overload/deadline-miss/error rates,
-    closure- and ground-cache hit rates, session recycles — computed
+    closure-cache hit rate — computed
     over the last ["window"] seconds of the request (rounded up to
     sub-window granularity, clamped to the horizon; default the full
     horizon). ["dump"] returns the flight recorder's recent traces
@@ -66,12 +63,6 @@ type telemetry = {
 
 val default_telemetry : telemetry
 
-(** Solve mode: [Session] serves from the worker's warm session (cost
-    parity with fresh solves; model ties may break differently),
-    [Fresh] solves from scratch (byte-deterministic). Requests whose
-    root lies outside the session universe fall back to [Fresh]. *)
-type mode = Session | Fresh
-
 type config = {
   workers : int;  (** solver domains (default 4) *)
   max_queue : int;
@@ -80,7 +71,6 @@ type config = {
   default_deadline_ms : float option;
       (** deadline applied to requests that don't carry one *)
   default_conflicts : int option;  (** likewise for the conflict cap *)
-  default_mode : mode;
   portfolio : int;
       (** upper bound on per-request SAT portfolio width (default 1 =
           off). A solve may race up to this many diversified solver
@@ -91,28 +81,12 @@ type config = {
           Requests may lower (never raise) their own width with a
           ["portfolio"] field. Answers carry the granted width when it
           exceeded 1. *)
-  session_roots : string list;
-      (** root universe of the warm sessions; [[]] = every non-virtual
-          package of the repo *)
-  session_recycle : int option;
-      (** rebuild a worker's warm session after this many solves
-          (default [Some 32]). Each optimization descent leaves
-          deactivated constraints in the solver, so a long-lived
-          session degrades; recycling bounds per-request latency at
-          the cost of an amortized session rebuild. [None] = never. *)
   fault_injection : bool;
       (** honor the ["boom"] request flag (tests only): the worker
           raises mid-request and must answer a typed error *)
   reuse_source : (unit -> Spec.Concrete.t list) option;
       (** backing of the wire ["reload"] op: re-read the buildcache
           and {!set_reuse} it *)
-  ground_cache : string option;
-      (** persistent ground-cache directory ({!Groundcache}): workers
-          load their warm grounding from it on cold start and persist
-          each new pool generation into it. Keys embed the pool
-          digest, so a ["reload"] that changes the buildcache can
-          never be served a stale on-disk grounding. [None] (default)
-          = in-memory only. *)
   telemetry : telemetry option;
       (** live windowed stats and flight recorder (default
           [Some default_telemetry]); [None] turns the layer off — the
@@ -128,7 +102,7 @@ val default_config : config
 
 val pool_digest : Spec.Concrete.t list -> string
 (** Content digest of a reusable pool: {!Chash.hash_string} over the
-    sorted DAG hashes. The validity key of closures and sessions. *)
+    sorted DAG hashes. The validity key of cached closures. *)
 
 type t
 
@@ -150,11 +124,9 @@ val socket_path : t -> string
 
 val set_reuse : t -> Spec.Concrete.t list -> bool
 (** Replace the reusable pool. If the {!pool_digest} changed: bump the
-    generation, drop every cached closure, and invalidate the warm
-    sessions (each worker rebuilds lazily before its next session
-    solve). Returns whether anything changed. Safe to call while
-    requests are in flight — in-flight solves finish against the pool
-    snapshot they started with. *)
+    generation and drop every cached closure. Returns whether anything
+    changed. Safe to call while requests are in flight — in-flight
+    solves finish against the pool snapshot they started with. *)
 
 val generation : t -> int
 
@@ -195,8 +167,8 @@ module Client : sig
   (** Read the next response frame. *)
 
   val solve :
-    ?mode:mode -> ?deadline_ms:float -> ?conflicts:int -> ?boom:bool ->
-    ?rid:string -> t -> string -> (Sjson.t, string) result
+    ?deadline_ms:float -> ?conflicts:int -> ?boom:bool -> ?rid:string ->
+    t -> string -> (Sjson.t, string) result
   (** Solve one spec and await its response. [?rid] propagates a
       client-chosen request id onto the server's span tree; without it
       the server assigns one. Either way the response echoes ["rid"]. *)

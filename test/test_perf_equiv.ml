@@ -1,15 +1,14 @@
 (* Performance-stack equivalence properties (reuse-pool pruning,
-   incremental sessions, batch determinism) over random fuzz universes:
-   the fast paths must be observationally equivalent to the fresh
-   from-scratch solver.
+   portfolio racing, parallel grounding, batch determinism) over random
+   fuzz universes: the fast paths must be observationally equivalent to
+   the plain from-scratch solver.
 
    - pruning: closure-filtered encodes agree with unpruned encodes on
      solvability, optimal costs, and the solution DAG.
-   - sessions: solving under assumptions against a shared ground
-     universe returns the same costs as a fresh solve, and its model
-     decodes to a Verify-clean spec.
-   - batch: the default concretize_batch mode is byte-identical for
-     any domain count. *)
+   - portfolio: raced solves are byte-identical to single-solver ones.
+   - grounding: the parallel grounder is byte-identical to the serial
+     one for any job count.
+   - batch: concretize_batch is byte-identical for any domain count. *)
 
 module CC = Core.Concretizer
 
@@ -97,61 +96,7 @@ let prop_prune_parity mode =
               "request %s: pruning fixed an UNSAT request (%s)" r f.CC.f_message)
         u.Fuzz.Gen.u_requests)
 
-(* ---- 2. session vs fresh solves ---- *)
-
-let prop_session_parity mode =
-  QCheck.Test.make
-    ~name:("session solves match fresh solves (" ^ mode_name mode ^ ")")
-    ~count:15 arb_universe (fun seed ->
-      with_mode mode @@ fun () ->
-      let u = Fuzz.Gen.generate (Fuzz.Rng.create seed) in
-      let repo = Fuzz.Gen.to_repo u in
-      let reuse = pool_of ~repo u in
-      let splicing = has_splices u in
-      let opts = options ~splicing ~reuse ~prune:true () in
-      let roots =
-        List.filter_map
-          (fun r ->
-            let name =
-              (Spec.Parser.parse r).Spec.Abstract.root.Spec.Abstract.name
-            in
-            if Pkg.Repo.mem repo name && not (Pkg.Repo.is_virtual repo name) then
-              Some name
-            else None)
-          u.Fuzz.Gen.u_requests
-        |> List.sort_uniq String.compare
-      in
-      if roots = [] then true
-      else
-        match CC.Session.create ~repo ~options:opts ~roots () with
-        | Error e -> QCheck.Test.fail_reportf "session create: %s" e
-        | Ok session ->
-          List.for_all
-            (fun r ->
-              let fresh = concretize ~repo ~options:opts r in
-              let inc =
-                CC.Session.solve session (Core.Encode.request_of_string r)
-              in
-              match (fresh, inc) with
-              | Ok a, Ok b ->
-                if costs a <> costs b then
-                  QCheck.Test.fail_reportf
-                    "request %s: session costs %s, fresh costs %s" r
-                    (pp_costs (costs b))
-                    (pp_costs (costs a))
-                else if not (verify_clean ~repo ~request:r (root_spec b)) then
-                  QCheck.Test.fail_reportf "request %s: session solution invalid" r
-                else true
-              | Error _, Error _ -> true
-              | Ok _, Error f ->
-                QCheck.Test.fail_reportf
-                  "request %s: fresh SAT but session failed: %s" r f.CC.f_message
-              | Error f, Ok _ ->
-                QCheck.Test.fail_reportf
-                  "request %s: session SAT but fresh failed: %s" r f.CC.f_message)
-            u.Fuzz.Gen.u_requests)
-
-(* ---- 2b. portfolio vs single-solver solves ---- *)
+(* ---- 2. portfolio vs single-solver solves ---- *)
 
 (* The byte-identity promise of [options.portfolio]: a raced solve must
    return the same solvability, the same optimal costs, and the same
@@ -203,55 +148,12 @@ let prop_portfolio_parity mode =
               f.CC.f_message)
         (u.Fuzz.Gen.u_requests @ u.Fuzz.Gen.u_cache_roots))
 
-(* ---- 3. layered (delta) grounding vs full regrounding ---- *)
-
-(* Rendered, order-insensitive image of a ground program: rules and
-   minimize instances as sorted strings over printed atoms, plus the
-   possible-atom set. Two groundings with this image equal are
-   interchangeable for the solver. *)
-let render_ground g =
-  let atom id = Format.asprintf "%a" (Asp.Ground.pp_atom_id g) id in
-  let ids l = List.sort compare (List.map atom l) in
-  let bound = function Some b -> string_of_int b | None -> "_" in
-  let rules =
-    List.map
-      (fun (r : Asp.Ground.grule) ->
-        let head =
-          match r.Asp.Ground.ghead with
-          | Asp.Ground.Gatom id -> "a:" ^ atom id
-          | Asp.Ground.Gconstraint -> "c"
-          | Asp.Ground.Gchoice { lo; hi; gelems } ->
-            Printf.sprintf "ch:%s..%s{%s}" (bound lo) (bound hi)
-              (String.concat ";" (ids gelems))
-        in
-        Printf.sprintf "%s :- %s ~ %s" head
-          (String.concat "," (ids r.Asp.Ground.gpos))
-          (String.concat "," (ids r.Asp.Ground.gneg)))
-      (Asp.Ground.rules g)
-    |> List.sort compare
-  in
-  let mins =
-    List.map
-      (fun (m : Asp.Ground.gmin) ->
-        Printf.sprintf "min %d@%d|%s :- %s ~ %s" m.Asp.Ground.gweight
-          m.Asp.Ground.gpriority m.Asp.Ground.gkey
-          (String.concat "," (ids m.Asp.Ground.gcond_pos))
-          (String.concat "," (ids m.Asp.Ground.gcond_neg)))
-      (Asp.Ground.minimizes g)
-    |> List.sort compare
-  in
-  let possible = ref [] in
-  for id = 0 to Asp.Ground.atom_count g - 1 do
-    if Asp.Ground.possible g id then possible := atom id :: !possible
-  done;
-  String.concat "\n"
-    (rules @ mins @ [ "possible: " ^ String.concat "," (List.sort compare !possible) ])
+(* ---- 3. parallel grounding determinism ---- *)
 
 (* A miniature concretizer-shaped program: derived node closure, a
-   choice rule whose elements come from pool facts, negation over a
-   pool-derived atom, a constraint and two minimize layers touching
-   the pool stratum, and facts shared across entries. *)
-let mini_base =
+   choice rule whose elements come from installed facts, negation over
+   a derived atom, a constraint and two minimize layers. *)
+let mini_program =
   {|
     root(a). dep(a,b). dep(b,c). tag(base).
     decl(a,"1"). decl(b,"1"). decl(c,"1").
@@ -271,74 +173,20 @@ let mini_base =
     #minimize { 1@2,V : seen(V) }.
   |}
 
-let mini_entry i =
-  let p = Asp.Term.sym [| "a"; "b"; "c" |].(i mod 3) in
-  let v = Asp.Term.str [| "1"; "2"; "3"; "9" |].(i mod 4) in
-  let h = Asp.Term.str ("h" ^ string_of_int i) in
-  ( "h" ^ string_of_int i,
-    [ Asp.Ast.atom "installed" [ p; h ];
-      Asp.Ast.atom "hash_ver" [ h; v ];
-      Asp.Ast.atom "pool_ver" [ p; v ];
-      (* one fact shared by every entry: exercises refcount survival *)
-      Asp.Ast.atom "tag" [ Asp.Term.sym "shared" ] ] )
-
-let mini_entries = List.init 6 mini_entry
-
-let full_ground_of subset =
-  let facts =
-    List.concat_map (fun (_, facts) -> List.map Asp.Ast.fact facts) subset
-  in
-  Asp.Ground.ground (Asp.parse mini_base @ facts)
-
-let subset_of_mask mask =
-  List.filteri (fun i _ -> mask land (1 lsl i) <> 0) mini_entries
-
-let check_layered_equiv what lg subset =
-  let got = render_ground (Asp.Ground.layered_snapshot lg) in
-  let want = render_ground (full_ground_of subset) in
-  if got <> want then
-    QCheck.Test.fail_reportf "%s: layered snapshot differs from full reground@.%s"
-      what
-      (String.concat "\n"
-         (List.filter
-            (fun l -> l <> "")
-            (let gs = String.split_on_char '\n' got
-             and ws = String.split_on_char '\n' want in
-             List.map (fun l -> if List.mem l ws then "" else "+ " ^ l) gs
-             @ List.map (fun l -> if List.mem l gs then "" else "- " ^ l) ws)));
-  true
-
-let prop_layered_equiv =
-  QCheck.Test.make ~name:"delta-reground == full reground (mini program)" ~count:200
-    (QCheck.make ~print:string_of_int QCheck.Gen.(int_range 0 0xFFFFFF))
-    (fun seed ->
-      let s0 = subset_of_mask (seed land 0x3F) in
-      let s1 = subset_of_mask ((seed lsr 6) land 0x3F) in
-      let lg = Asp.Ground.layered_create (Asp.parse mini_base) in
-      ignore (check_layered_equiv "empty" lg []);
-      Asp.Ground.layered_update lg ~removed:[] ~added:s0;
-      ignore (check_layered_equiv "first pool" lg s0);
-      let removed =
-        List.filter_map
-          (fun (k, _) -> if List.mem_assoc k s1 then None else Some k)
-          s0
-      in
-      let added = List.filter (fun (k, _) -> not (List.mem_assoc k s0)) s1 in
-      Asp.Ground.layered_update lg ~removed ~added;
-      ignore (check_layered_equiv "delta to second pool" lg s1);
-      Asp.Ground.layered_update lg
-        ~removed:(Asp.Ground.layered_entry_keys lg)
-        ~added:[];
-      ignore (check_layered_equiv "drained" lg []);
-      true)
-
-(* ---- 4. parallel grounding determinism ---- *)
+let mini_facts =
+  List.concat
+    (List.init 6 (fun i ->
+         let p = Asp.Term.sym [| "a"; "b"; "c" |].(i mod 3) in
+         let v = Asp.Term.str [| "1"; "2"; "3"; "9" |].(i mod 4) in
+         let h = Asp.Term.str ("h" ^ string_of_int i) in
+         List.map Asp.Ast.fact
+           [ Asp.Ast.atom "installed" [ p; h ];
+             Asp.Ast.atom "hash_ver" [ h; v ];
+             Asp.Ast.atom "pool_ver" [ p; v ];
+             Asp.Ast.atom "tag" [ Asp.Term.sym "shared" ] ]))
 
 let test_ground_jobs_determinism () =
-  let prog =
-    Asp.parse mini_base
-    @ List.concat_map (fun (_, facts) -> List.map Asp.Ast.fact facts) mini_entries
-  in
+  let prog = Asp.parse mini_program @ mini_facts in
   let render g =
     Format.asprintf "%d@.%a" (Asp.Ground.atom_count g) Asp.Ground.pp g
   in
@@ -351,164 +199,7 @@ let test_ground_jobs_determinism () =
         (render (Asp.Ground.ground ~jobs prog)))
     [ 2; 3; 4 ]
 
-(* ---- 5. warm delta-grounded sessions vs fresh solves ---- *)
-
-(* the session roots of a universe: request roots that name known
-   non-virtual packages *)
-let roots_of ~repo (u : Fuzz.Gen.t) =
-  List.filter_map
-    (fun r ->
-      let name = (Spec.Parser.parse r).Spec.Abstract.root.Spec.Abstract.name in
-      if Pkg.Repo.mem repo name && not (Pkg.Repo.is_virtual repo name) then
-        Some name
-      else None)
-    u.Fuzz.Gen.u_requests
-  |> List.sort_uniq String.compare
-
-(* Drive a {!CC.Warm} universe through random buildcache swaps: each
-   round applies a random subset of the universe's pool as a fact-level
-   delta ({!Asp.Ground.layered_update} under the hood — removed entries
-   retract, added ones extend) and checks every request against a fresh
-   unpruned solve over the same pool: same optimal costs, Verify-clean
-   specs. This is the end-to-end delta-reground == full-reground
-   property over concretizer-real programs. *)
-let prop_warm_delta_parity mode =
-  QCheck.Test.make
-    ~name:
-      ("warm delta-grounded sessions match fresh solves (" ^ mode_name mode ^ ")")
-    ~count:8 arb_universe (fun seed ->
-      with_mode mode @@ fun () ->
-      let u = Fuzz.Gen.generate (Fuzz.Rng.create seed) in
-      let repo = Fuzz.Gen.to_repo u in
-      let pool = pool_of ~repo u in
-      let splicing = has_splices u in
-      let roots = roots_of ~repo u in
-      if roots = [] then true
-      else begin
-        let rng = Fuzz.Rng.fork (Fuzz.Rng.create seed) "warm-deltas" in
-        let subset () = List.filter (fun _ -> Fuzz.Rng.bool rng) pool in
-        let pool0 = subset () in
-        match
-          CC.Warm.create ~repo
-            ~options:(options ~splicing ~reuse:pool0 ~prune:false ())
-            ~roots ()
-        with
-        | Error e -> QCheck.Test.fail_reportf "warm create: %s" e
-        | Ok warm ->
-          List.for_all
-            (fun round ->
-              let p = if round = 0 then pool0 else subset () in
-              if round > 0 then ignore (CC.Warm.set_pool warm p);
-              let session = CC.Warm.session warm in
-              let opts = options ~splicing ~reuse:p ~prune:false () in
-              List.for_all
-                (fun r ->
-                  let fresh = concretize ~repo ~options:opts r in
-                  let inc =
-                    CC.Session.solve session (Core.Encode.request_of_string r)
-                  in
-                  match (fresh, inc) with
-                  | Ok a, Ok b ->
-                    if costs a <> costs b then
-                      QCheck.Test.fail_reportf
-                        "round %d request %s: warm costs %s, fresh costs %s"
-                        round r
-                        (pp_costs (costs b))
-                        (pp_costs (costs a))
-                    else if not (verify_clean ~repo ~request:r (root_spec b))
-                    then
-                      QCheck.Test.fail_reportf
-                        "round %d request %s: warm solution invalid" round r
-                    else true
-                  | Error _, Error _ -> true
-                  | Ok _, Error f ->
-                    QCheck.Test.fail_reportf
-                      "round %d request %s: fresh SAT but warm failed: %s" round
-                      r f.CC.f_message
-                  | Error f, Ok _ ->
-                    QCheck.Test.fail_reportf
-                      "round %d request %s: warm SAT but fresh failed: %s" round
-                      r f.CC.f_message)
-                u.Fuzz.Gen.u_requests)
-            [ 0; 1; 2 ]
-      end)
-
-(* ---- 6. on-disk ground-cache round-trip ---- *)
-
-(* A warm universe persisted by one process and loaded by the next must
-   behave identically: the loaded grounding answers every request with
-   the same costs and the same DAG as the one that was computed cold,
-   and a pool swap persisted via set_pool is hit by a later cold start
-   under the swapped pool. *)
-let test_groundcache_roundtrip () =
-  let rec find seed =
-    if seed > 142 then Alcotest.fail "no universe with roots and a pool"
-    else
-      let u = Fuzz.Gen.generate (Fuzz.Rng.create seed) in
-      let repo = Fuzz.Gen.to_repo u in
-      let pool = pool_of ~repo u in
-      let roots = roots_of ~repo u in
-      if roots <> [] && pool <> [] then (u, repo, pool, roots)
-      else find (seed + 1)
-  in
-  let u, repo, pool, roots = find 42 in
-  let dir =
-    Filename.concat
-      (Filename.get_temp_dir_name ())
-      (Printf.sprintf "spackml-gc-test-%d" (Unix.getpid ()))
-  in
-  let cleanup () =
-    if Sys.file_exists dir then begin
-      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
-      Sys.rmdir dir
-    end
-  in
-  Fun.protect ~finally:cleanup @@ fun () ->
-  let opts = options ~reuse:pool ~prune:false () in
-  let create ?(reuse = pool) () =
-    match
-      CC.Warm.create ~repo ~options:{ opts with CC.reuse } ~ground_cache:dir
-        ~roots ()
-    with
-    | Ok w -> w
-    | Error e -> Alcotest.fail ("warm create: " ^ e)
-  in
-  let w1 = create () in
-  Alcotest.(check bool) "first create grounds cold" false (CC.Warm.from_cache w1);
-  let w2 = create () in
-  Alcotest.(check bool) "second create loads from disk" true (CC.Warm.from_cache w2);
-  Alcotest.(check string)
-    "same pool digest" (CC.Warm.digest w1) (CC.Warm.digest w2);
-  let answers w =
-    let session = CC.Warm.session w in
-    String.concat "\n"
-      (List.map
-         (fun r ->
-           match CC.Session.solve session (Core.Encode.request_of_string r) with
-           | Ok o ->
-             Printf.sprintf "ok %s %s"
-               (Spec.Concrete.dag_hash (root_spec o))
-               (pp_costs (costs o))
-           | Error f -> "error " ^ f.CC.f_message)
-         u.Fuzz.Gen.u_requests)
-  in
-  Alcotest.(check string)
-    "cold and cache-loaded groundings answer identically" (answers w1)
-    (answers w2);
-  (* a pool swap persisted by set_pool is a cache hit for the next cold
-     start under that pool (the solve server's reload path) *)
-  let half = List.filteri (fun i _ -> i mod 2 = 0) pool in
-  if CC.Warm.pool_digest half <> CC.Warm.pool_digest pool then begin
-    ignore (CC.Warm.set_pool w2 half);
-    let w3 = create ~reuse:half () in
-    Alcotest.(check bool)
-      "swapped pool loads from the set_pool-persisted entry" true
-      (CC.Warm.from_cache w3);
-    Alcotest.(check string)
-      "swapped-pool digests agree" (CC.Warm.digest w2) (CC.Warm.digest w3)
-  end
-
-(* ---- 7. batch determinism ---- *)
+(* ---- 4. batch determinism ---- *)
 
 let render_batch results =
   String.concat "\n"
@@ -540,18 +231,13 @@ let test_batch_determinism mode () =
 let () =
   Alcotest.run "perf_equiv"
     (( "layered-grounding",
-       [ QCheck_alcotest.to_alcotest prop_layered_equiv;
-         Alcotest.test_case "parallel grounding determinism" `Quick
-           test_ground_jobs_determinism;
-         Alcotest.test_case "ground-cache round-trip" `Quick
-           test_groundcache_roundtrip ] )
+       [ Alcotest.test_case "parallel grounding determinism" `Quick
+           test_ground_jobs_determinism ] )
     :: List.map
          (fun mode ->
            ( "equivalence-" ^ mode_name mode,
              [ QCheck_alcotest.to_alcotest (prop_prune_parity mode);
-               QCheck_alcotest.to_alcotest (prop_session_parity mode);
                QCheck_alcotest.to_alcotest (prop_portfolio_parity mode);
-               QCheck_alcotest.to_alcotest (prop_warm_delta_parity mode);
                Alcotest.test_case
                  ("batch determinism (" ^ mode_name mode ^ ")")
                  `Quick (test_batch_determinism mode) ] ))

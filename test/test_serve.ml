@@ -1,18 +1,15 @@
 (* spackml serve, end to end over real Unix sockets: replay
    equivalence and fault injection.
 
-   - fresh-mode replay: a trace of mixed requests hammered over
-     concurrent client domains gets canonical result objects
-     byte-identical to one-shot [concretize_v] runs on the same fuzz
-     universe, under both restart modes;
-   - session-mode replay: warm-session responses agree with fresh
-     solves on status and optimal costs, and the server-side Verify
-     pass is clean (zero violations recorded in the Obs registry);
+   - replay: a trace of mixed requests hammered over concurrent client
+     domains gets canonical result objects byte-identical to one-shot
+     [concretize_v] runs on the same fuzz universe, under both restart
+     modes;
    - faults: malformed/oversized/truncated frames, client disconnect
      mid-request, injected worker exceptions, buildcache digest change
-     mid-stream, queue overload, queue-expired deadlines, shutdown
-     with a full queue — the server answers everything it admits,
-     evicts stale state, and never wedges;
+     mid-stream, unknown package names, queue overload, queue-expired
+     deadlines, shutdown with a full queue — the server answers
+     everything it admits, evicts stale state, and never wedges;
    - telemetry: request ids assigned/echoed, the stats window block,
      and flight-recorder retrieval of a missed deadline by rid. *)
 
@@ -106,19 +103,6 @@ let one_shot ~repo ~opts r =
         ("message", Sjson.String ("parse error: " ^ e)) ]
   | req -> Serve.canonical_of_result (CC.concretize_v ~repo ~options:opts [ req ])
 
-let costs_of_result result =
-  match Sjson.member_opt "costs" result with
-  | Some (Sjson.Array l) ->
-    List.map
-      (function
-        | Sjson.Array [ Sjson.Int p; Sjson.Int c ] -> (p, c)
-        | _ -> Alcotest.fail "malformed cost pair")
-      l
-  | _ -> Alcotest.fail "ok result without costs"
-
-let pp_costs cs =
-  String.concat "," (List.map (fun (p, c) -> Printf.sprintf "%d@%d" c p) cs)
-
 (* Replay [requests] over [clients] concurrent client domains, one
    connection per domain, collecting the response for each index. *)
 let replay t requests clients =
@@ -137,7 +121,7 @@ let replay t requests clients =
   List.iter Domain.join doms;
   got
 
-(* ---- 1. fresh-mode replay: byte-identity with one-shot solves ---- *)
+(* ---- 1. replay: byte-identity with one-shot solves ---- *)
 
 let test_fresh_replay mode () =
   with_mode mode @@ fun () ->
@@ -145,10 +129,7 @@ let test_fresh_replay mode () =
   let reuse = pool_of ~repo u in
   let opts = options ~reuse () in
   let config =
-    { Serve.default_config with
-      Serve.workers = 4;
-      default_mode = Serve.Fresh;
-      options = opts }
+    { Serve.default_config with Serve.workers = 4; options = opts }
   in
   let requests = Array.of_list (trace u) in
   let expected =
@@ -165,52 +146,7 @@ let test_fresh_replay mode () =
         (Sjson.to_string (result_of got.(i))))
     expected
 
-(* ---- 2. session-mode replay: cost parity + Verify-clean ---- *)
-
-let test_session_replay mode () =
-  with_mode mode @@ fun () ->
-  let u, repo = universe 1234 in
-  let reuse = pool_of ~repo u in
-  let obs = Obs.create () in
-  (* Verify runs inside the server on every decoded solution; a single
-     violation anywhere in the replay trips the counter below. *)
-  let opts = { (options ~reuse ()) with CC.verify = true; obs } in
-  let config =
-    { Serve.default_config with
-      Serve.workers = 2;
-      default_mode = Serve.Session;
-      options = opts }
-  in
-  let local_opts = options ~reuse () in
-  let requests = Array.of_list (trace u) in
-  with_server ~repo ~config @@ fun t ->
-  let got = replay t requests 2 in
-  Array.iteri
-    (fun i r ->
-      let resp = got.(i) in
-      match one_shot ~repo ~opts:local_opts r with
-      | Sjson.Object (("status", Sjson.String "ok") :: _) as fresh ->
-        Alcotest.(check string)
-          (Printf.sprintf "request %d (%s) solved" i r)
-          "ok" (status_of resp);
-        let sc = costs_of_result (result_of resp) in
-        let fc = costs_of_result fresh in
-        if sc <> fc then
-          Alcotest.failf "request %d (%s): session costs %s, fresh costs %s" i
-            r (pp_costs sc) (pp_costs fc)
-      | fresh ->
-        (* fresh failed: the server must report the same status *)
-        Alcotest.(check string)
-          (Printf.sprintf "request %d (%s) failure status" i r)
-          (Sjson.get_string (Sjson.member "status" fresh))
-          (status_of resp))
-    requests;
-  Alcotest.(check int) "server-side Verify clean across the whole replay" 0
-    (counter obs "concretize.verify_violations");
-  Alcotest.(check bool) "warm sessions actually served" true
-    (counter obs "serve.session_builds" >= 1)
-
-(* ---- 3. frame-level faults ---- *)
+(* ---- 2. frame-level faults ---- *)
 
 let frame_header len =
   let b = Bytes.create 4 in
@@ -310,7 +246,7 @@ let test_bad_frames () =
   Alcotest.(check string) "server healthy after frame faults" "ok"
     (status_of (ok (Client.ping c)))
 
-(* ---- 4. client disconnect mid-request ---- *)
+(* ---- 3. client disconnect mid-request ---- *)
 
 let test_disconnect_mid_request () =
   let u, repo = universe 42 in
@@ -341,12 +277,12 @@ let test_disconnect_mid_request () =
   with_client t @@ fun c ->
   let expected = Sjson.to_string (one_shot ~repo ~opts r) in
   for _ = 1 to 3 do
-    let resp = ok (Client.solve ~mode:Serve.Fresh c r) in
+    let resp = ok (Client.solve c r) in
     Alcotest.(check string) "served correctly after disconnects" expected
       (Sjson.to_string (result_of resp))
   done
 
-(* ---- 5. worker exception mid-solve ---- *)
+(* ---- 4. worker exception mid-solve ---- *)
 
 let test_worker_fault () =
   let u, repo = universe 42 in
@@ -379,11 +315,11 @@ let test_worker_fault () =
   Alcotest.(check int) "fault counted" 1 (counter obs "serve.worker_faults");
   (* The domain survived: the very same worker keeps solving. *)
   let expected = Sjson.to_string (one_shot ~repo ~opts:(options ()) r) in
-  let resp = ok (Client.solve ~mode:Serve.Fresh c r) in
+  let resp = ok (Client.solve c r) in
   Alcotest.(check string) "worker alive after fault" expected
     (Sjson.to_string (result_of resp))
 
-(* ---- 6. buildcache digest change mid-stream ---- *)
+(* ---- 5. buildcache digest change mid-stream ---- *)
 
 let known_request ~repo (u : Fuzz.Gen.t) =
   match
@@ -404,28 +340,20 @@ let test_reuse_eviction () =
   let pool = pool_of ~repo u in
   Alcotest.(check bool) "universe provides a reuse pool" true (pool <> []);
   let obs = Obs.create () in
-  let opts = { (options ~reuse:[] ()) with CC.obs } in
   let config =
     { Serve.default_config with
       Serve.workers = 1;
-      default_mode = Serve.Session;
-      options = opts }
+      options = { (options ~reuse:[] ()) with CC.obs } }
   in
   let r = known_request ~repo u in
   let server_gen resp =
     Sjson.get_int (Sjson.member "generation" (Sjson.member "server" resp))
   in
   let check_against reuse resp label =
-    match one_shot ~repo ~opts:(options ~reuse ()) r with
-    | Sjson.Object (("status", Sjson.String "ok") :: _) as fresh ->
-      Alcotest.(check string) (label ^ ": status") "ok" (status_of resp);
-      Alcotest.(check string) (label ^ ": optimal costs")
-        (pp_costs (costs_of_result fresh))
-        (pp_costs (costs_of_result (result_of resp)))
-    | fresh ->
-      Alcotest.(check string) (label ^ ": failure status")
-        (Sjson.get_string (Sjson.member "status" fresh))
-        (status_of resp)
+    Alcotest.(check string)
+      (label ^ ": byte-identical to one-shot on that pool")
+      (Sjson.to_string (one_shot ~repo ~opts:(options ~reuse ()) r))
+      (Sjson.to_string (result_of resp))
   in
   with_server ~repo ~config @@ fun t ->
   with_client t @@ fun c ->
@@ -437,15 +365,43 @@ let test_reuse_eviction () =
   Alcotest.(check bool) "digest change detected" true (Serve.set_reuse t pool);
   Alcotest.(check int) "generation bumped" 1 (Serve.generation t);
   Alcotest.(check int) "eviction counted" 1 (counter obs "serve.evictions");
-  (* the next request sees the new pool through a rebuilt session *)
+  (* the first solve after the swap carries the new generation and
+     answers from the new pool *)
   let resp = ok (Client.solve c r) in
   Alcotest.(check int) "served at generation 1" 1 (server_gen resp);
   check_against pool resp "generation 1";
-  Alcotest.(check bool) "session rebuilt after eviction" true
-    (counter obs "serve.session_builds" >= 2);
   (* same digest again: a no-op, nothing evicted *)
   Alcotest.(check bool) "same digest is a no-op" false (Serve.set_reuse t pool);
   Alcotest.(check int) "generation unchanged" 1 (Serve.generation t)
+
+(* ---- 6. unknown package names ---- *)
+
+(* Unknown names are rejected before the closure cache is consulted: a
+   client sending fresh unknown names must not grow the cache, and each
+   answer is the one-shot failure. *)
+let test_unknown_names () =
+  let _, repo = universe 42 in
+  let obs = Obs.create () in
+  let opts = options () in
+  let config =
+    { Serve.default_config with
+      Serve.workers = 1;
+      options = { opts with CC.obs } }
+  in
+  with_server ~repo ~config @@ fun t ->
+  with_client t @@ fun c ->
+  for i = 1 to 50 do
+    let r = Printf.sprintf "no-such-package-%d" i in
+    let expected = one_shot ~repo ~opts r in
+    Alcotest.(check string) (r ^ ": one-shot answer") ("unknown package: " ^ r)
+      (Sjson.get_string (Sjson.member "message" expected));
+    Alcotest.(check string)
+      (r ^ ": byte-identical to one-shot")
+      (Sjson.to_string expected)
+      (Sjson.to_string (result_of (ok (Client.solve c r))))
+  done;
+  Alcotest.(check int) "no closure computed for unknown names" 0
+    (counter obs "serve.closure_misses")
 
 (* ---- 7. reload op ---- *)
 
@@ -477,7 +433,6 @@ let test_overload () =
     { Serve.default_config with
       Serve.workers = 1;
       max_queue = 2;
-      default_mode = Serve.Fresh;
       options = options () }
   in
   let r = List.hd u.Fuzz.Gen.u_requests in
@@ -535,10 +490,10 @@ let test_deadline () =
   Alcotest.(check string) "canonical timeout result"
     {|{"status":"timeout"}|}
     (Sjson.to_string (result_of resp));
-  (* The session/worker is untouched: the same request without a
-     deadline solves normally. *)
+  (* The worker is untouched: the same request without a deadline
+     solves normally. *)
   let expected = Sjson.to_string (one_shot ~repo ~opts:(options ()) r) in
-  let resp = ok (Client.solve ~mode:Serve.Fresh c r) in
+  let resp = ok (Client.solve c r) in
   Alcotest.(check string) "worker reusable after timeout" expected
     (Sjson.to_string (result_of resp))
 
@@ -547,10 +502,7 @@ let test_deadline () =
 let test_shutdown_drains () =
   let u, repo = universe 42 in
   let config =
-    { Serve.default_config with
-      Serve.workers = 2;
-      default_mode = Serve.Fresh;
-      options = options () }
+    { Serve.default_config with Serve.workers = 2; options = options () }
   in
   let r = List.hd u.Fuzz.Gen.u_requests in
   let n = 20 in
@@ -788,10 +740,7 @@ let () =
          ( "replay-" ^ mode_name mode,
            [ Alcotest.test_case
                ("fresh-mode byte replay (" ^ mode_name mode ^ ")")
-               `Quick (test_fresh_replay mode);
-             Alcotest.test_case
-               ("session-mode cost replay (" ^ mode_name mode ^ ")")
-               `Quick (test_session_replay mode) ] ))
+               `Quick (test_fresh_replay mode) ] ))
        [ Asp.Sat.Glucose; Asp.Sat.Luby ]
     @ [ ( "faults",
           [ Alcotest.test_case "frame faults" `Quick test_bad_frames;
@@ -801,6 +750,8 @@ let () =
               test_worker_fault;
             Alcotest.test_case "buildcache change mid-stream" `Quick
               test_reuse_eviction;
+            Alcotest.test_case "unknown names skip the closure cache" `Quick
+              test_unknown_names;
             Alcotest.test_case "reload op" `Quick test_reload;
             Alcotest.test_case "overload admission" `Quick test_overload;
             Alcotest.test_case "queue-expired deadline" `Quick test_deadline;
