@@ -50,7 +50,7 @@ let ground_jobs_flag =
 let portfolio_flag =
   Arg.(value & opt int 1 & info [ "portfolio" ] ~docv:"N"
       ~doc:"Race N diversified SAT-solver configurations (restart mode, \
-            phase policy, seed, inprocessing budget) on the hard solve \
+            phase policy, seed, rephase schedule) on the hard solve \
             phase, exchanging low-LBD learnt clauses; first verdict \
             wins and UNSAT proofs still certify. Results are identical \
             to a single-solver run; only wall time changes. Default 1 \
@@ -474,39 +474,61 @@ let buildcache_cmd =
 
 (* DIMACS CNF: "c" comment lines, a "p cnf VARS CLAUSES" header, then
    clauses as whitespace-separated nonzero literals each terminated by
-   0. DIMACS variable v (1-based) maps to internal variable v-1. *)
-let parse_dimacs sat path =
+   0; a "%" line (the SATLIB trailer) ends the formula. The whole file
+   is validated before the solver allocates anything: every token must
+   be a decimal integer and every literal within +-1..VARS. Returns the
+   clauses in DIMACS numbering, or [Error "FILE:LINE: reason"]. *)
+let parse_dimacs path =
   let ic = open_in path in
   Fun.protect ~finally:(fun () -> close_in ic) @@ fun () ->
-  let ensure_var v =
-    while Asp.Sat.nvars sat < v do ignore (Asp.Sat.new_var sat) done
+  let lineno = ref 0 in
+  let bad fmt =
+    Printf.ksprintf (fun m -> Error (Printf.sprintf "%s:%d: %s" path !lineno m)) fmt
   in
-  let clause = ref [] in
-  (try
-     while true do
-       let line = input_line ic in
-       let line = String.trim line in
-       if line = "" || line.[0] = 'c' || line.[0] = 'p' then ()
-       else
-         String.split_on_char ' ' line
-         |> List.concat_map (String.split_on_char '\t')
-         |> List.iter (fun tok ->
-                if tok <> "" then
-                  let d = int_of_string tok in
-                  if d = 0 then begin
-                    Asp.Sat.add_clause sat (List.rev !clause);
-                    clause := []
-                  end
-                  else begin
-                    let v = abs d in
-                    ensure_var v;
-                    clause :=
-                      (if d > 0 then Asp.Sat.pos (v - 1) else Asp.Sat.neg (v - 1))
-                      :: !clause
-                  end)
-     done
-   with End_of_file -> ());
-  if !clause <> [] then Asp.Sat.add_clause sat (List.rev !clause)
+  let decimal tok =
+    let digits = if tok.[0] = '-' then String.sub tok 1 (String.length tok - 1) else tok in
+    if digits <> "" && String.for_all (fun c -> c >= '0' && c <= '9') digits
+    then int_of_string_opt tok
+    else None
+  in
+  let rec lines nvars clauses clause =
+    match input_line ic with
+    | exception End_of_file -> finish nvars clauses clause
+    | line -> (
+      incr lineno;
+      let toks =
+        String.split_on_char ' ' line
+        |> List.concat_map (String.split_on_char '\t')
+        |> List.map String.trim
+        |> List.filter (( <> ) "")
+      in
+      match (toks, nvars) with
+      | [], _ -> lines nvars clauses clause
+      | tok :: _, _ when tok.[0] = 'c' -> lines nvars clauses clause
+      | tok :: _, _ when tok.[0] = '%' -> finish nvars clauses clause
+      | [ "p"; "cnf"; v; c ], None -> (
+        match (decimal v, decimal c) with
+        | Some v, Some c when v >= 0 && c >= 0 -> lines (Some v) clauses clause
+        | _ -> bad "malformed header %S" (String.trim line))
+      | "p" :: _, Some _ -> bad "second header"
+      | _, None -> bad "expected a \"p cnf VARS CLAUSES\" header"
+      | toks, Some n -> literals n clauses clause toks)
+  and literals n clauses clause = function
+    | [] -> lines (Some n) clauses clause
+    | tok :: rest -> (
+      match decimal tok with
+      | None -> bad "not an integer: %S" tok
+      | Some 0 -> literals n (List.rev clause :: clauses) [] rest
+      | Some d when d < -n || d > n -> bad "literal %d outside 1..%d" d n
+      | Some d -> literals n clauses (d :: clause) rest)
+  and finish nvars clauses clause =
+    match nvars with
+    | None -> bad "missing \"p cnf VARS CLAUSES\" header"
+    | Some _ ->
+      let clauses = if clause = [] then clauses else List.rev clause :: clauses in
+      Ok (List.rev clauses)
+  in
+  lines None [] []
 
 let dimacs_lit l =
   let v = Asp.Sat.lit_var l + 1 in
@@ -533,15 +555,31 @@ let emit_drup path steps =
     steps
 
 let solve_dimacs ?(portfolio = 1) dimacs proof_file =
+  match parse_dimacs dimacs with
+  | Error e ->
+    Format.eprintf "parse error: %s@." e;
+    1
+  | Ok clauses ->
   let sat = Asp.Sat.create () in
   if proof_file <> None then Asp.Sat.enable_proof sat;
-  parse_dimacs sat dimacs;
+  (* DIMACS variable v (1-based) is internal variable v-1; only the
+     variables the clauses mention are allocated. *)
+  List.iter
+    (fun clause ->
+      Asp.Sat.add_clause sat
+        (List.map
+           (fun d ->
+             let v = abs d - 1 in
+             while Asp.Sat.nvars sat <= v do ignore (Asp.Sat.new_var sat) done;
+             if d > 0 then Asp.Sat.pos v else Asp.Sat.neg v)
+           clause))
+    clauses;
   (* DIMACS races use the first-model election rule: any verdict wins
      (the verdict is still deterministic; the particular model of a SAT
      answer may come from a racer). *)
   if portfolio > 1 then
     Asp.Sat.set_portfolio sat
-      (Some (Asp.Solver_intf.portfolio ~first_model:true portfolio));
+      (Some (Asp.Sat.portfolio ~first_model:true portfolio));
   let t0 = Unix.gettimeofday () in
   let res = Asp.Sat.solve sat in
   let dt = Unix.gettimeofday () -. t0 in
@@ -626,10 +664,18 @@ let solve_cmd =
       Format.eprintf "error: provide a FILE or -e PROGRAM@.";
       2
     | Some text -> (
-      match Asp.solve_text text with
+      match Asp.parse text with
       | exception Asp.Parser.Parse_error e ->
         Format.eprintf "parse error: %s@." e;
         1
+      | program ->
+      (* The grounder rejects unsafe rules with [Invalid_argument]. *)
+      match Asp.Ground.ground program with
+      | exception Invalid_argument e ->
+        Format.eprintf "ground error: %s@." e;
+        1
+      | ground ->
+      match Asp.Logic.solve ground with
       | Asp.Logic.Unsat _ ->
         Format.printf "UNSATISFIABLE@.";
         1

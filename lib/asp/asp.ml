@@ -19,9 +19,7 @@ module Ast = Ast
 module Lexer = Lexer
 module Parser = Parser
 module Ground = Ground
-module Solver_intf = Solver_intf
 module Sat = Sat
-module Sat_baseline = Sat_baseline
 module Logic = Logic
 
 let parse = Parser.parse_program

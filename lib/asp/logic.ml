@@ -12,23 +12,6 @@ type outcome = Sat of model | Unsat of Sat.proof_step list option
    check, accepting possibly non-stable SAT models. *)
 let hook_skip_unfounded = ref false
 
-(* Operations every solver instantiation provides (see logic.mli for
-   the documented copy). *)
-module type S = sig
-  val solve :
-    ?certify:bool -> ?obs:Obs.ctx -> ?budget:Solver_intf.budget ->
-    ?portfolio:int -> Ground.t -> outcome
-  val holds : model -> Ast.atom -> bool
-  val enumerate : ?limit:int -> Ground.t -> model list
-end
-
-(* The stable-model layer is generic over the CDCL core ([Solver_intf.S]):
-   the production instance runs on the glucose-class [Sat]; [Baseline]
-   runs on the pre-arena [Sat_baseline] for differential testing and
-   the sat-smoke bench. The model/outcome types are shared, so results
-   from the two instances compare directly. *)
-module Make (S : Solver_intf.S) = struct
-
 (* Internal record of a rule after translation, for the stable check. *)
 type trule = {
   t_head : thead;
@@ -41,7 +24,7 @@ and thead = T_atom of int | T_choice of int list
 
 type ctx = {
   g : Ground.t;
-  sat : S.t;
+  sat : Sat.t;
   (* atom id -> SAT var (identity by construction, kept explicit) *)
   atom_var : int array;
   trules : trule list;
@@ -52,8 +35,8 @@ type ctx = {
 }
 
 let body_lits ctx pos neg =
-  List.map (fun id -> S.pos ctx.atom_var.(id)) pos
-  @ List.map (fun id -> S.neg ctx.atom_var.(id)) neg
+  List.map (fun id -> Sat.pos ctx.atom_var.(id)) pos
+  @ List.map (fun id -> Sat.neg ctx.atom_var.(id)) neg
 
 (* A literal equivalent to the conjunction of the body: single-literal
    bodies are represented by that literal directly; longer bodies get a
@@ -62,37 +45,37 @@ let body_lits ctx pos neg =
 let make_body_lit ctx cache pos neg =
   match (pos, neg) with
   | [], [] -> -1
-  | [ x ], [] -> S.pos ctx.atom_var.(x)
-  | [], [ y ] -> S.neg ctx.atom_var.(y)
+  | [ x ], [] -> Sat.pos ctx.atom_var.(x)
+  | [], [ y ] -> Sat.neg ctx.atom_var.(y)
   | _ -> (
     let key = (List.sort Int.compare pos, List.sort Int.compare neg) in
     match Hashtbl.find_opt cache key with
     | Some l -> l
     | None ->
-      let v = S.new_var ctx.sat in
+      let v = Sat.new_var ctx.sat in
       let lits = body_lits ctx pos neg in
-      List.iter (fun l -> S.add_clause ctx.sat [ S.neg v; l ]) lits;
-      S.add_clause ctx.sat (S.pos v :: List.map S.lit_not lits);
-      Hashtbl.add cache key (S.pos v);
-      S.pos v)
+      List.iter (fun l -> Sat.add_clause ctx.sat [ Sat.neg v; l ]) lits;
+      Sat.add_clause ctx.sat (Sat.pos v :: List.map Sat.lit_not lits);
+      Hashtbl.add cache key (Sat.pos v);
+      Sat.pos v)
 
 let translate ?(certify = false) ?(obs = Obs.disabled) g =
   Obs.with_span obs ~cat:"solve" "logic.translate" @@ fun span ->
-  let sat = S.create () in
-  S.set_obs sat obs;
-  if certify then S.enable_proof sat;
+  let sat = Sat.create () in
+  Sat.set_obs sat obs;
+  if certify then Sat.enable_proof sat;
   let n = Ground.atom_count g in
-  let atom_var = Array.init n (fun _ -> S.new_var sat) in
+  let atom_var = Array.init n (fun _ -> Sat.new_var sat) in
   (* Atoms with no possible derivation are constant false. *)
   for id = 0 to n - 1 do
-    if not (Ground.possible g id) then S.add_clause sat [ S.neg atom_var.(id) ]
+    if not (Ground.possible g id) then Sat.add_clause sat [ Sat.neg atom_var.(id) ]
   done;
   let ctx =
     { g; sat; atom_var; trules = []; stable_checks = 0; loop_clauses = 0; obs }
   in
   Obs.set_attr span "atoms" (Obs.I n);
   let body_cache = Hashtbl.create 1024 in
-  let supports : (int, Solver_intf.lit list ref) Hashtbl.t = Hashtbl.create 1024 in
+  let supports : (int, Sat.lit list ref) Hashtbl.t = Hashtbl.create 1024 in
   let facts : (int, unit) Hashtbl.t = Hashtbl.create 256 in
   let free : (int, unit) Hashtbl.t = Hashtbl.create 256 in
   let add_support id l =
@@ -105,17 +88,17 @@ let translate ?(certify = false) ?(obs = Obs.disabled) g =
     (fun (r : Ground.grule) ->
       match r.Ground.ghead with
       | Ground.Gconstraint ->
-        S.add_clause sat (List.map S.lit_not (body_lits ctx r.gpos r.gneg))
+        Sat.add_clause sat (List.map Sat.lit_not (body_lits ctx r.gpos r.gneg))
       | Ground.Gatom h ->
         if r.gpos = [] && r.gneg = [] then begin
-          S.add_clause sat [ S.pos atom_var.(h) ];
+          Sat.add_clause sat [ Sat.pos atom_var.(h) ];
           Hashtbl.replace facts h ();
           trules := { t_head = T_atom h; t_pos = []; t_neg = []; t_body_lit = -1 } :: !trules
         end
         else begin
           let b = make_body_lit ctx body_cache r.gpos r.gneg in
           (* body -> head *)
-          S.add_clause sat [ S.lit_not b; S.pos atom_var.(h) ];
+          Sat.add_clause sat [ Sat.lit_not b; Sat.pos atom_var.(h) ];
           add_support h b;
           trules :=
             { t_head = T_atom h; t_pos = r.gpos; t_neg = r.gneg; t_body_lit = b }
@@ -148,16 +131,16 @@ let translate ?(certify = false) ?(obs = Obs.disabled) g =
         | Some u when u < ne ->
           if u < 0 then
             (match b_lit with
-            | None -> S.add_clause sat []
-            | Some l -> S.add_clause sat [ S.lit_not l ])
+            | None -> Sat.add_clause sat []
+            | Some l -> Sat.add_clause sat [ Sat.lit_not l ])
           else
-            let wl = List.map (fun e -> (1, S.pos atom_var.(e))) gelems in
+            let wl = List.map (fun e -> (1, Sat.pos atom_var.(e))) gelems in
             let wl, bound =
               match b_lit with
               | None -> (wl, u)
               | Some l -> ((ne - u, l) :: wl, ne)
             in
-            S.add_pb_le sat wl bound
+            Sat.add_pb_le sat wl bound
         | _ -> ());
         (* Lower bound: sum of elems >= lo, i.e. sum of negations
            <= ne - lo, whenever the body holds. *)
@@ -165,16 +148,16 @@ let translate ?(certify = false) ?(obs = Obs.disabled) g =
         | Some l0 when l0 > 0 ->
           if l0 > ne then
             (match b_lit with
-            | None -> S.add_clause sat []
-            | Some l -> S.add_clause sat [ S.lit_not l ])
+            | None -> Sat.add_clause sat []
+            | Some l -> Sat.add_clause sat [ Sat.lit_not l ])
           else
-            let wl = List.map (fun e -> (1, S.neg atom_var.(e))) gelems in
+            let wl = List.map (fun e -> (1, Sat.neg atom_var.(e))) gelems in
             let wl, bound =
               match b_lit with
               | None -> (wl, ne - l0)
               | Some l -> ((l0, l) :: wl, ne)
             in
-            S.add_pb_le sat wl bound
+            Sat.add_pb_le sat wl bound
         | _ -> ()))
     (Ground.rules g);
   (* Completion: every true atom needs some support. *)
@@ -182,7 +165,7 @@ let translate ?(certify = false) ?(obs = Obs.disabled) g =
     if Ground.possible g id && not (Hashtbl.mem facts id) && not (Hashtbl.mem free id)
     then begin
       let sup = match Hashtbl.find_opt supports id with Some r -> !r | None -> [] in
-      S.add_clause sat (S.neg atom_var.(id) :: sup)
+      Sat.add_clause sat (Sat.neg atom_var.(id) :: sup)
     end
   done;
   { ctx with trules = !trules }
@@ -195,7 +178,7 @@ type objective = {
 }
 
 let build_objectives ctx =
-  let groups : (string, int * int * Solver_intf.lit list list) Hashtbl.t = Hashtbl.create 64 in
+  let groups : (string, int * int * Sat.lit list list) Hashtbl.t = Hashtbl.create 64 in
   (* key -> (weight, priority, list of condition clauses) *)
   List.iter
     (fun (m : Ground.gmin) ->
@@ -210,11 +193,11 @@ let build_objectives ctx =
   Hashtbl.iter
     (fun _key (w, p, conds) ->
       if w > 0 then begin
-        let t = S.new_var ctx.sat in
+        let t = Sat.new_var ctx.sat in
         (* Each satisfied condition forces the tuple to count. *)
         List.iter
           (fun cond ->
-            S.add_clause ctx.sat (S.pos t :: List.map S.lit_not cond))
+            Sat.add_clause ctx.sat (Sat.pos t :: List.map Sat.lit_not cond))
           conds;
         match Hashtbl.find_opt by_priority p with
         | Some r -> r := (w, t) :: !r
@@ -233,7 +216,7 @@ let build_objectives ctx =
 
 let objective_cost ctx obj =
   List.fold_left
-    (fun acc (w, t) -> if S.value ctx.sat t then acc + w else acc)
+    (fun acc (w, t) -> if Sat.value ctx.sat t then acc + w else acc)
     0 obj.terms
 
 (* ----- stability check -------------------------------------------- *)
@@ -241,7 +224,7 @@ let objective_cost ctx obj =
 (* Compute the least model of the reduct w.r.t. the candidate model and
    return the unfounded set (true atoms without well-founded support). *)
 let unfounded_set ctx =
-  let truth id = S.value ctx.sat ctx.atom_var.(id) in
+  let truth id = Sat.value ctx.sat ctx.atom_var.(id) in
   let rules = ctx.trules in
   (* Only rules whose negative body holds in the model survive the
      reduct. Count outstanding positive subgoals per rule. *)
@@ -318,19 +301,19 @@ let add_loop_clauses ctx unfounded =
     ctx.trules;
   List.iter
     (fun a ->
-      S.add_clause ctx.sat (S.neg ctx.atom_var.(a) :: !externals);
+      Sat.add_clause ctx.sat (Sat.neg ctx.atom_var.(a) :: !externals);
       ctx.loop_clauses <- ctx.loop_clauses + 1)
     unfounded
 
 (* Solve and keep refining until the SAT model is a stable model. *)
 let sat_solve_traced ctx ~assumptions =
   Obs.with_span ctx.obs ~cat:"solve" "sat.solve" (fun sp ->
-      let before = if Obs.enabled ctx.obs then S.stats ctx.sat else [] in
-      let r = S.solve ~assumptions ctx.sat in
+      let before = if Obs.enabled ctx.obs then Sat.stats ctx.sat else [] in
+      let r = Sat.solve ~assumptions ctx.sat in
       if Obs.enabled ctx.obs then
         List.iter
           (fun (k, v) -> Obs.set_attr sp k (Obs.I v))
-          (S.stats_delta ~before ctx.sat);
+          (Sat.stats_delta ~before ctx.sat);
       Obs.set_attr sp "sat" (Obs.B r);
       r)
 
@@ -353,7 +336,7 @@ let solve_stable ctx ~assumptions =
 let extract_atoms ctx =
   let out = ref [] in
   for id = Ground.atom_count ctx.g - 1 downto 0 do
-    if Ground.possible ctx.g id && S.value ctx.sat ctx.atom_var.(id) then
+    if Ground.possible ctx.g id && Sat.value ctx.sat ctx.atom_var.(id) then
       out := Ground.atom_of_id ctx.g id :: !out
   done;
   !out
@@ -375,9 +358,9 @@ let optimize ?(portfolio = 1) ctx objectives =
   let initial_stable () =
     if portfolio <= 1 then solve_stable ctx ~assumptions:[]
     else begin
-      S.set_portfolio ctx.sat (Some (Solver_intf.portfolio portfolio));
+      Sat.set_portfolio ctx.sat (Some (Sat.portfolio portfolio));
       Fun.protect
-        ~finally:(fun () -> S.set_portfolio ctx.sat None)
+        ~finally:(fun () -> Sat.set_portfolio ctx.sat None)
         (fun () -> solve_stable ctx ~assumptions:[])
     end
   in
@@ -388,7 +371,7 @@ let optimize ?(portfolio = 1) ctx objectives =
     let assume extra = extra @ !frozen in
     List.iter
       (fun obj ->
-        let terms = List.map (fun (w, t) -> (w, S.pos t)) obj.terms in
+        let terms = List.map (fun (w, t) -> (w, Sat.pos t)) obj.terms in
         let total = List.fold_left (fun acc (w, _) -> acc + w) 0 obj.terms in
         let current = ref (objective_cost ctx obj) in
         let improved = ref true in
@@ -396,15 +379,15 @@ let optimize ?(portfolio = 1) ctx objectives =
           let bound = !current - 1 in
           if bound >= total then improved := false
           else begin
-            let a = S.new_var ctx.sat in
+            let a = Sat.new_var ctx.sat in
             (* sum + (total - bound) * a <= total: active iff a. *)
-            S.add_pb_le ctx.sat ((total - bound, S.pos a) :: terms) total;
+            Sat.add_pb_le ctx.sat ((total - bound, Sat.pos a) :: terms) total;
             let probe_sat =
               Obs.with_span ctx.obs ~cat:"solve" "opt.probe"
                 ~attrs:
                   [ ("priority", Obs.I obj.priority); ("bound", Obs.I bound) ]
                 (fun sp ->
-                  let r = solve_stable ctx ~assumptions:(assume [ S.pos a ]) in
+                  let r = solve_stable ctx ~assumptions:(assume [ Sat.pos a ]) in
                   Obs.set_attr sp "sat" (Obs.B r);
                   r)
             in
@@ -418,7 +401,7 @@ let optimize ?(portfolio = 1) ctx objectives =
               if c >= !current then improved := false else current := c
             end
             else begin
-              S.add_clause ctx.sat [ S.neg a ];
+              Sat.add_clause ctx.sat [ Sat.neg a ];
               improved := false;
               (* Re-establish a model consistent with the frozen levels
                  for cost extraction at lower levels. *)
@@ -429,9 +412,9 @@ let optimize ?(portfolio = 1) ctx objectives =
         done;
         (* Freeze this level at its minimum for the levels below. *)
         if !current < total then begin
-          let f = S.new_var ctx.sat in
-          S.add_pb_le ctx.sat ((total - !current, S.pos f) :: terms) total;
-          frozen := S.pos f :: !frozen;
+          let f = Sat.new_var ctx.sat in
+          Sat.add_pb_le ctx.sat ((total - !current, Sat.pos f) :: terms) total;
+          frozen := Sat.pos f :: !frozen;
           let ok = solve_stable ctx ~assumptions:(assume []) in
           assert ok
         end)
@@ -441,15 +424,15 @@ let optimize ?(portfolio = 1) ctx objectives =
 
 let solve ?(certify = false) ?(obs = Obs.disabled) ?budget ?(portfolio = 1) g =
   let ctx = translate ~certify ~obs g in
-  S.set_budget ctx.sat budget;
+  Sat.set_budget ctx.sat budget;
   let objectives = build_objectives ctx in
   match optimize ~portfolio ctx objectives with
-  | None -> Unsat (S.proof ctx.sat)
+  | None -> Unsat (Sat.proof ctx.sat)
   | Some costs ->
     Sat
       { atoms = extract_atoms ctx;
         costs;
-        sat_stats = S.stats ctx.sat;
+        sat_stats = Sat.stats ctx.sat;
         stable_checks = ctx.stable_checks;
         loop_clauses = ctx.loop_clauses }
 
@@ -465,7 +448,7 @@ let enumerate ?(limit = 64) g =
       models :=
         { atoms;
           costs = [];
-          sat_stats = S.stats ctx.sat;
+          sat_stats = Sat.stats ctx.sat;
           stable_checks = ctx.stable_checks;
           loop_clauses = ctx.loop_clauses }
         :: !models;
@@ -474,19 +457,13 @@ let enumerate ?(limit = 64) g =
         List.concat
           (List.init (Ground.atom_count ctx.g) (fun id ->
                if not (Ground.possible ctx.g id) then []
-               else if S.value ctx.sat ctx.atom_var.(id) then
-                 [ S.neg ctx.atom_var.(id) ]
-               else [ S.pos ctx.atom_var.(id) ]))
+               else if Sat.value ctx.sat ctx.atom_var.(id) then
+                 [ Sat.neg ctx.atom_var.(id) ]
+               else [ Sat.pos ctx.atom_var.(id) ]))
       in
       if blocking = [] then continue_search := false
-      else S.add_clause ctx.sat blocking
+      else Sat.add_clause ctx.sat blocking
     end
     else continue_search := false
   done;
   List.rev !models
-
-end
-
-include Make (Sat)
-
-module Baseline = Make (Sat_baseline)

@@ -1,8 +1,4 @@
-(* Glucose-class CDCL core.
-
-   The solver keeps the same external API as the MiniSat-style core it
-   replaced ([Sat_baseline] preserves that one for differential
-   testing) but reworks every hot loop:
+(* Glucose-class CDCL core. Its data structures and policies:
 
    - clauses of size >= 3 live in a flat growable int array (the
      arena); a clause reference ([cref]) is the index of its header.
@@ -30,6 +26,8 @@
      and the worst half deleted, with [P_delete] proof steps.
    - first-UIP clauses are shrunk by recursive (self-subsuming)
      minimization before being logged/attached.
+   - target-phase rephasing at restart boundaries is the one search
+     heuristic beyond these: it gets the solver out of phase traps.
 
    Deletion leaves dead words behind; a compacting GC pass rewrites
    the arena and patches watcher payloads and reason references when
@@ -84,50 +82,34 @@ type restart_mode = Luby | Glucose
    against each other without threading an argument through [Logic]. *)
 let default_restart_mode = ref Glucose
 
-(* Inprocessing configuration. Passes run at restart boundaries, at
-   decision level 0, and each pass spends at most [ip_budget]
-   propagations. Every rewrite emits DRUP steps, so proofs from an
-   inprocessed run still certify. *)
-type inprocess = {
-  ip_enabled : bool;
-  ip_vivify : bool;        (* clause vivification (+ self-subsumption) *)
-  ip_subsume : bool;       (* clause-clause subsumption over the arena *)
-  ip_probe : bool;         (* failed-literal probing on binary roots *)
-  ip_rephase : bool;       (* target-phase rephasing *)
-  ip_budget : int;         (* propagation budget per pass *)
-  ip_interval : int;       (* conflicts between passes *)
+(* A per-solve resource budget, set once on a solver and honored by
+   every subsequent [solve] call until replaced. [b_conflicts] caps the
+   conflicts a single [solve] call may spend; [b_stop] is an external
+   preemption probe (typically "has this request's deadline passed?")
+   polled every [stop_poll_interval] conflicts, so a wedged search is
+   interrupted within a bounded amount of work. *)
+type budget = {
+  b_conflicts : int option;
+  b_stop : (unit -> bool) option;
 }
 
-let inprocess_on =
-  { ip_enabled = true;
-    ip_vivify = true;
-    ip_subsume = true;
-    ip_probe = true;
-    ip_rephase = true;
-    ip_budget = 20_000;
-    ip_interval = 4_000 }
+(* Conflicts between two [b_stop] polls. Small enough that a deadline
+   overrun is noticed promptly, large enough that polling (a closure
+   call, possibly a clock read) stays off the hot path. *)
+let stop_poll_interval = 32
 
-let inprocess_off =
-  { inprocess_on with
-    ip_enabled = false;
-    ip_vivify = false;
-    ip_subsume = false;
-    ip_probe = false;
-    ip_rephase = false }
+(* Raised by [solve] when the active budget is exhausted. The solver is
+   left at decision level 0 and remains usable. *)
+exception Timeout
 
-(* Read once at [create], like [default_restart_mode]. *)
-let default_inprocess = ref inprocess_on
-
-(* Chronological backtracking: when the asserting level is more than
-   this many levels below the conflict level, undo only the top level
-   instead of the full jump (0 disables). Read once at [create]. *)
-let default_chrono = ref 100
-
-type portfolio = Solver_intf.portfolio = {
+type portfolio = {
   pf_n : int;
   pf_first_model : bool;
   pf_exchange : bool;
 }
+
+let portfolio ?(first_model = false) ?(exchange = true) n =
+  { pf_n = n; pf_first_model = first_model; pf_exchange = exchange }
 
 (* Per-rank summary of a portfolio race, kept for stats reporting. *)
 type portfolio_report = {
@@ -182,7 +164,7 @@ type pb = {
   prefix : lit list;     (* negations of level-0-true lits folded into [bound] *)
 }
 
-type proof_step = Solver_intf.proof_step =
+type proof_step =
   | P_input of lit list
   | P_pb_input of (int * lit) list * int
   | P_pb_lemma of int * lit list
@@ -243,9 +225,6 @@ type t = {
   c_reduces : Obs.Stats.counter;
   c_removed : Obs.Stats.counter;
   c_minimized : Obs.Stats.counter;
-  c_vivified : Obs.Stats.counter;
-  c_subsumed : Obs.Stats.counter;
-  c_probed_failed : Obs.Stats.counter;
   c_rephases : Obs.Stats.counter;
   c_exchanged_in : Obs.Stats.counter;
   c_exchanged_out : Obs.Stats.counter;
@@ -268,12 +247,7 @@ type t = {
   mutable proof : proof_step list option;
   mutable n_pb_inputs : int;
   (* preemption budget, applied per [solve] call *)
-  mutable budget : Solver_intf.budget option;
-  (* inprocessing *)
-  mutable inprocess : inprocess;
-  mutable next_inprocess : int;      (* conflict count of next pass *)
-  mutable ip_cursor : int;           (* vivification resume position *)
-  mutable chrono : int;              (* level gap enabling chrono BT; 0 = off *)
+  mutable budget : budget option;
   (* target-phase rephasing *)
   mutable target_phase : Bytes.t;    (* assignment at the deepest trail seen *)
   mutable best_trail : int;
@@ -301,9 +275,6 @@ let create () =
   let c_reduces = Obs.Stats.counter stat_set "reduces" in
   let c_removed = Obs.Stats.counter stat_set "removed" in
   let c_minimized = Obs.Stats.counter stat_set "minimized" in
-  let c_vivified = Obs.Stats.counter stat_set "vivified" in
-  let c_subsumed = Obs.Stats.counter stat_set "subsumed" in
-  let c_probed_failed = Obs.Stats.counter stat_set "probed_failed" in
   let c_rephases = Obs.Stats.counter stat_set "rephases" in
   let c_exchanged_in = Obs.Stats.counter stat_set "exchanged_in" in
   let c_exchanged_out = Obs.Stats.counter stat_set "exchanged_out" in
@@ -345,9 +316,6 @@ let create () =
     c_reduces;
     c_removed;
     c_minimized;
-    c_vivified;
-    c_subsumed;
-    c_probed_failed;
     c_rephases;
     c_exchanged_in;
     c_exchanged_out;
@@ -366,10 +334,6 @@ let create () =
     proof = None;
     n_pb_inputs = 0;
     budget = None;
-    inprocess = !default_inprocess;
-    next_inprocess = 1000;
-    ip_cursor = 0;
-    chrono = !default_chrono;
     target_phase = Bytes.create 0;
     best_trail = 0;
     next_rephase = 1000;
@@ -398,16 +362,6 @@ let hook_drop_pb = ref false
 let set_restart_mode s m = s.restart_mode <- m
 
 let set_budget s b = s.budget <- b
-
-let set_inprocess s ip =
-  s.inprocess <- ip;
-  (* A tighter interval takes effect now, not after the previously
-     scheduled pass — tests rely on small instances inprocessing. *)
-  if ip.ip_enabled then
-    s.next_inprocess <-
-      min s.next_inprocess (s.conflict_count + ip.ip_interval)
-
-let set_chrono s n = s.chrono <- max 0 n
 
 let set_portfolio s pf = s.portfolio <- pf
 
@@ -1244,13 +1198,7 @@ let reduce_db s =
   done;
   if s.wasted * 3 > s.arena_top then compact_arena s
 
-(* -- inprocessing -------------------------------------------------- *)
-
-(* Every pass below runs at decision level 0 and is verdict-preserving:
-   each rewrite replaces a clause by one that is RUP-derivable from the
-   database still containing the original, emits [P_derived new] then
-   [P_delete old], and only then retires the original — so an
-   inprocessed UNSAT proof replays through [Fuzz.Drup] unchanged. *)
+(* -- rephasing ------------------------------------------------------ *)
 
 let xorshift x =
   let x = x lxor (x lsl 13) in
@@ -1291,274 +1239,6 @@ let rephase s =
   s.rephase_kind <- s.rephase_kind + 1;
   s.rephase_interval <- s.rephase_interval + (s.rephase_interval / 2);
   s.next_rephase <- s.conflict_count + s.rephase_interval
-
-(* Replace clause [cref] (literals [old_lits]) by [new_lits], which the
-   caller proved RUP against the current database. Shared by
-   vivification and self-subsumption. *)
-let replace_clause s cref old_lits new_lits =
-  let learnt = cl_learnt s cref in
-  let old_lbd = cl_lbd s cref in
-  Obs.Stats.incr s.c_vivified;
-  log_step s (P_derived new_lits);
-  log_step s (P_delete old_lits);
-  cl_delete s cref;
-  if learnt then begin
-    s.n_learnts <- s.n_learnts - 1;
-    s.n_arena_learnts <- s.n_arena_learnts - 1
-  end
-  else s.n_clauses <- s.n_clauses - 1;
-  match new_lits with
-  | [] ->
-    log_step s (P_derived []);
-    s.ok <- false
-  | [ l ] -> (
-    match lit_value s l with
-    | 0 -> (
-      enqueue s l r_none;
-      match propagate s with
-      | Some _ ->
-        log_step s (P_derived []);
-        s.ok <- false
-      | None -> ())
-    | 2 ->
-      log_step s (P_derived []);
-      s.ok <- false
-    | _ -> ())
-  | [ a; b ] ->
-    attach_binary s a b;
-    if learnt then s.n_learnts <- s.n_learnts + 1
-    else s.n_clauses <- s.n_clauses + 1
-  | lits ->
-    let arr = Array.of_list lits in
-    let lbd = if learnt then min old_lbd (Array.length arr) else 0 in
-    let cref' = alloc_clause s arr ~learnt ~lbd in
-    if learnt then begin
-      Vec.push s.learnts cref';
-      s.n_learnts <- s.n_learnts + 1;
-      s.n_arena_learnts <- s.n_arena_learnts + 1
-    end
-    else begin
-      Vec.push s.clauses cref';
-      s.n_clauses <- s.n_clauses + 1
-    end;
-    attach_cref s cref'
-
-(* Vivify one clause: assume the negation of each literal in turn and
-   propagate. A conflict after a strict prefix, an implied-true
-   literal, or a falsified literal each yield a stronger clause —
-   RUP-checkable because the original is still in the database while
-   the new one is derived. The clause stays attached during the probe;
-   self-propagation through it can only mask an improvement, never
-   produce an unsound one. *)
-let vivify_clause s cref budget =
-  if
-    (not (cl_deleted s cref))
-    && cl_size s cref >= 3
-    && not (cl_locked s cref)
-  then begin
-    let n = cl_size s cref in
-    let lits = Array.init n (fun i -> cl_lit s cref i) in
-    let out = ref [] in
-    let changed = ref false in
-    let i = ref 0 in
-    let stop = ref `Scan_done in
-    (try
-       while !i < n do
-         let l = lits.(!i) in
-         (match lit_value s l with
-         | 1 ->
-           stop := `True;
-           raise Exit
-         | 2 -> changed := true (* false under the kept prefix: drop *)
-         | _ ->
-           if !budget <= 0 then begin
-             stop := `Budget;
-             raise Exit
-           end;
-           out := l :: !out;
-           Vec.push s.trail_lim (Vec.size s.trail);
-           enqueue s (lit_not l) r_decision;
-           let t0 = Vec.size s.trail in
-           let confl = propagate s in
-           budget := !budget - (Vec.size s.trail - t0) - 1;
-           (match confl with
-           | Some _ ->
-             stop := `Conflict;
-             raise Exit
-           | None -> ()));
-         incr i
-       done
-     with Exit -> ());
-    cancel_until s 0;
-    let new_lits =
-      match !stop with
-      | `True ->
-        if !i < n - 1 then changed := true;
-        List.rev (lits.(!i) :: !out)
-      | `Conflict ->
-        if !i < n - 1 then changed := true;
-        List.rev !out
-      | `Budget ->
-        (* The unexamined tail survives untouched; earlier drops are
-           still valid on their own. *)
-        List.rev_append !out
-          (Array.to_list (Array.sub lits !i (n - !i)))
-      | `Scan_done -> List.rev !out
-    in
-    if !changed then replace_clause s cref (Array.to_list lits) new_lits
-  end
-
-(* Round-robin vivification over learnts then problem clauses, resuming
-   where the previous pass left off. *)
-let vivify_pass s budget =
-  let nl = Vec.size s.learnts and nc = Vec.size s.clauses in
-  let total = nl + nc in
-  if total > 0 then begin
-    let visited = ref 0 in
-    while s.ok && !budget > 0 && !visited < total do
-      let idx = (s.ip_cursor + !visited) mod total in
-      let cref =
-        if idx < nl then Vec.get s.learnts idx else Vec.get s.clauses (idx - nl)
-      in
-      vivify_clause s cref budget;
-      incr visited
-    done;
-    s.ip_cursor <- (s.ip_cursor + !visited) mod (max 1 total)
-  end
-
-(* Backward subsumption / self-subsumption over the arena. For each
-   clause C, candidates D are drawn from the occurrence list of C's
-   rarest literal (and its negation, to catch resolutions on that
-   literal): C ⊆ D deletes D; C matching all but one literal of D with
-   exactly one flip strengthens D by resolution. Binaries are not
-   indexed — they never lose to a longer clause anyway. *)
-let subsume_pass s budget =
-  let live = Vec.create 0 in
-  let collect vec =
-    for i = 0 to Vec.size vec - 1 do
-      let cref = Vec.get vec i in
-      if not (cl_deleted s cref) then Vec.push live cref
-    done
-  in
-  collect s.clauses;
-  collect s.learnts;
-  let occ = Array.make (2 * s.nvars) [] in
-  let occ_n = Array.make (2 * s.nvars) 0 in
-  for i = 0 to Vec.size live - 1 do
-    let cref = Vec.get live i in
-    let size = cl_size s cref in
-    for k = 0 to size - 1 do
-      let l = cl_lit s cref k in
-      occ.(l) <- cref :: occ.(l);
-      occ_n.(l) <- occ_n.(l) + 1
-    done
-  done;
-  let marks = Bytes.make (2 * s.nvars) '\000' in
-  let ci = ref 0 in
-  while s.ok && !budget > 0 && !ci < Vec.size live do
-    let c = Vec.get live !ci in
-    if not (cl_deleted s c) && not (cl_locked s c) then begin
-      let csize = cl_size s c in
-      budget := !budget - csize;
-      let min_l = ref (cl_lit s c 0) in
-      for k = 0 to csize - 1 do
-        let l = cl_lit s c k in
-        Bytes.set marks l '\001';
-        if occ_n.(l) < occ_n.(!min_l) then min_l := l
-      done;
-      let check d =
-        if
-          s.ok && d <> c
-          && not (cl_deleted s d)
-          && not (cl_deleted s c)
-          && not (cl_locked s d)
-          && cl_size s d >= csize
-        then begin
-          let dsize = cl_size s d in
-          budget := !budget - dsize;
-          let m = ref 0 and flips = ref 0 and flip_lit = ref 0 in
-          for k = 0 to dsize - 1 do
-            let l = cl_lit s d k in
-            if Bytes.get marks l = '\001' then incr m
-            else if Bytes.get marks (lit_not l) = '\001' then begin
-              incr flips;
-              flip_lit := l
-            end
-          done;
-          if !m = csize then begin
-            (* C ⊆ D: D is redundant while C remains. *)
-            Obs.Stats.incr s.c_subsumed;
-            log_step s (P_delete (cl_lits_list s d));
-            cl_delete s d;
-            if cl_learnt s d then begin
-              s.n_learnts <- s.n_learnts - 1;
-              s.n_arena_learnts <- s.n_arena_learnts - 1
-            end
-            else s.n_clauses <- s.n_clauses - 1
-          end
-          else if !m = csize - 1 && !flips = 1 then begin
-            (* Resolving C and D on [flip_lit] yields D \ {flip_lit}. *)
-            let d_lits = cl_lits_list s d in
-            let new_lits = List.filter (fun l -> l <> !flip_lit) d_lits in
-            Obs.Stats.incr s.c_subsumed;
-            replace_clause s d d_lits new_lits
-          end
-        end
-      in
-      List.iter check occ.(!min_l);
-      List.iter check occ.(lit_not !min_l);
-      for k = 0 to csize - 1 do
-        Bytes.set marks (cl_lit s c k) '\000'
-      done
-    end;
-    incr ci
-  done
-
-(* Failed-literal probing on binary-implication roots. Literal [l] is a
-   root iff some binary clause contains ¬l (out-edges l → …) and none
-   contains l (no in-edges, by implication-graph symmetry); probing
-   roots covers their whole implication subtree. A failed probe yields
-   the unit [¬l], RUP because the propagation that refuted [l] replays
-   in the checker. *)
-let probe_roots s budget =
-  let has_bin l =
-    let ws = s.watches.(l) in
-    let rec go i =
-      i + 1 < Vec.size ws
-      && (Vec.get ws (i + 1) land 1 = 1 || go (i + 2))
-    in
-    go 0
-  in
-  let u = ref 0 in
-  while s.ok && !budget > 0 && !u < 2 * s.nvars do
-    let l = !u in
-    if lit_value s l = 0 && has_bin l && not (has_bin (lit_not l)) then begin
-      Vec.push s.trail_lim (Vec.size s.trail);
-      enqueue s l r_decision;
-      let t0 = Vec.size s.trail in
-      let confl = propagate s in
-      budget := !budget - (Vec.size s.trail - t0) - 1;
-      cancel_until s 0;
-      match confl with
-      | Some _ -> (
-        Obs.Stats.incr s.c_probed_failed;
-        log_step s (P_derived [ lit_not l ]);
-        match lit_value s (lit_not l) with
-        | 0 -> (
-          enqueue s (lit_not l) r_none;
-          match propagate s with
-          | Some _ ->
-            log_step s (P_derived []);
-            s.ok <- false
-          | None -> ())
-        | 2 ->
-          log_step s (P_derived []);
-          s.ok <- false
-        | _ -> ())
-      | None -> ()
-    end;
-    incr u
-  done
 
 (* -- portfolio clause exchange ------------------------------------- *)
 
@@ -1607,23 +1287,11 @@ let import_clauses s =
     (fun (ring, cursor) -> Ring.drain ring cursor (fun cl -> import_one s cl))
     s.exch_in
 
-(* One inprocessing step, entered from a restart boundary at decision
-   level 0: drain portfolio imports, then run the budgeted passes, then
+(* Level-0 work at a restart boundary: drain portfolio imports, then
    rephase on its own (growing) schedule. *)
-let inprocess_step s =
+let restart_step s =
   import_clauses s;
-  if s.ok && s.inprocess.ip_enabled && s.conflict_count >= s.next_inprocess
-  then begin
-    s.next_inprocess <- s.conflict_count + s.inprocess.ip_interval;
-    let budget = ref s.inprocess.ip_budget in
-    if s.inprocess.ip_probe then probe_roots s budget;
-    if s.ok && s.inprocess.ip_vivify then vivify_pass s budget;
-    if s.ok && s.inprocess.ip_subsume then subsume_pass s budget
-  end;
-  if
-    s.ok && s.inprocess.ip_enabled && s.inprocess.ip_rephase
-    && s.conflict_count >= s.next_rephase
-  then rephase s
+  if s.ok && s.conflict_count >= s.next_rephase then rephase s
 
 (* -- search -------------------------------------------------------- *)
 
@@ -1658,7 +1326,7 @@ exception Unsat_exc
 exception Sat_exc
 
 (* Internal marker for budget exhaustion: translated to
-   [Solver_intf.Timeout] after the trail is unwound to level 0. *)
+   [Timeout] after the trail is unwound to level 0. *)
 exception Budget_exc
 
 (* Called once per conflict with the number of conflicts this [solve]
@@ -1668,11 +1336,11 @@ let check_budget s spent =
   match s.budget with
   | None -> ()
   | Some b ->
-    (match b.Solver_intf.b_conflicts with
+    (match b.b_conflicts with
     | Some cap when spent >= cap -> raise Budget_exc
     | _ -> ());
-    (match b.Solver_intf.b_stop with
-    | Some stop when spent mod Solver_intf.stop_poll_interval = 0 && stop () ->
+    (match b.b_stop with
+    | Some stop when spent mod stop_poll_interval = 0 && stop () ->
       raise Budget_exc
     | _ -> ())
 
@@ -1706,17 +1374,6 @@ let learn_lbd s lbd =
   s.ema_slow <- s.ema_slow +. ((f -. s.ema_slow) *. ema_slow_alpha);
   if Obs.enabled s.obs then Obs.observe s.obs "sat.lbd" f
 
-let confl_max_level s = function
-  | C_cref cref ->
-    let m = ref 0 in
-    for i = 0 to cl_size s cref - 1 do
-      let lv = s.level.(lit_var (cl_lit s cref i)) in
-      if lv > !m then m := lv
-    done;
-    !m
-  | C_lits arr ->
-    Array.fold_left (fun m l -> max m s.level.(lit_var l)) 0 arr
-
 let solve_single ?(assumptions = []) s =
   if not s.ok then false
   else begin
@@ -1744,17 +1401,10 @@ let solve_single ?(assumptions = []) s =
              incr spent;
              check_budget s !spent;
              conflict_budget := !conflict_budget -. 1.0;
-             if s.inprocess.ip_rephase && Vec.size s.trail > s.best_trail
-             then begin
+             if Vec.size s.trail > s.best_trail then begin
                s.best_trail <- Vec.size s.trail;
                update_target_phase s
              end;
-             (* Safety net for chronological backtracking: analysis
-                needs at least one literal of the current level, so if
-                the conflict sits entirely below it, fall to the
-                conflict's own maximal level first. *)
-             let clvl = confl_max_level s confl in
-             if clvl < decision_level s then cancel_until s clvl;
              if decision_level s = 0 then begin
                log_step s (P_derived []);
                s.ok <- false;
@@ -1763,19 +1413,6 @@ let solve_single ?(assumptions = []) s =
              (* If the conflict is below the assumption levels we treat
                 it like any other; analysis may drive us to level 0. *)
              let learnt, btlevel, lbd = analyze s confl in
-             (* Chronological backtracking: on a long jump, undo only
-                the current level and re-propagate the asserting
-                literal there — the skipped levels' work is often still
-                valid and gets revisited cheaply. Unit learnts always
-                go to level 0 (their enqueue has no reason clause). *)
-             let btlevel =
-               if
-                 s.chrono > 0
-                 && Array.length learnt >= 2
-                 && decision_level s - btlevel > s.chrono
-               then decision_level s - 1
-               else btlevel
-             in
              cancel_until s btlevel;
              log_step s (P_derived (Array.to_list learnt));
              (match s.exch_out with
@@ -1839,17 +1476,13 @@ let solve_single ?(assumptions = []) s =
                       (fun (r, cur) -> Ring.pending r cur)
                       s.exch_in
                in
-               let due =
-                 s.inprocess.ip_enabled
-                 && (s.conflict_count >= s.next_inprocess
-                    || (s.inprocess.ip_rephase
-                       && s.conflict_count >= s.next_rephase))
-               in
-               if have_imports || due then begin
-                 (* Inprocessing runs at level 0; any assumptions are
-                    re-placed by the [dl < nassum] branch below. *)
+               if have_imports || s.conflict_count >= s.next_rephase
+               then begin
+                 (* Imports and rephasing run at level 0; any
+                    assumptions are re-placed by the [dl < nassum]
+                    branch below. *)
                  cancel_until s 0;
-                 inprocess_step s;
+                 restart_step s;
                  if not s.ok then raise Unsat_exc
                end
                else cancel_until s (min (decision_level s) nassum)
@@ -1893,7 +1526,7 @@ let solve_single ?(assumptions = []) s =
            database) and surface the typed timeout. The solver stays
            reusable. *)
         cancel_until s 0;
-        raise Solver_intf.Timeout);
+        raise Timeout);
       cancel_until s 0;
       match !result with Some r -> r | None -> assert false
     end
@@ -1958,10 +1591,6 @@ let clone s =
   c.max_learnts <- s.max_learnts;
   c.proof <- s.proof;
   c.n_pb_inputs <- s.n_pb_inputs;
-  c.inprocess <- s.inprocess;
-  c.next_inprocess <- s.next_inprocess;
-  c.ip_cursor <- s.ip_cursor;
-  c.chrono <- s.chrono;
   c.target_phase <- Bytes.copy s.target_phase;
   c.best_trail <- s.best_trail;
   c.next_rephase <- s.next_rephase;
@@ -1970,16 +1599,22 @@ let clone s =
   c.rng <- s.rng;
   c
 
+(* The fast rephase schedule: first rephase within 500 conflicts
+   instead of 1000, and every later distance halved with it. *)
+let fast_rephase s =
+  s.rephase_interval <- 500;
+  s.next_rephase <- min s.next_rephase (s.conflict_count + 500)
+
 let config_name rank =
   match rank mod 4 with
   | 0 -> "default"
   | 1 -> "luby+pos-phase"
   | 2 -> "glucose+rand-phase"
-  | _ -> "luby+deep-inprocess"
+  | _ -> "luby+fast-rephase"
 
 (* Rank 0 is the caller's own solver, untouched: the race preserves the
    single-solver trajectory exactly. Higher ranks cycle through
-   diversified restart/polarity/seed/inprocessing settings; ranks >= 4
+   diversified restart/polarity/seed/rephase settings; ranks >= 4
    repeat the cycle under different seeds. *)
 let diversify s rank =
   s.pf_rank <- rank;
@@ -1995,15 +1630,10 @@ let diversify s rank =
       s.rng <- xorshift s.rng;
       Bytes.set s.phase v (if s.rng land 1 = 0 then '\000' else '\001')
     done;
-    s.rephase_interval <- 500;
-    s.next_rephase <- min s.next_rephase (s.conflict_count + 500)
+    fast_rephase s
   | _ ->
     s.restart_mode <- Luby;
-    s.inprocess <-
-      { s.inprocess with
-        ip_budget = s.inprocess.ip_budget * 2;
-        ip_interval = max 500 (s.inprocess.ip_interval / 2) };
-    s.next_inprocess <- min s.next_inprocess (s.conflict_count + 500)
+    fast_rephase s
 
 (* Steps a racer appended after [base] (its shared clone-time prefix),
    oldest-first. Deletions are dropped: a clause one stream deleted may
@@ -2055,28 +1685,28 @@ let solve_portfolio ~assumptions s pf =
       let user_budget = s.budget in
       solvers.(0).budget <-
         Some
-          { Solver_intf.b_conflicts =
+          { b_conflicts =
               (match user_budget with
-              | Some b -> b.Solver_intf.b_conflicts
+              | Some b -> b.b_conflicts
               | None -> None);
             b_stop =
               Some
                 (fun () ->
                   Atomic.get stop
                   || (match user_budget with
-                     | Some { Solver_intf.b_stop = Some f; _ } -> f ()
+                     | Some { b_stop = Some f; _ } -> f ()
                      | _ -> false)) };
       for i = 1 to n - 1 do
         solvers.(i).budget <-
           Some
-            { Solver_intf.b_conflicts = None;
+            { b_conflicts = None;
               b_stop = Some (fun () -> Atomic.get stop) }
       done;
       let run i =
         let si = solvers.(i) in
         let verdict =
           try Some (solve_single ~assumptions si)
-          with Solver_intf.Timeout -> None
+          with Timeout -> None
         in
         results.(i) <- verdict;
         match verdict with
@@ -2122,7 +1752,7 @@ let solve_portfolio ~assumptions s pf =
       if w < 0 then
         (* Everyone was preempted: surface the primary's budget
            exhaustion exactly as a single-solver run would. *)
-        raise Solver_intf.Timeout
+        raise Timeout
       else if w = 0 then
         match results.(0) with Some r -> r | None -> assert false
       else begin

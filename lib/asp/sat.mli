@@ -6,13 +6,14 @@
     recursive clause minimization, LBD-driven learnt-DB reduction,
     glucose-style EMA restarts (Luby available as a fallback mode),
     VSIDS-style activities with lazy generation-based rescaling, phase
-    saving, and a counter-based propagator for linear pseudo-Boolean
-    constraints [sum of w_i over true literals <= bound] (used for
-    choice-rule cardinality bounds and optimization descent).
+    saving with target-phase rephasing, and a counter-based propagator
+    for linear pseudo-Boolean constraints
+    [sum of w_i over true literals <= bound] (used for choice-rule
+    cardinality bounds and optimization descent).
 
-    The pre-arena MiniSat-style core survives as {!Sat_baseline} with
-    an identical interface ({!Solver_intf.S}); differential tests and
-    the [sat-smoke] bench run both.
+    This is the only CDCL core: {!Logic} calls it directly, and tests
+    check it against brute force and the independent DRUP checker
+    ({!Fuzz.Drup}).
 
     Literal encoding: variable [v]'s positive literal is [2 * v],
     its negation [2 * v + 1]. *)
@@ -23,51 +24,60 @@ type lit = int
 
 (** Restart policy. [Glucose] restarts when the fast EMA of learnt
     LBDs runs 1.25x above the slow EMA (search is stuck in a
-    low-quality region); [Luby] keeps the classic conflict budgets of
-    the pre-arena core. *)
+    low-quality region); [Luby] restarts on MiniSat's classic budgets
+    (100 conflicts times the Luby sequence). *)
 type restart_mode = Luby | Glucose
 
 val default_restart_mode : restart_mode ref
 (** Mode picked up by {!create}. Defaults to [Glucose]; flipped by
     tests and benches that compare the two policies. *)
 
-(** Inprocessing configuration: passes run at restart boundaries, at
-    decision level 0, each bounded by [ip_budget] propagations. Every
-    rewrite logs [P_derived new; P_delete old] so UNSAT proofs still
-    certify. [ip_interval] is the conflict distance between passes;
-    rephasing runs on its own growing schedule. *)
-type inprocess = {
-  ip_enabled : bool;
-  ip_vivify : bool;  (** clause vivification (+ self-subsumption) *)
-  ip_subsume : bool;  (** backward subsumption over the arena *)
-  ip_probe : bool;  (** failed-literal probing on binary roots *)
-  ip_rephase : bool;  (** target-phase rephasing *)
-  ip_budget : int;
-  ip_interval : int;
+(** A per-solve resource budget, honored by every {!solve} call until
+    replaced. [b_conflicts] caps the conflicts a single call may spend;
+    [b_stop] is an external preemption probe (typically "has this
+    request's deadline passed?") polled every {!stop_poll_interval}
+    conflicts. *)
+type budget = {
+  b_conflicts : int option;
+  b_stop : (unit -> bool) option;
 }
 
-val inprocess_on : inprocess
-(** The default: everything enabled, 20k propagations per pass, a pass
-    every 4k conflicts. *)
+val stop_poll_interval : int
+(** Conflicts between two [b_stop] polls (32). *)
 
-val inprocess_off : inprocess
+exception Timeout
+(** Raised by {!solve} when the active budget is exhausted. The solver
+    is left at decision level 0: learnt clauses, activities and phases
+    survive, so it remains fully reusable. *)
 
-val default_inprocess : inprocess ref
-(** Configuration picked up by {!create}; benches and tests flip it to
-    measure inprocessing on/off without threading an argument through
-    {!Logic}. *)
+(** Portfolio mode: {!solve} races [pf_n] diversified configurations
+    (restart mode, phase policy, seed, rephase schedule) on clones of
+    the same solver state, exchanging low-LBD learnt clauses through a
+    bounded lock-free ring. The first verdict wins and the winner's
+    proof stream is merged into the primary's certificate.
 
-val default_chrono : int ref
-(** Chronological-backtracking threshold picked up by {!create}: when
-    the asserting level is more than this many levels below the
-    conflict, only the top level is undone. [0] disables. *)
+    [pf_first_model] selects the model-election rule:
+    - [false] (the byte-identity rule used by {!Logic}): only the
+      primary solver — rank 0, the caller's own solver object, which
+      imports no foreign clauses — may report SAT, so the model (and
+      every downstream tie-break) is byte-identical to a single-solver
+      run. Racers contribute UNSAT verdicts only.
+    - [true] (DIMACS/bench rule): the first verdict of either sign wins
+      and a winning racer's model is copied into the primary. The
+      verdict is still deterministic; the particular model is not
+      promised to match a single-solver run.
 
-(** Re-export of {!Solver_intf.portfolio}. *)
-type portfolio = Solver_intf.portfolio = {
+    [pf_exchange] gates learnt-clause exchange (on by default; off is
+    useful for measuring the channel's contribution). *)
+type portfolio = {
   pf_n : int;
   pf_first_model : bool;
   pf_exchange : bool;
 }
+
+val portfolio : ?first_model:bool -> ?exchange:bool -> int -> portfolio
+(** [portfolio n] races [n] lanes under the byte-identity rule, with
+    clause exchange on. *)
 
 (** Outcome summary of the last portfolio race on a solver. *)
 type portfolio_report = {
@@ -81,11 +91,6 @@ type portfolio_report = {
 val create : unit -> t
 
 val set_restart_mode : t -> restart_mode -> unit
-
-val set_inprocess : t -> inprocess -> unit
-
-val set_chrono : t -> int -> unit
-(** Override the {!default_chrono} threshold; [0] disables. *)
 
 val set_portfolio : t -> portfolio option -> unit
 (** Race [pf_n] diversified clones of this solver on every subsequent
@@ -109,14 +114,10 @@ val set_reduce_interval : t -> int -> unit
     2000, +300 after every reduction). Tests lower it to force
     reductions on small instances. *)
 
-val set_budget : t -> Solver_intf.budget option -> unit
+val set_budget : t -> budget option -> unit
 (** Install (or clear, with [None]) a preemption budget honored by
-    every subsequent {!solve} call: [b_conflicts] caps the conflicts a
-    single call may spend, and [b_stop] is polled every
-    {!Solver_intf.stop_poll_interval} conflicts (the deadline hook the
-    solve server uses). Exhaustion raises {!Solver_intf.Timeout} with
-    the solver unwound to level 0 — learnt clauses, activities and
-    phases survive, so the solver remains fully reusable. *)
+    every subsequent {!solve} call (the deadline hook the solve server
+    uses). Exhaustion raises {!Timeout}. *)
 
 val new_var : t -> int
 (** Returns the fresh variable's index. *)
@@ -143,9 +144,8 @@ val lit_sign : lit -> bool
     dropped by [reduce_db], keeping the checker's database in step
     with the solver's. A genuine (assumption-free) UNSAT run logs a
     final [P_derived []]; an independent checker ({!Fuzz.Drup.check})
-    replays the steps and certifies the refutation. The type is shared
-    with {!Sat_baseline} through {!Solver_intf}. *)
-type proof_step = Solver_intf.proof_step =
+    replays the steps and certifies the refutation. *)
+type proof_step =
   | P_input of lit list
   | P_pb_input of (int * lit) list * int
   | P_pb_lemma of int * lit list
@@ -196,10 +196,9 @@ val stats : t -> (string * int) list
 (** Counters: conflicts, decisions, propagations, learned clauses,
     restarts, reduces (learnt-DB reductions), removed (clauses deleted
     by reduction), minimized (literals stripped by clause
-    minimization), vivified (clauses strengthened by vivification or
-    self-subsumption), subsumed, probed_failed (failed literals found
-    by probing), rephases, exchanged_in/exchanged_out (portfolio clause
-    traffic, aggregated across the race's lanes); plus gauges: clauses,
+    minimization), rephases, exchanged_in/exchanged_out (portfolio
+    clause traffic, aggregated across the race's lanes); plus gauges:
+    clauses,
     pbs, vars, learnt_db, arena_words. Stored in an {!Obs.Stats} set;
     this accessor is a snapshot shim. *)
 

@@ -8,7 +8,6 @@ type options = {
   certify : bool;
   prune : bool;
   verify : bool;
-  baseline_solver : bool;
   ground_jobs : int;
   portfolio : int;
   obs : Obs.ctx;
@@ -24,7 +23,6 @@ let default_options =
     certify = false;
     prune = true;
     verify = false;
-    baseline_solver = false;
     ground_jobs = 1;
     portfolio = 1;
     obs = Obs.disabled }
@@ -187,16 +185,11 @@ let concretize_v ~repo ?(options = default_options) ?budget ?closure
   let result =
     match
       Obs.with_span obs ~cat:"concretize" "solve" (fun _ ->
-          (* The two Logic instances share model/outcome types, so the
-             baseline dispatch is invisible downstream. *)
-          if options.baseline_solver then
-            Asp.Logic.Baseline.solve ~certify:options.certify ~obs ?budget ground
-          else
-            Asp.Logic.solve ~certify:options.certify ~obs ?budget
-              ~portfolio:options.portfolio ground)
+          Asp.Logic.solve ~certify:options.certify ~obs ?budget
+            ~portfolio:options.portfolio ground)
     with
     | r -> Some r
-    | exception Asp.Solver_intf.Timeout -> None
+    | exception Asp.Sat.Timeout -> None
   in
   let t3 = now () in
   match result with
@@ -260,16 +253,11 @@ let pp_stats fmt s =
     (sat "clauses") (sat "conflicts") (sat "propagations") (sat "restarts")
     (sat "learnts") s.stable_checks s.encode_seconds s.ground_seconds
     s.solve_seconds s.total_seconds;
-  (* Glucose-core DB-management counters; zero (and omitted) on solves
-     too small to trigger a reduction or minimization. *)
+  (* Glucose-core DB-management and rephase counters; zero (and
+     omitted) on solves too small to trigger them. *)
   if sat "reduces" > 0 then
     Format.fprintf fmt " reduces=%d removed=%d" (sat "reduces") (sat "removed");
   if sat "minimized" > 0 then Format.fprintf fmt " min_lits=%d" (sat "minimized");
-  (* Inprocessing counters; zero (and omitted) when no pass fired. *)
-  if sat "vivified" > 0 then Format.fprintf fmt " vivified=%d" (sat "vivified");
-  if sat "subsumed" > 0 then Format.fprintf fmt " subsumed=%d" (sat "subsumed");
-  if sat "probed_failed" > 0 then
-    Format.fprintf fmt " probed_failed=%d" (sat "probed_failed");
   if sat "rephases" > 0 then Format.fprintf fmt " rephases=%d" (sat "rephases");
   (* Portfolio clause traffic, nonzero only on raced solves. *)
   if sat "exchanged_in" > 0 || sat "exchanged_out" > 0 then

@@ -39,12 +39,6 @@ type options = {
           option (not keyed off tracing being enabled) so overhead
           comparisons of the tracing layer are not polluted by
           verification cost. *)
-  baseline_solver : bool;
-      (** solve on {!Asp.Logic.Baseline} (the pre-arena MiniSat-style
-          CDCL core) instead of the glucose-class default. Outcomes are
-          interchangeable; used by the [sat-smoke] bench and
-          differential tests to compare the two cores on identical
-          encodings. *)
   ground_jobs : int;
       (** partition the grounder's phase-2 instantiation across this
           many OCaml 5 domains ({!Asp.Ground.ground}'s [jobs]); the
@@ -52,11 +46,11 @@ type options = {
   portfolio : int;
       (** race the initial stable solve of every request across this
           many diversified SAT-solver clones (restart mode, phase
-          policy, seed, inprocessing budget), exchanging low-LBD learnt
+          policy, seed, rephase schedule), exchanging low-LBD learnt
           clauses; default 1 (single solver). Results — models, costs,
           tie-breaks, proofs' verdicts — are byte-identical to a
           single-solver run under {!Asp.Logic}'s election rule; only
-          wall time changes. Ignored by the baseline solver. *)
+          wall time changes. *)
   obs : Obs.ctx;
       (** tracing context ({!Obs.disabled} by default): when enabled,
           every request emits a [concretize] span with child
@@ -101,7 +95,7 @@ type failure = {
           UNSAT answer and [options.certify] was set *)
   f_timeout : bool;
       (** the solve was preempted by an exhausted
-          {!Asp.Solver_intf.budget} (deadline or conflict cap) rather
+          {!Asp.Sat.budget} (deadline or conflict cap) rather
           than answered *)
 }
 
@@ -115,7 +109,7 @@ val check_known : repo:Pkg.Repo.t -> Encode.request list -> string option
 val concretize_v :
   repo:Pkg.Repo.t ->
   ?options:options ->
-  ?budget:Asp.Solver_intf.budget ->
+  ?budget:Asp.Sat.budget ->
   ?closure:(string, unit) Hashtbl.t ->
   ?attrs:(string * Obs.value) list ->
   Encode.request list ->

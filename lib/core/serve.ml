@@ -11,7 +11,7 @@
      ([max_queue] enqueued jobs) with a typed [overloaded] rejection
      instead of unbounded latency;
    - per-request deadlines and conflict caps enforced inside the SAT
-     core by the [Asp.Solver_intf.budget] hook — a preempted request
+     core by the [Asp.Sat.budget] hook — a preempted request
      answers [timeout];
    - dependency closures cached by root and dropped whenever the
      buildcache digest changes ([set_reuse] bumps a generation);
@@ -444,12 +444,12 @@ let field_bool k j =
   | Some (Sjson.Bool b) -> b
   | _ -> false
 
-let budget_of ~conflicts ~deadline : Asp.Solver_intf.budget option =
+let budget_of ~conflicts ~deadline : Asp.Sat.budget option =
   match (conflicts, deadline) with
   | None, None -> None
   | _ ->
     Some
-      { Asp.Solver_intf.b_conflicts = conflicts;
+      { Asp.Sat.b_conflicts = conflicts;
         b_stop =
           Option.map (fun d () -> Obs.Clock.now_s () > d) deadline }
 

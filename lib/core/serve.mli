@@ -8,7 +8,7 @@
       with stealing, and bounded admission ([max_queue]) answering a
       typed [overloaded] status instead of queueing without bound;
     - per-request deadlines and conflict caps enforced {e inside} the
-      SAT core via {!Asp.Solver_intf.budget}: a preempted request
+      SAT core via {!Asp.Sat.budget}: a preempted request
       answers [timeout];
     - dependency closures ({!Encode.closure}) cached by root;
       {!set_reuse} bumps a generation when the buildcache digest

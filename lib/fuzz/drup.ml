@@ -57,9 +57,9 @@ type t = {
   (* int-hash of sorted literals -> (sorted literals, clause) pairs,
      for deletion lookup. Keyed by a cheap integer fold rather than the
      literal list itself: polymorphic hashing/equality of lists walks
-     the spine on every probe, which made deletion-heavy inprocessing
-     proofs quadratic to check. Exact match is confirmed against the
-     stored sorted array. *)
+     the spine on every probe, which made deletion-heavy proofs
+     quadratic to check. Exact match is confirmed against the stored
+     sorted array. *)
   db : (int, (int array * clause) list ref) Hashtbl.t;
 }
 
