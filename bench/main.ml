@@ -467,15 +467,34 @@ let ablate () =
           s.Core.Concretizer.ground_rules
       | Error e -> Printf.printf "ablate: %s\n" e)
     [ ("old", Core.Encode.Old); ("hash_attr", Core.Encode.Hash_attr) ];
-  (match
-     concretize ~splicing:true ~pool [ Core.Encode.request_of_string "mfem ^mpiabi" ]
-   with
-  | Ok o ->
-    let s = o.Core.Concretizer.stats in
-    Printf.printf
-      "stable-model machinery: %d candidate models checked during optimization\n"
-      s.Core.Concretizer.stable_checks
-  | Error e -> Printf.printf "ablate: %s\n" e);
+  (* The stability check runs only where positive loops exist: plain
+     mfem grounds to a tight program; with splicing on, the splice
+     rules close positive loops. *)
+  List.iter
+    (fun (text, splicing) ->
+      let obs = Obs.create () in
+      let options =
+        { Core.Concretizer.default_options with
+          Core.Concretizer.splicing;
+          reuse = pool;
+          obs }
+      in
+      match
+        Core.Concretizer.concretize ~repo ~options [ Core.Encode.request_of_string text ]
+      with
+      | Ok _ ->
+        let counter k =
+          match List.assoc_opt k (Obs.metrics obs) with
+          | Some (Obs.Counter n) -> n
+          | _ -> 0
+        in
+        Printf.printf
+          "stable-model machinery (%-12s): %d checks run, %d skipped (tight), %d SCC atoms\n"
+          text (counter "logic.stable_checks")
+          (counter "logic.stable_checks_skipped")
+          (counter "logic.scc_atoms")
+      | Error e -> Printf.printf "ablate: %s\n" e)
+    [ ("mfem", false); ("mfem ^mpiabi", true) ];
   let control = Radiuss.Universe.no_mpi_control in
   let t_off =
     timed_reps (fun () ->

@@ -53,13 +53,14 @@ type store = {
   st_tally : tally;
 }
 
-let store_create () =
-  { tbl = Ast.Atom_tbl.create 4096;
-    arr = Array.make 4096 { Ast.pred = ""; args = [] };
-    possible = Bytes.make 4096 '\000';
+(* [n] is the expected atom count; the arrays double past it. *)
+let store_create n =
+  { tbl = Ast.Atom_tbl.create n;
+    arr = Array.make n { Ast.pred = ""; args = [] };
+    possible = Bytes.make n '\000';
     count = 0;
     by_pred = Hashtbl.create 64;
-    by_pred_arg = Arg_tbl.create 4096;
+    by_pred_arg = Arg_tbl.create n;
     st_tally = { t_hits = 0; t_misses = 0 } }
 
 let store_grow st =
@@ -271,38 +272,48 @@ let pseudo_rules prog =
       | Ast.Minimize _ -> [])
     prog
 
-(* Index pseudo-rules by the predicates of their positive body
-   literals, so a new atom only retriggers relevant rules. *)
+(* A phase-1 trigger: when an atom matching [tr_seed] appears, the
+   pseudo-rule re-fires with the join seeded there and run over the
+   rest of its body. The split is made once, when the index is built. *)
+type trigger = { tr_head : Ast.atom; tr_seed : Ast.atom; tr_rest : Ast.body_lit list }
+
+(* Index triggers by the predicates of their positive body literals,
+   so a new atom only retriggers relevant rules. *)
 let build_trigger_index pseudos =
-  let by_trigger : (string * int, (int * int) list ref) Hashtbl.t = Hashtbl.create 64 in
-  Array.iteri
-    (fun ri p ->
+  let by_trigger : (string * int, trigger list ref) Hashtbl.t = Hashtbl.create 64 in
+  List.iter
+    (fun p ->
       List.iteri
         (fun li lit ->
           match lit with
           | Ast.Pos a ->
-            push_index by_trigger (a.Ast.pred, List.length a.Ast.args) (ri, li)
+            push_index by_trigger
+              (a.Ast.pred, List.length a.Ast.args)
+              { tr_head = p.phead;
+                tr_seed = a;
+                tr_rest = List.filteri (fun i _ -> i <> li) p.pbody }
           | _ -> ())
         p.pbody)
     pseudos;
   by_trigger
 
 let phase1 st prog =
-  let pseudos = Array.of_list (pseudo_rules prog) in
+  let pseudos = pseudo_rules prog in
   let by_trigger = build_trigger_index pseudos in
   let queue = Queue.create () in
+  let fire head lits subst =
+    try
+      join st lits subst ~on_neg:`Ignore ~k:(fun subst _ ->
+          let hid, fresh = intern st (subst_atom head subst) ~possible:true in
+          if fresh then Queue.add hid queue)
+    with Stuck_cmp ->
+      invalid_arg "grounder: comparison with unbound variables (unsafe rule)"
+  in
   (* Seed: rules with no positive body literal fire immediately. *)
-  Array.iter
+  List.iter
     (fun p ->
-      let has_pos = List.exists (function Ast.Pos _ -> true | _ -> false) p.pbody in
-      if not has_pos then
-        try
-          join st p.pbody Term.Smap.empty ~on_neg:`Ignore ~k:(fun subst _ ->
-              let h = subst_atom p.phead subst in
-              let id, fresh = intern st h ~possible:true in
-              if fresh then Queue.add id queue)
-        with Stuck_cmp ->
-          invalid_arg "grounder: comparison with unbound variables (unsafe rule)")
+      if not (List.exists (function Ast.Pos _ -> true | _ -> false) p.pbody) then
+        fire p.phead p.pbody Term.Smap.empty)
     pseudos;
   (* Delta loop: for each new atom, re-evaluate rules triggered through
      the matching body position, seeding the join there. *)
@@ -311,31 +322,15 @@ let phase1 st prog =
     incr iters;
     let id = Queue.pop queue in
     let atom = st.arr.(id) in
-    let triggers =
-      match Hashtbl.find_opt by_trigger (atom.Ast.pred, List.length atom.Ast.args) with
-      | Some l -> !l
-      | None -> []
-    in
-    List.iter
-      (fun (ri, li) ->
-        let p = pseudos.(ri) in
-        (* Split the body: literal [li] is seeded with [atom]. *)
-        let seed_lit = List.nth p.pbody li in
-        let rest = List.filteri (fun i _ -> i <> li) p.pbody in
-        match seed_lit with
-        | Ast.Pos pattern -> (
-          match match_atom ~pattern Term.Smap.empty atom with
+    match Hashtbl.find_opt by_trigger (atom.Ast.pred, List.length atom.Ast.args) with
+    | None -> ()
+    | Some triggers ->
+      List.iter
+        (fun tr ->
+          match match_atom ~pattern:tr.tr_seed Term.Smap.empty atom with
           | None -> ()
-          | Some subst -> (
-            try
-              join st rest subst ~on_neg:`Ignore ~k:(fun subst _ ->
-                  let h = subst_atom p.phead subst in
-                  let hid, fresh = intern st h ~possible:true in
-                  if fresh then Queue.add hid queue)
-            with Stuck_cmp ->
-              invalid_arg "grounder: comparison with unbound variables (unsafe rule)"))
-        | _ -> assert false)
-      triggers
+          | Some subst -> fire tr.tr_head tr.tr_rest subst)
+        !triggers
   done;
   !iters
 
@@ -457,10 +452,13 @@ module Rule_key_tbl = Hashtbl.Make (struct
   let hash (h, p, n) = hash_ids (hash_ids (hash_head h) p * 17) n land max_int
 end)
 
+(* Every table is sized from what it indexes — here from the atom
+   count, in [simplify] from the atom or the rule count — so a small
+   request does not allocate tables sized for the largest pool. *)
 let phase2 st prog =
   let grules = ref [] in
   let gmins = ref [] in
-  let seen_rules = Rule_key_tbl.create 65536 in
+  let seen_rules = Rule_key_tbl.create st.count in
   let em =
     { em_intern = (fun a ~possible -> fst (intern st a ~possible));
       em_rule =
@@ -543,7 +541,9 @@ let phase2_par st prog jobs =
   let remaps = Array.init jobs (fun d -> Array.make (Array.length ov_atoms.(d)) (-1)) in
   let grules = ref [] in
   let gmins = ref [] in
-  let seen_rules = Rule_key_tbl.create 65536 in
+  let seen_rules =
+    Rule_key_tbl.create (Array.fold_left (fun n out -> n + List.length out) 0 outs)
+  in
   for si = 0 to n - 1 do
     (match errs.(si) with Some e -> raise e | None -> ());
     let d = si mod jobs in
@@ -629,7 +629,8 @@ let simplify st grules gmins =
       gmins
   in
   (* 2. least fixpoint of certain atoms over negation-free atom rules *)
-  let certain = Hashtbl.create 65536 in
+  let certain = Bytes.make st.count '\000' in
+  let is_certain id = Bytes.get certain id = '\001' in
   let sources =
     List.filter_map
       (fun r ->
@@ -640,33 +641,28 @@ let simplify st grules gmins =
   in
   let rule_arr = Array.of_list sources in
   let counts = Array.map (fun (_, pos) -> List.length pos) rule_arr in
-  let by_atom : (int, int list ref) Hashtbl.t = Hashtbl.create 65536 in
+  let by_atom = Array.make st.count [] in
   Array.iteri
-    (fun i (_, pos) -> List.iter (fun id -> push_index by_atom id i) pos)
+    (fun i (_, pos) -> List.iter (fun id -> by_atom.(id) <- i :: by_atom.(id)) pos)
     rule_arr;
   let queue = Queue.create () in
   let derive id =
-    if not (Hashtbl.mem certain id) then begin
-      Hashtbl.replace certain id ();
+    if not (is_certain id) then begin
+      Bytes.set certain id '\001';
       Queue.add id queue
     end
   in
   Array.iteri (fun i c -> if c = 0 then derive (fst rule_arr.(i))) counts;
   while not (Queue.is_empty queue) do
-    let id = Queue.pop queue in
-    match Hashtbl.find_opt by_atom id with
-    | None -> ()
-    | Some l ->
-      List.iter
-        (fun i ->
-          counts.(i) <- counts.(i) - 1;
-          if counts.(i) = 0 then derive (fst rule_arr.(i)))
-        !l
+    List.iter
+      (fun i ->
+        counts.(i) <- counts.(i) - 1;
+        if counts.(i) = 0 then derive (fst rule_arr.(i)))
+      by_atom.(Queue.pop queue)
   done;
-  let is_certain id = Hashtbl.mem certain id in
-  (* 3. rewrite *)
+  (* 3. rewrite: certain atoms become facts, in atom-id order *)
   let out = ref [] in
-  let seen = Rule_key_tbl.create 65536 in
+  let seen = Rule_key_tbl.create (List.length grules) in
   let emit r =
     let key = (r.ghead, r.gpos, r.gneg) in
     if not (Rule_key_tbl.mem seen key) then begin
@@ -674,7 +670,9 @@ let simplify st grules gmins =
       out := r :: !out
     end
   in
-  Hashtbl.iter (fun id () -> emit { ghead = Gatom id; gpos = []; gneg = [] }) certain;
+  for id = 0 to st.count - 1 do
+    if is_certain id then emit { ghead = Gatom id; gpos = []; gneg = [] }
+  done;
   List.iter
     (fun r ->
       (* a rule is dead if some negative literal is certainly true *)
@@ -712,7 +710,9 @@ let ground ?(obs = Obs.disabled) ?(jobs = 1) prog =
   (match Ast.check_safety prog with
   | Ok () -> ()
   | Error e -> invalid_arg ("grounder: " ^ e));
-  let st = store_create () in
+  (* Most statements are facts, one atom each: the statement count is
+     a cheap estimate of the atom count. *)
+  let st = store_create (max 64 (List.length prog)) in
   let iters =
     Obs.with_span obs ~cat:"ground" "ground.phase1" (fun sp ->
         let iters = phase1 st prog in

@@ -12,7 +12,160 @@ type outcome = Sat of model | Unsat of Sat.proof_step list option
    check, accepting possibly non-stable SAT models. *)
 let hook_skip_unfounded = ref false
 
-(* Internal record of a rule after translation, for the stable check. *)
+(* ----- positive loops -------------------------------------------- *)
+
+(* The positive dependency graph has an edge from each rule head (every
+   element of a choice head) to each positive body atom. Only atoms in
+   its non-trivial strongly connected components — cyclic atoms — can
+   be unfounded in a supported model (Lin-Zhao: a violated loop lies
+   inside one SCC), so the stability check works on them alone. *)
+type loops = {
+  dense : int array;  (* atom id -> index among cyclic atoms, or -1 *)
+  catoms : int array;  (* cyclic atoms, ascending *)
+  crules : Ground.grule array;  (* rules with a cyclic head *)
+  watch : int list array;  (* cyclic atom index -> crules it is a positive subgoal of *)
+}
+
+let heads (r : Ground.grule) =
+  match r.Ground.ghead with
+  | Ground.Gatom h -> [ h ]
+  | Ground.Gchoice { gelems; _ } -> gelems
+  | Ground.Gconstraint -> []
+
+(* Mark the atoms of non-trivial SCCs: Tarjan with an explicit call
+   stack, since recursion depth would grow with the pool. *)
+let cyclic_atoms n rules =
+  let succ = Array.make n [] in
+  List.iter
+    (fun (r : Ground.grule) ->
+      List.iter (fun h -> succ.(h) <- List.rev_append r.Ground.gpos succ.(h)) (heads r))
+    rules;
+  let todo = Array.copy succ in  (* edges not yet explored, per atom *)
+  let index = Array.make n (-1) and low = Array.make n 0 and next = ref 0 in
+  let on_stack = Bytes.make n '\000' and cyclic = Bytes.make n '\000' in
+  let stack = ref [] in
+  let visit v calls =
+    index.(v) <- !next;
+    low.(v) <- !next;
+    incr next;
+    stack := v :: !stack;
+    Bytes.set on_stack v '\001';
+    v :: calls
+  in
+  let pop_component v =
+    let rec pop comp =
+      match !stack with
+      | [] -> comp
+      | w :: rest ->
+        stack := rest;
+        Bytes.set on_stack w '\000';
+        if w = v then w :: comp else pop (w :: comp)
+    in
+    match pop [] with
+    | [ w ] when not (List.mem w succ.(w)) -> ()
+    | comp -> List.iter (fun w -> Bytes.set cyclic w '\001') comp
+  in
+  let rec explore = function
+    | [] -> ()
+    | v :: parents as calls -> (
+      match todo.(v) with
+      | w :: rest ->
+        todo.(v) <- rest;
+        if index.(w) < 0 then explore (visit w calls)
+        else begin
+          if Bytes.get on_stack w = '\001' then low.(v) <- min low.(v) index.(w);
+          explore calls
+        end
+      | [] ->
+        (match parents with u :: _ -> low.(u) <- min low.(u) low.(v) | [] -> ());
+        if low.(v) = index.(v) then pop_component v;
+        explore parents)
+  in
+  for v = 0 to n - 1 do
+    if index.(v) < 0 then explore (visit v [])
+  done;
+  cyclic
+
+let loops g =
+  let n = Ground.atom_count g in
+  let rules = Ground.rules g in
+  let cyclic = cyclic_atoms n rules in
+  let dense = Array.make n (-1) in
+  let catoms = ref [] and k = ref 0 in
+  for id = 0 to n - 1 do
+    if Bytes.get cyclic id = '\001' then begin
+      dense.(id) <- !k;
+      incr k;
+      catoms := id :: !catoms
+    end
+  done;
+  let crules =
+    if !k = 0 then [||]
+    else
+      Array.of_list
+        (List.filter (fun r -> List.exists (fun h -> dense.(h) >= 0) (heads r)) rules)
+  in
+  let watch = Array.make !k [] in
+  Array.iteri
+    (fun i (r : Ground.grule) ->
+      List.iter
+        (fun p -> if dense.(p) >= 0 then watch.(dense.(p)) <- i :: watch.(dense.(p)))
+        r.Ground.gpos)
+    crules;
+  { dense; catoms = Array.of_list (List.rev !catoms); crules; watch }
+
+let scc_atoms l = Array.length l.catoms
+
+(* Sound only for a supported model [truth]: a non-cyclic atom counts
+   as founded exactly when it is true. *)
+let unfounded l truth =
+  let derived = Bytes.make (Array.length l.catoms) '\000' in
+  let queue = Queue.create () in
+  let derive id =
+    let c = l.dense.(id) in
+    if c >= 0 && Bytes.get derived c = '\000' then begin
+      Bytes.set derived c '\001';
+      Queue.add c queue
+    end
+  in
+  let fire (r : Ground.grule) =
+    match r.Ground.ghead with
+    | Ground.Gatom h -> derive h
+    | _ -> List.iter (fun e -> if truth e then derive e) (heads r)
+  in
+  (* Outstanding cyclic subgoals per rule; -1 marks a rule outside
+     the reduct or blocked by a false non-cyclic subgoal. *)
+  let counts =
+    Array.map
+      (fun (r : Ground.grule) ->
+        if List.exists truth r.Ground.gneg then -1
+        else
+          List.fold_left
+            (fun c p ->
+              if c < 0 then c
+              else if l.dense.(p) >= 0 then c + 1
+              else if truth p then c
+              else -1)
+            0 r.Ground.gpos)
+      l.crules
+  in
+  Array.iteri (fun i c -> if c = 0 then fire l.crules.(i)) counts;
+  while not (Queue.is_empty queue) do
+    List.iter
+      (fun i ->
+        if counts.(i) > 0 then begin
+          counts.(i) <- counts.(i) - 1;
+          if counts.(i) = 0 then fire l.crules.(i)
+        end)
+      l.watch.(Queue.pop queue)
+  done;
+  let out = ref [] in
+  Array.iteri
+    (fun c id -> if truth id && Bytes.get derived c = '\000' then out := id :: !out)
+    l.catoms;
+  !out
+
+(* Internal record of a rule after translation, for loop clauses. *)
 type trule = {
   t_head : thead;
   t_pos : int list;  (* atom ids *)
@@ -28,7 +181,7 @@ type ctx = {
   (* atom id -> SAT var (identity by construction, kept explicit) *)
   atom_var : int array;
   trules : trule list;
-  (* supports per atom id: body vars of rules that can derive it *)
+  loops : loops;
   mutable stable_checks : int;
   mutable loop_clauses : int;
   obs : Obs.ctx;
@@ -71,8 +224,16 @@ let translate ?(certify = false) ?(obs = Obs.disabled) g =
     if not (Ground.possible g id) then Sat.add_clause sat [ Sat.neg atom_var.(id) ]
   done;
   let ctx =
-    { g; sat; atom_var; trules = []; stable_checks = 0; loop_clauses = 0; obs }
+    { g;
+      sat;
+      atom_var;
+      trules = [];
+      loops = loops g;
+      stable_checks = 0;
+      loop_clauses = 0;
+      obs }
   in
+  Obs.incr obs ~by:(scc_atoms ctx.loops) "logic.scc_atoms";
   Obs.set_attr span "atoms" (Obs.I n);
   let body_cache = Hashtbl.create 1024 in
   let supports : (int, Sat.lit list ref) Hashtbl.t = Hashtbl.create 1024 in
@@ -219,64 +380,6 @@ let objective_cost ctx obj =
     (fun acc (w, t) -> if Sat.value ctx.sat t then acc + w else acc)
     0 obj.terms
 
-(* ----- stability check -------------------------------------------- *)
-
-(* Compute the least model of the reduct w.r.t. the candidate model and
-   return the unfounded set (true atoms without well-founded support). *)
-let unfounded_set ctx =
-  let truth id = Sat.value ctx.sat ctx.atom_var.(id) in
-  let rules = ctx.trules in
-  (* Only rules whose negative body holds in the model survive the
-     reduct. Count outstanding positive subgoals per rule. *)
-  let live =
-    List.filter
-      (fun r -> List.for_all (fun id -> not (truth id)) r.t_neg)
-      rules
-  in
-  let derived = Hashtbl.create 256 in
-  let pending = Array.of_list live in
-  let counts = Array.map (fun r -> List.length r.t_pos) pending in
-  let rule_by_atom : (int, int list ref) Hashtbl.t = Hashtbl.create 256 in
-  Array.iteri
-    (fun i r ->
-      List.iter
-        (fun id ->
-          match Hashtbl.find_opt rule_by_atom id with
-          | Some l -> l := i :: !l
-          | None -> Hashtbl.add rule_by_atom id (ref [ i ]))
-        r.t_pos)
-    pending;
-  let queue = Queue.create () in
-  let derive id =
-    if not (Hashtbl.mem derived id) then begin
-      Hashtbl.replace derived id ();
-      Queue.add id queue
-    end
-  in
-  let fire i =
-    let r = pending.(i) in
-    match r.t_head with
-    | T_atom h -> derive h
-    | T_choice elems -> List.iter (fun e -> if truth e then derive e) elems
-  in
-  Array.iteri (fun i c -> if c = 0 then fire i) counts;
-  while not (Queue.is_empty queue) do
-    let id = Queue.pop queue in
-    match Hashtbl.find_opt rule_by_atom id with
-    | None -> ()
-    | Some l ->
-      List.iter
-        (fun i ->
-          counts.(i) <- counts.(i) - 1;
-          if counts.(i) = 0 then fire i)
-        !l
-  done;
-  let unfounded = ref [] in
-  for id = 0 to Ground.atom_count ctx.g - 1 do
-    if truth id && not (Hashtbl.mem derived id) then unfounded := id :: !unfounded
-  done;
-  !unfounded
-
 (* Cut an unfounded set. For any atom set U, if every rule that can
    derive into U needs some of U itself (no external support body is
    true), then no atom of U can hold in a stable model. The clauses
@@ -317,13 +420,25 @@ let sat_solve_traced ctx ~assumptions =
       Obs.set_attr sp "sat" (Obs.B r);
       r)
 
+(* A candidate is a supported model: on a tight program (no cyclic
+   atoms) it is stable outright (Fages), so the check runs only where
+   positive loops exist. *)
 let solve_stable ctx ~assumptions =
+  let truth id = Sat.value ctx.sat ctx.atom_var.(id) in
   let rec go () =
     if not (sat_solve_traced ctx ~assumptions) then false
+    else if scc_atoms ctx.loops = 0 then begin
+      Obs.incr ctx.obs "logic.stable_checks_skipped";
+      true
+    end
+    else if !hook_skip_unfounded then true
     else begin
       ctx.stable_checks <- ctx.stable_checks + 1;
       Obs.incr ctx.obs "logic.stable_checks";
-      match (if !hook_skip_unfounded then [] else unfounded_set ctx) with
+      match
+        Obs.with_span ctx.obs ~cat:"solve" "logic.stable" (fun _ ->
+            unfounded ctx.loops truth)
+      with
       | [] -> true
       | u ->
         add_loop_clauses ctx u;

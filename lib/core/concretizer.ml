@@ -171,10 +171,8 @@ let concretize_v ~repo ?(options = default_options) ?budget ?closure
   in
   let statements =
     Obs.with_span obs ~cat:"concretize" "assemble" (fun _ ->
-        let program_text =
-          Program.assemble ~encoding:options.encoding ~splicing:options.splicing ()
-        in
-        Asp.parse program_text @ encoded.Encode.rules @ encoded.Encode.facts)
+        Program.statements ~encoding:options.encoding ~splicing:options.splicing
+        @ encoded.Encode.rules @ encoded.Encode.facts)
   in
   let t1 = now () in
   let ground =

@@ -12,7 +12,7 @@ let request_of_string ?(forbid = []) s = { req = Spec.Parser.parse s; forbid }
 
 type reuse_pool = { by_hash : (string, Spec.Concrete.t) Hashtbl.t }
 
-let pool_of_specs specs =
+let build_pool specs =
   let by_hash = Hashtbl.create 256 in
   List.iter
     (fun spec ->
@@ -24,6 +24,25 @@ let pool_of_specs specs =
         (Spec.Concrete.nodes spec))
     specs;
   { by_hash }
+
+(* One-entry memo per domain, keyed on the physical identity of the
+   reuse list. Callers hand the same (immutable) list to every request
+   — the CLI once per process, the server once per generation — so the
+   pool is built once per list and domain instead of once per request.
+   A different list, even a structurally equal one, is a miss. Per
+   domain, the memo needs no lock: batch and server domains each keep
+   their own. *)
+let pool_memo : (Spec.Concrete.t list * reuse_pool) option ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref None)
+
+let pool_of_specs specs =
+  let memo = Domain.DLS.get pool_memo in
+  match !memo with
+  | Some (s, pool) when s == specs -> pool
+  | _ ->
+    let pool = build_pool specs in
+    memo := Some (specs, pool);
+    pool
 
 let pool_size pool = Hashtbl.length pool.by_hash
 

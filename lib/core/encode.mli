@@ -30,7 +30,11 @@ type reuse_pool = {
 }
 
 val pool_of_specs : Spec.Concrete.t list -> reuse_pool
-(** Index every node of every spec (each is individually reusable). *)
+(** Index every node of every spec (each is individually reusable).
+    Memoized: each domain keeps the pool of the last list it was given,
+    keyed on the list's physical identity, so passing the same list on
+    every request builds the pool once. The result must not be
+    mutated. *)
 
 val pool_size : reuse_pool -> int
 

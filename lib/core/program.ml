@@ -189,3 +189,19 @@ let assemble ~encoding ~splicing () =
     @ [ optimization ]
   in
   String.concat "\n" sections
+
+(* Parsed once per domain and (encoding, splicing) pair. Per domain
+   because the parser interns constants in the calling domain's table,
+   and because an OCaml 5 [Lazy.t] must not be forced from two domains
+   at once. *)
+let parsed : ((Encode.encoding * bool) * Asp.Ast.program) list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
+
+let statements ~encoding ~splicing =
+  let cache = Domain.DLS.get parsed in
+  match List.assoc_opt (encoding, splicing) !cache with
+  | Some prog -> prog
+  | None ->
+    let prog = Asp.parse (assemble ~encoding ~splicing ()) in
+    cache := ((encoding, splicing), prog) :: !cache;
+    prog

@@ -31,3 +31,7 @@ val assemble : encoding:Encode.encoding -> splicing:bool -> unit -> string
 (** The sections in order: {!base}, {!reuse}, {!hash_attr_recovery}
     under the [Hash_attr] encoding, {!splice_logic} when [splicing],
     then {!optimization}. *)
+
+val statements : encoding:Encode.encoding -> splicing:bool -> Asp.Ast.program
+(** [assemble]'s text, parsed: once per domain and argument pair, then
+    served from a domain-local cache. *)

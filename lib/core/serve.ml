@@ -220,7 +220,6 @@ type t = {
   (* buildcache state (guarded by [pool_mu]) *)
   pool_mu : Mutex.t;
   mutable reuse : Spec.Concrete.t list;
-  mutable pool : Encode.reuse_pool;
   mutable digest : string;
   mutable generation : int;
   closures : (string, (string, unit) Hashtbl.t) Hashtbl.t;
@@ -273,7 +272,6 @@ let set_reuse t specs =
   let changed = d <> t.digest in
   if changed then begin
     t.reuse <- specs;
-    t.pool <- Encode.pool_of_specs specs;
     t.digest <- d;
     t.generation <- t.generation + 1;
     Hashtbl.reset t.closures;
@@ -301,7 +299,8 @@ let pool_snapshot t root =
       | None ->
         let cl =
           Encode.closure ~repo:t.repo
-            ~splicing:t.config.options.Concretizer.splicing ~pool:t.pool [ root ]
+            ~splicing:t.config.options.Concretizer.splicing
+            ~pool:(Encode.pool_of_specs t.reuse) [ root ]
         in
         Hashtbl.replace t.closures root cl;
         Obs.incr (obs t) "serve.closure_misses";
@@ -957,7 +956,6 @@ let start ~repo ?(config = default_config) ~socket () =
         rejected = 0;
         pool_mu = Mutex.create ();
         reuse;
-        pool = Encode.pool_of_specs reuse;
         digest = pool_digest reuse;
         generation = 0;
         closures = Hashtbl.create 64;

@@ -75,6 +75,12 @@ let test_loop_with_external_support () =
   check_atoms "externally supported loop"
     "{c}. a :- b. b :- a. a :- c. :- not b." [ "a"; "b"; "c" ]
 
+(* x is the loop's only external support, and only the stability
+   check forces it: without the check, completion admits {a, b}. *)
+let test_loop_needs_external_support () =
+  check_atoms "loop forced through its support"
+    "{ x }. a :- b. b :- a. a :- x. :- not a." [ "a"; "b"; "x" ]
+
 let test_odd_loop () =
   Alcotest.(check bool) "a :- not a is unsat" true (is_unsat (solve "a :- not a."))
 
@@ -170,101 +176,25 @@ let test_negative_literal_on_impossible_atom () =
 
 (* ---- brute-force stable-model fuzz ---- *)
 
-let brute_stable nvars choice_elems rules constraints =
-  let models = ref [] in
-  for mask = 0 to (1 lsl nvars) - 1 do
-    let truth a = mask land (1 lsl a) <> 0 in
-    let body_sat (pos, neg) =
-      List.for_all truth pos && List.for_all (fun a -> not (truth a)) neg
-    in
-    if List.for_all (fun b -> not (body_sat b)) constraints then begin
-      let derived = Array.make nvars false in
-      let changed = ref true in
-      while !changed do
-        changed := false;
-        List.iter
-          (fun (h, pos, neg) ->
-            if
-              (not derived.(h))
-              && List.for_all (fun p -> derived.(p)) pos
-              && List.for_all (fun a -> not (truth a)) neg
-            then begin
-              derived.(h) <- true;
-              changed := true
-            end)
-          rules;
-        List.iter
-          (fun e ->
-            if truth e && not derived.(e) then begin
-              derived.(e) <- true;
-              changed := true
-            end)
-          choice_elems
-      done;
-      if List.for_all (fun a -> truth a = derived.(a)) (List.init nvars Fun.id) then
-        models := mask :: !models
-    end
-  done;
-  !models
-
-let gen_program =
-  QCheck.Gen.(
-    let* nvars = int_range 2 5 in
-    let atom = int_range 0 (nvars - 1) in
-    let* nchoice = int_range 0 nvars in
-    let* rules =
-      list_size (int_range 0 8)
-        (triple atom (list_size (int_range 0 2) atom) (list_size (int_range 0 2) atom))
-    in
-    let* constraints =
-      list_size (int_range 0 2)
-        (pair (list_size (int_range 1 2) atom) (list_size (int_range 0 1) atom))
-    in
-    return (nvars, List.init nchoice Fun.id, rules, constraints))
-
-let program_text (nvars, choice_elems, rules, constraints) =
-  ignore nvars;
-  let a i = Printf.sprintf "a%d" i in
-  let buf = Buffer.create 256 in
-  if choice_elems <> [] then
-    Buffer.add_string buf
-      (Printf.sprintf "{ %s }.\n" (String.concat " ; " (List.map a choice_elems)));
-  List.iter
-    (fun (h, pos, neg) ->
-      let body = List.map a pos @ List.map (fun x -> "not " ^ a x) neg in
-      if body = [] then Buffer.add_string buf (a h ^ ".\n")
-      else Buffer.add_string buf (Printf.sprintf "%s :- %s.\n" (a h) (String.concat ", " body)))
-    rules;
-  List.iter
-    (fun (pos, neg) ->
-      let body = List.map a pos @ List.map (fun x -> "not " ^ a x) neg in
-      Buffer.add_string buf (Printf.sprintf ":- %s.\n" (String.concat ", " body)))
-    constraints;
-  Buffer.contents buf
-
-let arb_program = QCheck.make ~print:program_text gen_program
-
 let prop_stable_equiv =
   QCheck.Test.make ~name:"solver agrees with brute-force stable models" ~count:400
-    arb_program
-    (fun ((nvars, choice_elems, rules, constraints) as p) ->
-      let expected = brute_stable nvars choice_elems rules constraints in
-      match solve (program_text p) with
-      | Asp.Logic.Unsat _ -> expected = []
-      | Asp.Logic.Sat m ->
-        let mask =
-          List.fold_left
-            (fun acc i ->
-              if
-                List.exists
-                  (fun (a : Asp.Ast.atom) ->
-                    a.Asp.Ast.pred = Printf.sprintf "a%d" i && a.Asp.Ast.args = [])
-                  m.Asp.Logic.atoms
-              then acc lor (1 lsl i)
-              else acc)
-            0 (List.init nvars Fun.id)
-        in
-        List.mem mask expected)
+    Stable_ref.arb_program Stable_ref.agrees_with_brute_force
+
+(* The restricted check (positive loops only) accepts exactly the
+   supported interpretations the full check accepts, and what it
+   reports is part of the full unfounded set. *)
+let prop_restricted_check =
+  QCheck.Test.make ~name:"restricted stability check matches the full one" ~count:400
+    Stable_ref.arb_program (fun p ->
+      let g = Asp.Ground.ground (Asp.parse (Stable_ref.program_text p)) in
+      let loops = Asp.Logic.loops g in
+      List.for_all
+        (fun truth ->
+          let restricted = Asp.Logic.unfounded loops truth in
+          let full = Stable_ref.full_unfounded g truth in
+          (restricted = []) = (full = [])
+          && List.for_all (fun id -> List.mem id full) restricted)
+        (Stable_ref.supported_interpretations g))
 
 let () =
   Alcotest.run "asp"
@@ -277,6 +207,8 @@ let () =
           Alcotest.test_case "negation" `Quick test_negation;
           Alcotest.test_case "unfounded loop" `Quick test_positive_loop_unfounded;
           Alcotest.test_case "supported loop" `Quick test_loop_with_external_support;
+          Alcotest.test_case "loop needs external support" `Quick
+            test_loop_needs_external_support;
           Alcotest.test_case "odd loop" `Quick test_odd_loop;
           Alcotest.test_case "choice bounds" `Quick test_choice_bounds;
           Alcotest.test_case "constraints on choice" `Quick test_constraints_on_choice;
@@ -297,4 +229,6 @@ let () =
         [ Alcotest.test_case "all models" `Quick test_enumerate_all;
           Alcotest.test_case "limit" `Quick test_enumerate_limit;
           Alcotest.test_case "unsat" `Quick test_enumerate_unsat ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_stable_equiv ]) ]
+      ( "properties",
+        [ QCheck_alcotest.to_alcotest prop_stable_equiv;
+          QCheck_alcotest.to_alcotest prop_restricted_check ] ) ]

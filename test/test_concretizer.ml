@@ -141,6 +141,32 @@ let test_forbid_node () =
     let s = spec_of o in
     Alcotest.(check bool) "mpich forbidden" true (Spec.Concrete.find_node s "mpich" = None)
 
+(* The reuse pool is memoized per domain on the reuse list's physical
+   identity. Switching lists back and forth, and handing in a
+   structurally equal copy, must give exactly the answer a fresh
+   domain (with an empty memo) computes for the same list. *)
+let test_pool_memo_never_stale () =
+  let with_mpich = built_with_mpich () in
+  let zlib = spec_of (concretize "zlib@1.2.13") in
+  let a = [ zlib; with_mpich ] in
+  let b = [ zlib ] in
+  let answer reuse =
+    let options = { CC.default_options with CC.reuse } in
+    Sjson.to_string
+      (Core.Serve.canonical_of_result
+         (CC.concretize_v ~repo ~options [ Core.Encode.request_of_string "example" ]))
+  in
+  let fresh reuse = Domain.join (Domain.spawn (fun () -> answer reuse)) in
+  let answers =
+    List.map
+      (fun (name, reuse) ->
+        let got = answer reuse in
+        Alcotest.(check string) name (fresh reuse) got;
+        got)
+      [ ("A", a); ("B", b); ("A again", a); ("copy of A", List.map Fun.id a) ]
+  in
+  Alcotest.(check bool) "A and B differ" true (List.nth answers 0 <> List.nth answers 1)
+
 (* ---- automatic splicing ---- *)
 
 let test_splice_synthesis () =
@@ -234,6 +260,7 @@ let () =
       ( "reuse",
         [ Alcotest.test_case "full reuse" `Quick test_reuse_prefers_installed;
           Alcotest.test_case "partial reuse" `Quick test_partial_reuse;
+          Alcotest.test_case "pool memo never stale" `Quick test_pool_memo_never_stale;
           Alcotest.test_case "encodings agree" `Quick test_encodings_agree_without_splicing ] );
       ( "splicing",
         [ Alcotest.test_case "synthesis" `Quick test_splice_synthesis;

@@ -5,6 +5,8 @@
      certifies at least one UNSAT along the way;
    - an injected solver bug (dropping PB constraints) is caught by the
      oracles and shrunk to a tiny reproducer;
+   - a skipped stability check is caught by the brute-force
+     stable-model oracle;
    - a tampered proof is rejected by the DRUP checker (the checker is
      not a rubber stamp). *)
 
@@ -36,6 +38,27 @@ let test_injected_pb_caught () =
     Alcotest.(check bool)
       "shrunk universe still fails" true
       (f.Fuzz.Harness.shrunk_violations <> [])
+
+(* A skipped stability check only shows on a positive loop whose
+   external support can be false: phase 1 of the grounder never marks
+   a loop without external support possible. The harness's package
+   universes rarely reach such a loop; small random programs do, so
+   compare their answers with brute-force stable models under the
+   hook. *)
+let test_injected_unfounded_caught () =
+  let rand = Random.State.make [| 42 |] in
+  let programs = QCheck.Gen.generate ~rand ~n:400 Stable_ref.gen_program in
+  Alcotest.(check bool)
+    "clean solver agrees" true
+    (List.for_all Stable_ref.agrees_with_brute_force programs);
+  Asp.Logic.hook_skip_unfounded := true;
+  let caught =
+    Fun.protect
+      ~finally:(fun () -> Asp.Logic.hook_skip_unfounded := false)
+      (fun () ->
+        List.exists (fun p -> not (Stable_ref.agrees_with_brute_force p)) programs)
+  in
+  Alcotest.(check bool) "skipped stability check caught" true caught
 
 (* Build an UNSAT instance, then mutate its proof: the independent
    checker must reject both a truncated refutation and a lemma that
@@ -90,6 +113,8 @@ let () =
     [ ( "harness",
         [ Alcotest.test_case "clean run" `Quick test_clean;
           Alcotest.test_case "injected bug caught" `Quick test_injected_pb_caught;
+          Alcotest.test_case "skipped stability check caught" `Quick
+            test_injected_unfounded_caught;
           Alcotest.test_case "tampered proof rejected" `Quick
             test_tampered_proof_rejected;
           Alcotest.test_case "deterministic" `Quick test_deterministic ] ) ]
