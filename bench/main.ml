@@ -74,6 +74,20 @@ let stddev l =
   let m = mean l in
   sqrt (mean (List.map (fun x -> (x -. m) ** 2.0) l))
 
+(* Where a BENCH_*.json row was measured: the host's core count, the
+   OCaml version and the rep count behind every best-of or median. *)
+let host_json () =
+  Sjson.Object
+    [ ("cores", Sjson.Int (Domain.recommended_domain_count ()));
+      ("ocaml", Sjson.String Sys.ocaml_version);
+      ("reps", Sjson.Int !reps) ]
+
+let median l =
+  let a = Array.of_list l in
+  Array.sort compare a;
+  let n = Array.length a in
+  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
+
 let timed_reps f =
   List.init !reps (fun _ ->
       let t0 = Obs.Clock.now_s () in
@@ -293,8 +307,9 @@ let fig7 () =
 let fig7_pool ?(sizes = [ 50; 200; 1000; 5000 ]) ?(assert_speedup = true) () =
   Printf.printf "\n=== Figure 7b: buildcache-pool scaling (pruning) ===\n";
   let specs = [ "mfem"; "hypre"; "visit" ] in
-  Printf.printf "%d requests (%s) per cell; times in ms (total over requests)\n"
-    (List.length specs) (String.concat ", " specs);
+  Printf.printf
+    "%d requests (%s) per cell; times in ms (total over requests, median of %d passes)\n"
+    (List.length specs) (String.concat ", " specs) (max 1 !reps);
   Printf.printf "%-9s %-10s | %10s | %12s | %10s | %10s\n" "pool" "mode"
     "wall ms" "ground atoms" "clauses" "vs unpruned";
   let json_rows = ref [] in
@@ -306,7 +321,8 @@ let fig7_pool ?(sizes = [ 50; 200; 1000; 5000 ]) ?(assert_speedup = true) () =
     | Some v -> v
     | None -> 0
   in
-  let emit ~pool_size ~mode ~wall_ms ~ground_ms ~atoms ~clauses ~baseline =
+  let emit ~pool_size ~mode ~walls ~ground_ms ~atoms ~clauses ~baseline =
+    let wall_ms = median walls in
     Printf.printf "%-9d %-10s | %10.1f | %12d | %10d | %9.1fx\n%!" pool_size mode
       wall_ms atoms clauses
       (if wall_ms > 0.0 then baseline /. wall_ms else 0.0);
@@ -317,6 +333,8 @@ let fig7_pool ?(sizes = [ 50; 200; 1000; 5000 ]) ?(assert_speedup = true) () =
           ("ground_atoms", Sjson.Int atoms);
           ("clauses", Sjson.Int clauses);
           ("wall_ms", Sjson.Float wall_ms);
+          ("wall_ms_min", Sjson.Float (List.fold_left min infinity walls));
+          ("wall_ms_max", Sjson.Float (List.fold_left max 0.0 walls));
           ("ground_ms", Sjson.Float ground_ms);
           ("peak_words", Sjson.Int (Gc.quick_stat ()).Gc.top_heap_words) ]
       :: !json_rows
@@ -353,22 +371,31 @@ let fig7_pool ?(sizes = [ 50; 200; 1000; 5000 ]) ?(assert_speedup = true) () =
         { Core.Concretizer.default_options with
           Core.Concretizer.reuse = pool; prune }
       in
-      (* outcomes of one mode, as (request, outcome) pairs; also total
-         wall ms and the worst-case ground size among the requests *)
+      (* one mode, [--reps] passes over the requests: each pass's total
+         wall ms, and the last pass's outcomes as (request, outcome)
+         pairs *)
       let run_fresh prune =
-        let t0 = Obs.Clock.now_s () in
-        let outs =
-          List.map
-            (fun name ->
-              match
-                Core.Concretizer.concretize_v ~repo ~options:(options prune)
-                  [ Core.Encode.request_of_string name ]
-              with
-              | Ok o -> (name, o)
-              | Error f -> failwith (name ^ ": " ^ f.Core.Concretizer.f_message))
-            specs
+        let pass () =
+          let t0 = Obs.Clock.now_s () in
+          let outs =
+            List.map
+              (fun name ->
+                match
+                  Core.Concretizer.concretize_v ~repo ~options:(options prune)
+                    [ Core.Encode.request_of_string name ]
+                with
+                | Ok o -> (name, o)
+                | Error f -> failwith (name ^ ": " ^ f.Core.Concretizer.f_message))
+              specs
+          in
+          ((Obs.Clock.now_s () -. t0) *. 1000.0, outs)
         in
-        ((Obs.Clock.now_s () -. t0) *. 1000.0, outs)
+        (* keep only the last pass's outcomes: unpruned outcomes are
+           large, and holding every pass's more than doubled the run's
+           peak RSS at five passes *)
+        let walls = List.init (max 1 !reps - 1) (fun _ -> fst (pass ())) in
+        let wall, outs = pass () in
+        (walls @ [ wall ], outs)
       in
       (* above 5000 nodes the unpruned mode (full from-scratch ground of
          every pool entry per request) is the cost this bench exists to
@@ -378,7 +405,8 @@ let fig7_pool ?(sizes = [ 50; 200; 1000; 5000 ]) ?(assert_speedup = true) () =
       if unpruned_res = None then
         Printf.printf "(pool target %d: skipping unpruned mode above 5000 nodes)\n%!"
           target;
-      let pruned_ms, pruned = run_fresh true in
+      let pruned_walls, pruned = run_fresh true in
+      let pruned_ms = median pruned_walls in
       (* agreement: same optimal costs as unpruned, Verify-clean spec *)
       List.iter2
         (fun (name, (a : Core.Concretizer.outcome)) (name', b) ->
@@ -403,15 +431,15 @@ let fig7_pool ?(sizes = [ 50; 200; 1000; 5000 ]) ?(assert_speedup = true) () =
       let atoms o = o.Core.Concretizer.ground_atoms in
       let clauses s = sat_of s "clauses" in
       let baseline_ms =
-        match unpruned_res with Some (ms, _) -> ms | None -> pruned_ms
+        match unpruned_res with Some (walls, _) -> median walls | None -> pruned_ms
       in
       (match unpruned_res with
-      | Some (unpruned_ms, unpruned) ->
-        emit ~pool_size:(List.length pool) ~mode:"unpruned" ~wall_ms:unpruned_ms
+      | Some (walls, unpruned) ->
+        emit ~pool_size:(List.length pool) ~mode:"unpruned" ~walls
           ~ground_ms:(ground_ms unpruned) ~atoms:(worst atoms unpruned)
-          ~clauses:(worst clauses unpruned) ~baseline:unpruned_ms
+          ~clauses:(worst clauses unpruned) ~baseline:baseline_ms
       | None -> ());
-      emit ~pool_size:(List.length pool) ~mode:"pruned" ~wall_ms:pruned_ms
+      emit ~pool_size:(List.length pool) ~mode:"pruned" ~walls:pruned_walls
         ~ground_ms:(ground_ms pruned) ~atoms:(worst atoms pruned)
         ~clauses:(worst clauses pruned) ~baseline:baseline_ms;
       (let phase f =
@@ -431,12 +459,15 @@ let fig7_pool ?(sizes = [ 50; 200; 1000; 5000 ]) ?(assert_speedup = true) () =
           (Printf.sprintf
              "fig7b: pruned wall %.0f ms at pool target %d exceeds the 10 s budget"
              pruned_ms target);
-      (match unpruned_res with
-      | Some (unpruned_ms, _) ->
-        speedup_at_max := Some (List.length pool, unpruned_ms /. pruned_ms)
-      | None -> ()))
+      match unpruned_res with
+      | Some (walls, _) ->
+        speedup_at_max := Some (List.length pool, median walls /. pruned_ms)
+      | None -> ())
     sizes;
-  let json = Sjson.Object [ ("fig7_pool", Sjson.Array (List.rev !json_rows)) ] in
+  let json =
+    Sjson.Object
+      [ ("host", host_json ()); ("fig7_pool", Sjson.Array (List.rev !json_rows)) ]
+  in
   let oc = open_out "BENCH_fig7.json" in
   output_string oc (Sjson.to_string ~pretty:true json);
   output_string oc "\n";
@@ -650,19 +681,6 @@ let perf_smoke () =
     "50-request batch: jobs=1 %.2fs, jobs=4 %.2fs — results byte-identical\n"
     (t2 -. t1) (t3 -. t2)
 
-(* Where a BENCH_*.json row was measured: the host's core count, the
-   OCaml version and the rep count behind every best-of or median. *)
-let host_json () =
-  Sjson.Object
-    [ ("cores", Sjson.Int (Domain.recommended_domain_count ()));
-      ("ocaml", Sjson.String Sys.ocaml_version);
-      ("reps", Sjson.Int !reps) ]
-
-let median l =
-  let a = Array.of_list l in
-  Array.sort compare a;
-  let n = Array.length a in
-  if n mod 2 = 1 then a.(n / 2) else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.0
 
 (* SAT-core smoke (dune build @sat-smoke): the glucose-class CDCL core
    on the fig7b workload at the 5000-entry pool, solved unpruned so the
@@ -2087,10 +2105,6 @@ let install_storm () =
          recover_ms)
 
 let () =
-  (* Batch workload: the grounder's join loops allocate heavily and the
-     default 256k-word minor heap promotes most of it straight into the
-     major heap. A 4M-word nursery keeps the short-lived tuples minor. *)
-  Gc.set { (Gc.get ()) with Gc.minor_heap_size = 1 lsl 22; space_overhead = 200 };
   let args = Array.to_list Sys.argv |> List.tl in
   let commands = ref [] in
   let rec parse = function

@@ -41,12 +41,6 @@ let old_flag =
 let stats_flag =
   Arg.(value & flag & info [ "stats" ] ~doc:"Print solver statistics.")
 
-let ground_jobs_flag =
-  Arg.(value & opt int 1 & info [ "ground-jobs" ] ~docv:"N"
-      ~doc:"Partition the grounder's instantiation phase across N \
-            parallel domains (default 1). The ground program is \
-            byte-identical for any N.")
-
 let portfolio_flag =
   Arg.(value & opt int 1 & info [ "portfolio" ] ~docv:"N"
       ~doc:"Race N diversified SAT-solver configurations (restart mode, \
@@ -162,8 +156,8 @@ let run_batch ~opts ~jobs ~stats file =
 
 let concretize_cmd =
   let spec_opt_arg = Arg.(value & pos 0 (some string) None & info [] ~docv:"SPEC") in
-  let run reuse splicing old_encoding stats json dot batch jobs ground_jobs
-      portfolio trace trace_format spec_text =
+  let run reuse splicing old_encoding stats json dot batch jobs portfolio trace
+      trace_format spec_text =
     with_trace ~trace ~trace_format @@ fun obs ->
     let opts = options ~reuse ~splicing ~old_encoding in
     (* A traced concretize also re-validates its solutions: the verify
@@ -172,7 +166,6 @@ let concretize_cmd =
       { opts with
         Core.Concretizer.obs;
         verify = Obs.enabled obs;
-        ground_jobs = max 1 ground_jobs;
         portfolio = max 1 portfolio }
     in
     match (batch, spec_text) with
@@ -217,8 +210,8 @@ let concretize_cmd =
          "Resolve an abstract spec to a concrete spec DAG, or a whole file of \
           specs with $(b,--batch) (optionally in parallel with $(b,--jobs)).")
     Term.(const run $ reuse_flag $ splice_flag $ old_flag $ stats_flag $ json_flag
-          $ dot_flag $ batch_flag $ jobs_flag $ ground_jobs_flag $ portfolio_flag
-          $ trace_flag $ trace_format_flag $ spec_opt_arg)
+          $ dot_flag $ batch_flag $ jobs_flag $ portfolio_flag $ trace_flag
+          $ trace_format_flag $ spec_opt_arg)
 
 (* ---- install ---- *)
 
@@ -964,11 +957,10 @@ let serve_cmd =
               no flight recorder.")
   in
   let run reuse splicing workers queue deadline_ms socket horizon recorder
-      no_live ground_jobs portfolio trace trace_format =
+      no_live portfolio trace trace_format =
     with_trace ~trace ~trace_format @@ fun obs ->
-    let opts = options ~reuse ~splicing ~old_encoding:false in
     let opts =
-      { opts with Core.Concretizer.obs; ground_jobs = max 1 ground_jobs }
+      { (options ~reuse ~splicing ~old_encoding:false) with Core.Concretizer.obs }
     in
     let config =
       { Core.Serve.default_config with
@@ -1010,8 +1002,7 @@ let serve_cmd =
           $(b,spackml client --shutdown).")
     Term.(const run $ reuse_flag $ splice_flag $ workers_flag $ queue_flag
           $ deadline_flag $ socket_opt $ horizon_flag $ recorder_flag
-          $ no_live_flag $ ground_jobs_flag $ portfolio_flag $ trace_flag
-          $ trace_format_flag)
+          $ no_live_flag $ portfolio_flag $ trace_flag $ trace_format_flag)
 
 let client_cmd =
   let deadline_flag =

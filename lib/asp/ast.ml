@@ -150,7 +150,17 @@ let eq_bound_vars body =
   let all = fixpoint seed in
   List.filter (fun v -> not (List.mem v seed)) all
 
+let negated_condition = function
+  | Head_choice { elems; _ } ->
+    List.exists (fun e -> List.exists (function Neg _ -> true | _ -> false) e.cond) elems
+  | Head_atom _ | Head_none -> false
+
 let check_rule_safety i (r : rule) =
+  if negated_condition r.head then
+    Error
+      (Format.asprintf "rule %d: negative literal in a choice-element condition: %a" i
+         pp_statement (Rule r))
+  else
   let bound = positive_vars r.body @ eq_bound_vars r.body in
   let need_bound =
     (match r.head with

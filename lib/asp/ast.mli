@@ -70,5 +70,7 @@ val pp_program : Format.formatter -> program -> unit
 val check_safety : program -> (unit, string) result
 (** Every variable in a rule head, negative literal, or comparison must
     occur in a positive body literal (for choice elements and minimize
-    elements, their local condition also binds). Returns a description
-    of the first unsafe rule. *)
+    elements, their local condition also binds). A choice element's
+    condition may not hold a negative literal: the grounder cannot keep
+    a per-element condition. Returns a description of the first
+    rejected rule. *)

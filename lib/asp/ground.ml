@@ -28,11 +28,6 @@ module Arg_tbl = Hashtbl.Make (struct
     ((Hashtbl.hash p * 131) + (a * 8191) + (i * 524287) + Term.hash t) land max_int
 end)
 
-(* Join-index hit/miss tally. The store carries one for the whole
-   grounding; parallel phase-2 workers use private tallies so counts
-   stay deterministic (no racy increments). *)
-type tally = { mutable t_hits : int; mutable t_misses : int }
-
 (* Interned atom store. Atoms interned with [~possible:true] can be
    true in some model; atoms interned only through negative literals
    (whose subject is never derivable) are constant false. Indexes: by
@@ -50,7 +45,8 @@ type store = {
   mutable count : int;
   by_pred : (string * int, atom_id list ref) Hashtbl.t;
   by_pred_arg : posting Arg_tbl.t;
-  st_tally : tally;
+  mutable hits : int;  (** joins seeded through an argument index *)
+  mutable misses : int;  (** joins that scanned the whole predicate *)
 }
 
 (* [n] is the expected atom count; the arrays double past it. *)
@@ -61,7 +57,8 @@ let store_create n =
     count = 0;
     by_pred = Hashtbl.create 64;
     by_pred_arg = Arg_tbl.create n;
-    st_tally = { t_hits = 0; t_misses = 0 } }
+    hits = 0;
+    misses = 0 }
 
 let store_grow st =
   if st.count >= Array.length st.arr then begin
@@ -115,10 +112,8 @@ let intern st (a : Ast.atom) ~possible =
    but that posting list holds every hash attribute in the store, while
    [node(P)] at position 1 narrows to one package. Every posting list
    is in descending atom-id order, so the surviving matches enumerate
-   in the same order whichever index seeds the join — grounding output
-   stays byte-identical. *)
-let candidates ?tally st (pattern : Ast.atom) =
-  let tally = match tally with Some t -> t | None -> st.st_tally in
+   in the same order whichever index seeds the join. *)
+let candidates st (pattern : Ast.atom) =
   let arity = List.length pattern.Ast.args in
   let best = ref None in
   let empty = ref false in
@@ -135,16 +130,16 @@ let candidates ?tally st (pattern : Ast.atom) =
           | _ -> best := Some p))
     pattern.Ast.args;
   if !empty then begin
-    tally.t_hits <- tally.t_hits + 1;
+    st.hits <- st.hits + 1;
     []
   end
   else
     match !best with
     | Some p ->
-      tally.t_hits <- tally.t_hits + 1;
+      st.hits <- st.hits + 1;
       p.p_ids
     | None -> (
-      tally.t_misses <- tally.t_misses + 1;
+      st.misses <- st.misses + 1;
       match Hashtbl.find_opt st.by_pred (pattern.Ast.pred, arity) with
       | Some l -> !l
       | None -> [])
@@ -184,26 +179,52 @@ let term_cmp_value op l r =
 
 exception Stuck_cmp
 
-(* Enumerate all substitutions extending [subst] that satisfy the body
-   literals. Positive literals join against the store; comparisons are
-   evaluated when ground, with [V = ground-term] acting as a binding;
-   not-yet-evaluable comparisons are delayed past the next positive
-   literal. Negative literals are handled by [on_neg] (phase 1 ignores
-   them; phase 2 records them). *)
-let join ?tally st lits subst ~on_neg ~k =
-  let rec go lits delayed subst negs =
+(* One comparison under [subst]: tested when both sides are ground,
+   [V = t] with [t] ground binds [V], and anything else must wait. *)
+let eval_cmp subst op l r =
+  let l = Term.subst_term subst l and r = Term.subst_term subst r in
+  match (Term.is_ground l, Term.is_ground r) with
+  | true, true -> if term_cmp_value op l r then `Holds subst else `Fails
+  | false, true when op = Ast.Eq -> (
+    match l with Term.Var v -> `Holds (Term.Smap.add v r subst) | _ -> `Waits)
+  | true, false when op = Ast.Eq -> (
+    match r with Term.Var v -> `Holds (Term.Smap.add v l subst) | _ -> `Waits)
+  | _ -> `Waits
+
+(* The comparisons still waiting at the end of a body. A binding one
+   can ground another, so passes repeat while the list shrinks. [None]
+   when a comparison fails. *)
+let rec settle subst delayed =
+  let rec pass subst waiting = function
+    | [] -> Some (subst, waiting)
+    | ((op, l, r) as c) :: rest -> (
+      match eval_cmp subst op l r with
+      | `Holds subst -> pass subst waiting rest
+      | `Fails -> None
+      | `Waits -> pass subst (c :: waiting) rest)
+  in
+  match pass subst [] delayed with
+  | None -> None
+  | Some (subst, []) -> Some subst
+  | Some (subst, waiting) ->
+    if List.compare_lengths waiting delayed < 0 then settle subst waiting
+    else raise Stuck_cmp
+
+(* Enumerate all substitutions extending [subst] that satisfy the
+   positive literals and comparisons of [lits]; [k] receives each with
+   the ids of the atoms its positive literals matched, in literal
+   order. Positive literals join against the possible atoms;
+   comparisons are evaluated as soon as they can be ({!eval_cmp}), the
+   rest by {!settle} at the end of the body. Negative literals are
+   skipped: the caller instantiates them under the finished
+   substitution ({!ground_negs}). *)
+let join st lits subst ~k =
+  let rec go lits delayed subst ids =
     match lits with
-    | [] ->
-      (* Flush delayed comparisons; they must be ground now. *)
-      let ok =
-        List.for_all
-          (fun (op, l, r) ->
-            let l = Term.subst_term subst l and r = Term.subst_term subst r in
-            if Term.is_ground l && Term.is_ground r then term_cmp_value op l r
-            else raise Stuck_cmp)
-          delayed
-      in
-      if ok then k subst (List.rev negs)
+    | [] -> (
+      match settle subst delayed with
+      | Some subst -> k subst (List.rev ids)
+      | None -> ())
     | Ast.Pos pattern :: rest ->
       (* the first literal of every seeding joins under the empty
          substitution — skip the per-candidate pattern rebuild there *)
@@ -217,35 +238,31 @@ let join ?tally st lits subst ~on_neg ~k =
           let subject = st.arr.(id) in
           if Bytes.get st.possible id = '\001' then
             match match_atom ~pattern:pattern' subst subject with
-            | Some subst' -> go rest delayed subst' negs
+            | Some subst' -> go rest delayed subst' (id :: ids)
             | None -> ())
-        (candidates ?tally st pattern')
+        (candidates st pattern')
     | Ast.Cmp (op, l, r) :: rest -> (
-      let l' = Term.subst_term subst l and r' = Term.subst_term subst r in
-      match (Term.is_ground l', Term.is_ground r') with
-      | true, true -> if term_cmp_value op l' r' then go rest delayed subst negs
-      | false, true when op = Ast.Eq -> (
-        match l' with
-        | Term.Var v -> go rest delayed (Term.Smap.add v r' subst) negs
-        | _ -> go rest ((op, l, r) :: delayed) subst negs)
-      | true, false when op = Ast.Eq -> (
-        match r' with
-        | Term.Var v -> go rest delayed (Term.Smap.add v l' subst) negs
-        | _ -> go rest ((op, l, r) :: delayed) subst negs)
-      | _ -> go rest ((op, l, r) :: delayed) subst negs)
-    | Ast.Neg pattern :: rest -> (
-      match on_neg with
-      | `Ignore -> go rest delayed subst negs
-      | `Record ->
-        let a =
-          { pattern with Ast.args = List.map (Term.subst_term subst) pattern.Ast.args }
-        in
+      match eval_cmp subst op l r with
+      | `Holds subst -> go rest delayed subst ids
+      | `Fails -> ()
+      | `Waits -> go rest ((op, l, r) :: delayed) subst ids)
+    | Ast.Neg _ :: rest -> go rest delayed subst ids
+  in
+  go lits [] subst []
+
+(* The negative literals of [body] under a substitution from {!join},
+   interned in literal order. *)
+let ground_negs st body subst =
+  List.filter_map
+    (function
+      | Ast.Neg pattern ->
+        let a = subst_atom pattern subst in
         if not (List.for_all Term.is_ground a.Ast.args) then
           invalid_arg
             (Format.asprintf "unsafe negative literal after grounding: %a" Ast.pp_atom a);
-        go rest delayed subst (a :: negs))
-  in
-  go lits [] subst []
+        Some (fst (intern st a ~possible:false))
+      | _ -> None)
+    body
 
 type t = {
   st : store;
@@ -258,24 +275,87 @@ type t = {
          across encodings that prune its candidate atoms away *)
 }
 
-(* Phase 1: possible-atom fixpoint over derivation pseudo-rules
-   (head, positive body). *)
-type pseudo = { phead : Ast.atom; pbody : Ast.body_lit list }
+(* Duplicate-rule filter keyed by the rule itself: two rules are the
+   same when their heads are equal and their bodies hold the same ids
+   in any order. The generic [Hashtbl.hash] samples a bounded prefix of
+   the structure (10 meaningful words), and ground rules overwhelmingly
+   share body prefixes — at buildcache scale, hundreds of thousands of
+   instances would land in a handful of buckets. Here every id is mixed
+   and the mixes summed, so the hash is full-depth and independent of
+   body order, and no sorted copy of a body is kept. Equality sorts only
+   when two bodies hash alike but differ in order. *)
+module Rule_tbl = Hashtbl.Make (struct
+  type t = grule
+
+  let mix id =
+    let x = (id lxor (id lsr 16)) * 0x45d9f3b in
+    let x = (x lxor (x lsr 16)) * 0x45d9f3b in
+    x lxor (x lsr 16)
+
+  let hash_set = List.fold_left (fun h id -> h + mix id) 0
+
+  let hash_head = function
+    | Gconstraint -> 0
+    | Gatom id -> (id * 2) + 1
+    | Gchoice { lo; hi; gelems } ->
+      let b = function None -> -2 | Some v -> v in
+      List.fold_left
+        (fun h id -> (h * 31) + id + 1)
+        ((((b lo * 31) + b hi) * 31) + 7)
+        gelems
+
+  let same_ids a b =
+    List.equal Int.equal a b
+    || List.compare_lengths a b = 0
+       && List.equal Int.equal (List.sort Int.compare a) (List.sort Int.compare b)
+
+  let equal r1 r2 =
+    same_ids r1.gpos r2.gpos && same_ids r1.gneg r2.gneg
+    &&
+    match (r1.ghead, r2.ghead) with
+    | Gconstraint, Gconstraint -> true
+    | Gatom a, Gatom b -> a = b
+    | Gchoice c1, Gchoice c2 ->
+      c1.lo = c2.lo && c1.hi = c2.hi && List.equal Int.equal c1.gelems c2.gelems
+    | _ -> false
+
+  let hash r =
+    ((((hash_head r.ghead * 31) + hash_set r.gpos) * 17) + hash_set r.gneg) land max_int
+end)
+
+(* Phase 1: the possible-atom fixpoint, emitting normal rules as it
+   goes. Each normal rule derives its head; each element of a choice
+   rule derives its atom under the rule's body and its own condition,
+   and emits nothing (the choice rule waits for the final pass).
+   [pstmt] is the index of the statement it came from. *)
+type pseudo = { phead : Ast.atom; pbody : Ast.body_lit list; pemit : bool; pstmt : int }
 
 let pseudo_rules prog =
-  List.concat_map
-    (function
-      | Ast.Rule { head = Ast.Head_atom h; body } -> [ { phead = h; pbody = body } ]
-      | Ast.Rule { head = Ast.Head_none; _ } -> []
-      | Ast.Rule { head = Ast.Head_choice { elems; _ }; body } ->
-        List.map (fun (e : Ast.choice_elem) -> { phead = e.elem; pbody = body @ e.cond }) elems
-      | Ast.Minimize _ -> [])
-    prog
+  List.concat
+    (List.mapi
+       (fun pstmt -> function
+         | Ast.Rule { head = Ast.Head_atom h; body } ->
+           [ { phead = h; pbody = body; pemit = true; pstmt } ]
+         | Ast.Rule { head = Ast.Head_none; _ } -> []
+         | Ast.Rule { head = Ast.Head_choice { elems; _ }; body } ->
+           List.map
+             (fun (e : Ast.choice_elem) ->
+               { phead = e.elem; pbody = body @ e.cond; pemit = false; pstmt })
+             elems
+         | Ast.Minimize _ -> [])
+       prog)
 
 (* A phase-1 trigger: when an atom matching [tr_seed] appears, the
    pseudo-rule re-fires with the join seeded there and run over the
-   rest of its body. The split is made once, when the index is built. *)
-type trigger = { tr_head : Ast.atom; tr_seed : Ast.atom; tr_rest : Ast.body_lit list }
+   rest of its body. The split is made once, when the index is built;
+   [tr_rank] is the seed's place among the positive literals, where its
+   id goes back into the ground body. *)
+type trigger = {
+  tr_rule : pseudo;
+  tr_seed : Ast.atom;
+  tr_rank : int;
+  tr_rest : Ast.body_lit list;
+}
 
 (* Index triggers by the predicates of their positive body literals,
    so a new atom only retriggers relevant rules. *)
@@ -283,29 +363,46 @@ let build_trigger_index pseudos =
   let by_trigger : (string * int, trigger list ref) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun p ->
-      List.iteri
-        (fun li lit ->
-          match lit with
-          | Ast.Pos a ->
-            push_index by_trigger
-              (a.Ast.pred, List.length a.Ast.args)
-              { tr_head = p.phead;
-                tr_seed = a;
-                tr_rest = List.filteri (fun i _ -> i <> li) p.pbody }
-          | _ -> ())
-        p.pbody)
+      ignore
+        (List.fold_left
+           (fun (li, rank) lit ->
+             match lit with
+             | Ast.Pos a ->
+               push_index by_trigger
+                 (a.Ast.pred, List.length a.Ast.args)
+                 { tr_rule = p;
+                   tr_seed = a;
+                   tr_rank = rank;
+                   tr_rest = List.filteri (fun i _ -> i <> li) p.pbody };
+               (li + 1, rank + 1)
+             | _ -> (li + 1, rank))
+           (0, 0) p.pbody))
     pseudos;
   by_trigger
 
-let phase1 st prog =
+let rec insert_at rank id ids =
+  if rank = 0 then id :: ids
+  else
+    match ids with x :: rest -> x :: insert_at (rank - 1) id rest | [] -> [ id ]
+
+(* A normal rule's body instance is complete when the last of its
+   positive atoms is popped: the join seeded there sees every other
+   body atom as possible. Earlier pops of its other atoms may find the
+   same instance; [simplify] drops the repeats. *)
+let phase1 st prog ~emit =
   let pseudos = pseudo_rules prog in
   let by_trigger = build_trigger_index pseudos in
   let queue = Queue.create () in
-  let fire head lits subst =
+  let fire p lits subst seed =
     try
-      join st lits subst ~on_neg:`Ignore ~k:(fun subst _ ->
-          let hid, fresh = intern st (subst_atom head subst) ~possible:true in
-          if fresh then Queue.add hid queue)
+      join st lits subst ~k:(fun subst ids ->
+          let hid, fresh = intern st (subst_atom p.phead subst) ~possible:true in
+          if fresh then Queue.add hid queue;
+          if p.pemit then
+            let gpos =
+              match seed with Some (rank, id) -> insert_at rank id ids | None -> ids
+            in
+            emit p.pstmt { ghead = Gatom hid; gpos; gneg = ground_negs st p.pbody subst })
     with Stuck_cmp ->
       invalid_arg "grounder: comparison with unbound variables (unsafe rule)"
   in
@@ -313,7 +410,7 @@ let phase1 st prog =
   List.iter
     (fun p ->
       if not (List.exists (function Ast.Pos _ -> true | _ -> false) p.pbody) then
-        fire p.phead p.pbody Term.Smap.empty)
+        fire p p.pbody Term.Smap.empty None)
     pseudos;
   (* Delta loop: for each new atom, re-evaluate rules triggered through
      the matching body position, seeding the join there. *)
@@ -329,64 +426,22 @@ let phase1 st prog =
         (fun tr ->
           match match_atom ~pattern:tr.tr_seed Term.Smap.empty atom with
           | None -> ()
-          | Some subst -> fire tr.tr_head tr.tr_rest subst)
+          | Some subst -> fire tr.tr_rule tr.tr_rest subst (Some (tr.tr_rank, id)))
         !triggers
   done;
   !iters
 
-(* Phase 2: emit ground statements over the fixed atom set. The
-   emitter abstracts where atoms are interned and where output lands:
-   the serial path writes straight into the store and rule list,
-   parallel workers write into private overlays merged
-   deterministically afterwards. *)
-type emitter = {
-  em_intern : Ast.atom -> possible:bool -> atom_id;
-  em_rule : grule -> unit;
-  em_min : gmin -> unit;
-  em_tally : tally option;
-}
-
-let choice_elems st em (elems : Ast.choice_elem list) subst =
+let choice_elems st (elems : Ast.choice_elem list) subst =
   let gelems = ref [] in
   List.iter
     (fun (e : Ast.choice_elem) ->
-      try
-        join ?tally:em.em_tally st e.cond subst ~on_neg:`Ignore ~k:(fun subst' _ ->
-            let a = subst_atom e.elem subst' in
-            let id = em.em_intern a ~possible:true in
-            if not (List.mem id !gelems) then gelems := id :: !gelems)
-      with Stuck_cmp -> invalid_arg "grounder: unsafe comparison")
+      join st e.cond subst ~k:(fun subst' _ ->
+          let id, _ = intern st (subst_atom e.elem subst') ~possible:true in
+          if not (List.mem id !gelems) then gelems := id :: !gelems))
     elems;
   List.rev !gelems
 
-(* Solve [body]; for every solution, hand back the interned positive
-   body and negatives. *)
-let ground_body st em body k =
-  join ?tally:em.em_tally st body Term.Smap.empty ~on_neg:`Record
-    ~k:(fun subst negs ->
-      let pos =
-        List.filter_map
-          (function
-            | Ast.Pos a -> Some (em.em_intern (subst_atom a subst) ~possible:false)
-            | _ -> None)
-          body
-      in
-      (* Positive atoms were matched against possible atoms, so the
-         lookup above finds existing ids. *)
-      let neg = List.map (fun a -> em.em_intern a ~possible:false) negs in
-      k subst pos neg)
-
-let emit_head st em (head : Ast.head) subst pos neg =
-  match head with
-  | Ast.Head_atom h ->
-    let ghead = Gatom (em.em_intern (subst_atom h subst) ~possible:true) in
-    em.em_rule { ghead; gpos = pos; gneg = neg }
-  | Ast.Head_none -> em.em_rule { ghead = Gconstraint; gpos = pos; gneg = neg }
-  | Ast.Head_choice { lo; hi; elems } ->
-    let gelems = choice_elems st em elems subst in
-    em.em_rule { ghead = Gchoice { lo; hi; gelems }; gpos = pos; gneg = neg }
-
-let emit_min em (e : Ast.min_elem) subst pos neg =
+let ground_min (e : Ast.min_elem) subst pos neg =
   let w =
     match Term.subst_term subst e.weight with
     | Term.Int n -> n
@@ -399,205 +454,38 @@ let emit_min em (e : Ast.min_elem) subst pos neg =
          Term.pp)
       (List.map (Term.subst_term subst) e.terms)
   in
-  em.em_min
-    { gweight = w; gpriority = e.priority; gkey = key; gcond_pos = pos; gcond_neg = neg }
+  { gweight = w; gpriority = e.priority; gkey = key; gcond_pos = pos; gcond_neg = neg }
 
-let ground_stmt st em (stmt : Ast.statement) =
-  match stmt with
-  | Ast.Rule { head; body } -> (
+(* The final pass, over the fixed atom set: choice rules, whose element
+   lists need every possible atom, and the statements that derive no
+   atom — constraints and #minimize — which a seeded join would find
+   once per positive literal. Each is joined once. *)
+let final_pass st prog ~emit =
+  let gmins = ref [] in
+  let body_instances body k =
     try
-      ground_body st em body (fun subst pos neg -> emit_head st em head subst pos neg)
-    with Stuck_cmp -> invalid_arg "grounder: unsafe comparison")
-  | Ast.Minimize elems ->
-    List.iter
-      (fun (e : Ast.min_elem) ->
-        try ground_body st em e.mcond (fun subst pos neg -> emit_min em e subst pos neg)
-        with Stuck_cmp -> invalid_arg "grounder: unsafe comparison")
-      elems
-
-(* Bodies of length 0/1 are already sorted; skip the sort allocation —
-   at buildcache scale most rules have tiny bodies. *)
-let sort_ids = function ([] | [ _ ]) as l -> l | l -> List.sort Int.compare l
-
-let rule_key r = (r.ghead, sort_ids r.gpos, sort_ids r.gneg)
-
-(* Duplicate-rule filter table with a full-depth hash. The generic
-   [Hashtbl.hash] samples a bounded prefix of the structure (10
-   meaningful words), and ground rules overwhelmingly share body
-   prefixes — at buildcache scale, hundreds of thousands of instances
-   land in a handful of buckets and dedup turns quadratic. Mixing every
-   atom id keeps the chains at O(1). *)
-module Rule_key_tbl = Hashtbl.Make (struct
-  type t = ghead * atom_id list * atom_id list
-
-  let hash_ids = List.fold_left (fun h id -> (h * 31) + id + 1)
-
-  let hash_head = function
-    | Gconstraint -> 0
-    | Gatom id -> (id * 2) + 1
-    | Gchoice { lo; hi; gelems } ->
-      let b = function None -> -2 | Some v -> v in
-      hash_ids ((((b lo * 31) + b hi) * 31) + 7) gelems
-
-  let equal (h1, p1, n1) (h2, p2, n2) =
-    List.equal Int.equal p1 p2 && List.equal Int.equal n1 n2
-    &&
-    match (h1, h2) with
-    | Gconstraint, Gconstraint -> true
-    | Gatom a, Gatom b -> a = b
-    | Gchoice c1, Gchoice c2 ->
-      c1.lo = c2.lo && c1.hi = c2.hi && List.equal Int.equal c1.gelems c2.gelems
-    | _ -> false
-
-  let hash (h, p, n) = hash_ids (hash_ids (hash_head h) p * 17) n land max_int
-end)
-
-(* Every table is sized from what it indexes — here from the atom
-   count, in [simplify] from the atom or the rule count — so a small
-   request does not allocate tables sized for the largest pool. *)
-let phase2 st prog =
-  let grules = ref [] in
-  let gmins = ref [] in
-  let seen_rules = Rule_key_tbl.create st.count in
-  let em =
-    { em_intern = (fun a ~possible -> fst (intern st a ~possible));
-      em_rule =
-        (fun r ->
-          let key = rule_key r in
-          if not (Rule_key_tbl.mem seen_rules key) then begin
-            Rule_key_tbl.add seen_rules key ();
-            grules := r :: !grules
-          end);
-      em_min = (fun m -> gmins := m :: !gmins);
-      em_tally = None }
+      join st body Term.Smap.empty ~k:(fun subst pos ->
+          k subst pos (ground_negs st body subst))
+    with Stuck_cmp -> invalid_arg "grounder: unsafe comparison"
   in
-  List.iter (ground_stmt st em) prog;
-  (List.rev !grules, List.rev !gmins)
-
-(* Parallel phase 2: statements are partitioned round-robin across
-   domains. The store is frozen during the workers' joins — phase 1
-   over-approximated every derivable head, so workers only ever look
-   atoms up; genuinely new atoms (negative literals over underivable
-   subjects) go to a per-worker overlay with private ids. A serial
-   merge in statement order re-interns overlay atoms in first-use
-   order and re-applies the duplicate-rule filter, which makes the
-   result — ids, rule order, everything — byte-identical to the serial
-   grounding for any number of jobs. *)
-type remit = Rrule of grule | Rmin of gmin
-
-let phase2_par st prog jobs =
-  let stmts = Array.of_list prog in
-  let n = Array.length stmts in
-  let base_n = st.count in
-  let outs = Array.make n [] in
-  let errs = Array.make n None in
-  let ov_atoms = Array.make jobs [||] in
-  let ov_poss = Array.make jobs (Hashtbl.create 0) in
-  let tallies = Array.init jobs (fun _ -> { t_hits = 0; t_misses = 0 }) in
-  let work d =
-    let local_tbl = Ast.Atom_tbl.create 256 in
-    let local_poss = Hashtbl.create 16 in
-    let local_atoms = ref [] in
-    let local_count = ref 0 in
-    let ov_intern (a : Ast.atom) ~possible =
-      match Ast.Atom_tbl.find_opt st.tbl a with
-      | Some id ->
-        if possible && Bytes.get st.possible id = '\000' then
-          Hashtbl.replace local_poss id ();
-        id
-      | None -> (
-        match Ast.Atom_tbl.find_opt local_tbl a with
-        | Some id ->
-          if possible then Hashtbl.replace local_poss id ();
-          id
-        | None ->
-          let id = base_n + !local_count in
-          incr local_count;
-          Ast.Atom_tbl.add local_tbl a id;
-          local_atoms := a :: !local_atoms;
-          if possible then Hashtbl.replace local_poss id ();
-          id)
-    in
-    let si = ref d in
-    while !si < n do
-      let acc = ref [] in
-      let em =
-        { em_intern = ov_intern;
-          em_rule = (fun r -> acc := Rrule r :: !acc);
-          em_min = (fun m -> acc := Rmin m :: !acc);
-          em_tally = Some tallies.(d) }
-      in
-      (try ground_stmt st em stmts.(!si) with e -> errs.(!si) <- Some e);
-      outs.(!si) <- List.rev !acc;
-      si := !si + jobs
-    done;
-    ov_atoms.(d) <- Array.of_list (List.rev !local_atoms);
-    ov_poss.(d) <- local_poss
-  in
-  let doms = List.init (jobs - 1) (fun k -> Domain.spawn (fun () -> work (k + 1))) in
-  work 0;
-  List.iter Domain.join doms;
-  (* Deterministic merge in statement order. *)
-  let remaps = Array.init jobs (fun d -> Array.make (Array.length ov_atoms.(d)) (-1)) in
-  let grules = ref [] in
-  let gmins = ref [] in
-  let seen_rules =
-    Rule_key_tbl.create (Array.fold_left (fun n out -> n + List.length out) 0 outs)
-  in
-  for si = 0 to n - 1 do
-    (match errs.(si) with Some e -> raise e | None -> ());
-    let d = si mod jobs in
-    let remap id =
-      if id < base_n then id
-      else begin
-        let k = id - base_n in
-        if remaps.(d).(k) >= 0 then remaps.(d).(k)
-        else begin
-          let possible = Hashtbl.mem ov_poss.(d) id in
-          let gid = fst (intern st ov_atoms.(d).(k) ~possible) in
-          remaps.(d).(k) <- gid;
-          gid
-        end
-      end
-    in
-    List.iter
-      (function
-        | Rrule r ->
-          let ghead =
-            match r.ghead with
-            | Gatom id -> Gatom (remap id)
-            | Gchoice { lo; hi; gelems } ->
-              Gchoice { lo; hi; gelems = List.map remap gelems }
-            | Gconstraint -> Gconstraint
-          in
-          let r =
-            { ghead; gpos = List.map remap r.gpos; gneg = List.map remap r.gneg }
-          in
-          let key = rule_key r in
-          if not (Rule_key_tbl.mem seen_rules key) then begin
-            Rule_key_tbl.add seen_rules key ();
-            grules := r :: !grules
-          end
-        | Rmin m ->
-          gmins :=
-            { m with
-              gcond_pos = List.map remap m.gcond_pos;
-              gcond_neg = List.map remap m.gcond_neg }
-            :: !gmins)
-      outs.(si)
-  done;
-  (* Shared atoms a worker wanted promoted to possible (defensive: a
-     phase-1-complete program never hits this). *)
-  Array.iter
-    (fun poss ->
-      Hashtbl.iter (fun id () -> if id < base_n then Bytes.set st.possible id '\001') poss)
-    ov_poss;
-  Array.iter
-    (fun t ->
-      st.st_tally.t_hits <- st.st_tally.t_hits + t.t_hits;
-      st.st_tally.t_misses <- st.st_tally.t_misses + t.t_misses)
-    tallies;
-  (List.rev !grules, List.rev !gmins)
+  List.iteri
+    (fun i -> function
+      | Ast.Rule { head = Ast.Head_atom _; _ } -> ()
+      | Ast.Rule { head = Ast.Head_none; body } ->
+        body_instances body (fun _ gpos gneg ->
+            emit i { ghead = Gconstraint; gpos; gneg })
+      | Ast.Rule { head = Ast.Head_choice { lo; hi; elems }; body } ->
+        body_instances body (fun subst gpos gneg ->
+            let gelems = choice_elems st elems subst in
+            emit i { ghead = Gchoice { lo; hi; gelems }; gpos; gneg })
+      | Ast.Minimize elems ->
+        List.iter
+          (fun (e : Ast.min_elem) ->
+            body_instances e.mcond (fun subst pos neg ->
+                gmins := ground_min e subst pos neg :: !gmins))
+          elems)
+    prog;
+  List.rev !gmins
 
 (* Fact propagation (what clingo's grounder does): atoms that are
    certainly true — derivable through rules with no remaining negative
@@ -660,13 +548,15 @@ let simplify st grules gmins =
         if counts.(i) = 0 then derive (fst rule_arr.(i)))
       by_atom.(Queue.pop queue)
   done;
-  (* 3. rewrite: certain atoms become facts, in atom-id order *)
+  (* 3. rewrite: certain atoms become facts, in atom-id order. This is
+     the grounding's one duplicate filter: it drops the instances
+     phase 1 found more than once, and rules that became equal when
+     certain atoms left their bodies. *)
   let out = ref [] in
-  let seen = Rule_key_tbl.create (List.length grules) in
+  let seen = Rule_tbl.create (List.length grules) in
   let emit r =
-    let key = (r.ghead, r.gpos, r.gneg) in
-    if not (Rule_key_tbl.mem seen key) then begin
-      Rule_key_tbl.add seen key ();
+    if not (Rule_tbl.mem seen r) then begin
+      Rule_tbl.add seen r ();
       out := r :: !out
     end
   in
@@ -706,30 +596,40 @@ let declared_priorities prog =
     prog
   |> List.sort_uniq Int.compare
 
-let ground ?(obs = Obs.disabled) ?(jobs = 1) prog =
+let ground ?(obs = Obs.disabled) ?jobs:_ prog =
   (match Ast.check_safety prog with
   | Ok () -> ()
   | Error e -> invalid_arg ("grounder: " ^ e));
   (* Most statements are facts, one atom each: the statement count is
      a cheap estimate of the atom count. *)
-  let st = store_create (max 64 (List.length prog)) in
+  let nstmts = List.length prog in
+  let st = store_create (max 64 nstmts) in
+  (* Rules are kept per statement and listed in statement order, the
+     order a grounder joining one statement after another lists them:
+     the SAT core's search depends on the order its clauses arrive.
+     [simplify] drops the repeats. *)
+  let by_stmt = Array.make nstmts [] and emitted = ref 0 in
+  let emit i r =
+    by_stmt.(i) <- r :: by_stmt.(i);
+    incr emitted
+  in
   let iters =
     Obs.with_span obs ~cat:"ground" "ground.phase1" (fun sp ->
-        let iters = phase1 st prog in
+        let iters = phase1 st prog ~emit in
         Obs.set_attr sp "fixpoint_iters" (Obs.I iters);
         Obs.set_attr sp "possible_atoms" (Obs.I st.count);
+        Obs.set_attr sp "rules" (Obs.I !emitted);
         iters)
   in
-  let grules, gmins =
+  let gmins =
     Obs.with_span obs ~cat:"ground" "ground.phase2" (fun sp ->
-        let grules, gmins =
-          if jobs <= 1 then phase2 st prog else phase2_par st prog jobs
-        in
-        Obs.set_attr sp "rules" (Obs.I (List.length grules));
-        Obs.set_attr sp "jobs" (Obs.I (max 1 jobs));
-        (grules, gmins))
+        let before = !emitted in
+        let gmins = final_pass st prog ~emit in
+        Obs.set_attr sp "rules" (Obs.I (!emitted - before));
+        gmins)
   in
-  let pre_simplify = List.length grules in
+  let pre_simplify = !emitted in
+  let grules = Array.fold_right (fun rs acc -> List.rev_append rs acc) by_stmt [] in
   let grules, gmins =
     Obs.with_span obs ~cat:"ground" "ground.simplify" (fun sp ->
         let grules, gmins = simplify st grules gmins in
@@ -739,8 +639,8 @@ let ground ?(obs = Obs.disabled) ?(jobs = 1) prog =
   in
   Obs.incr obs ~by:(List.length grules) "ground.rules";
   Obs.incr obs ~by:iters "ground.fixpoint_iters";
-  Obs.incr obs ~by:st.st_tally.t_hits "ground.index_hits";
-  Obs.incr obs ~by:st.st_tally.t_misses "ground.index_misses";
+  Obs.incr obs ~by:st.hits "ground.index_hits";
+  Obs.incr obs ~by:st.misses "ground.index_misses";
   Obs.gauge obs "ground.atoms" st.count;
   { st; grules; gmins; gmin_priorities = declared_priorities prog }
 
@@ -752,9 +652,9 @@ let minimize_priorities t = t.gmin_priorities
 
 let atom_count t = t.st.count
 
-let index_hits t = t.st.st_tally.t_hits
+let index_hits t = t.st.hits
 
-let index_misses t = t.st.st_tally.t_misses
+let index_misses t = t.st.misses
 
 let possible t id = Bytes.get t.st.possible id = '\001'
 

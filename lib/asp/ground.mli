@@ -1,13 +1,16 @@
 (** Grounder: instantiate a safe program over its Herbrand base.
 
-    Two phases: (1) a delta-driven fixpoint derives every {e possible}
-    atom — treating each rule head, choice element (with its local
-    condition conjoined to the rule body) as a positive derivation and
-    ignoring negative literals (the standard over-approximation);
-    (2) with the atom set fixed, every statement is instantiated in
-    full, evaluating comparisons, dropping negative literals on atoms
-    that can never hold, and emitting ground rules over interned atom
-    ids. *)
+    Phase 1 is a semi-naive fixpoint over the {e possible} atoms: a
+    normal rule derives its head, and each choice element derives its
+    atom under the rule's body conjoined with the element's condition;
+    negative literals are ignored there (the standard
+    over-approximation). Each normal rule's ground instance is emitted
+    as soon as its join completes, so it is joined in one place only.
+    A final pass over the fixed atom set grounds what needs that set or
+    derives nothing: choice rules, integrity constraints and
+    [#minimize]. [simplify] then turns certainly-true atoms into facts,
+    drops negative literals on atoms that can never hold, and keeps
+    each rule once. Ground rules refer to interned atom ids. *)
 
 type atom_id = int
 
@@ -29,18 +32,18 @@ type gmin = {
 type t
 
 val ground : ?obs:Obs.ctx -> ?jobs:int -> Ast.program -> t
-(** [?obs] records phase spans (phase1/phase2/simplify), the
-    possible-atom fixpoint iteration count, join-index hit/miss
-    counters, and ground-rule totals.
+(** [?obs] records one span per pass ([ground.phase1] for the
+    fixpoint, [ground.phase2] for the final pass, [ground.simplify]),
+    each with the count of rules it emitted (phase 1's count includes
+    instances found more than once, which [simplify] drops), plus the
+    fixpoint iteration count, join-index hit/miss counters, and
+    ground-rule totals.
 
-    [?jobs] partitions phase-2 instantiation round-robin across that
-    many OCaml domains. Phase 1 fixes the atom set first, so workers
-    only read the shared store; atoms they must create (negative
-    literals over underivable subjects) go to private overlays, and a
-    serial merge in statement order re-interns them in first-use order
-    and re-applies duplicate-rule filtering. The result is
-    byte-identical to [jobs:1] — same atom ids, same rule order — for
-    any job count. *)
+    [?jobs] is ignored: grounding runs on the calling domain. It is
+    kept only because the benchmark harness still passes it.
+
+    Raises [Invalid_argument] on a program {!Ast.check_safety}
+    rejects. *)
 
 val rules : t -> grule list
 

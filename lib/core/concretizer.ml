@@ -177,7 +177,7 @@ let concretize_v ~repo ?(options = default_options) ?budget ?closure
   let t1 = now () in
   let ground =
     Obs.with_span obs ~cat:"concretize" "ground" (fun _ ->
-        Asp.Ground.ground ~obs ~jobs:options.ground_jobs statements)
+        Asp.Ground.ground ~obs statements)
   in
   let t2 = now () in
   let result =

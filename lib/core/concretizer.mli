@@ -40,9 +40,8 @@ type options = {
           comparisons of the tracing layer are not polluted by
           verification cost. *)
   ground_jobs : int;
-      (** partition the grounder's phase-2 instantiation across this
-          many OCaml 5 domains ({!Asp.Ground.ground}'s [jobs]); the
-          ground program is byte-identical for any value; default 1. *)
+      (** ignored: the grounder runs on one domain. Kept only because
+          the benchmark harness still names it. *)
   portfolio : int;
       (** race the initial stable solve of every request across this
           many diversified SAT-solver clones (restart mode, phase

@@ -174,6 +174,108 @@ let test_negative_literal_on_impossible_atom () =
   (* q can never hold, so p must be derivable. *)
   check_atoms "impossible negative" "p :- not q." [ "p" ]
 
+(* Safe rules ground whatever the literal order: a negative literal or a
+   comparison may come before the literal that binds its variables. *)
+let test_safe_in_any_order () =
+  check_atoms "negative first" "r(1). p(X) :- not q(X), r(X)." [ "r(1)"; "p(1)" ];
+  check_atoms "equality first" "r(1). p(X) :- X = Y, r(Y)." [ "r(1)"; "p(1)" ];
+  Alcotest.(check bool) "constraint, negative first" true
+    (is_unsat (solve "r(1). :- not q(X), r(X)."));
+  let r = solve "r(1). #minimize { 1@1,X : not q(X), r(X) }." in
+  Alcotest.(check (list string)) "minimize, negative first" [ "r(1)" ] (atoms_of r);
+  Alcotest.(check (list (pair int int))) "its cost" [ (1, 1) ] (costs_of r);
+  let r = solve "r(1). #minimize { 1@1,X : X = Y, r(Y) }." in
+  Alcotest.(check (list (pair int int))) "minimize, equality first" [ (1, 1) ] (costs_of r);
+  check_atoms "no positive literal" "p(X) :- not q(X), X = 1." [ "p(1)" ];
+  (* A choice element cannot carry a negated condition of its own. *)
+  match solve "r(1). q(1). { s(X) : r(X), not q(X) }. :- not s(1)." with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.fail "negated choice-element condition should be a ground error"
+
+(* Normal rules are emitted during the fixpoint, each instance as soon
+   as its body completes, and the rest in a final pass. The ground
+   program must not depend on the order in which statements, and so
+   atoms, arrive: the sorted lines match a reference taken from a
+   grounder that re-joined every statement over the finished atom set,
+   for the program as written, reversed and shuffled. The program has a
+   derived closure, heads with several derivations, a choice rule fed
+   by facts, negation over a derived atom, a constraint and two
+   minimize levels. *)
+let mini_program =
+  {|
+    root(a). dep(a,b). dep(b,c). tag(base).
+    decl(a,"1"). decl(b,"1"). decl(c,"1").
+    bad("9").
+    node(P) :- root(P).
+    node(P) :- node(Q), dep(Q,P).
+    { hash(P,H) : installed(P,H) } 1 :- node(P).
+    version(P,V) :- hash(P,H), hash_ver(H,V).
+    picked(P) :- hash(P,H).
+    chosen_decl(P) :- node(P), decl(P,V), not picked(P).
+    tagged(P,T) :- hash(P,H), tag(T).
+    seen(V) :- hash_ver(H,V).
+    :- version(P,V), bad(V).
+    picked_w(P,1) :- picked(P).
+    picked_w(P,5) :- chosen_decl(P).
+    #minimize { W@1,P : picked_w(P,W) }.
+    #minimize { 1@2,V : seen(V) }.
+  |}
+
+let mini_facts =
+  List.concat
+    (List.init 6 (fun i ->
+         let p = Asp.Term.sym [| "a"; "b"; "c" |].(i mod 3) in
+         let v = Asp.Term.str [| "1"; "2"; "3"; "9" |].(i mod 4) in
+         let h = Asp.Term.str ("h" ^ string_of_int i) in
+         List.map Asp.Ast.fact
+           [ Asp.Ast.atom "installed" [ p; h ];
+             Asp.Ast.atom "hash_ver" [ h; v ];
+             Asp.Ast.atom "pool_ver" [ p; v ];
+             Asp.Ast.atom "tag" [ Asp.Term.sym "shared" ] ]))
+
+(* A choice head's elements form a set; they print in the order the
+   element join meets them, which follows atom ids, so sort them. *)
+let canonical_line l =
+  match (String.index_opt l '{', String.index_opt l '}') with
+  | Some i, Some j ->
+    let elems = String.split_on_char ',' (String.sub l (i + 1) (j - i - 1)) in
+    let elems = List.sort String.compare (List.map String.trim elems) in
+    String.sub l 0 (i + 1) ^ String.concat "," elems ^ String.sub l j (String.length l - j)
+  | _ -> l
+
+let sorted_lines text =
+  String.split_on_char '\n' text
+  |> List.filter (fun l -> l <> "")
+  |> List.map canonical_line
+  |> List.sort String.compare
+
+let shuffle seed l =
+  let a = Array.of_list l in
+  let rng = Random.State.make [| seed |] in
+  for i = Array.length a - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  done;
+  Array.to_list a
+
+let test_single_pass_emission () =
+  (* under [dune runtest] the file sits in the working directory; under
+     [dune exec] from the repository root, in test/ *)
+  let file =
+    List.find Sys.file_exists [ "mini_ground.expected"; "test/mini_ground.expected" ]
+  in
+  let expected = sorted_lines (In_channel.with_open_text file In_channel.input_all) in
+  let prog = Asp.parse mini_program @ mini_facts in
+  let check name prog =
+    Alcotest.(check (list string)) name expected
+      (sorted_lines (Format.asprintf "%a" Asp.Ground.pp (Asp.Ground.ground prog)))
+  in
+  check "as written" prog;
+  check "reversed" (List.rev prog);
+  List.iter (fun seed -> check (Printf.sprintf "shuffle %d" seed) (shuffle seed prog)) [ 1; 2; 3 ]
+
 (* ---- brute-force stable-model fuzz ---- *)
 
 let prop_stable_equiv =
@@ -216,7 +318,8 @@ let () =
           Alcotest.test_case "strings and functions" `Quick test_strings_and_functions;
           Alcotest.test_case "equality binding" `Quick test_eq_binding;
           Alcotest.test_case "impossible negative" `Quick
-            test_negative_literal_on_impossible_atom ] );
+            test_negative_literal_on_impossible_atom;
+          Alcotest.test_case "safe in any literal order" `Quick test_safe_in_any_order ] );
       ( "optimization",
         [ Alcotest.test_case "single level" `Quick test_minimize_single;
           Alcotest.test_case "lexicographic" `Quick test_minimize_lexicographic;
@@ -224,7 +327,8 @@ let () =
           Alcotest.test_case "distinct tuples" `Quick test_minimize_distinct_tuples;
           Alcotest.test_case "show ignored" `Quick test_show_ignored ] );
       ( "grounder",
-        [ Alcotest.test_case "counts" `Quick test_grounding_counts ] );
+        [ Alcotest.test_case "counts" `Quick test_grounding_counts;
+          Alcotest.test_case "single-pass emission" `Quick test_single_pass_emission ] );
       ( "enumeration",
         [ Alcotest.test_case "all models" `Quick test_enumerate_all;
           Alcotest.test_case "limit" `Quick test_enumerate_limit;

@@ -1,13 +1,11 @@
 (* Performance-stack equivalence properties (reuse-pool pruning,
-   portfolio racing, parallel grounding, batch determinism) over random
-   fuzz universes: the fast paths must be observationally equivalent to
-   the plain from-scratch solver.
+   portfolio racing, batch determinism) over random fuzz universes: the
+   fast paths must be observationally equivalent to the plain
+   from-scratch solver.
 
    - pruning: closure-filtered encodes agree with unpruned encodes on
      solvability, optimal costs, and the solution DAG.
    - portfolio: raced solves are byte-identical to single-solver ones.
-   - grounding: the parallel grounder is byte-identical to the serial
-     one for any job count.
    - batch: concretize_batch is byte-identical for any domain count. *)
 
 module CC = Core.Concretizer
@@ -148,58 +146,7 @@ let prop_portfolio_parity mode =
               f.CC.f_message)
         (u.Fuzz.Gen.u_requests @ u.Fuzz.Gen.u_cache_roots))
 
-(* ---- 3. parallel grounding determinism ---- *)
-
-(* A miniature concretizer-shaped program: derived node closure, a
-   choice rule whose elements come from installed facts, negation over
-   a derived atom, a constraint and two minimize layers. *)
-let mini_program =
-  {|
-    root(a). dep(a,b). dep(b,c). tag(base).
-    decl(a,"1"). decl(b,"1"). decl(c,"1").
-    bad("9").
-    node(P) :- root(P).
-    node(P) :- node(Q), dep(Q,P).
-    { hash(P,H) : installed(P,H) } 1 :- node(P).
-    version(P,V) :- hash(P,H), hash_ver(H,V).
-    picked(P) :- hash(P,H).
-    chosen_decl(P) :- node(P), decl(P,V), not picked(P).
-    tagged(P,T) :- hash(P,H), tag(T).
-    seen(V) :- hash_ver(H,V).
-    :- version(P,V), bad(V).
-    picked_w(P,1) :- picked(P).
-    picked_w(P,5) :- chosen_decl(P).
-    #minimize { W@1,P : picked_w(P,W) }.
-    #minimize { 1@2,V : seen(V) }.
-  |}
-
-let mini_facts =
-  List.concat
-    (List.init 6 (fun i ->
-         let p = Asp.Term.sym [| "a"; "b"; "c" |].(i mod 3) in
-         let v = Asp.Term.str [| "1"; "2"; "3"; "9" |].(i mod 4) in
-         let h = Asp.Term.str ("h" ^ string_of_int i) in
-         List.map Asp.Ast.fact
-           [ Asp.Ast.atom "installed" [ p; h ];
-             Asp.Ast.atom "hash_ver" [ h; v ];
-             Asp.Ast.atom "pool_ver" [ p; v ];
-             Asp.Ast.atom "tag" [ Asp.Term.sym "shared" ] ]))
-
-let test_ground_jobs_determinism () =
-  let prog = Asp.parse mini_program @ mini_facts in
-  let render g =
-    Format.asprintf "%d@.%a" (Asp.Ground.atom_count g) Asp.Ground.pp g
-  in
-  let reference = render (Asp.Ground.ground ~jobs:1 prog) in
-  List.iter
-    (fun jobs ->
-      Alcotest.(check string)
-        (Printf.sprintf "ground --jobs %d byte-identical" jobs)
-        reference
-        (render (Asp.Ground.ground ~jobs prog)))
-    [ 2; 3; 4 ]
-
-(* ---- 4. batch determinism ---- *)
+(* ---- 3. batch determinism ---- *)
 
 let render_batch results =
   String.concat "\n"
@@ -230,15 +177,12 @@ let test_batch_determinism mode () =
 
 let () =
   Alcotest.run "perf_equiv"
-    (( "layered-grounding",
-       [ Alcotest.test_case "parallel grounding determinism" `Quick
-           test_ground_jobs_determinism ] )
-    :: List.map
-         (fun mode ->
-           ( "equivalence-" ^ mode_name mode,
-             [ QCheck_alcotest.to_alcotest (prop_prune_parity mode);
-               QCheck_alcotest.to_alcotest (prop_portfolio_parity mode);
-               Alcotest.test_case
-                 ("batch determinism (" ^ mode_name mode ^ ")")
-                 `Quick (test_batch_determinism mode) ] ))
-         [ Asp.Sat.Glucose; Asp.Sat.Luby ])
+    (List.map
+       (fun mode ->
+         ( "equivalence-" ^ mode_name mode,
+           [ QCheck_alcotest.to_alcotest (prop_prune_parity mode);
+             QCheck_alcotest.to_alcotest (prop_portfolio_parity mode);
+             Alcotest.test_case
+               ("batch determinism (" ^ mode_name mode ^ ")")
+               `Quick (test_batch_determinism mode) ] ))
+       [ Asp.Sat.Glucose; Asp.Sat.Luby ])
