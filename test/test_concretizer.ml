@@ -244,6 +244,73 @@ let test_encodings_agree_without_splicing () =
       Alcotest.(check string) request (solve Core.Encode.Old) (solve Core.Encode.Hash_attr))
     [ "example"; "example ^mpich@3.4.3"; "example@1.0.0"; "example~bzip ^openmpi" ]
 
+(* ---- golden local answers ---- *)
+
+(* The [install-local] requests: every top-level RADIUSS objective
+   (MPI-dependent ones as [^mpiabi]), splicing on, against the 64-spec
+   local cache. One line per request: root DAG hash, cost vector, ground
+   atom and rule counts, and an MD5 of the unsorted [Asp.Ground.pp]
+   text, which pins atom ids and rule order. To regenerate, run
+   [LOCAL_GOLDEN_OUT=test/local_golden.expected dune exec
+   test/test_concretizer.exe -- test golden] from the repository root. *)
+let golden_lines () =
+  let repo = Radiuss.Universe.repo () in
+  let local = Radiuss.Caches.local ~repo () in
+  let options =
+    { CC.default_options with
+      CC.reuse = Radiuss.Caches.reusable_specs local;
+      CC.splicing = true }
+  in
+  List.map
+    (fun name ->
+      let text =
+        if List.mem name Radiuss.Universe.mpi_dependent then name ^ " ^mpiabi" else name
+      in
+      let request = Core.Encode.request_of_string text in
+      let o =
+        match CC.concretize_v ~repo ~options [ request ] with
+        | Ok o -> o
+        | Error f -> Alcotest.failf "%s: %s" text f.CC.f_message
+      in
+      let encoded =
+        Core.Encode.encode ~repo ~encoding:options.CC.encoding
+          ~splicing:options.CC.splicing ~reuse:options.CC.reuse ~prune:options.CC.prune
+          ~host_os:options.CC.host_os ~host_target:options.CC.host_target [ request ]
+      in
+      let ground =
+        Asp.Ground.ground
+          (Core.Program.statements ~encoding:options.CC.encoding
+             ~splicing:options.CC.splicing
+          @ encoded.Core.Encode.rules @ encoded.Core.Encode.facts)
+      in
+      Printf.sprintf "%s %s %s atoms=%d rules=%d pp=%s" text
+        (Spec.Concrete.dag_hash (spec_of o))
+        (String.concat ","
+           (List.map (fun (p, c) -> Printf.sprintf "%d:%d" p c) o.CC.stats.CC.costs))
+        (Asp.Ground.atom_count ground)
+        (List.length (Asp.Ground.rules ground))
+        (Digest.to_hex (Digest.string (Format.asprintf "%a" Asp.Ground.pp ground))))
+    Radiuss.Universe.top_level
+
+let test_local_golden () =
+  let lines = golden_lines () in
+  match Sys.getenv_opt "LOCAL_GOLDEN_OUT" with
+  | Some file ->
+    Out_channel.with_open_text file (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) lines)
+  | None ->
+    (* under [dune runtest] the file sits in the working directory; under
+       [dune exec] from the repository root, in test/ *)
+    let file =
+      List.find Sys.file_exists [ "local_golden.expected"; "test/local_golden.expected" ]
+    in
+    let expected =
+      String.split_on_char '\n' (In_channel.with_open_text file In_channel.input_all)
+      |> List.filter (( <> ) "")
+    in
+    Alcotest.(check int) "one line per objective" (List.length expected) (List.length lines);
+    List.iter2 (fun want got -> Alcotest.(check string) "answer" want got) expected lines
+
 let () =
   Alcotest.run "concretizer"
     [ ( "selection",
@@ -266,4 +333,6 @@ let () =
         [ Alcotest.test_case "synthesis" `Quick test_splice_synthesis;
           Alcotest.test_case "opt-in" `Quick test_splice_needs_enabling;
           Alcotest.test_case "target constraint" `Quick test_splice_respects_target_constraint;
-          Alcotest.test_case "reuse beats splice" `Quick test_plain_reuse_beats_splice ] ) ]
+          Alcotest.test_case "reuse beats splice" `Quick test_plain_reuse_beats_splice ] );
+      ( "golden",
+        [ Alcotest.test_case "local answers" `Quick test_local_golden ] ) ]
