@@ -266,6 +266,7 @@ let ground_negs st body subst =
 
 type t = {
   st : store;
+  certain : Bytes.t;  (* per atom: '\001' iff it is a fact of [grules] *)
   grules : grule list;
   gmins : gmin list;
   gmin_priorities : int list;
@@ -585,7 +586,7 @@ let simplify st grules gmins =
               gcond_pos = List.filter (fun id -> not (is_certain id)) m.gcond_pos })
       gmins
   in
-  (List.rev !out, gmins)
+  (certain, List.rev !out, gmins)
 
 let declared_priorities prog =
   List.concat_map
@@ -630,19 +631,19 @@ let ground ?(obs = Obs.disabled) ?jobs:_ prog =
   in
   let pre_simplify = !emitted in
   let grules = Array.fold_right (fun rs acc -> List.rev_append rs acc) by_stmt [] in
-  let grules, gmins =
+  let certain, grules, gmins =
     Obs.with_span obs ~cat:"ground" "ground.simplify" (fun sp ->
-        let grules, gmins = simplify st grules gmins in
+        let ((_, grules, _) as out) = simplify st grules gmins in
         Obs.set_attr sp "rules_in" (Obs.I pre_simplify);
         Obs.set_attr sp "rules_out" (Obs.I (List.length grules));
-        (grules, gmins))
+        out)
   in
   Obs.incr obs ~by:(List.length grules) "ground.rules";
   Obs.incr obs ~by:iters "ground.fixpoint_iters";
   Obs.incr obs ~by:st.hits "ground.index_hits";
   Obs.incr obs ~by:st.misses "ground.index_misses";
   Obs.gauge obs "ground.atoms" st.count;
-  { st; grules; gmins; gmin_priorities = declared_priorities prog }
+  { st; certain; grules; gmins; gmin_priorities = declared_priorities prog }
 
 let rules t = t.grules
 
@@ -657,6 +658,8 @@ let index_hits t = t.st.hits
 let index_misses t = t.st.misses
 
 let possible t id = Bytes.get t.st.possible id = '\001'
+
+let fact t id = Bytes.get t.certain id = '\001'
 
 let atom_of_id t id = t.st.arr.(id)
 

@@ -68,6 +68,11 @@ val index_misses : t -> int
 val possible : t -> atom_id -> bool
 (** Atoms with no possible derivation are constant-false. *)
 
+val fact : t -> atom_id -> bool
+(** The certainly-true atoms: exactly those with a body-less rule in
+    {!rules}. [simplify] has removed them from every rule body and
+    [#minimize] condition; they can still be choice elements. *)
+
 val atom_of_id : t -> atom_id -> Ast.atom
 
 val pp_atom_id : t -> Format.formatter -> atom_id -> unit

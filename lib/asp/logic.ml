@@ -178,7 +178,7 @@ and thead = T_atom of int | T_choice of int list
 type ctx = {
   g : Ground.t;
   sat : Sat.t;
-  (* atom id -> SAT var (identity by construction, kept explicit) *)
+  (* atom id -> SAT var, -1 for a decided atom no clause refers to *)
   atom_var : int array;
   trules : trule list;
   loops : loops;
@@ -187,9 +187,36 @@ type ctx = {
   obs : Obs.ctx;
 }
 
+(* Open atoms are the search problem: possible, and not facts. Facts
+   and impossible atoms are decided by the ground program, so they get
+   no variable of their own (clingo likewise maps facts to the true
+   literal before search). *)
+let is_open g id = Ground.possible g id && not (Ground.fact g id)
+
+(* An atom's truth in the current model: decided atoms read it from
+   the ground program, open ones from the SAT core. *)
+let truth ctx id =
+  if Ground.fact ctx.g id then true
+  else if not (Ground.possible ctx.g id) then false
+  else Sat.value ctx.sat ctx.atom_var.(id)
+
+(* The SAT variable of an atom a clause refers to. A decided atom gets
+   one on first use, fixed by a unit clause: [simplify] strips facts
+   and impossible atoms from bodies and conditions, but a fact can
+   still be a choice element, whose cardinality bounds must count it. *)
+let var_of ctx id =
+  let v = ctx.atom_var.(id) in
+  if v >= 0 then v
+  else begin
+    let v = Sat.new_var ctx.sat in
+    ctx.atom_var.(id) <- v;
+    Sat.add_clause ctx.sat [ (if Ground.fact ctx.g id then Sat.pos v else Sat.neg v) ];
+    v
+  end
+
 let body_lits ctx pos neg =
-  List.map (fun id -> Sat.pos ctx.atom_var.(id)) pos
-  @ List.map (fun id -> Sat.neg ctx.atom_var.(id)) neg
+  List.map (fun id -> Sat.pos (var_of ctx id)) pos
+  @ List.map (fun id -> Sat.neg (var_of ctx id)) neg
 
 (* A literal equivalent to the conjunction of the body: single-literal
    bodies are represented by that literal directly; longer bodies get a
@@ -198,8 +225,8 @@ let body_lits ctx pos neg =
 let make_body_lit ctx cache pos neg =
   match (pos, neg) with
   | [], [] -> -1
-  | [ x ], [] -> Sat.pos ctx.atom_var.(x)
-  | [], [ y ] -> Sat.neg ctx.atom_var.(y)
+  | [ x ], [] -> Sat.pos (var_of ctx x)
+  | [], [ y ] -> Sat.neg (var_of ctx y)
   | _ -> (
     let key = (List.sort Int.compare pos, List.sort Int.compare neg) in
     match Hashtbl.find_opt cache key with
@@ -214,14 +241,21 @@ let make_body_lit ctx cache pos neg =
 
 let translate ?(certify = false) ?(obs = Obs.disabled) g =
   Obs.with_span obs ~cat:"solve" "logic.translate" @@ fun span ->
-  let sat = Sat.create () in
+  let n = Ground.atom_count g in
+  let rules = Ground.rules g in
+  let nopen = ref 0 in
+  for id = 0 to n - 1 do
+    if is_open g id then incr nopen
+  done;
+  (* Translation makes a variable per open atom and at most one per
+     rule body; sizing the solver's arrays for that up front spares
+     the doubling copies. *)
+  let sat = Sat.create ~vars:(!nopen + List.length rules) () in
   Sat.set_obs sat obs;
   if certify then Sat.enable_proof sat;
-  let n = Ground.atom_count g in
-  let atom_var = Array.init n (fun _ -> Sat.new_var sat) in
-  (* Atoms with no possible derivation are constant false. *)
+  let atom_var = Array.make n (-1) in
   for id = 0 to n - 1 do
-    if not (Ground.possible g id) then Sat.add_clause sat [ Sat.neg atom_var.(id) ]
+    if is_open g id then atom_var.(id) <- Sat.new_var sat
   done;
   let ctx =
     { g;
@@ -235,36 +269,27 @@ let translate ?(certify = false) ?(obs = Obs.disabled) g =
   in
   Obs.incr obs ~by:(scc_atoms ctx.loops) "logic.scc_atoms";
   Obs.set_attr span "atoms" (Obs.I n);
-  let body_cache = Hashtbl.create 1024 in
-  let supports : (int, Sat.lit list ref) Hashtbl.t = Hashtbl.create 1024 in
-  let facts : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-  let free : (int, unit) Hashtbl.t = Hashtbl.create 256 in
-  let add_support id l =
-    match Hashtbl.find_opt supports id with
-    | Some r -> r := l :: !r
-    | None -> Hashtbl.add supports id (ref [ l ])
-  in
+  Obs.set_attr span "open_atoms" (Obs.I !nopen);
+  let body_cache = Hashtbl.create 64 in
+  (* per atom: the bodies that support it, and whether a body-less
+     choice rule makes it free *)
+  let supports = Array.make n [] and free = Bytes.make n '\000' in
   let trules = ref [] in
   List.iter
     (fun (r : Ground.grule) ->
       match r.Ground.ghead with
       | Ground.Gconstraint ->
         Sat.add_clause sat (List.map Sat.lit_not (body_lits ctx r.gpos r.gneg))
+      | Ground.Gatom _ when r.gpos = [] && r.gneg = [] ->
+        (* a fact: decided, nothing to translate *)
+        ()
       | Ground.Gatom h ->
-        if r.gpos = [] && r.gneg = [] then begin
-          Sat.add_clause sat [ Sat.pos atom_var.(h) ];
-          Hashtbl.replace facts h ();
-          trules := { t_head = T_atom h; t_pos = []; t_neg = []; t_body_lit = -1 } :: !trules
-        end
-        else begin
-          let b = make_body_lit ctx body_cache r.gpos r.gneg in
-          (* body -> head *)
-          Sat.add_clause sat [ Sat.lit_not b; Sat.pos atom_var.(h) ];
-          add_support h b;
-          trules :=
-            { t_head = T_atom h; t_pos = r.gpos; t_neg = r.gneg; t_body_lit = b }
-            :: !trules
-        end
+        let b = make_body_lit ctx body_cache r.gpos r.gneg in
+        (* body -> head *)
+        Sat.add_clause sat [ Sat.lit_not b; Sat.pos (var_of ctx h) ];
+        supports.(h) <- b :: supports.(h);
+        trules :=
+          { t_head = T_atom h; t_pos = r.gpos; t_neg = r.gneg; t_body_lit = b } :: !trules
       | Ground.Gchoice { lo; hi; gelems } ->
         let b_lit =
           match make_body_lit ctx body_cache r.gpos r.gneg with
@@ -277,8 +302,8 @@ let translate ?(certify = false) ?(obs = Obs.disabled) g =
             | None ->
               (* Unconditional choice: the element is supported
                  outright and needs no completion constraint. *)
-              Hashtbl.replace free e ()
-            | Some l -> add_support e l)
+              Bytes.set free e '\001'
+            | Some l -> supports.(e) <- l :: supports.(e))
           gelems;
         trules :=
           { t_head = T_choice gelems;
@@ -295,7 +320,7 @@ let translate ?(certify = false) ?(obs = Obs.disabled) g =
             | None -> Sat.add_clause sat []
             | Some l -> Sat.add_clause sat [ Sat.lit_not l ])
           else
-            let wl = List.map (fun e -> (1, Sat.pos atom_var.(e))) gelems in
+            let wl = List.map (fun e -> (1, Sat.pos (var_of ctx e))) gelems in
             let wl, bound =
               match b_lit with
               | None -> (wl, u)
@@ -312,7 +337,7 @@ let translate ?(certify = false) ?(obs = Obs.disabled) g =
             | None -> Sat.add_clause sat []
             | Some l -> Sat.add_clause sat [ Sat.lit_not l ])
           else
-            let wl = List.map (fun e -> (1, Sat.neg atom_var.(e))) gelems in
+            let wl = List.map (fun e -> (1, Sat.neg (var_of ctx e))) gelems in
             let wl, bound =
               match b_lit with
               | None -> (wl, ne - l0)
@@ -320,14 +345,11 @@ let translate ?(certify = false) ?(obs = Obs.disabled) g =
             in
             Sat.add_pb_le sat wl bound
         | _ -> ()))
-    (Ground.rules g);
-  (* Completion: every true atom needs some support. *)
+    rules;
+  (* Completion: every true open atom needs some support. *)
   for id = 0 to n - 1 do
-    if Ground.possible g id && not (Hashtbl.mem facts id) && not (Hashtbl.mem free id)
-    then begin
-      let sup = match Hashtbl.find_opt supports id with Some r -> !r | None -> [] in
-      Sat.add_clause sat (Sat.neg atom_var.(id) :: sup)
-    end
+    if is_open g id && Bytes.get free id = '\000' then
+      Sat.add_clause sat (Sat.neg atom_var.(id) :: supports.(id))
   done;
   { ctx with trules = !trules }
 
@@ -404,7 +426,7 @@ let add_loop_clauses ctx unfounded =
     ctx.trules;
   List.iter
     (fun a ->
-      Sat.add_clause ctx.sat (Sat.neg ctx.atom_var.(a) :: !externals);
+      Sat.add_clause ctx.sat (Sat.neg (var_of ctx a) :: !externals);
       ctx.loop_clauses <- ctx.loop_clauses + 1)
     unfounded
 
@@ -424,7 +446,7 @@ let sat_solve_traced ctx ~assumptions =
    atoms) it is stable outright (Fages), so the check runs only where
    positive loops exist. *)
 let solve_stable ctx ~assumptions =
-  let truth id = Sat.value ctx.sat ctx.atom_var.(id) in
+  let truth = truth ctx in
   let rec go () =
     if not (sat_solve_traced ctx ~assumptions) then false
     else if scc_atoms ctx.loops = 0 then begin
@@ -451,8 +473,7 @@ let solve_stable ctx ~assumptions =
 let extract_atoms ctx =
   let out = ref [] in
   for id = Ground.atom_count ctx.g - 1 downto 0 do
-    if Ground.possible ctx.g id && Sat.value ctx.sat ctx.atom_var.(id) then
-      out := Ground.atom_of_id ctx.g id :: !out
+    if truth ctx id then out := Ground.atom_of_id ctx.g id :: !out
   done;
   !out
 
@@ -484,6 +505,7 @@ let optimize ?(portfolio = 1) ctx objectives =
     (* Activation literals of the freezes accumulated so far. *)
     let frozen = ref [] in
     let assume extra = extra @ !frozen in
+    Obs.with_span ctx.obs ~cat:"solve" "opt.descent" @@ fun _ ->
     List.iter
       (fun obj ->
         let terms = List.map (fun (w, t) -> (w, Sat.pos t)) obj.terms in
@@ -540,12 +562,14 @@ let optimize ?(portfolio = 1) ctx objectives =
 let solve ?(certify = false) ?(obs = Obs.disabled) ?budget ?(portfolio = 1) g =
   let ctx = translate ~certify ~obs g in
   Sat.set_budget ctx.sat budget;
-  let objectives = build_objectives ctx in
+  let objectives =
+    Obs.with_span obs ~cat:"solve" "logic.objectives" (fun _ -> build_objectives ctx)
+  in
   match optimize ~portfolio ctx objectives with
   | None -> Unsat (Sat.proof ctx.sat)
   | Some costs ->
     Sat
-      { atoms = extract_atoms ctx;
+      { atoms = Obs.with_span obs ~cat:"solve" "logic.extract" (fun _ -> extract_atoms ctx);
         costs;
         sat_stats = Sat.stats ctx.sat;
         stable_checks = ctx.stable_checks;
@@ -567,11 +591,11 @@ let enumerate ?(limit = 64) g =
           stable_checks = ctx.stable_checks;
           loop_clauses = ctx.loop_clauses }
         :: !models;
-      (* Block this exact assignment over the atom variables. *)
+      (* Block this exact assignment over the open atoms. *)
       let blocking =
         List.concat
           (List.init (Ground.atom_count ctx.g) (fun id ->
-               if not (Ground.possible ctx.g id) then []
+               if not (is_open ctx.g id) then []
                else if Sat.value ctx.sat ctx.atom_var.(id) then
                  [ Sat.neg ctx.atom_var.(id) ]
                else [ Sat.pos ctx.atom_var.(id) ]))

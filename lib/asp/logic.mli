@@ -63,9 +63,13 @@ val hook_skip_unfounded : bool ref
 val solve :
   ?certify:bool -> ?obs:Obs.ctx -> ?budget:Sat.budget -> ?portfolio:int ->
   Ground.t -> outcome
-(** [?obs] records a translate span, per-SAT-call [sat.solve] spans
-    with stats deltas, per-optimization [opt.probe] spans (priority,
-    bound, outcome), a [logic.stable] span per stability check run,
+(** [?obs] records a [logic.translate] span, a [logic.objectives]
+    span (building the [#minimize] tuple variables), per-SAT-call
+    [sat.solve] spans with stats deltas, an [opt.descent] span around
+    the optimization after the initial stable solve, holding its
+    per-probe [opt.probe] spans (priority, bound, outcome), a
+    [logic.extract] span (reading the model's atoms), a
+    [logic.stable] span per stability check run,
     the [logic.stable_checks], [logic.stable_checks_skipped] (tight
     program) and [logic.scc_atoms] counters, and the SAT core's
     per-restart histograms. [?budget] installs a preemption budget on

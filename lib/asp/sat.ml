@@ -45,11 +45,13 @@ let lit_sign l = l land 1 = 0 (* true = positive *)
 module Vec = struct
   type 'a t = { mutable data : 'a array; mutable len : int; dummy : 'a }
 
-  let create dummy = { data = Array.make 4 dummy; len = 0; dummy }
+  (* No storage until the first push: most literals' watch lists of a
+     small instance stay empty. *)
+  let create dummy = { data = [||]; len = 0; dummy }
 
   let push v x =
     if v.len = Array.length v.data then begin
-      let data = Array.make (2 * v.len) v.dummy in
+      let data = Array.make (max 4 (2 * v.len)) v.dummy in
       Array.blit v.data 0 data 0 v.len;
       v.data <- data
     end;
@@ -263,7 +265,7 @@ type t = {
   mutable exch_in : (Ring.t * int ref) array; (* lower-rank rings + cursors *)
 }
 
-let create () =
+let blank () =
   let stat_set = Obs.Stats.create () in
   (* Registration order fixes the [stats] output order; the pre-arena
      counters keep their slots, new ones are appended. *)
@@ -481,10 +483,10 @@ let heap_bump s v =
 
 (* -- variables ----------------------------------------------------- *)
 
-let grow_arrays s =
+(* Grow the per-variable arrays to hold [cap] variables. *)
+let reserve s cap =
   let old = Bytes.length s.assign in
-  if s.nvars > old then begin
-    let cap = max 16 (max s.nvars (2 * old)) in
+  if cap > old then begin
     let assign = Bytes.make cap '\000' in
     Bytes.blit s.assign 0 assign 0 old;
     s.assign <- assign;
@@ -539,9 +541,15 @@ let grow_arrays s =
 let new_var s =
   let v = s.nvars in
   s.nvars <- v + 1;
-  grow_arrays s;
+  let cap = Bytes.length s.assign in
+  if s.nvars > cap then reserve s (max 16 (2 * cap));
   heap_insert s v;
   v
+
+let create ?(vars = 0) () =
+  let s = blank () in
+  reserve s vars;
+  s
 
 (* -- assignment ---------------------------------------------------- *)
 

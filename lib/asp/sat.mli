@@ -88,7 +88,11 @@ type portfolio_report = {
       (** per rank: configuration name, conflicts spent in the race *)
 }
 
-val create : unit -> t
+val create : ?vars:int -> unit -> t
+(** [?vars] (default 0) sizes the per-variable arrays for that many
+    variables at once; past it they double. A caller that knows its
+    variable count avoids the copies and the garbage of growing from
+    16. *)
 
 val set_restart_mode : t -> restart_mode -> unit
 

@@ -298,6 +298,50 @@ let prop_restricted_check =
           && List.for_all (fun id -> List.mem id full) restricted)
         (Stable_ref.supported_interpretations g))
 
+(* ---- translation: decided atoms ---- *)
+
+(* Facts and impossible atoms get no SAT variable. A fact can still be
+   a choice element; the cardinality bounds must then count it. *)
+let test_fact_choice_element () =
+  let models = Asp.Logic.enumerate (Asp.Ground.ground (Asp.parse "p. 1 { p ; q } 1.")) in
+  Alcotest.(check (list (list string))) "exactly {p}" [ [ "p" ] ]
+    (List.map (fun m -> atoms_of (Asp.Logic.Sat m)) models);
+  Alcotest.(check bool) "upper bound 0 excludes the fact" true
+    (is_unsat (solve "p. { p ; q } 0."))
+
+let test_fact_in_minimize () =
+  let r = solve "p(1). { p(2) }. #minimize { 1@1,X : p(X) }." in
+  Alcotest.(check (list string)) "p(2) left out" [ "p(1)" ] (atoms_of r);
+  Alcotest.(check (list (pair int int))) "the fact still costs" [ (1, 1) ] (costs_of r)
+
+(* On a fact-heavy program the SAT core sees only the open atoms: the
+   200 facts and the impossible atoms get no variable. Here no body
+   needs an auxiliary variable and there is no objective, so the
+   variable count is exactly the open-atom count. *)
+let test_facts_get_no_variable () =
+  let facts = String.concat " " (List.init 200 (fun i -> Printf.sprintf "f(%d)." i)) in
+  let g = Asp.Ground.ground (Asp.parse (facts ^ " { g(X) } :- f(X), X < 3.")) in
+  let n = Asp.Ground.atom_count g in
+  let is_fact id =
+    List.exists
+      (fun (r : Asp.Ground.grule) ->
+        r.Asp.Ground.ghead = Asp.Ground.Gatom id && r.gpos = [] && r.gneg = [])
+      (Asp.Ground.rules g)
+  in
+  let open_atoms =
+    List.length
+      (List.filter
+         (fun id -> Asp.Ground.possible g id && not (is_fact id))
+         (List.init n Fun.id))
+  in
+  Alcotest.(check int) "open atoms: g(0), g(1), g(2)" 3 open_atoms;
+  match Asp.Logic.solve g with
+  | Asp.Logic.Unsat _ -> Alcotest.fail "expected SAT"
+  | Asp.Logic.Sat m ->
+    let vars = List.assoc "vars" m.Asp.Logic.sat_stats in
+    Alcotest.(check bool) "fewer variables than atoms" true (vars < n);
+    Alcotest.(check int) "one variable per open atom" open_atoms vars
+
 let () =
   Alcotest.run "asp"
     [ ( "parser",
@@ -329,6 +373,10 @@ let () =
       ( "grounder",
         [ Alcotest.test_case "counts" `Quick test_grounding_counts;
           Alcotest.test_case "single-pass emission" `Quick test_single_pass_emission ] );
+      ( "translation",
+        [ Alcotest.test_case "fact as a choice element" `Quick test_fact_choice_element;
+          Alcotest.test_case "fact in a minimize condition" `Quick test_fact_in_minimize;
+          Alcotest.test_case "facts get no variable" `Quick test_facts_get_no_variable ] );
       ( "enumeration",
         [ Alcotest.test_case "all models" `Quick test_enumerate_all;
           Alcotest.test_case "limit" `Quick test_enumerate_limit;
