@@ -39,7 +39,7 @@ let atom_equal a b =
 let atom_hash a =
   List.fold_left
     (fun acc t -> ((acc * 131) + Term.hash t) land max_int)
-    (Hashtbl.hash a.pred) a.args
+    (Term.hash_string a.pred) a.args
 
 (* Hashtable keyed by atoms: interned-constant-aware equality plus a
    sampled hash, replacing polymorphic hashing on the grounder's
@@ -189,6 +189,10 @@ let check_rule_safety i (r : rule) =
 let check_safety prog =
   let rec go i = function
     | [] -> Ok ()
+    | Rule { head = Head_atom a; body = [] } :: rest
+      when List.for_all Term.is_ground a.args ->
+      (* a ground fact binds nothing and needs nothing bound *)
+      go (i + 1) rest
     | Rule r :: rest -> (
       match check_rule_safety i r with Ok () -> go (i + 1) rest | Error e -> Error e)
     | Minimize elems :: rest ->

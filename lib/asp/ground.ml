@@ -15,152 +15,345 @@ type gmin = {
   gcond_neg : atom_id list;
 }
 
-(* Index keyed by (pred, arity, argument position, ground argument).
-   Interned constants make the term component a pointer comparison in
-   the common case. *)
-module Arg_tbl = Hashtbl.Make (struct
-  type t = string * int * int * Term.t
+(* ---- compiled statements and the atom store ------------------------ *)
 
-  let equal (p1, a1, i1, t1) (p2, a2, i2, t2) =
-    a1 = a2 && i1 = i2 && (p1 == p2 || String.equal p1 p2) && Term.equal t1 t2
+(* Ground terms as hash keys: interned constants make equality a
+   pointer comparison in the common case. *)
+module Term_tbl = Hashtbl.Make (struct
+  type t = Term.t
 
-  let hash (p, a, i, t) =
-    ((Hashtbl.hash p * 131) + (a * 8191) + (i * 524287) + Term.hash t) land max_int
+  let equal = Term.equal
+  let hash = Term.hash
 end)
 
-(* Interned atom store. Atoms interned with [~possible:true] can be
-   true in some model; atoms interned only through negative literals
-   (whose subject is never derivable) are constant false. Indexes: by
-   predicate, and by predicate plus each argument position, so joins
-   can seed from whichever argument the pattern has ground — not just
-   the first. *)
+module Pred_tbl = Hashtbl.Make (struct
+  type t = string * int
+
+  let equal (p1, a1) (p2, a2) = a1 = a2 && (p1 == p2 || String.equal p1 p2)
+  let hash (p, a) = (Term.hash_string p + a) land max_int
+end)
+
 (* A posting list with its length cached, so join seeding can compare
    the selectivity of several candidate indexes without walking them. *)
 type posting = { mutable p_ids : atom_id list; mutable p_n : int }
 
+(* A term of a statement, with its variables numbered: [Slot i] is the
+   statement's [i]-th variable. *)
+type cterm = Const of Term.t | Slot of int | Fn of string * cterm list
+
+(* The grounder's record of one predicate (name and arity): its atoms,
+   newest first, a posting table per argument position ([||] until the
+   first atom), and the phase-1 triggers of the body literals over it.
+   Compiled atoms point at their predicate's record, so no join, intern
+   or trigger lookup hashes a predicate name. *)
+type pred_index = {
+  mutable all : atom_id list;
+  mutable by_arg : posting Term_tbl.t array;
+  mutable triggers : trigger list;
+}
+
+and catom = {
+  src : Ast.atom;  (* as written: interned as is when ground *)
+  cground : bool;
+  cargs : cterm list;
+  pi : pred_index;
+}
+
+and clit = Cpos of catom | Cneg of catom | Ccmp of Ast.cmp_op * cterm * cterm
+
+(* Phase 1's view of a rule. Each normal rule derives its head; each
+   element of a choice rule derives its atom under the rule's body and
+   its own condition, and emits nothing (the choice rule waits for the
+   final pass). [pstmt] is the index of the statement it came from. *)
+and pseudo = { phead : catom; pbody : clit list; pemit : bool; pstmt : int; penv : env }
+
+(* A phase-1 trigger: when an atom matching [tr_seed] appears, the
+   pseudo-rule re-fires with the join seeded there and run over the
+   rest of its body. [tr_rank] is the seed's place among the positive
+   literals, where its id goes back into the ground body. *)
+and trigger = { tr_rule : pseudo; tr_seed : catom; tr_rank : int; tr_rest : clit list }
+
+(* A statement's substitution: one slot per variable, bound by the join
+   and unbound again on backtracking, newest binding last on [trail]. *)
+and env = { slots : Term.t array; trail : int array; mutable top : int }
+
+(* A compiled statement, made once per [ground] call. *)
+type cmin = { mweight : cterm; mpriority : int; mterms : cterm list; mcond : clit list; menv : env }
+
+type cstmt =
+  | C_fact of catom  (* ground and body-less: interned without a join *)
+  | C_rule of pseudo list  (* a normal rule, or a choice rule's elements *)
+  | C_constraint of clit list * env
+  | C_choice of {
+      lo : int option;
+      hi : int option;
+      elems : (catom * clit list) list;
+      body : clit list;
+      env : env;
+      pseudos : pseudo list;  (* one per element, for phase 1 *)
+    }
+  | C_minimize of cmin list
+
+(* Interned atom store. Atoms interned with [~possible:true] can be
+   true in some model; atoms interned only through negative literals
+   (whose subject is never derivable) are constant false. *)
 type store = {
   tbl : atom_id Ast.Atom_tbl.t;
   mutable arr : Ast.atom array;
+  mutable preds : pred_index array;  (* per atom: its predicate *)
   mutable possible : Bytes.t;
   mutable count : int;
-  by_pred : (string * int, atom_id list ref) Hashtbl.t;
-  by_pred_arg : posting Arg_tbl.t;
+  mutable fresh : bool;  (* the last [intern] newly marked its atom possible *)
+  pred_tbl : pred_index Pred_tbl.t;
   mutable hits : int;  (** joins seeded through an argument index *)
   mutable misses : int;  (** joins that scanned the whole predicate *)
 }
 
+let no_atom = { Ast.pred = ""; args = [] }
+
+let no_pred = { all = []; by_arg = [||]; triggers = [] }
+
 (* [n] is the expected atom count; the arrays double past it. *)
 let store_create n =
   { tbl = Ast.Atom_tbl.create n;
-    arr = Array.make n { Ast.pred = ""; args = [] };
+    arr = Array.make n no_atom;
+    preds = Array.make n no_pred;
     possible = Bytes.make n '\000';
     count = 0;
-    by_pred = Hashtbl.create 64;
-    by_pred_arg = Arg_tbl.create n;
+    fresh = false;
+    pred_tbl = Pred_tbl.create 64;
     hits = 0;
     misses = 0 }
 
 let store_grow st =
-  if st.count >= Array.length st.arr then begin
-    let arr = Array.make (2 * Array.length st.arr) { Ast.pred = ""; args = [] } in
+  let n = Array.length st.arr in
+  if st.count >= n then begin
+    let arr = Array.make (2 * n) no_atom in
     Array.blit st.arr 0 arr 0 st.count;
     st.arr <- arr;
-    let possible = Bytes.make (2 * Bytes.length st.possible) '\000' in
+    let preds = Array.make (2 * n) no_pred in
+    Array.blit st.preds 0 preds 0 st.count;
+    st.preds <- preds;
+    let possible = Bytes.make (2 * n) '\000' in
     Bytes.blit st.possible 0 possible 0 st.count;
     st.possible <- possible
   end
 
-let push_index tbl key id =
-  match Hashtbl.find_opt tbl key with
-  | Some l -> l := id :: !l
-  | None -> Hashtbl.add tbl key (ref [ id ])
+let pred_index st pred arity =
+  match Pred_tbl.find_opt st.pred_tbl (pred, arity) with
+  | Some pi -> pi
+  | None ->
+    let pi = { all = []; by_arg = [||]; triggers = [] } in
+    Pred_tbl.add st.pred_tbl (pred, arity) pi;
+    pi
 
-let push_arg_index tbl key id =
-  match Arg_tbl.find_opt tbl key with
-  | Some p ->
+let push_posting tbl key id =
+  match Term_tbl.find tbl key with
+  | p ->
     p.p_ids <- id :: p.p_ids;
     p.p_n <- p.p_n + 1
-  | None -> Arg_tbl.add tbl key { p_ids = [ id ]; p_n = 1 }
+  | exception Not_found -> Term_tbl.add tbl key { p_ids = [ id ]; p_n = 1 }
 
-(* Returns (id, freshly_marked_possible). *)
-let intern st (a : Ast.atom) ~possible =
-  match Ast.Atom_tbl.find_opt st.tbl a with
-  | Some id ->
-    if possible && Bytes.get st.possible id = '\000' then begin
-      Bytes.set st.possible id '\001';
-      (id, true)
-    end
-    else (id, false)
-  | None ->
+(* The atom's id; [st.fresh] tells whether this call marked it
+   possible. [pi] is the atom's predicate record. *)
+let intern st pi (a : Ast.atom) ~possible =
+  match Ast.Atom_tbl.find st.tbl a with
+  | id ->
+    st.fresh <- possible && Bytes.get st.possible id = '\000';
+    if st.fresh then Bytes.set st.possible id '\001';
+    id
+  | exception Not_found ->
     store_grow st;
     let id = st.count in
     st.count <- id + 1;
     Ast.Atom_tbl.add st.tbl a id;
     st.arr.(id) <- a;
+    st.preds.(id) <- pi;
     if possible then Bytes.set st.possible id '\001';
-    let arity = List.length a.Ast.args in
-    push_index st.by_pred (a.Ast.pred, arity) id;
-    List.iteri
-      (fun i arg -> push_arg_index st.by_pred_arg (a.Ast.pred, arity, i, arg) id)
-      a.Ast.args;
-    (id, possible)
+    st.fresh <- possible;
+    pi.all <- id :: pi.all;
+    if a.Ast.args <> [] then begin
+      if Array.length pi.by_arg = 0 then
+        pi.by_arg <- Array.init (List.length a.Ast.args) (fun _ -> Term_tbl.create 8);
+      List.iteri (fun i arg -> push_posting pi.by_arg.(i) arg id) a.Ast.args
+    end;
+    id
 
-(* Candidate atoms possibly matching a (partially instantiated) pattern
-   atom: seed from the most selective {e ground} argument — the one
+(* ---- substitutions -------------------------------------------------- *)
+
+(* The value of an unbound slot; compared by physical equality. *)
+let unbound = Term.Var "_unbound"
+
+let env_create n = { slots = Array.make n unbound; trail = Array.make n 0; top = 0 }
+
+let bind env i t =
+  env.slots.(i) <- t;
+  env.trail.(env.top) <- i;
+  env.top <- env.top + 1
+
+(* Unbind every slot bound since the trail stood at [mark]. *)
+let undo env mark =
+  while env.top > mark do
+    env.top <- env.top - 1;
+    env.slots.(env.trail.(env.top)) <- unbound
+  done
+
+let rec is_bound env = function
+  | Const _ -> true
+  | Slot i -> env.slots.(i) != unbound
+  | Fn (_, args) -> all_bound env args
+
+and all_bound env = function [] -> true | c :: cs -> is_bound env c && all_bound env cs
+
+(* The ground term under the current bindings; every variable must be
+   bound ({!Ast.check_safety} sees to it). *)
+let rec inst env = function
+  | Const t -> t
+  | Slot i ->
+    let t = env.slots.(i) in
+    if t == unbound then invalid_arg "grounder: unbound variable (unsafe rule)";
+    t
+  | Fn (f, args) -> Term.App (f, inst_list env args)
+
+and inst_list env = function [] -> [] | c :: cs -> inst env c :: inst_list env cs
+
+let inst_atom env a =
+  if a.cground then a.src else { Ast.pred = a.src.Ast.pred; args = inst_list env a.cargs }
+
+(* One-way matching of a compiled pattern against a ground term,
+   binding the pattern's unbound slots. On [false] the caller undoes
+   the partial bindings. *)
+let rec unify env c t =
+  match c with
+  | Const k -> Term.equal k t
+  | Slot i ->
+    let b = env.slots.(i) in
+    if b == unbound then begin
+      bind env i t;
+      true
+    end
+    else Term.equal b t
+  | Fn (f, cs) -> (
+    match t with
+    | Term.App (g, ts) -> (f == g || String.equal f g) && unify_list env cs ts
+    | _ -> false)
+
+and unify_list env cs ts =
+  match (cs, ts) with
+  | [], [] -> true
+  | c :: cs, t :: ts -> unify env c t && unify_list env cs ts
+  | _ -> false
+
+(* ---- compiling a statement ------------------------------------------ *)
+
+(* Numbers the variables of one scope as they are met. *)
+let slot_of vars v =
+  match List.assoc_opt v !vars with
+  | Some i -> i
+  | None ->
+    let i = List.length !vars in
+    vars := (v, i) :: !vars;
+    i
+
+let rec compile_term vars t =
+  if Term.is_ground t then Const t
+  else
+    match t with
+    | Term.Var v -> Slot (slot_of vars v)
+    | Term.App (f, args) -> Fn (f, List.map (compile_term vars) args)
+    | Term.Int _ | Term.Sym _ | Term.Str _ -> Const t
+
+let compile_atom st vars (a : Ast.atom) =
+  { src = a;
+    cground = List.for_all Term.is_ground a.Ast.args;
+    cargs = List.map (compile_term vars) a.Ast.args;
+    pi = pred_index st a.Ast.pred (List.length a.Ast.args) }
+
+let compile_body st vars =
+  List.map (function
+    | Ast.Pos a -> Cpos (compile_atom st vars a)
+    | Ast.Neg a -> Cneg (compile_atom st vars a)
+    | Ast.Cmp (op, l, r) -> Ccmp (op, compile_term vars l, compile_term vars r))
+
+let compile st pstmt = function
+  | Ast.Rule { head = Ast.Head_atom h; body = [] } when List.for_all Term.is_ground h.Ast.args ->
+    C_fact (compile_atom st (ref []) h)
+  | Ast.Rule { head = Ast.Head_atom h; body } ->
+    let vars = ref [] in
+    let pbody = compile_body st vars body in
+    let phead = compile_atom st vars h in
+    C_rule [ { phead; pbody; pemit = true; pstmt; penv = env_create (List.length !vars) } ]
+  | Ast.Rule { head = Ast.Head_none; body } ->
+    let vars = ref [] in
+    let body = compile_body st vars body in
+    C_constraint (body, env_create (List.length !vars))
+  | Ast.Rule { head = Ast.Head_choice { lo; hi; elems }; body } ->
+    (* the body and every element share one scope: a variable of an
+       element that also occurs in the body is the body's *)
+    let vars = ref [] in
+    let body = compile_body st vars body in
+    let elems =
+      List.map
+        (fun (e : Ast.choice_elem) ->
+          let cond = compile_body st vars e.cond in
+          (compile_atom st vars e.elem, cond))
+        elems
+    in
+    let env = env_create (List.length !vars) in
+    let pseudos =
+      List.map
+        (fun (phead, cond) -> { phead; pbody = body @ cond; pemit = false; pstmt; penv = env })
+        elems
+    in
+    C_choice { lo; hi; elems; body; env; pseudos }
+  | Ast.Minimize elems ->
+    C_minimize
+      (List.map
+         (fun (e : Ast.min_elem) ->
+           let vars = ref [] in
+           let mcond = compile_body st vars e.mcond in
+           let mweight = compile_term vars e.weight in
+           let mterms = List.map (compile_term vars) e.terms in
+           { mweight; mpriority = e.priority; mterms; mcond; menv = env_create (List.length !vars) })
+         elems)
+
+(* ---- joins ----------------------------------------------------------- *)
+
+(* Candidate atoms possibly matching a pattern under the current
+   bindings: seed from the most selective {e bound} argument — the one
    whose posting list is shortest. Position alone is a poor guide:
    patterns like [attr("hash", node(P), H)] are ground at position 0,
    but that posting list holds every hash attribute in the store, while
    [node(P)] at position 1 narrows to one package. Every posting list
    is in descending atom-id order, so the surviving matches enumerate
    in the same order whichever index seeds the join. *)
-let candidates st (pattern : Ast.atom) =
-  let arity = List.length pattern.Ast.args in
-  let best = ref None in
-  let empty = ref false in
-  List.iteri
-    (fun i arg ->
-      if (not !empty) && Term.is_ground arg then
-        match Arg_tbl.find_opt st.by_pred_arg (pattern.Ast.pred, arity, i, arg) with
-        | None ->
-          (* no stored atom has this term here: nothing can match *)
-          empty := true
-        | Some p -> (
-          match !best with
-          | Some b when b.p_n <= p.p_n -> ()
-          | _ -> best := Some p))
-    pattern.Ast.args;
-  if !empty then begin
-    st.hits <- st.hits + 1;
-    []
-  end
-  else
-    match !best with
-    | Some p ->
-      st.hits <- st.hits + 1;
-      p.p_ids
-    | None -> (
+let no_posting = { p_ids = []; p_n = max_int }
+
+let rec scan st env pi i best = function
+  | [] ->
+    if best == no_posting then begin
       st.misses <- st.misses + 1;
-      match Hashtbl.find_opt st.by_pred (pattern.Ast.pred, arity) with
-      | Some l -> !l
-      | None -> [])
+      pi.all
+    end
+    else begin
+      st.hits <- st.hits + 1;
+      best.p_ids
+    end
+  | c :: rest ->
+    if not (is_bound env c) then scan st env pi (i + 1) best rest
+    else if Array.length pi.by_arg = 0 then begin
+      (* no stored atom has this term here: nothing can match *)
+      st.hits <- st.hits + 1;
+      []
+    end
+    else (
+      match Term_tbl.find pi.by_arg.(i) (inst env c) with
+      | p -> scan st env pi (i + 1) (if p.p_n < best.p_n then p else best) rest
+      | exception Not_found ->
+        st.hits <- st.hits + 1;
+        [])
 
-let match_atom ~(pattern : Ast.atom) subst (subject : Ast.atom) =
-  (* arity mismatch falls out of the [go] recursion's catch-all — no
-     need for two O(arity) length walks per candidate *)
-  if String.equal pattern.Ast.pred subject.Ast.pred then
-    let rec go s = function
-      | [], [] -> Some s
-      | p :: ps, t :: ts -> (
-        match Term.match_term ~pattern:p s t with
-        | Some s' -> go s' (ps, ts)
-        | None -> None)
-      | _ -> None
-    in
-    go subst (pattern.Ast.args, subject.Ast.args)
-  else None
-
-let subst_atom (a : Ast.atom) subst =
-  { a with Ast.args = List.map (Term.subst_term subst) a.Ast.args }
+let candidates st env (a : catom) = scan st env a.pi 0 no_posting a.cargs
 
 (* Ground-term comparison: ints numerically, otherwise structural. *)
 let term_cmp_value op l r =
@@ -179,90 +372,93 @@ let term_cmp_value op l r =
 
 exception Stuck_cmp
 
-(* One comparison under [subst]: tested when both sides are ground,
-   [V = t] with [t] ground binds [V], and anything else must wait. *)
-let eval_cmp subst op l r =
-  let l = Term.subst_term subst l and r = Term.subst_term subst r in
-  match (Term.is_ground l, Term.is_ground r) with
-  | true, true -> if term_cmp_value op l r then `Holds subst else `Fails
+type cmp_outcome = Holds | Fails | Waits
+
+(* One comparison under the current bindings: tested when both sides
+   are bound, [V = t] with [t] bound binds [V] (the caller undoes it),
+   and anything else must wait. *)
+let eval_cmp env op l r =
+  match (is_bound env l, is_bound env r) with
+  | true, true -> if term_cmp_value op (inst env l) (inst env r) then Holds else Fails
   | false, true when op = Ast.Eq -> (
-    match l with Term.Var v -> `Holds (Term.Smap.add v r subst) | _ -> `Waits)
+    match l with
+    | Slot i ->
+      bind env i (inst env r);
+      Holds
+    | _ -> Waits)
   | true, false when op = Ast.Eq -> (
-    match r with Term.Var v -> `Holds (Term.Smap.add v l subst) | _ -> `Waits)
-  | _ -> `Waits
+    match r with
+    | Slot i ->
+      bind env i (inst env l);
+      Holds
+    | _ -> Waits)
+  | _ -> Waits
 
 (* The comparisons still waiting at the end of a body. A binding one
-   can ground another, so passes repeat while the list shrinks. [None]
-   when a comparison fails. *)
-let rec settle subst delayed =
-  let rec pass subst waiting = function
-    | [] -> Some (subst, waiting)
+   can ground another, so passes repeat while the list shrinks; [k]
+   runs once all hold. *)
+let rec settle env delayed k =
+  let rec pass waiting = function
+    | [] -> Some waiting
     | ((op, l, r) as c) :: rest -> (
-      match eval_cmp subst op l r with
-      | `Holds subst -> pass subst waiting rest
-      | `Fails -> None
-      | `Waits -> pass subst (c :: waiting) rest)
+      match eval_cmp env op l r with
+      | Holds -> pass waiting rest
+      | Fails -> None
+      | Waits -> pass (c :: waiting) rest)
   in
-  match pass subst [] delayed with
-  | None -> None
-  | Some (subst, []) -> Some subst
-  | Some (subst, waiting) ->
-    if List.compare_lengths waiting delayed < 0 then settle subst waiting
+  match pass [] delayed with
+  | None -> ()
+  | Some [] -> k ()
+  | Some waiting ->
+    if List.compare_lengths waiting delayed < 0 then settle env waiting k
     else raise Stuck_cmp
 
-(* Enumerate all substitutions extending [subst] that satisfy the
-   positive literals and comparisons of [lits]; [k] receives each with
-   the ids of the atoms its positive literals matched, in literal
+(* Enumerate every extension of [env]'s bindings that satisfies the
+   positive literals and comparisons of [lits]; [k] runs under each,
+   with the ids of the atoms its positive literals matched, in literal
    order. Positive literals join against the possible atoms;
    comparisons are evaluated as soon as they can be ({!eval_cmp}), the
    rest by {!settle} at the end of the body. Negative literals are
-   skipped: the caller instantiates them under the finished
-   substitution ({!ground_negs}). *)
-let join st lits subst ~k =
-  let rec go lits delayed subst ids =
+   skipped: the caller instantiates them under the finished bindings
+   ({!ground_negs}). [env] is left as it was found. *)
+let join st env lits ~k =
+  let rec go lits delayed ids =
     match lits with
-    | [] -> (
-      match settle subst delayed with
-      | Some subst -> k subst (List.rev ids)
-      | None -> ())
-    | Ast.Pos pattern :: rest ->
-      (* the first literal of every seeding joins under the empty
-         substitution — skip the per-candidate pattern rebuild there *)
-      let pattern' =
-        if Term.Smap.is_empty subst then pattern
-        else
-          { pattern with Ast.args = List.map (Term.subst_term subst) pattern.Ast.args }
-      in
-      List.iter
-        (fun id ->
-          let subject = st.arr.(id) in
-          if Bytes.get st.possible id = '\001' then
-            match match_atom ~pattern:pattern' subst subject with
-            | Some subst' -> go rest delayed subst' (id :: ids)
-            | None -> ())
-        (candidates st pattern')
-    | Ast.Cmp (op, l, r) :: rest -> (
-      match eval_cmp subst op l r with
-      | `Holds subst -> go rest delayed subst ids
-      | `Fails -> ()
-      | `Waits -> go rest ((op, l, r) :: delayed) subst ids)
-    | Ast.Neg _ :: rest -> go rest delayed subst ids
+    | [] ->
+      let mark = env.top in
+      (match delayed with
+      | [] -> k (List.rev ids)
+      | _ -> settle env delayed (fun () -> k (List.rev ids)));
+      undo env mark
+    | Cpos a :: rest -> each a rest delayed ids (candidates st env a)
+    | Ccmp (op, l, r) :: rest ->
+      let mark = env.top in
+      (match eval_cmp env op l r with
+      | Holds -> go rest delayed ids
+      | Fails -> ()
+      | Waits -> go rest ((op, l, r) :: delayed) ids);
+      undo env mark
+    | Cneg _ :: rest -> go rest delayed ids
+  and each a rest delayed ids = function
+    | [] -> ()
+    | id :: more ->
+      if Bytes.get st.possible id = '\001' then begin
+        let mark = env.top in
+        if unify_list env a.cargs st.arr.(id).Ast.args then go rest delayed (id :: ids);
+        undo env mark
+      end;
+      each a rest delayed ids more
   in
-  go lits [] subst []
+  go lits [] []
 
-(* The negative literals of [body] under a substitution from {!join},
+(* The negative literals of [body] under the current bindings,
    interned in literal order. *)
-let ground_negs st body subst =
-  List.filter_map
-    (function
-      | Ast.Neg pattern ->
-        let a = subst_atom pattern subst in
-        if not (List.for_all Term.is_ground a.Ast.args) then
-          invalid_arg
-            (Format.asprintf "unsafe negative literal after grounding: %a" Ast.pp_atom a);
-        Some (fst (intern st a ~possible:false))
-      | _ -> None)
-    body
+let rec ground_negs st env = function
+  | [] -> []
+  | Cneg a :: rest ->
+    let id = intern st a.pi (inst_atom env a) ~possible:false in
+    id :: ground_negs st env rest
+  | (Cpos _ | Ccmp _) :: rest -> ground_negs st env rest
 
 type t = {
   st : store;
@@ -324,168 +520,146 @@ module Rule_tbl = Hashtbl.Make (struct
     ((((hash_head r.ghead * 31) + hash_set r.gpos) * 17) + hash_set r.gneg) land max_int
 end)
 
-(* Phase 1: the possible-atom fixpoint, emitting normal rules as it
-   goes. Each normal rule derives its head; each element of a choice
-   rule derives its atom under the rule's body and its own condition,
-   and emits nothing (the choice rule waits for the final pass).
-   [pstmt] is the index of the statement it came from. *)
-type pseudo = { phead : Ast.atom; pbody : Ast.body_lit list; pemit : bool; pstmt : int }
-
-let pseudo_rules prog =
-  List.concat
-    (List.mapi
-       (fun pstmt -> function
-         | Ast.Rule { head = Ast.Head_atom h; body } ->
-           [ { phead = h; pbody = body; pemit = true; pstmt } ]
-         | Ast.Rule { head = Ast.Head_none; _ } -> []
-         | Ast.Rule { head = Ast.Head_choice { elems; _ }; body } ->
-           List.map
-             (fun (e : Ast.choice_elem) ->
-               { phead = e.elem; pbody = body @ e.cond; pemit = false; pstmt })
-             elems
-         | Ast.Minimize _ -> [])
-       prog)
-
-(* A phase-1 trigger: when an atom matching [tr_seed] appears, the
-   pseudo-rule re-fires with the join seeded there and run over the
-   rest of its body. The split is made once, when the index is built;
-   [tr_rank] is the seed's place among the positive literals, where its
-   id goes back into the ground body. *)
-type trigger = {
-  tr_rule : pseudo;
-  tr_seed : Ast.atom;
-  tr_rank : int;
-  tr_rest : Ast.body_lit list;
-}
-
 (* Index triggers by the predicates of their positive body literals,
    so a new atom only retriggers relevant rules. *)
-let build_trigger_index pseudos =
-  let by_trigger : (string * int, trigger list ref) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
-    (fun p ->
-      ignore
-        (List.fold_left
-           (fun (li, rank) lit ->
-             match lit with
-             | Ast.Pos a ->
-               push_index by_trigger
-                 (a.Ast.pred, List.length a.Ast.args)
-                 { tr_rule = p;
-                   tr_seed = a;
-                   tr_rank = rank;
-                   tr_rest = List.filteri (fun i _ -> i <> li) p.pbody };
-               (li + 1, rank + 1)
-             | _ -> (li + 1, rank))
-           (0, 0) p.pbody))
-    pseudos;
-  by_trigger
+let add_triggers p =
+  ignore
+    (List.fold_left
+       (fun (li, rank) lit ->
+         match lit with
+         | Cpos a ->
+           a.pi.triggers <-
+             { tr_rule = p;
+               tr_seed = a;
+               tr_rank = rank;
+               tr_rest = List.filteri (fun i _ -> i <> li) p.pbody }
+             :: a.pi.triggers;
+           (li + 1, rank + 1)
+         | Cneg _ | Ccmp _ -> (li + 1, rank))
+       (0, 0) p.pbody)
 
 let rec insert_at rank id ids =
   if rank = 0 then id :: ids
   else
     match ids with x :: rest -> x :: insert_at (rank - 1) id rest | [] -> [ id ]
 
-(* A normal rule's body instance is complete when the last of its
+let pseudos_of = function
+  | C_rule ps -> ps
+  | C_choice { pseudos; _ } -> pseudos
+  | C_fact _ | C_constraint _ | C_minimize _ -> []
+
+(* Phase 1: the possible-atom fixpoint, emitting normal rules as it
+   goes. A normal rule's body instance is complete when the last of its
    positive atoms is popped: the join seeded there sees every other
    body atom as possible. Earlier pops of its other atoms may find the
    same instance; [simplify] drops the repeats. *)
-let phase1 st prog ~emit =
-  let pseudos = pseudo_rules prog in
-  let by_trigger = build_trigger_index pseudos in
+let phase1 st cstmts ~emit =
+  Array.iter (fun cs -> List.iter add_triggers (pseudos_of cs)) cstmts;
   let queue = Queue.create () in
-  let fire p lits subst seed =
+  (* [rank] < 0: no seed atom *)
+  let fire p lits rank seed =
     try
-      join st lits subst ~k:(fun subst ids ->
-          let hid, fresh = intern st (subst_atom p.phead subst) ~possible:true in
-          if fresh then Queue.add hid queue;
+      join st p.penv lits ~k:(fun ids ->
+          let hid = intern st p.phead.pi (inst_atom p.penv p.phead) ~possible:true in
+          if st.fresh then Queue.add hid queue;
           if p.pemit then
-            let gpos =
-              match seed with Some (rank, id) -> insert_at rank id ids | None -> ids
-            in
-            emit p.pstmt { ghead = Gatom hid; gpos; gneg = ground_negs st p.pbody subst })
+            let gpos = if rank >= 0 then insert_at rank seed ids else ids in
+            emit p.pstmt { ghead = Gatom hid; gpos; gneg = ground_negs st p.penv p.pbody })
     with Stuck_cmp ->
       invalid_arg "grounder: comparison with unbound variables (unsafe rule)"
   in
-  (* Seed: rules with no positive body literal fire immediately. *)
-  List.iter
-    (fun p ->
-      if not (List.exists (function Ast.Pos _ -> true | _ -> false) p.pbody) then
-        fire p p.pbody Term.Smap.empty None)
-    pseudos;
+  (* Seed: facts are interned outright; other rules with no positive
+     body literal fire immediately. *)
+  Array.iteri
+    (fun i -> function
+      | C_fact a ->
+        let hid = intern st a.pi a.src ~possible:true in
+        if st.fresh then Queue.add hid queue;
+        emit i { ghead = Gatom hid; gpos = []; gneg = [] }
+      | cs ->
+        List.iter
+          (fun p ->
+            if not (List.exists (function Cpos _ -> true | _ -> false) p.pbody) then
+              fire p p.pbody (-1) (-1))
+          (pseudos_of cs))
+    cstmts;
   (* Delta loop: for each new atom, re-evaluate rules triggered through
      the matching body position, seeding the join there. *)
   let iters = ref 0 in
   while not (Queue.is_empty queue) do
     incr iters;
     let id = Queue.pop queue in
-    let atom = st.arr.(id) in
-    match Hashtbl.find_opt by_trigger (atom.Ast.pred, List.length atom.Ast.args) with
-    | None -> ()
-    | Some triggers ->
-      List.iter
-        (fun tr ->
-          match match_atom ~pattern:tr.tr_seed Term.Smap.empty atom with
-          | None -> ()
-          | Some subst -> fire tr.tr_rule tr.tr_rest subst (Some (tr.tr_rank, id)))
-        !triggers
+    let args = st.arr.(id).Ast.args in
+    List.iter
+      (fun tr ->
+        let env = tr.tr_rule.penv in
+        if unify_list env tr.tr_seed.cargs args then
+          fire tr.tr_rule tr.tr_rest tr.tr_rank id;
+        undo env 0)
+      st.preds.(id).triggers
   done;
   !iters
 
-let choice_elems st (elems : Ast.choice_elem list) subst =
+let choice_elems st env elems =
   let gelems = ref [] in
   List.iter
-    (fun (e : Ast.choice_elem) ->
-      join st e.cond subst ~k:(fun subst' _ ->
-          let id, _ = intern st (subst_atom e.elem subst') ~possible:true in
+    (fun (elem, cond) ->
+      join st env cond ~k:(fun _ ->
+          let id = intern st elem.pi (inst_atom env elem) ~possible:true in
           if not (List.mem id !gelems) then gelems := id :: !gelems))
     elems;
   List.rev !gelems
 
-let ground_min (e : Ast.min_elem) subst pos neg =
+(* A [#minimize] instance. Its key is the rendered tuple
+   [w@p|t1,...,tn]: instances with equal keys count once. *)
+let ground_min buf m pos neg =
   let w =
-    match Term.subst_term subst e.weight with
+    match inst m.menv m.mweight with
     | Term.Int n -> n
     | t -> invalid_arg (Format.asprintf "minimize weight is not an integer: %a" Term.pp t)
   in
-  let key =
-    Format.asprintf "%d@%d|%a" w e.priority
-      (Format.pp_print_list
-         ~pp_sep:(fun fmt () -> Format.pp_print_char fmt ',')
-         Term.pp)
-      (List.map (Term.subst_term subst) e.terms)
-  in
-  { gweight = w; gpriority = e.priority; gkey = key; gcond_pos = pos; gcond_neg = neg }
+  Buffer.clear buf;
+  Buffer.add_string buf (string_of_int w);
+  Buffer.add_char buf '@';
+  Buffer.add_string buf (string_of_int m.mpriority);
+  Buffer.add_char buf '|';
+  List.iteri
+    (fun i c ->
+      if i > 0 then Buffer.add_char buf ',';
+      Term.add_to_buffer buf (inst m.menv c))
+    m.mterms;
+  { gweight = w;
+    gpriority = m.mpriority;
+    gkey = Buffer.contents buf;
+    gcond_pos = pos;
+    gcond_neg = neg }
 
 (* The final pass, over the fixed atom set: choice rules, whose element
    lists need every possible atom, and the statements that derive no
    atom — constraints and #minimize — which a seeded join would find
    once per positive literal. Each is joined once. *)
-let final_pass st prog ~emit =
-  let gmins = ref [] in
-  let body_instances body k =
-    try
-      join st body Term.Smap.empty ~k:(fun subst pos ->
-          k subst pos (ground_negs st body subst))
+let final_pass st cstmts ~emit =
+  let gmins = ref [] and buf = Buffer.create 64 in
+  let body_instances env body k =
+    try join st env body ~k:(fun pos -> k pos (ground_negs st env body))
     with Stuck_cmp -> invalid_arg "grounder: unsafe comparison"
   in
-  List.iteri
+  Array.iteri
     (fun i -> function
-      | Ast.Rule { head = Ast.Head_atom _; _ } -> ()
-      | Ast.Rule { head = Ast.Head_none; body } ->
-        body_instances body (fun _ gpos gneg ->
-            emit i { ghead = Gconstraint; gpos; gneg })
-      | Ast.Rule { head = Ast.Head_choice { lo; hi; elems }; body } ->
-        body_instances body (fun subst gpos gneg ->
-            let gelems = choice_elems st elems subst in
+      | C_fact _ | C_rule _ -> ()
+      | C_constraint (body, env) ->
+        body_instances env body (fun gpos gneg -> emit i { ghead = Gconstraint; gpos; gneg })
+      | C_choice { lo; hi; elems; body; env; _ } ->
+        body_instances env body (fun gpos gneg ->
+            let gelems = choice_elems st env elems in
             emit i { ghead = Gchoice { lo; hi; gelems }; gpos; gneg })
-      | Ast.Minimize elems ->
+      | C_minimize ms ->
         List.iter
-          (fun (e : Ast.min_elem) ->
-            body_instances e.mcond (fun subst pos neg ->
-                gmins := ground_min e subst pos neg :: !gmins))
-          elems)
-    prog;
+          (fun m ->
+            body_instances m.menv m.mcond (fun pos neg ->
+                gmins := ground_min buf m pos neg :: !gmins))
+          ms)
+    cstmts;
   List.rev !gmins
 
 (* Fact propagation (what clingo's grounder does): atoms that are
@@ -605,6 +779,7 @@ let ground ?(obs = Obs.disabled) ?jobs:_ prog =
      a cheap estimate of the atom count. *)
   let nstmts = List.length prog in
   let st = store_create (max 64 nstmts) in
+  let cstmts = Array.of_list (List.mapi (compile st) prog) in
   (* Rules are kept per statement and listed in statement order, the
      order a grounder joining one statement after another lists them:
      the SAT core's search depends on the order its clauses arrive.
@@ -616,7 +791,7 @@ let ground ?(obs = Obs.disabled) ?jobs:_ prog =
   in
   let iters =
     Obs.with_span obs ~cat:"ground" "ground.phase1" (fun sp ->
-        let iters = phase1 st prog ~emit in
+        let iters = phase1 st cstmts ~emit in
         Obs.set_attr sp "fixpoint_iters" (Obs.I iters);
         Obs.set_attr sp "possible_atoms" (Obs.I st.count);
         Obs.set_attr sp "rules" (Obs.I !emitted);
@@ -625,7 +800,7 @@ let ground ?(obs = Obs.disabled) ?jobs:_ prog =
   let gmins =
     Obs.with_span obs ~cat:"ground" "ground.phase2" (fun sp ->
         let before = !emitted in
-        let gmins = final_pass st prog ~emit in
+        let gmins = final_pass st cstmts ~emit in
         Obs.set_attr sp "rules" (Obs.I (!emitted - before));
         gmins)
   in

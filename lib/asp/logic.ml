@@ -247,10 +247,22 @@ let translate ?(certify = false) ?(obs = Obs.disabled) g =
   for id = 0 to n - 1 do
     if is_open g id then incr nopen
   done;
-  (* Translation makes a variable per open atom and at most one per
-     rule body; sizing the solver's arrays for that up front spares
-     the doubling copies. *)
-  let sat = Sat.create ~vars:(!nopen + List.length rules) () in
+  (* The variables a solve makes: one per open atom, at most one per
+     body of two or more literals, at most one per [#minimize]
+     instance, and a few for the descent. Sizing the solver's arrays
+     for them up front spares the doubling copies, most of which would
+     be allocated straight into the major heap. *)
+  let bodies =
+    List.fold_left
+      (fun k (r : Ground.grule) ->
+        match (r.gpos, r.gneg) with
+        | ([] | [ _ ]), [] | [], [ _ ] -> k
+        | _ -> k + 1)
+      0 rules
+  in
+  let sat =
+    Sat.create ~vars:(!nopen + bodies + List.length (Ground.minimizes g) + 16) ()
+  in
   Sat.set_obs sat obs;
   if certify then Sat.enable_proof sat;
   let atom_var = Array.make n (-1) in

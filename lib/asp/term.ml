@@ -1,13 +1,9 @@
-module Smap = Map.Make (String)
-
 type t =
   | Int of int
   | Sym of string
   | Str of string
   | Var of string
   | App of string * t list
-
-type subst = t Smap.t
 
 (* ---- constant-string interning ----------------------------------- *)
 
@@ -76,14 +72,16 @@ let equal a b = compare a b = 0
 let hash_string s =
   let n = String.length s in
   let h = ref (n * 0x9e3779b1) in
-  let mix c = h := (!h * 31) + Char.code c in
-  if n <= 12 then String.iter mix s
+  if n <= 12 then
+    for i = 0 to n - 1 do
+      h := (!h * 31) + Char.code (String.unsafe_get s i)
+    done
   else begin
     for i = 0 to 7 do
-      mix (String.unsafe_get s i)
+      h := (!h * 31) + Char.code (String.unsafe_get s i)
     done;
-    mix (String.unsafe_get s (n - 2));
-    mix (String.unsafe_get s (n - 1))
+    h := (!h * 31) + Char.code (String.unsafe_get s (n - 2));
+    h := (!h * 31) + Char.code (String.unsafe_get s (n - 1))
   end;
   !h land max_int
 
@@ -94,35 +92,6 @@ let rec hash = function
   | Var v -> (3 * hash_string v) land max_int
   | App (f, args) ->
     List.fold_left (fun acc t -> ((acc * 131) + hash t) land max_int) (hash_string f) args
-
-let rec subst_term s = function
-  | (Int _ | Sym _ | Str _) as t -> t
-  | Var v as t -> (match Smap.find_opt v s with Some t' -> t' | None -> t)
-  | App (f, args) -> App (f, List.map (subst_term s) args)
-
-let str_eq a b = a == b || String.equal a b
-
-let rec match_term ~pattern s subject =
-  match (pattern, subject) with
-  | Int a, Int b when a = b -> Some s
-  | Sym a, Sym b when str_eq a b -> Some s
-  | Str a, Str b when str_eq a b -> Some s
-  | Var v, t -> (
-    match Smap.find_opt v s with
-    | Some bound -> if equal bound t then Some s else None
-    | None -> Some (Smap.add v t s))
-  | App (f, pargs), App (g, sargs)
-    when str_eq f g && List.length pargs = List.length sargs ->
-    let rec go s = function
-      | [], [] -> Some s
-      | p :: ps, t :: ts -> (
-        match match_term ~pattern:p s t with
-        | Some s' -> go s' (ps, ts)
-        | None -> None)
-      | _ -> None
-    in
-    go s (pargs, sargs)
-  | _ -> None
 
 let vars t =
   let rec go acc = function
@@ -144,4 +113,24 @@ let rec pp fmt = function
          pp)
       args
 
-let to_string t = Format.asprintf "%a" pp t
+let rec add_to_buffer buf = function
+  | Int n -> Buffer.add_string buf (string_of_int n)
+  | Sym s | Var s -> Buffer.add_string buf s
+  | Str s ->
+    Buffer.add_char buf '"';
+    Buffer.add_string buf (String.escaped s);
+    Buffer.add_char buf '"'
+  | App (f, args) ->
+    Buffer.add_string buf f;
+    Buffer.add_char buf '(';
+    List.iteri
+      (fun i t ->
+        if i > 0 then Buffer.add_char buf ',';
+        add_to_buffer buf t)
+      args;
+    Buffer.add_char buf ')'
+
+let to_string t =
+  let buf = Buffer.create 32 in
+  add_to_buffer buf t;
+  Buffer.contents buf

@@ -4,16 +4,12 @@
     (["example"]); compound terms apply a function symbol to arguments
     ([node("example")]). Variables start with an uppercase letter. *)
 
-module Smap : Map.S with type key = string
-
 type t =
   | Int of int
   | Sym of string  (** identifier constant *)
   | Str of string  (** quoted string constant *)
   | Var of string
   | App of string * t list
-
-type subst = t Smap.t
 
 val intern : string -> string
 (** The canonical (physically shared) instance of a constant string.
@@ -34,21 +30,21 @@ val compare : t -> t -> int
 
 val equal : t -> t -> bool
 
+val hash_string : string -> int
+(** The string hash behind {!hash}: short strings are hashed whole,
+    longer ones by their first eight and last two characters. *)
+
 val hash : t -> int
 (** Content hash for atom tables. Long constants (DAG hashes) are
     sampled, not walked byte-for-byte; {!equal}'s physical-equality
     fast path keeps collisions cheap. *)
 
-val subst_term : subst -> t -> t
-(** Apply a substitution; unbound variables stay. *)
-
-val match_term : pattern:t -> subst -> t -> subst option
-(** One-way matching: bind the pattern's variables so it equals the
-    (ground) subject, extending the given bindings. *)
-
 val vars : t -> string list
 (** Variable names occurring, without duplicates. *)
 
 val pp : Format.formatter -> t -> unit
+
+val add_to_buffer : Buffer.t -> t -> unit
+(** Append the text {!pp} prints. *)
 
 val to_string : t -> string
