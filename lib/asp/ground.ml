@@ -77,9 +77,16 @@ and trigger = { tr_rule : pseudo; tr_seed : catom; tr_rank : int; tr_rest : clit
    and unbound again on backtracking, newest binding last on [trail]. *)
 and env = { slots : Term.t array; trail : int array; mutable top : int }
 
-(* A compiled statement, made once per [ground] call. *)
-type cmin = { mweight : cterm; mpriority : int; mterms : cterm list; mcond : clit list; menv : env }
+(* A [#minimize] element; each has its own variables. *)
+type cmin = {
+  mweight : cterm;
+  mpriority : int;
+  mterms : cterm list;
+  mcond : clit list;
+  menv : env;
+}
 
+(* A compiled statement, made once per [ground] call. *)
 type cstmt =
   | C_fact of catom  (* ground and body-less: interned without a join *)
   | C_rule of pseudo list  (* a normal rule, or a choice rule's elements *)
@@ -276,13 +283,15 @@ let compile_body st vars =
     | Ast.Cmp (op, l, r) -> Ccmp (op, compile_term vars l, compile_term vars r))
 
 let compile st pstmt = function
-  | Ast.Rule { head = Ast.Head_atom h; body = [] } when List.for_all Term.is_ground h.Ast.args ->
+  | Ast.Rule { head = Ast.Head_atom h; body = [] }
+    when List.for_all Term.is_ground h.Ast.args ->
     C_fact (compile_atom st (ref []) h)
   | Ast.Rule { head = Ast.Head_atom h; body } ->
     let vars = ref [] in
     let pbody = compile_body st vars body in
     let phead = compile_atom st vars h in
-    C_rule [ { phead; pbody; pemit = true; pstmt; penv = env_create (List.length !vars) } ]
+    let penv = env_create (List.length !vars) in
+    C_rule [ { phead; pbody; pemit = true; pstmt; penv } ]
   | Ast.Rule { head = Ast.Head_none; body } ->
     let vars = ref [] in
     let body = compile_body st vars body in
@@ -302,7 +311,8 @@ let compile st pstmt = function
     let env = env_create (List.length !vars) in
     let pseudos =
       List.map
-        (fun (phead, cond) -> { phead; pbody = body @ cond; pemit = false; pstmt; penv = env })
+        (fun (phead, cond) ->
+          { phead; pbody = body @ cond; pemit = false; pstmt; penv = env })
         elems
     in
     C_choice { lo; hi; elems; body; env; pseudos }
@@ -314,7 +324,8 @@ let compile st pstmt = function
            let mcond = compile_body st vars e.mcond in
            let mweight = compile_term vars e.weight in
            let mterms = List.map (compile_term vars) e.terms in
-           { mweight; mpriority = e.priority; mterms; mcond; menv = env_create (List.length !vars) })
+           let menv = env_create (List.length !vars) in
+           { mweight; mpriority = e.priority; mterms; mcond; menv })
          elems)
 
 (* ---- joins ----------------------------------------------------------- *)
@@ -564,7 +575,8 @@ let phase1 st cstmts ~emit =
           if st.fresh then Queue.add hid queue;
           if p.pemit then
             let gpos = if rank >= 0 then insert_at rank seed ids else ids in
-            emit p.pstmt { ghead = Gatom hid; gpos; gneg = ground_negs st p.penv p.pbody })
+            let gneg = ground_negs st p.penv p.pbody in
+            emit p.pstmt { ghead = Gatom hid; gpos; gneg })
     with Stuck_cmp ->
       invalid_arg "grounder: comparison with unbound variables (unsafe rule)"
   in
@@ -648,7 +660,8 @@ let final_pass st cstmts ~emit =
     (fun i -> function
       | C_fact _ | C_rule _ -> ()
       | C_constraint (body, env) ->
-        body_instances env body (fun gpos gneg -> emit i { ghead = Gconstraint; gpos; gneg })
+        body_instances env body (fun gpos gneg ->
+            emit i { ghead = Gconstraint; gpos; gneg })
       | C_choice { lo; hi; elems; body; env; _ } ->
         body_instances env body (fun gpos gneg ->
             let gelems = choice_elems st env elems in

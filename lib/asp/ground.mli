@@ -10,7 +10,14 @@
     derives nothing: choice rules, integrity constraints and
     [#minimize]. [simplify] then turns certainly-true atoms into facts,
     drops negative literals on atoms that can never hold, and keeps
-    each rule once. Ground rules refer to interned atom ids. *)
+    each rule once. Ground rules refer to interned atom ids.
+
+    Each statement is compiled once per {!ground} call: its variables
+    become slots of an array that the join binds and unbinds through
+    an undo trail, and its atoms point at their predicate's atom list,
+    argument indexes and triggers. A join step allocates nothing but
+    the ids it matched and the index keys of bound compound arguments;
+    ground facts are interned without a join. *)
 
 type atom_id = int
 

@@ -580,8 +580,11 @@ let solve ?(certify = false) ?(obs = Obs.disabled) ?budget ?(portfolio = 1) g =
   match optimize ~portfolio ctx objectives with
   | None -> Unsat (Sat.proof ctx.sat)
   | Some costs ->
+    let atoms =
+      Obs.with_span obs ~cat:"solve" "logic.extract" (fun _ -> extract_atoms ctx)
+    in
     Sat
-      { atoms = Obs.with_span obs ~cat:"solve" "logic.extract" (fun _ -> extract_atoms ctx);
+      { atoms;
         costs;
         sat_stats = Sat.stats ctx.sat;
         stable_checks = ctx.stable_checks;

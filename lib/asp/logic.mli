@@ -3,7 +3,13 @@
     The ground program is translated to SAT: Clark completion for
     derived atoms (choice-rule bodies support their elements without
     forcing them), integrity constraints as clauses, and cardinality
-    bounds as pseudo-Boolean constraints. Completion admits
+    bounds as pseudo-Boolean constraints. Only {e open} atoms —
+    possible and not facts — get a variable of their own: facts and
+    impossible atoms are decided by the ground program, which the
+    stability check and model extraction read their truth from. A
+    decided atom that a clause does refer to (a fact that is also a
+    choice element) gets a variable fixed by a unit clause on first
+    use. Completion admits
     self-supporting loops, but only through positive loops: on a tight
     program every candidate model is stable (Fages) and is accepted
     as is. Otherwise each candidate is checked for unfounded sets

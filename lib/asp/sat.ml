@@ -16,8 +16,10 @@
      payload = cref lsl 1 for arena clauses, or
                (otherlit lsl 1) lor 1 for an inline binary clause
      (2-clauses never enter the arena at all).
-   - reasons are ints: -2 none, -1 decision, -3 PB (explanation in
-     [pb_reason]), even = arena cref * 2, odd = binary other-lit * 2+1.
+   - reasons are ints: -2 none, -1 decision, -3 PB (the implying PB
+     in [pb_src]; conflict analysis rebuilds the explanation from the
+     trail positions in [tpos]), even = arena cref * 2, odd = binary
+     other-lit * 2+1.
    - learnt-clause quality is literal block distance (LBD), computed
      at learn time and refreshed when a learnt clause is reused in
      conflict analysis. LBD drives glucose-style EMA restarts (Luby
@@ -166,6 +168,9 @@ type pb = {
   prefix : lit list;     (* negations of level-0-true lits folded into [bound] *)
 }
 
+(* Fills [pb_src] where no PB implied the variable; never watched. *)
+let no_pb = { wlits = [||]; bound = 0; sum_true = 0; origin = -1; prefix = [] }
+
 type proof_step =
   | P_input of lit list
   | P_pb_input of (int * lit) list * int
@@ -175,9 +180,9 @@ type proof_step =
 
 (* Reason encoding (per assigned variable):
    -2 no reason (level-0 enqueue), -1 decision,
-   -3 PB propagation (explanation clause in [pb_reason], implied lit
-      first), even r = arena cref r/2, odd r = inline binary clause
-      whose other literal is r/2. *)
+   -3 PB propagation (the implying PB in [pb_src]; its explanation is
+      rebuilt on demand), even r = arena cref r/2, odd r = inline
+      binary clause whose other literal is r/2. *)
 let r_none = -2
 let r_decision = -1
 let r_pb = -3
@@ -191,7 +196,8 @@ type t = {
   mutable assign : Bytes.t;          (* per var: 0 unassigned, 1 true, 2 false *)
   mutable level : int array;
   mutable reason : int array;
-  mutable pb_reason : int array array; (* PB explanations, implied lit first *)
+  mutable pb_src : pb array;          (* per var: the PB that implied it *)
+  mutable tpos : int array;          (* per assigned var: its trail index *)
   mutable activity : float array;
   mutable act_gen : int array;       (* rescale generation per var *)
   mutable gen : int;                 (* current rescale generation *)
@@ -284,7 +290,8 @@ let blank () =
     assign = Bytes.create 0;
     level = [||];
     reason = [||];
-    pb_reason = [||];
+    pb_src = [||];
+    tpos = [||];
     activity = [||];
     act_gen = [||];
     gen = 0;
@@ -422,7 +429,7 @@ let alloc_clause s lits ~learnt ~lbd =
    [var_bump] normalizes on touch, so staleness only matters when
    ordering untouched variables, where "vanishingly small" is all the
    heap needs to know. *)
-let eff_act s v =
+let[@inline] eff_act s v =
   let d = s.gen - s.act_gen.(v) in
   if d = 0 then s.activity.(v)
   else if d = 1 then s.activity.(v) *. 1e-100
@@ -508,9 +515,12 @@ let reserve s cap =
     let reason = Array.make cap r_none in
     Array.blit s.reason 0 reason 0 old;
     s.reason <- reason;
-    let pb_reason = Array.make cap [||] in
-    Array.blit s.pb_reason 0 pb_reason 0 old;
-    s.pb_reason <- pb_reason;
+    let pb_src = Array.make cap no_pb in
+    Array.blit s.pb_src 0 pb_src 0 old;
+    s.pb_src <- pb_src;
+    let tpos = Array.make cap 0 in
+    Array.blit s.tpos 0 tpos 0 old;
+    s.tpos <- tpos;
     let activity = Array.make cap 0.0 in
     Array.blit s.activity 0 activity 0 old;
     s.activity <- activity;
@@ -568,6 +578,7 @@ let enqueue s l reason =
   Bytes.set s.assign v (if lit_sign l then '\001' else '\002');
   s.level.(v) <- decision_level s;
   s.reason.(v) <- reason;
+  s.tpos.(v) <- Vec.size s.trail;
   Bytes.set s.phase v (if lit_sign l then '\001' else '\000');
   (* PB sums track assignment (mirrored exactly by [cancel_until]);
      bound checks happen when the literal is dequeued in [propagate]. *)
@@ -578,29 +589,60 @@ let enqueue s l reason =
 
 exception Conflict of confl
 
+(* The negations of the PB's currently-true literals, last true one
+   first, after [first] slots left for the caller. *)
+let pb_true_negations pb s ~first =
+  let wl = pb.wlits in
+  let n = ref 0 in
+  for i = 0 to Array.length wl - 1 do
+    if lit_value s (snd wl.(i)) = 1 then incr n
+  done;
+  let out = Array.make (first + !n) 0 in
+  let k = ref (first + !n) in
+  for i = 0 to Array.length wl - 1 do
+    let l = snd wl.(i) in
+    if lit_value s l = 1 then begin
+      decr k;
+      out.(!k) <- lit_not l
+    end
+  done;
+  out
+
 let pb_explain_conflict pb s =
   (* All currently-true literals of the PB jointly overflow the bound:
      learn that they can't all be true. *)
-  let lits = ref [] in
-  Array.iter
-    (fun (_, l) -> if lit_value s l = 1 then lits := lit_not l :: !lits)
-    pb.wlits;
-  log_step s (P_pb_lemma (pb.origin, pb.prefix @ !lits));
-  Array.of_list !lits
+  let lits = pb_true_negations pb s ~first:0 in
+  if s.proof <> None then
+    log_step s (P_pb_lemma (pb.origin, pb.prefix @ Array.to_list lits));
+  lits
 
-let pb_explain_implication pb s implied =
-  (* true-lits -> implied: clause (not l1 \/ ... \/ implied), with the
-     implied literal first, as conflict analysis expects of reasons. *)
-  let antecedents = ref [] in
-  Array.iter
-    (fun (_, l) -> if lit_value s l = 1 then antecedents := lit_not l :: !antecedents)
-    pb.wlits;
-  log_step s (P_pb_lemma (pb.origin, pb.prefix @ (implied :: !antecedents)));
-  Array.of_list (implied :: !antecedents)
-
-let enqueue_pb s l expl =
-  s.pb_reason.(lit_var l) <- expl;
+(* [pb] forces [l]: its explanation, true-lits -> l, is rebuilt only
+   if conflict analysis asks ({!reason_iter_other}). A proof logs it
+   now, as the lemma the checker will need. *)
+let enqueue_pb s l pb =
+  if s.proof <> None then begin
+    let lits = pb_true_negations pb s ~first:1 in
+    lits.(0) <- l;
+    log_step s (P_pb_lemma (pb.origin, pb.prefix @ Array.to_list lits))
+  end;
+  s.pb_src.(lit_var l) <- pb;
   enqueue s l r_pb
+
+(* Any unassigned literal of a PB heavier than its slack is forced
+   false; wlits is sorted by weight descending. *)
+let rec pb_check s = function
+  | [] -> ()
+  | (pb, _) :: rest ->
+    if pb.sum_true > pb.bound then raise (Conflict (C_lits (pb_explain_conflict pb s)));
+    let slack = pb.bound - pb.sum_true in
+    let wl = pb.wlits in
+    let i = ref 0 in
+    while !i < Array.length wl && fst wl.(!i) > slack do
+      let l' = snd wl.(!i) in
+      if lit_value s l' = 0 then enqueue_pb s (lit_not l') pb;
+      incr i
+    done;
+    pb_check s rest
 
 let propagate s =
   try
@@ -609,25 +651,7 @@ let propagate s =
       s.qhead <- s.qhead + 1;
       Obs.Stats.incr s.c_propagations;
       (* PB checks for l being true (sums were updated at enqueue). *)
-      List.iter
-        (fun (pb, _w) ->
-          if pb.sum_true > pb.bound then
-            raise (Conflict (C_lits (pb_explain_conflict pb s)))
-          else begin
-            let slack = pb.bound - pb.sum_true in
-            (* Any unassigned literal heavier than the slack is forced
-               false. wlits is sorted by weight descending. *)
-            (try
-               Array.iter
-                 (fun (w', l') ->
-                   if w' <= slack then raise Exit
-                   else if lit_value s l' = 0 then
-                     enqueue_pb s (lit_not l')
-                       (pb_explain_implication pb s (lit_not l')))
-                 pb.wlits
-             with Exit -> ())
-          end)
-        s.pb_watch.(l);
+      pb_check s s.pb_watch.(l);
       (* Clause propagation: literal [not l] just became false; watch
          pairs are filed under the literal that became true. *)
       let falsified = lit_not l in
@@ -737,7 +761,6 @@ let cancel_until s lvl =
       List.iter (fun (pb, w) -> pb.sum_true <- pb.sum_true - w) s.pb_watch.(l);
       Bytes.set s.assign v '\000';
       s.reason.(v) <- r_none;
-      s.pb_reason.(v) <- [||];
       heap_insert s v
     done;
     Vec.shrink s.trail bound;
@@ -820,9 +843,12 @@ let reason_iter_other s v f =
     end
   end
   else if r = r_pb then begin
-    let expl = s.pb_reason.(v) in
-    for i = 1 to Array.length expl - 1 do
-      f expl.(i)
+    (* The PB's literals that were true when it forced [v], i.e. are
+       true and earlier on the trail, last one first. *)
+    let wl = s.pb_src.(v).wlits and at = s.tpos.(v) in
+    for i = Array.length wl - 1 downto 0 do
+      let l = snd wl.(i) in
+      if lit_value s l = 1 && s.tpos.(lit_var l) < at then f (lit_not l)
     done
   end
   else assert false
@@ -1552,9 +1578,10 @@ let clone s =
   c.assign <- Bytes.copy s.assign;
   c.level <- Array.copy s.level;
   c.reason <- Array.copy s.reason;
-  (* PB explanation arrays are written whole, never mutated in place,
-     so sharing the inner arrays is safe. *)
-  c.pb_reason <- Array.copy s.pb_reason;
+  (* [pb_src] is only read for the PBs' immutable [wlits], so the
+     clone may point at this solver's PB records. *)
+  c.pb_src <- Array.copy s.pb_src;
+  c.tpos <- Array.copy s.tpos;
   c.activity <- Array.copy s.activity;
   c.act_gen <- Array.copy s.act_gen;
   c.gen <- s.gen;
