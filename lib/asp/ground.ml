@@ -88,8 +88,8 @@ type cmin = {
 
 (* A compiled statement, made once per [ground] call. *)
 type cstmt =
-  | C_fact of catom  (* ground and body-less: interned without a join *)
-  | C_rule of pseudo list  (* a normal rule, or a choice rule's elements *)
+  | C_fact of Ast.atom * pred_index  (* ground and body-less: no join *)
+  | C_rule of pseudo  (* a normal rule *)
   | C_constraint of clit list * env
   | C_choice of {
       lo : int option;
@@ -285,13 +285,13 @@ let compile_body st vars =
 let compile st pstmt = function
   | Ast.Rule { head = Ast.Head_atom h; body = [] }
     when List.for_all Term.is_ground h.Ast.args ->
-    C_fact (compile_atom st (ref []) h)
+    C_fact (h, pred_index st h.Ast.pred (List.length h.Ast.args))
   | Ast.Rule { head = Ast.Head_atom h; body } ->
     let vars = ref [] in
     let pbody = compile_body st vars body in
     let phead = compile_atom st vars h in
     let penv = env_create (List.length !vars) in
-    C_rule [ { phead; pbody; pemit = true; pstmt; penv } ]
+    C_rule { phead; pbody; pemit = true; pstmt; penv }
   | Ast.Rule { head = Ast.Head_none; body } ->
     let vars = ref [] in
     let body = compile_body st vars body in
@@ -555,7 +555,7 @@ let rec insert_at rank id ids =
     match ids with x :: rest -> x :: insert_at (rank - 1) id rest | [] -> [ id ]
 
 let pseudos_of = function
-  | C_rule ps -> ps
+  | C_rule p -> [ p ]
   | C_choice { pseudos; _ } -> pseudos
   | C_fact _ | C_constraint _ | C_minimize _ -> []
 
@@ -584,8 +584,8 @@ let phase1 st cstmts ~emit =
      body literal fire immediately. *)
   Array.iteri
     (fun i -> function
-      | C_fact a ->
-        let hid = intern st a.pi a.src ~possible:true in
+      | C_fact (a, pi) ->
+        let hid = intern st pi a ~possible:true in
         if st.fresh then Queue.add hid queue;
         emit i { ghead = Gatom hid; gpos = []; gneg = [] }
       | cs ->

@@ -130,7 +130,4 @@ let rec add_to_buffer buf = function
       args;
     Buffer.add_char buf ')'
 
-let to_string t =
-  let buf = Buffer.create 32 in
-  add_to_buffer buf t;
-  Buffer.contents buf
+let to_string t = Format.asprintf "%a" pp t

@@ -133,6 +133,27 @@ let test_minimize_distinct_tuples () =
   let r = solve "a. b. c :- a. c :- b. #minimize { 7, fixed : c }." in
   Alcotest.(check (list (pair int int))) "counted once" [ (0, 7) ] (costs_of r)
 
+(* A #minimize key is the tuple as [Term.pp] renders it: instances
+   with equal keys count once, and the key text orders the objective's
+   variables. *)
+let test_minimize_keys () =
+  let g =
+    Asp.Ground.ground
+      (Asp.parse {|p(1). q("x y"). #minimize { 2@3,X,f(X,Y,"a"),z : p(X), q(Y) }.|})
+  in
+  Alcotest.(check (list string)) "key" [ {|2@3|1,f(1,"x y","a"),z|} ]
+    (List.map (fun (m : Asp.Ground.gmin) -> m.Asp.Ground.gkey) (Asp.Ground.minimizes g));
+  List.iter
+    (fun t ->
+      let buf = Buffer.create 16 in
+      Asp.Term.add_to_buffer buf t;
+      Alcotest.(check string) "same text as pp" (Format.asprintf "%a" Asp.Term.pp t)
+        (Buffer.contents buf))
+    Asp.Term.
+      [ Int (-4);
+        Str "quote \" and \\ backslash\n";
+        App ("f", [ Sym "a"; App ("g", [ Int 0; Str "" ]); Var "X" ]) ]
+
 let test_show_ignored () =
   check_atoms "show is skipped" "#show foo/1. a." [ "a" ]
 
@@ -369,6 +390,7 @@ let () =
           Alcotest.test_case "lexicographic" `Quick test_minimize_lexicographic;
           Alcotest.test_case "tradeoff" `Quick test_minimize_tradeoff;
           Alcotest.test_case "distinct tuples" `Quick test_minimize_distinct_tuples;
+          Alcotest.test_case "keys" `Quick test_minimize_keys;
           Alcotest.test_case "show ignored" `Quick test_show_ignored ] );
       ( "grounder",
         [ Alcotest.test_case "counts" `Quick test_grounding_counts;
