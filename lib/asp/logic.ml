@@ -281,7 +281,6 @@ let translate ?(certify = false) ?(obs = Obs.disabled) g =
   in
   Obs.incr obs ~by:(scc_atoms ctx.loops) "logic.scc_atoms";
   Obs.set_attr span "atoms" (Obs.I n);
-  Obs.set_attr span "open_atoms" (Obs.I !nopen);
   let body_cache = Hashtbl.create 64 in
   (* per atom: the bodies that support it, and whether a body-less
      choice rule makes it free *)
