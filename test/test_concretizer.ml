@@ -249,8 +249,10 @@ let test_encodings_agree_without_splicing () =
 (* The [install-local] requests: every top-level RADIUSS objective
    (MPI-dependent ones as [^mpiabi]), splicing on, against the 64-spec
    local cache. One line per request: root DAG hash, cost vector, ground
-   atom and rule counts, and an MD5 of the unsorted [Asp.Ground.pp]
-   text, which pins atom ids and rule order. To regenerate, run
+   atom and rule counts, an MD5 of the unsorted [Asp.Ground.pp] text,
+   which pins atom ids and rule order, and the SAT core's conflict,
+   decision and propagation counts, which pin the search path. To
+   regenerate, run
    [LOCAL_GOLDEN_OUT=test/local_golden.expected dune exec
    test/test_concretizer.exe -- test golden] from the repository root. *)
 let golden_lines () =
@@ -283,13 +285,16 @@ let golden_lines () =
              ~splicing:options.CC.splicing
           @ encoded.Core.Encode.rules @ encoded.Core.Encode.facts)
       in
-      Printf.sprintf "%s %s %s atoms=%d rules=%d pp=%s" text
+      let sat k = Option.value ~default:0 (List.assoc_opt k o.CC.stats.CC.sat_stats) in
+      Printf.sprintf "%s %s %s atoms=%d rules=%d pp=%s conflicts=%d decisions=%d propagations=%d"
+        text
         (Spec.Concrete.dag_hash (spec_of o))
         (String.concat ","
            (List.map (fun (p, c) -> Printf.sprintf "%d:%d" p c) o.CC.stats.CC.costs))
         (Asp.Ground.atom_count ground)
         (List.length (Asp.Ground.rules ground))
-        (Digest.to_hex (Digest.string (Format.asprintf "%a" Asp.Ground.pp ground))))
+        (Digest.to_hex (Digest.string (Format.asprintf "%a" Asp.Ground.pp ground)))
+        (sat "conflicts") (sat "decisions") (sat "propagations"))
     Radiuss.Universe.top_level
 
 let test_local_golden () =
