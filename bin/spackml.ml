@@ -41,15 +41,6 @@ let old_flag =
 let stats_flag =
   Arg.(value & flag & info [ "stats" ] ~doc:"Print solver statistics.")
 
-let portfolio_flag =
-  Arg.(value & opt int 1 & info [ "portfolio" ] ~docv:"N"
-      ~doc:"Race N diversified SAT-solver configurations (restart mode, \
-            phase policy, seed, rephase schedule) on the hard solve \
-            phase, exchanging low-LBD learnt clauses; first verdict \
-            wins and UNSAT proofs still certify. Results are identical \
-            to a single-solver run; only wall time changes. Default 1 \
-            (off).")
-
 let spec_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"SPEC")
 
 (* ---- tracing (shared by concretize / install / fuzz) ---- *)
@@ -156,18 +147,13 @@ let run_batch ~opts ~jobs ~stats file =
 
 let concretize_cmd =
   let spec_opt_arg = Arg.(value & pos 0 (some string) None & info [] ~docv:"SPEC") in
-  let run reuse splicing old_encoding stats json dot batch jobs portfolio trace
-      trace_format spec_text =
+  let run reuse splicing old_encoding stats json dot batch jobs trace trace_format
+      spec_text =
     with_trace ~trace ~trace_format @@ fun obs ->
     let opts = options ~reuse ~splicing ~old_encoding in
     (* A traced concretize also re-validates its solutions: the verify
        span is part of the pipeline picture. *)
-    let opts =
-      { opts with
-        Core.Concretizer.obs;
-        verify = Obs.enabled obs;
-        portfolio = max 1 portfolio }
-    in
+    let opts = { opts with Core.Concretizer.obs; verify = Obs.enabled obs } in
     match (batch, spec_text) with
     | Some file, None -> run_batch ~opts ~jobs ~stats file
     | Some _, Some _ ->
@@ -210,8 +196,8 @@ let concretize_cmd =
          "Resolve an abstract spec to a concrete spec DAG, or a whole file of \
           specs with $(b,--batch) (optionally in parallel with $(b,--jobs)).")
     Term.(const run $ reuse_flag $ splice_flag $ old_flag $ stats_flag $ json_flag
-          $ dot_flag $ batch_flag $ jobs_flag $ portfolio_flag $ trace_flag
-          $ trace_format_flag $ spec_opt_arg)
+          $ dot_flag $ batch_flag $ jobs_flag $ trace_flag $ trace_format_flag
+          $ spec_opt_arg)
 
 (* ---- install ---- *)
 
@@ -547,7 +533,7 @@ let emit_drup path steps =
         line lits)
     steps
 
-let solve_dimacs ?(portfolio = 1) dimacs proof_file =
+let solve_dimacs dimacs proof_file =
   match parse_dimacs dimacs with
   | Error e ->
     Format.eprintf "parse error: %s@." e;
@@ -567,12 +553,6 @@ let solve_dimacs ?(portfolio = 1) dimacs proof_file =
              if d > 0 then Asp.Sat.pos v else Asp.Sat.neg v)
            clause))
     clauses;
-  (* DIMACS races use the first-model election rule: any verdict wins
-     (the verdict is still deterministic; the particular model of a SAT
-     answer may come from a racer). *)
-  if portfolio > 1 then
-    Asp.Sat.set_portfolio sat
-      (Some (Asp.Sat.portfolio ~first_model:true portfolio));
   let t0 = Unix.gettimeofday () in
   let res = Asp.Sat.solve sat in
   let dt = Unix.gettimeofday () -. t0 in
@@ -580,16 +560,6 @@ let solve_dimacs ?(portfolio = 1) dimacs proof_file =
     (fun (k, v) -> Printf.printf "c %-13s %d\n" k v)
     (Asp.Sat.stats sat);
   Printf.printf "c solve-seconds %.3f\n" dt;
-  (match Asp.Sat.last_portfolio sat with
-  | None -> ()
-  | Some r ->
-    Printf.printf "c winner        rank=%d config=%s\n" r.Asp.Sat.pr_winner
-      r.Asp.Sat.pr_winner_config;
-    Array.iteri
-      (fun rank (config, conflicts) ->
-        Printf.printf "c domain        rank=%d config=%s conflicts=%d\n" rank
-          config conflicts)
-      r.Asp.Sat.pr_domains);
   if res then begin
     print_endline "s SATISFIABLE";
     let n = Asp.Sat.nvars sat in
@@ -637,9 +607,9 @@ let solve_cmd =
               (derived clauses plus d-lines for learnt-DB deletions), \
               and certify UNSAT answers with the independent checker.")
   in
-  let run expr file dimacs proof portfolio =
+  let run expr file dimacs proof =
     match dimacs with
-    | Some d -> solve_dimacs ~portfolio:(max 1 portfolio) d proof
+    | Some d -> solve_dimacs d proof
     | None ->
     let text =
       match (expr, file) with
@@ -687,7 +657,7 @@ let solve_cmd =
        ~doc:
          "Run the built-in ASP solver on a logic program, or (with \
           --dimacs) the bare CDCL core on a DIMACS CNF file.")
-    Term.(const run $ expr $ file $ dimacs $ proof $ portfolio_flag)
+    Term.(const run $ expr $ file $ dimacs $ proof)
 
 (* ---- discover (automatic ABI discovery, the paper's future work) ---- *)
 
@@ -957,7 +927,7 @@ let serve_cmd =
               no flight recorder.")
   in
   let run reuse splicing workers queue deadline_ms socket horizon recorder
-      no_live portfolio trace trace_format =
+      no_live trace trace_format =
     with_trace ~trace ~trace_format @@ fun obs ->
     let opts =
       { (options ~reuse ~splicing ~old_encoding:false) with Core.Concretizer.obs }
@@ -967,7 +937,6 @@ let serve_cmd =
         Core.Serve.workers;
         max_queue = queue;
         default_deadline_ms = deadline_ms;
-        portfolio = max 1 portfolio;
         telemetry =
           (if no_live then None
            else
@@ -1002,7 +971,7 @@ let serve_cmd =
           $(b,spackml client --shutdown).")
     Term.(const run $ reuse_flag $ splice_flag $ workers_flag $ queue_flag
           $ deadline_flag $ socket_opt $ horizon_flag $ recorder_flag
-          $ no_live_flag $ portfolio_flag $ trace_flag $ trace_format_flag)
+          $ no_live_flag $ trace_flag $ trace_format_flag)
 
 let client_cmd =
   let deadline_flag =

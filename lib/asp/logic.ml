@@ -495,23 +495,8 @@ let extract_atoms ctx =
    probe is retired by permanently clausing its activation literal
    false. Returns the per-priority costs of the optimal model (left
    loaded in the SAT core), or [None] when UNSAT. *)
-let optimize ?(portfolio = 1) ctx objectives =
-  (* Only the initial (pre-descent) stable solve is raced: it carries
-     the bulk of the search, and under the byte-identity election rule
-     racers contribute UNSAT verdicts only — the primary's own model
-     and learnt state are untouched. The descent probes below must run
-     single: their learnt clauses seed every later probe, so taking
-     them from a race would make costs depend on scheduling. *)
-  let initial_stable () =
-    if portfolio <= 1 then solve_stable ctx ~assumptions:[]
-    else begin
-      Sat.set_portfolio ctx.sat (Some (Sat.portfolio portfolio));
-      Fun.protect
-        ~finally:(fun () -> Sat.set_portfolio ctx.sat None)
-        (fun () -> solve_stable ctx ~assumptions:[])
-    end
-  in
-  if not (initial_stable ()) then None
+let optimize ctx objectives =
+  if not (solve_stable ctx ~assumptions:[]) then None
   else begin
     (* Activation literals of the freezes accumulated so far. *)
     let frozen = ref [] in
@@ -570,13 +555,13 @@ let optimize ?(portfolio = 1) ctx objectives =
     Some (List.map (fun o -> (o.priority, objective_cost ctx o)) objectives)
   end
 
-let solve ?(certify = false) ?(obs = Obs.disabled) ?budget ?(portfolio = 1) g =
+let solve ?(certify = false) ?(obs = Obs.disabled) ?budget ?portfolio:_ g =
   let ctx = translate ~certify ~obs g in
   Sat.set_budget ctx.sat budget;
   let objectives =
     Obs.with_span obs ~cat:"solve" "logic.objectives" (fun _ -> build_objectives ctx)
   in
-  match optimize ~portfolio ctx objectives with
+  match optimize ctx objectives with
   | None -> Unsat (Sat.proof ctx.sat)
   | Some costs ->
     let atoms =

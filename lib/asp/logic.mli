@@ -80,13 +80,10 @@ val solve :
     program) and [logic.scc_atoms] counters, and the SAT core's
     per-restart histograms. [?budget] installs a preemption budget on
     the underlying solver ({!Sat.budget}); exhaustion raises
-    {!Sat.Timeout}. [?portfolio] (default 1) races that many
-    diversified solver clones on the initial stable solve — the phase
-    that dominates hard instances — under the byte-identity election
-    rule ({!Sat.portfolio}): results, models and costs are identical
-    to a single-solver run; only wall time changes. The optimization
-    descent itself always runs single, since its learnt state seeds
-    later solves. *)
+    {!Sat.Timeout}.
+
+    [?portfolio] is ignored: every solve runs on one SAT core. It is
+    kept only because the benchmark harness still passes it. *)
 
 val holds : model -> Ast.atom -> bool
 

@@ -4,10 +4,10 @@
     flat int-array arena with inline headers, blocking-literal watch
     lists with inline binary clauses, first-UIP conflict analysis with
     recursive clause minimization, LBD-driven learnt-DB reduction,
-    glucose-style EMA restarts (Luby available as a fallback mode),
-    VSIDS-style activities with lazy generation-based rescaling, phase
-    saving with target-phase rephasing, and a counter-based propagator
-    for linear pseudo-Boolean constraints
+    glucose-style EMA restarts, VSIDS-style activities with lazy
+    generation-based rescaling, phase saving with target-phase
+    rephasing (which gets the search out of phase traps), and a
+    counter-based propagator for linear pseudo-Boolean constraints
     [sum of w_i over true literals <= bound] (used for choice-rule
     cardinality bounds and optimization descent).
 
@@ -21,16 +21,6 @@
 type t
 
 type lit = int
-
-(** Restart policy. [Glucose] restarts when the fast EMA of learnt
-    LBDs runs 1.25x above the slow EMA (search is stuck in a
-    low-quality region); [Luby] restarts on MiniSat's classic budgets
-    (100 conflicts times the Luby sequence). *)
-type restart_mode = Luby | Glucose
-
-val default_restart_mode : restart_mode ref
-(** Mode picked up by {!create}. Defaults to [Glucose]; flipped by
-    tests and benches that compare the two policies. *)
 
 (** A per-solve resource budget, honored by every {!solve} call until
     replaced. [b_conflicts] caps the conflicts a single call may spend;
@@ -50,68 +40,11 @@ exception Timeout
     is left at decision level 0: learnt clauses, activities and phases
     survive, so it remains fully reusable. *)
 
-(** Portfolio mode: {!solve} races [pf_n] diversified configurations
-    (restart mode, phase policy, seed, rephase schedule) on clones of
-    the same solver state, exchanging low-LBD learnt clauses through a
-    bounded lock-free ring. The first verdict wins and the winner's
-    proof stream is merged into the primary's certificate.
-
-    [pf_first_model] selects the model-election rule:
-    - [false] (the byte-identity rule used by {!Logic}): only the
-      primary solver — rank 0, the caller's own solver object, which
-      imports no foreign clauses — may report SAT, so the model (and
-      every downstream tie-break) is byte-identical to a single-solver
-      run. Racers contribute UNSAT verdicts only.
-    - [true] (DIMACS/bench rule): the first verdict of either sign wins
-      and a winning racer's model is copied into the primary. The
-      verdict is still deterministic; the particular model is not
-      promised to match a single-solver run.
-
-    [pf_exchange] gates learnt-clause exchange (on by default; off is
-    useful for measuring the channel's contribution). *)
-type portfolio = {
-  pf_n : int;
-  pf_first_model : bool;
-  pf_exchange : bool;
-}
-
-val portfolio : ?first_model:bool -> ?exchange:bool -> int -> portfolio
-(** [portfolio n] races [n] lanes under the byte-identity rule, with
-    clause exchange on. *)
-
-(** Outcome summary of the last portfolio race on a solver. *)
-type portfolio_report = {
-  pr_winner : int;  (** winning rank; -1 = every lane preempted *)
-  pr_winner_config : string;
-  pr_sat : bool;
-  pr_domains : (string * int) array;
-      (** per rank: configuration name, conflicts spent in the race *)
-}
-
 val create : ?vars:int -> unit -> t
 (** [?vars] (default 0) sizes the per-variable arrays for that many
     variables at once; past it they double. A caller that knows its
     variable count avoids the copies and the garbage of growing from
     16. *)
-
-val set_restart_mode : t -> restart_mode -> unit
-
-val set_portfolio : t -> portfolio option -> unit
-(** Race [pf_n] diversified clones of this solver on every subsequent
-    {!solve} call (capped at 16; [pf_n <= 1] solves normally). Rank 0
-    is this very solver, untouched; under the default byte-identity
-    rule ([pf_first_model = false]) only it may report SAT, so models
-    and downstream tie-breaks match a single-solver run bit for bit,
-    while racers contribute early UNSAT verdicts whose proofs are
-    merged into this solver's certificate. *)
-
-val last_portfolio : t -> portfolio_report option
-(** Report of the most recent race, or [None] if the last [solve] ran
-    single. *)
-
-val clone : t -> t
-(** Deep copy at decision level 0 (exposed for tests). The copy shares
-    the immutable proof prefix and nothing mutable. *)
 
 val set_reduce_interval : t -> int -> unit
 (** Arena-learnt count that triggers the next [reduce_db] (default
@@ -200,10 +133,8 @@ val stats : t -> (string * int) list
 (** Counters: conflicts, decisions, propagations, learned clauses,
     restarts, reduces (learnt-DB reductions), removed (clauses deleted
     by reduction), minimized (literals stripped by clause
-    minimization), rephases, exchanged_in/exchanged_out (portfolio
-    clause traffic, aggregated across the race's lanes); plus gauges:
-    clauses,
-    pbs, vars, learnt_db, arena_words. Stored in an {!Obs.Stats} set;
+    minimization), rephases; plus gauges: clauses, pbs, vars,
+    learnt_db, arena_words. Stored in an {!Obs.Stats} set;
     this accessor is a snapshot shim. *)
 
 val stats_delta : before:(string * int) list -> t -> (string * int) list

@@ -183,8 +183,7 @@ let concretize_v ~repo ?(options = default_options) ?budget ?closure
   let result =
     match
       Obs.with_span obs ~cat:"concretize" "solve" (fun _ ->
-          Asp.Logic.solve ~certify:options.certify ~obs ?budget
-            ~portfolio:options.portfolio ground)
+          Asp.Logic.solve ~certify:options.certify ~obs ?budget ground)
     with
     | r -> Some r
     | exception Asp.Sat.Timeout -> None
@@ -257,10 +256,6 @@ let pp_stats fmt s =
     Format.fprintf fmt " reduces=%d removed=%d" (sat "reduces") (sat "removed");
   if sat "minimized" > 0 then Format.fprintf fmt " min_lits=%d" (sat "minimized");
   if sat "rephases" > 0 then Format.fprintf fmt " rephases=%d" (sat "rephases");
-  (* Portfolio clause traffic, nonzero only on raced solves. *)
-  if sat "exchanged_in" > 0 || sat "exchanged_out" > 0 then
-    Format.fprintf fmt " exchanged=%d/%d" (sat "exchanged_in")
-      (sat "exchanged_out");
   match s.verify_violations with
   | None -> ()
   | Some 0 -> Format.fprintf fmt " verify=ok"

@@ -43,13 +43,8 @@ type options = {
       (** ignored: the grounder runs on one domain. Kept only because
           the benchmark harness still names it. *)
   portfolio : int;
-      (** race the initial stable solve of every request across this
-          many diversified SAT-solver clones (restart mode, phase
-          policy, seed, rephase schedule), exchanging low-LBD learnt
-          clauses; default 1 (single solver). Results — models, costs,
-          tie-breaks, proofs' verdicts — are byte-identical to a
-          single-solver run under {!Asp.Logic}'s election rule; only
-          wall time changes. *)
+      (** ignored: every solve runs on one SAT core. Kept only because
+          the benchmark harness still names it. *)
   obs : Obs.ctx;
       (** tracing context ({!Obs.disabled} by default): when enabled,
           every request emits a [concretize] span with child

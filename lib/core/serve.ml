@@ -50,11 +50,6 @@ type config = {
   max_queue : int;  (* admission bound: max enqueued-not-yet-running jobs *)
   default_deadline_ms : float option;
   default_conflicts : int option;
-  portfolio : int;
-      (* upper bound on per-request portfolio width: a solve may race
-         up to this many diversified SAT clones, but only by borrowing
-         provably idle worker slots (a bounded token pool), so racing
-         never steals CPU from queued requests. 1 = feature off. *)
   fault_injection : bool;  (* honor the "boom" request flag *)
   reuse_source : (unit -> Spec.Concrete.t list) option;
       (* backing of the wire "reload" op *)
@@ -69,7 +64,6 @@ let default_config =
     max_queue = 256;
     default_deadline_ms = None;
     default_conflicts = None;
-    portfolio = 1;
     fault_injection = false;
     reuse_source = None;
     telemetry = Some default_telemetry;
@@ -224,12 +218,6 @@ type t = {
   mutable generation : int;
   closures : (string, (string, unit) Hashtbl.t) Hashtbl.t;
       (* root -> closure; valid for the current generation only *)
-  (* Idle-worker tokens backing portfolio admission: capacity is
-     [workers - 1] (every slot but the one doing the solve). A raced
-     request CAS-borrows up to [portfolio - 1] tokens for its racer
-     domains and returns them when the race ends; when the server is
-     busy the pool is empty and solves simply run single. *)
-  idle_tokens : int Atomic.t;
   (* live telemetry *)
   started_s : float;
   rid_counter : int Atomic.t;  (* server-assigned request ids *)
@@ -452,25 +440,6 @@ let budget_of ~conflicts ~deadline : Asp.Sat.budget option =
         b_stop =
           Option.map (fun d () -> Obs.Clock.now_s () > d) deadline }
 
-(* CAS-borrow up to [want] idle-worker tokens for a portfolio race;
-   returns how many were actually free (possibly 0 — the solve then
-   runs single). Lock-free: competes only with other workers' borrows
-   and returns. *)
-let borrow_tokens t want =
-  let rec go got =
-    if got >= want then got
-    else
-      let cur = Atomic.get t.idle_tokens in
-      if cur <= 0 then got
-      else if Atomic.compare_and_set t.idle_tokens cur (cur - 1) then
-        go (got + 1)
-      else go got
-  in
-  if want <= 0 then 0 else go 0
-
-let return_tokens t n =
-  if n > 0 then ignore (Atomic.fetch_and_add t.idle_tokens n)
-
 (* Serve one solve request; returns (status, canonical result, extra
    response fields). [robs] is the request-scoped observation context
    (the shared server context teed with the job's flight-recorder
@@ -509,22 +478,6 @@ let run_solve t job robs =
           | None -> t.config.default_conflicts
         in
         let budget = budget_of ~conflicts ~deadline:job.j_deadline in
-        (* Portfolio admission: the request may ask for a width (the
-           "portfolio" field, capped by the server's configured bound),
-           but the race only materializes to the extent idle worker
-           slots exist right now — borrowed tokens come back when the
-           race ends. Under load the pool is empty and this degrades to
-           a plain single solve. *)
-        let pf_want =
-          let cap = max 1 t.config.portfolio in
-          match field_int "portfolio" payload with
-          | Some n -> min (max 1 n) cap
-          | None -> cap
-        in
-        let pf_tokens = borrow_tokens t (pf_want - 1) in
-        let pf_n = 1 + pf_tokens in
-        Fun.protect ~finally:(fun () -> return_tokens t pf_tokens)
-        @@ fun () ->
         let reuse, gen, closure =
           pool_snapshot t request.Encode.req.Spec.Abstract.root.Spec.Abstract.name
         in
@@ -534,16 +487,14 @@ let run_solve t job robs =
               { t.config.options with
                 Concretizer.reuse;
                 mirrors = None;
-                obs = robs;
-                portfolio = pf_n }
+                obs = robs }
             ?budget ?closure
             ~attrs:[ ("rid", Obs.S job.j_rid) ]
             [ request ]
         in
         ( status_of_result result,
           canonical_of_result result,
-          ("generation", Sjson.Int gen)
-          :: (if pf_n > 1 then [ ("portfolio", Sjson.Int pf_n) ] else []) ))
+          [ ("generation", Sjson.Int gen) ] ))
 
 let hist_summary_json h =
   Sjson.Object
@@ -959,7 +910,6 @@ let start ~repo ?(config = default_config) ~socket () =
         digest = pool_digest reuse;
         generation = 0;
         closures = Hashtbl.create 64;
-        idle_tokens = Atomic.make (max 0 (workers - 1));
         started_s = Obs.Clock.now_s ();
         rid_counter = Atomic.make 0;
         live = Option.map make_live config.telemetry;

@@ -20,7 +20,8 @@
     Requests are JSON objects: [{"id": any, "op": "solve" | "ping" |
     "stats" | "dump" | "reload" | "shutdown", ...}]. A [solve] carries
     ["spec"] (spec syntax), optional ["deadline_ms"], ["conflicts"],
-    ["portfolio"], and (with fault injection) ["boom"].
+    and (with fault injection) ["boom"]; fields the server does not
+    read are ignored.
     Any request may carry a ["rid"] request id (string); the server
     assigns one (["srv-<n>"]) otherwise and stamps it on the request's
     span tree, so client and server traces join. Responses echo ["id"]
@@ -71,16 +72,6 @@ type config = {
   default_deadline_ms : float option;
       (** deadline applied to requests that don't carry one *)
   default_conflicts : int option;  (** likewise for the conflict cap *)
-  portfolio : int;
-      (** upper bound on per-request SAT portfolio width (default 1 =
-          off). A solve may race up to this many diversified solver
-          clones ({!Concretizer.options.portfolio}), but only by
-          borrowing provably idle worker slots from a bounded token
-          pool of capacity [workers - 1], so racing never steals CPU
-          from queued requests; under load solves degrade to single.
-          Requests may lower (never raise) their own width with a
-          ["portfolio"] field. Answers carry the granted width when it
-          exceeded 1. *)
   fault_injection : bool;
       (** honor the ["boom"] request flag (tests only): the worker
           raises mid-request and must answer a typed error *)

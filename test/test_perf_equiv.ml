@@ -1,23 +1,12 @@
-(* Performance-stack equivalence properties (reuse-pool pruning,
-   portfolio racing, batch determinism) over random fuzz universes: the
-   fast paths must be observationally equivalent to the plain
-   from-scratch solver.
+(* Performance-stack equivalence properties (reuse-pool pruning, batch
+   determinism) over random fuzz universes: the fast paths must be
+   observationally equivalent to the plain from-scratch solver.
 
    - pruning: closure-filtered encodes agree with unpruned encodes on
      solvability, optimal costs, and the solution DAG.
-   - portfolio: raced solves are byte-identical to single-solver ones.
    - batch: concretize_batch is byte-identical for any domain count. *)
 
 module CC = Core.Concretizer
-
-(* every property runs under both of the SAT core's restart policies:
-   the performance fast paths must be mode-independent *)
-let with_mode mode f =
-  let old = !Asp.Sat.default_restart_mode in
-  Asp.Sat.default_restart_mode := mode;
-  Fun.protect ~finally:(fun () -> Asp.Sat.default_restart_mode := old) f
-
-let mode_name = function Asp.Sat.Glucose -> "glucose" | Asp.Sat.Luby -> "luby"
 
 let options ?(splicing = false) ?(reuse = []) ~prune () =
   { CC.default_options with CC.splicing; reuse; prune }
@@ -54,11 +43,9 @@ let arb_universe =
 
 (* ---- 1. pruned vs unpruned fresh solves ---- *)
 
-let prop_prune_parity mode =
-  QCheck.Test.make
-    ~name:("pruned solves agree with unpruned solves (" ^ mode_name mode ^ ")")
+let prop_prune_parity =
+  QCheck.Test.make ~name:"pruned solves agree with unpruned solves (glucose)"
     ~count:20 arb_universe (fun seed ->
-      with_mode mode @@ fun () ->
       let u = Fuzz.Gen.generate (Fuzz.Rng.create seed) in
       let repo = Fuzz.Gen.to_repo u in
       let reuse = pool_of ~repo u in
@@ -94,59 +81,7 @@ let prop_prune_parity mode =
               "request %s: pruning fixed an UNSAT request (%s)" r f.CC.f_message)
         u.Fuzz.Gen.u_requests)
 
-(* ---- 2. portfolio vs single-solver solves ---- *)
-
-(* The byte-identity promise of [options.portfolio]: a raced solve must
-   return the same solvability, the same optimal costs, and the same
-   solution DAG (dag_hash) as the single-solver run — racing may only
-   change wall time. *)
-let prop_portfolio_parity mode =
-  QCheck.Test.make
-    ~name:
-      ("portfolio=4 solves are byte-identical to portfolio=1 ("
-     ^ mode_name mode ^ ")")
-    ~count:10 arb_universe (fun seed ->
-      with_mode mode @@ fun () ->
-      let u = Fuzz.Gen.generate (Fuzz.Rng.create seed) in
-      let repo = Fuzz.Gen.to_repo u in
-      let reuse = pool_of ~repo u in
-      let splicing = has_splices u in
-      let opts = options ~splicing ~reuse ~prune:true () in
-      List.for_all
-        (fun r ->
-          let single = concretize ~repo ~options:opts r in
-          let raced =
-            concretize ~repo ~options:{ opts with CC.portfolio = 4 } r
-          in
-          match (single, raced) with
-          | Ok a, Ok b ->
-            if costs a <> costs b then
-              QCheck.Test.fail_reportf
-                "request %s: portfolio costs %s, single costs %s" r
-                (pp_costs (costs b))
-                (pp_costs (costs a))
-            else if
-              Spec.Concrete.dag_hash (root_spec a)
-              <> Spec.Concrete.dag_hash (root_spec b)
-            then
-              QCheck.Test.fail_reportf "request %s: portfolio changed the DAG" r
-            else true
-          | Error a, Error b ->
-            a.CC.f_message = b.CC.f_message
-            || QCheck.Test.fail_reportf
-                 "request %s: failure messages differ: %S vs %S" r
-                 a.CC.f_message b.CC.f_message
-          | Ok _, Error f ->
-            QCheck.Test.fail_reportf
-              "request %s: single SAT but portfolio failed: %s" r
-              f.CC.f_message
-          | Error f, Ok _ ->
-            QCheck.Test.fail_reportf
-              "request %s: portfolio SAT but single failed: %s" r
-              f.CC.f_message)
-        (u.Fuzz.Gen.u_requests @ u.Fuzz.Gen.u_cache_roots))
-
-(* ---- 3. batch determinism ---- *)
+(* ---- 2. batch determinism ---- *)
 
 let render_batch results =
   String.concat "\n"
@@ -159,8 +94,7 @@ let render_batch results =
          | Error (f : CC.failure) -> "error " ^ f.CC.f_message)
        results)
 
-let test_batch_determinism mode () =
-  with_mode mode @@ fun () ->
+let test_batch_determinism () =
   let u = Fuzz.Gen.generate (Fuzz.Rng.create 42) in
   let repo = Fuzz.Gen.to_repo u in
   let reuse = pool_of ~repo u in
@@ -177,12 +111,7 @@ let test_batch_determinism mode () =
 
 let () =
   Alcotest.run "perf_equiv"
-    (List.map
-       (fun mode ->
-         ( "equivalence-" ^ mode_name mode,
-           [ QCheck_alcotest.to_alcotest (prop_prune_parity mode);
-             QCheck_alcotest.to_alcotest (prop_portfolio_parity mode);
-             Alcotest.test_case
-               ("batch determinism (" ^ mode_name mode ^ ")")
-               `Quick (test_batch_determinism mode) ] ))
-       [ Asp.Sat.Glucose; Asp.Sat.Luby ])
+    [ ( "equivalence-glucose",
+        [ QCheck_alcotest.to_alcotest prop_prune_parity;
+          Alcotest.test_case "batch determinism (glucose)" `Quick
+            test_batch_determinism ] ) ]

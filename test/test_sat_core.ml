@@ -10,8 +10,7 @@
      assumption sets, reductions forced between solves) agrees with
      brute force on every query;
    - every UNSAT answer certifies with the independent DRUP checker,
-     under both restart modes and with reductions forced so the proofs
-     carry P_delete steps;
+     with reductions forced so the proofs carry P_delete steps;
    - reduce_db keeps locked (reason) clauses: conflict-heavy UNSAT
      searches under a 1-clause reduction interval run to completion
      with the reduce/GC invariant asserts live, and still certify;
@@ -99,9 +98,8 @@ let arb_instance_assumps =
       let* sets = list_size (int_range 1 6) (list_size (int_range 0 3) lit) in
       return (inst, sets))
 
-let build ?proof ?reduce ?mode ((nvars, clauses, pbs) : int * int list list * ((int * int) list * int) list) =
+let build ?proof ?reduce ((nvars, clauses, pbs) : int * int list list * ((int * int) list * int) list) =
   let s = S.create () in
-  (match mode with Some m -> S.set_restart_mode s m | None -> ());
   (match proof with Some true -> S.enable_proof s | _ -> ());
   (match reduce with Some n -> S.set_reduce_interval s n | None -> ());
   for _ = 1 to nvars do
@@ -142,11 +140,12 @@ let prop_incremental_agrees =
           else (not sat_s) || check_model clauses pbs (S.value s))
         sets)
 
-(* ---- 3. every UNSAT certifies, both restart modes, with deletions ---- *)
+(* ---- 3. every UNSAT certifies, with deletions ---- *)
 
-let prop_unsat_certifies mode name =
-  QCheck.Test.make ~name ~count:300 arb_instance (fun inst ->
-      let s = build ~proof:true ~reduce:1 ~mode inst in
+let prop_unsat_certifies =
+  QCheck.Test.make ~name:"UNSAT certifies under Glucose restarts with reductions"
+    ~count:300 arb_instance (fun inst ->
+      let s = build ~proof:true ~reduce:1 inst in
       if S.solve s then true
       else
         match S.proof s with
@@ -156,53 +155,7 @@ let prop_unsat_certifies mode name =
           | Ok () -> true
           | Error e -> QCheck.Test.fail_reportf "proof rejected: %s" e))
 
-(* ---- 4. restart modes agree ---- *)
-
-let prop_restart_modes_agree =
-  QCheck.Test.make ~name:"Luby and Glucose restart modes agree" ~count:400
-    arb_instance (fun inst ->
-      let g = build ~mode:S.Glucose inst in
-      let l = build ~mode:S.Luby inst in
-      S.solve g = S.solve l)
-
-(* ---- 4b. portfolio racing ---- *)
-
-let prop_portfolio_byte_identical =
-  QCheck.Test.make
-    ~name:"portfolio race is byte-identical to the single-solver run"
-    ~count:60 arb_instance (fun ((nvars, clauses, pbs) as inst) ->
-      let single = build inst in
-      let raced = build inst in
-      S.set_portfolio raced (Some (S.portfolio 4));
-      let r1 = S.solve single in
-      let r2 = S.solve raced in
-      if r1 <> r2 then
-        QCheck.Test.fail_reportf "single=%b raced=%b" r1 r2
-      else if r1 then begin
-        for v = 0 to nvars - 1 do
-          if S.value single v <> S.value raced v then
-            QCheck.Test.fail_reportf "model differs at var %d" v
-        done;
-        check_model clauses pbs (S.value raced)
-      end
-      else true)
-
-let prop_portfolio_unsat_certifies =
-  QCheck.Test.make
-    ~name:"portfolio UNSAT merges a certificate that still certifies"
-    ~count:60 arb_instance (fun inst ->
-      let s = build ~proof:true ~reduce:1 inst in
-      S.set_portfolio s (Some (S.portfolio 4));
-      if S.solve s then true
-      else
-        match S.proof s with
-        | None -> false
-        | Some steps -> (
-          match Fuzz.Drup.check steps with
-          | Ok () -> true
-          | Error e -> QCheck.Test.fail_reportf "merged proof rejected: %s" e))
-
-(* ---- 5. reductions under a conflict-heavy search ---- *)
+(* ---- 4. reductions under a conflict-heavy search ---- *)
 
 (* PHP(pigeons, holes): every pigeon in some hole, no hole shared. *)
 let add_php s pigeons holes =
@@ -258,7 +211,7 @@ let test_php_under_reduction () =
   Alcotest.(check bool) "proof carries deletions" true (deletes > 0);
   check_certified "deletion-bearing proof" s
 
-(* ---- 6. budget preemption ---- *)
+(* ---- 5. budget preemption ---- *)
 
 (* PHP(7,6) needs thousands of conflicts, so a small conflict cap must
    preempt the search mid-flight. Preemption unwinds the trail to
@@ -301,13 +254,7 @@ let check_budget_preempt () =
   S.set_budget s2 None;
   Alcotest.(check bool) "reusable after stop preemption" false (S.solve s2)
 
-let test_budget_mode mode () =
-  let old = !S.default_restart_mode in
-  S.default_restart_mode := mode;
-  Fun.protect ~finally:(fun () -> S.default_restart_mode := old)
-    check_budget_preempt
-
-(* ---- 7. rephasing ---- *)
+(* ---- 6. rephasing ---- *)
 
 (* PHP(11,10) with a relaxer literal r disjoined into every clause:
    r = true satisfies everything, but the default negative polarity
@@ -351,7 +298,7 @@ let test_php_rephase_certifies () =
   Alcotest.(check bool) "rephased at least once" true (stat s "rephases" >= 1);
   check_certified "rephased proof" s
 
-(* ---- 8. Drup checker under deletion-heavy proofs ---- *)
+(* ---- 7. Drup checker under deletion-heavy proofs ---- *)
 
 (* 12k real deletions (every one a live database hit) followed by a
    two-unit contradiction. The checker's hashed clause-key index makes
@@ -385,23 +332,14 @@ let () =
   Alcotest.run "sat_core"
     [ ( "differential",
         [ QCheck_alcotest.to_alcotest prop_brute_agrees;
-          QCheck_alcotest.to_alcotest prop_incremental_agrees;
-          QCheck_alcotest.to_alcotest prop_restart_modes_agree ] );
+          QCheck_alcotest.to_alcotest prop_incremental_agrees ] );
       ( "rephasing",
         [ Alcotest.test_case "relaxed PHP(11,10) escapes the trap" `Quick
             test_rephase_escapes_trap;
           Alcotest.test_case "PHP(8,7) rephases, proof certifies" `Quick
             test_php_rephase_certifies ] );
-      ( "portfolio",
-        [ QCheck_alcotest.to_alcotest prop_portfolio_byte_identical;
-          QCheck_alcotest.to_alcotest prop_portfolio_unsat_certifies ] );
       ( "proofs",
-        [ QCheck_alcotest.to_alcotest
-            (prop_unsat_certifies S.Glucose
-               "UNSAT certifies under Glucose restarts with reductions");
-          QCheck_alcotest.to_alcotest
-            (prop_unsat_certifies S.Luby
-               "UNSAT certifies under Luby restarts with reductions");
+        [ QCheck_alcotest.to_alcotest prop_unsat_certifies;
           Alcotest.test_case "12k-deletion proof stays near-linear" `Quick
             test_drup_many_deletions ] );
       ( "reduction",
@@ -409,6 +347,4 @@ let () =
             test_php_under_reduction ] );
       ( "budget",
         [ Alcotest.test_case "PHP preempted under Glucose restarts" `Quick
-            (test_budget_mode S.Glucose);
-          Alcotest.test_case "PHP preempted under Luby restarts" `Quick
-            (test_budget_mode S.Luby) ] ) ]
+            check_budget_preempt ] ) ]

@@ -3,8 +3,7 @@
 
    - replay: a trace of mixed requests hammered over concurrent client
      domains gets canonical result objects byte-identical to one-shot
-     [concretize_v] runs on the same fuzz universe, under both restart
-     modes;
+     [concretize_v] runs on the same fuzz universe;
    - faults: malformed/oversized/truncated frames, client disconnect
      mid-request, injected worker exceptions, buildcache digest change
      mid-stream, unknown package names, queue overload, queue-expired
@@ -16,13 +15,6 @@
 module CC = Core.Concretizer
 module Serve = Core.Serve
 module Client = Core.Serve.Client
-
-let with_mode mode f =
-  let old = !Asp.Sat.default_restart_mode in
-  Asp.Sat.default_restart_mode := mode;
-  Fun.protect ~finally:(fun () -> Asp.Sat.default_restart_mode := old) f
-
-let mode_name = function Asp.Sat.Glucose -> "glucose" | Asp.Sat.Luby -> "luby"
 
 (* Short unique socket paths: sun_path caps out around 104 bytes. *)
 let sock_counter = ref 0
@@ -123,8 +115,7 @@ let replay t requests clients =
 
 (* ---- 1. replay: byte-identity with one-shot solves ---- *)
 
-let test_fresh_replay mode () =
-  with_mode mode @@ fun () ->
+let test_fresh_replay () =
   let u, repo = universe 42 in
   let reuse = pool_of ~repo u in
   let opts = options ~reuse () in
@@ -735,35 +726,31 @@ let test_telemetry_off () =
 
 let () =
   Alcotest.run "serve"
-    (List.map
-       (fun mode ->
-         ( "replay-" ^ mode_name mode,
-           [ Alcotest.test_case
-               ("fresh-mode byte replay (" ^ mode_name mode ^ ")")
-               `Quick (test_fresh_replay mode) ] ))
-       [ Asp.Sat.Glucose; Asp.Sat.Luby ]
-    @ [ ( "faults",
-          [ Alcotest.test_case "frame faults" `Quick test_bad_frames;
-            Alcotest.test_case "disconnect mid-request" `Quick
-              test_disconnect_mid_request;
-            Alcotest.test_case "worker exception mid-solve" `Quick
-              test_worker_fault;
-            Alcotest.test_case "buildcache change mid-stream" `Quick
-              test_reuse_eviction;
-            Alcotest.test_case "unknown names skip the closure cache" `Quick
-              test_unknown_names;
-            Alcotest.test_case "reload op" `Quick test_reload;
-            Alcotest.test_case "overload admission" `Quick test_overload;
-            Alcotest.test_case "queue-expired deadline" `Quick test_deadline;
-            Alcotest.test_case "shutdown drains the queue" `Quick
-              test_shutdown_drains ] );
-        ( "client",
-          [ Alcotest.test_case "auto-reconnect resends after disconnect"
-              `Quick test_client_reconnect;
-            Alcotest.test_case "overload retry with bounded backoff" `Quick
-              test_client_overload_retry ] );
-        ( "telemetry",
-          [ Alcotest.test_case "rids, windowed stats, flight recorder" `Quick
-              test_telemetry;
-            Alcotest.test_case "telemetry off: no window, dump disabled"
-              `Quick test_telemetry_off ] ) ])
+    [ ( "replay-glucose",
+        [ Alcotest.test_case "fresh-mode byte replay (glucose)" `Quick
+            test_fresh_replay ] );
+      ( "faults",
+        [ Alcotest.test_case "frame faults" `Quick test_bad_frames;
+          Alcotest.test_case "disconnect mid-request" `Quick
+            test_disconnect_mid_request;
+          Alcotest.test_case "worker exception mid-solve" `Quick
+            test_worker_fault;
+          Alcotest.test_case "buildcache change mid-stream" `Quick
+            test_reuse_eviction;
+          Alcotest.test_case "unknown names skip the closure cache" `Quick
+            test_unknown_names;
+          Alcotest.test_case "reload op" `Quick test_reload;
+          Alcotest.test_case "overload admission" `Quick test_overload;
+          Alcotest.test_case "queue-expired deadline" `Quick test_deadline;
+          Alcotest.test_case "shutdown drains the queue" `Quick
+            test_shutdown_drains ] );
+      ( "client",
+        [ Alcotest.test_case "auto-reconnect resends after disconnect"
+            `Quick test_client_reconnect;
+          Alcotest.test_case "overload retry with bounded backoff" `Quick
+            test_client_overload_retry ] );
+      ( "telemetry",
+        [ Alcotest.test_case "rids, windowed stats, flight recorder" `Quick
+            test_telemetry;
+          Alcotest.test_case "telemetry off: no window, dump disabled"
+            `Quick test_telemetry_off ] ) ]
