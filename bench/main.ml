@@ -303,8 +303,11 @@ let fig7 () =
 
    Both must agree on optimal costs and produce Verify-clean specs —
    asserted here, not just eyeballed. Results also land in
-   BENCH_fig7.json for machine consumption. A [~smoke] run only checks
-   the agreement and prints its rows: no speedup gate, no JSON. *)
+   BENCH_fig7.json for machine consumption, with the process's peak
+   major heap over the whole run recorded once: OCaml keeps no per-tier
+   peak, and every tier runs in the same process. A [~smoke] run only
+   checks the agreement and prints its rows: no speedup gate, no
+   JSON. *)
 let fig7_pool ?(sizes = [ 50; 200; 1000; 5000 ]) ?(smoke = false) () =
   Printf.printf "\n=== Figure 7b: buildcache-pool scaling (pruning) ===\n";
   let specs = [ "mfem"; "hypre"; "visit" ] in
@@ -336,8 +339,7 @@ let fig7_pool ?(sizes = [ 50; 200; 1000; 5000 ]) ?(smoke = false) () =
           ("wall_ms", Sjson.Float wall_ms);
           ("wall_ms_min", Sjson.Float (List.fold_left min infinity walls));
           ("wall_ms_max", Sjson.Float (List.fold_left max 0.0 walls));
-          ("ground_ms", Sjson.Float ground_ms);
-          ("peak_words", Sjson.Int (Gc.quick_stat ()).Gc.top_heap_words) ]
+          ("ground_ms", Sjson.Float ground_ms) ]
       :: !json_rows
   in
   (* total grounding time across the requests of one mode, in ms *)
@@ -467,7 +469,9 @@ let fig7_pool ?(sizes = [ 50; 200; 1000; 5000 ]) ?(smoke = false) () =
     sizes;
   let json =
     Sjson.Object
-      [ ("host", host_json ()); ("fig7_pool", Sjson.Array (List.rev !json_rows)) ]
+      [ ("host", host_json ());
+        ("process_top_heap_words", Sjson.Int (Gc.quick_stat ()).Gc.top_heap_words);
+        ("fig7_pool", Sjson.Array (List.rev !json_rows)) ]
   in
   if not smoke then begin
     let oc = open_out "BENCH_fig7.json" in
@@ -1703,7 +1707,8 @@ let install_storm () =
      fetches are in production): the win to measure is the scheduler
      overlapping per-node delivery waits, not CPU parallelism, so the
      gate holds on any core count. -- *)
-  (* each serial/jobs timing is the best of this many installs *)
+  (* each serial/jobs timing is the best of this many installs; every
+     rep's time and their median are recorded next to it *)
   let timing_reps = 3 in
   let delivery () =
     Binary.Mirror.group ~policy:fast_policy
@@ -1716,24 +1721,28 @@ let install_storm () =
              origin))
   in
   let timed_install jobs =
-    let best = ref infinity and report = ref None in
-    for _ = 1 to timing_reps do
-      let _, store = fresh () in
-      let mirrors = delivery () in
-      let t0 = Obs.Clock.now_s () in
-      let r =
-        Binary.Errors.ok_exn
-          (Binary.Installer.install store ~repo ~mirrors ~jobs wide)
-      in
-      let dt = (Obs.Clock.now_s () -. t0) *. 1000.0 in
-      if dt < !best then best := dt;
-      report := Some r
-    done;
-    (!best, Option.get !report)
+    let report = ref None in
+    let times =
+      List.init timing_reps (fun _ ->
+          let _, store = fresh () in
+          let mirrors = delivery () in
+          let t0 = Obs.Clock.now_s () in
+          let r =
+            Binary.Errors.ok_exn
+              (Binary.Installer.install store ~repo ~mirrors ~jobs wide)
+          in
+          report := Some r;
+          (Obs.Clock.now_s () -. t0) *. 1000.0)
+    in
+    (List.fold_left min infinity times, times, Option.get !report)
   in
-  let serial_ms, serial_rep = timed_install 1 in
-  let jobs2_ms, jobs2_rep = timed_install 2 in
-  let jobs4_ms, jobs4_rep = timed_install 4 in
+  let serial_ms, serial_times, serial_rep = timed_install 1 in
+  let jobs2_ms, jobs2_times, jobs2_rep = timed_install 2 in
+  let jobs4_ms, jobs4_times, jobs4_rep = timed_install 4 in
+  let spread name times =
+    [ (name ^ "_reps", Sjson.Array (List.map (fun t -> Sjson.Float t) times));
+      (name ^ "_median", Sjson.Float (median times)) ]
+  in
   let canon = Binary.Installer.canonical_report serial_rep in
   List.iter
     (fun (jobs, rep) ->
@@ -1866,21 +1875,24 @@ let install_storm () =
   (* -- report + gates -- *)
   let json =
     Sjson.Object
-      [ ("host", host_json ~reps:timing_reps ());
-        ("wide_nodes", Sjson.Int (List.length (Spec.Concrete.nodes wide)));
-        ("serial_ms", Sjson.Float serial_ms);
-        ("jobs2_ms", Sjson.Float jobs2_ms);
-        ("jobs4_ms", Sjson.Float jobs4_ms);
-        ("speedup_jobs4", Sjson.Float speedup4);
-        ("storm_installs", Sjson.Int storm_installs);
-        ("storm_domains", Sjson.Int storm_domains);
-        ("fleet_size", Sjson.Int fleet_size);
-        ("storm_wall_ms", Sjson.Float storm_wall_ms);
-        ("storm_installs_per_s", Sjson.Float throughput);
-        ("node_p50_ms", Sjson.Float node_p50);
-        ("node_p99_ms", Sjson.Float node_p99);
-        ("crash_write", Sjson.Int crash_at);
-        ("recover_ms", Sjson.Float recover_ms) ]
+      ([ ("host", host_json ~reps:timing_reps ());
+         ("wide_nodes", Sjson.Int (List.length (Spec.Concrete.nodes wide)));
+         ("serial_ms", Sjson.Float serial_ms);
+         ("jobs2_ms", Sjson.Float jobs2_ms);
+         ("jobs4_ms", Sjson.Float jobs4_ms) ]
+      @ spread "serial_ms" serial_times
+      @ spread "jobs2_ms" jobs2_times
+      @ spread "jobs4_ms" jobs4_times
+      @ [ ("speedup_jobs4", Sjson.Float speedup4);
+          ("storm_installs", Sjson.Int storm_installs);
+          ("storm_domains", Sjson.Int storm_domains);
+          ("fleet_size", Sjson.Int fleet_size);
+          ("storm_wall_ms", Sjson.Float storm_wall_ms);
+          ("storm_installs_per_s", Sjson.Float throughput);
+          ("node_p50_ms", Sjson.Float node_p50);
+          ("node_p99_ms", Sjson.Float node_p99);
+          ("crash_write", Sjson.Int crash_at);
+          ("recover_ms", Sjson.Float recover_ms) ])
   in
   let oc = open_out "BENCH_install.json" in
   output_string oc (Sjson.to_string json);
