@@ -685,8 +685,11 @@ let perf_smoke () =
   if render seq <> render par then
     failwith "perf-smoke: --jobs 1 and --jobs 4 batch results differ";
   Printf.printf
-    "50-request batch: jobs=1 %.2fs, jobs=4 %.2fs — results byte-identical\n"
-    (t2 -. t1) (t3 -. t2)
+    "50-request batch: jobs=1 %.2fs, jobs=4 (ran %d) %.2fs — results \
+     byte-identical\n"
+    (t2 -. t1)
+    (Core.Concretizer.batch_jobs ~jobs:4 (List.length requests))
+    (t3 -. t2)
 
 
 (* SAT-core smoke (dune build @sat-smoke): the glucose-class CDCL core
@@ -1285,8 +1288,8 @@ let serve_smoke () =
     (float_of_int total /. replay_s);
   Printf.printf
     "latency p50 %.2f ms, p99 %.2f ms (%d samples); vs stateless %.1fx; \
-     steals %d, closure hits/misses %d/%d\n%!"
-    p50 p99 (Obs.Hist.count lat) warm_speedup (counter "serve.steals")
+     closure hits/misses %d/%d\n%!"
+    p50 p99 (Obs.Hist.count lat) warm_speedup
     (counter "serve.closure_hits")
     (counter "serve.closure_misses");
   let json =
@@ -1307,7 +1310,6 @@ let serve_smoke () =
         ("byte_mismatches", Sjson.Int mismatches);
         ("pings", Sjson.Int pings);
         ("statuses_not_ok", Sjson.Int not_ok);
-        ("steals", Sjson.Int (counter "serve.steals"));
         ("closure_hits", Sjson.Int (counter "serve.closure_hits"));
         ("closure_misses", Sjson.Int (counter "serve.closure_misses")) ]
   in

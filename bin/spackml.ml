@@ -43,37 +43,27 @@ let stats_flag =
 
 let spec_arg = Arg.(required & pos 0 (some string) None & info [] ~docv:"SPEC")
 
-(* ---- tracing (shared by concretize / install / fuzz) ---- *)
+(* ---- tracing (shared by concretize / install / fuzz / serve) ---- *)
 
 let trace_flag =
   Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE"
       ~doc:"Record a trace of the run (spans over a monotonic clock plus \
-            solver/mirror metrics) and write it to FILE.")
-
-let trace_format_flag =
-  Arg.(value & opt string "chrome" & info [ "trace-format" ] ~docv:"FORMAT"
-      ~doc:"Trace rendering: $(b,chrome) (Perfetto-loadable trace_event \
-            JSON, the default), $(b,jsonl) (one event per line, input to \
-            $(b,spackml trace-report)), or $(b,summary) (human-readable \
-            aggregate table).")
+            solver/mirror metrics) and write it to FILE as Chrome \
+            trace_event JSON, loadable in Perfetto and read back by \
+            $(b,spackml trace-report).")
 
 (* Run [f] under a tracing context when [--trace] was given: [f]
    receives the context (or [Obs.disabled]) and returns an exit code;
-   the trace is rendered afterwards even if [f]'s work failed. *)
-let with_trace ~trace ~trace_format f =
+   the trace is written afterwards even if [f]'s work failed. *)
+let with_trace ~trace f =
   match trace with
   | None -> f Obs.disabled
-  | Some file -> (
-    match Obs.Sink.of_string trace_format with
-    | Error e ->
-      Format.eprintf "error: --trace-format: %s@." e;
-      2
-    | Ok sink ->
-      let obs = Obs.create () in
-      let code = f obs in
-      Obs.Sink.write_file obs sink file;
-      Format.eprintf "trace written to %s (%s)@." file trace_format;
-      code)
+  | Some file ->
+    let obs = Obs.create () in
+    let code = f obs in
+    Obs.Sink.write_file obs Obs.Sink.Chrome file;
+    Format.eprintf "trace written to %s@." file;
+    code
 
 (* ---- concretize ---- *)
 
@@ -91,7 +81,9 @@ let batch_flag =
 
 let jobs_flag =
   Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N"
-      ~doc:"Solve a $(b,--batch) over N parallel domains (default 1).")
+      ~doc:"Solve a $(b,--batch) over N parallel domains (default 1), \
+            capped at the batch size and the number of cores; \
+            $(b,--stats) prints the count used.")
 
 let read_batch_file file =
   let ic = open_in file in
@@ -141,15 +133,15 @@ let run_batch ~opts ~jobs ~stats file =
       pairs results;
     if stats then
       Format.printf "batch: %d specs, %d failures, jobs=%d, %.3fs@."
-        (List.length pairs) !failures jobs
+        (List.length pairs) !failures
+        (Core.Concretizer.batch_jobs ~jobs (List.length pairs))
         (Obs.Clock.now_s () -. t0);
     if !failures = 0 then 0 else 1
 
 let concretize_cmd =
   let spec_opt_arg = Arg.(value & pos 0 (some string) None & info [] ~docv:"SPEC") in
-  let run reuse splicing old_encoding stats json dot batch jobs trace trace_format
-      spec_text =
-    with_trace ~trace ~trace_format @@ fun obs ->
+  let run reuse splicing old_encoding stats json dot batch jobs trace spec_text =
+    with_trace ~trace @@ fun obs ->
     let opts = options ~reuse ~splicing ~old_encoding in
     (* A traced concretize also re-validates its solutions: the verify
        span is part of the pipeline picture. *)
@@ -196,8 +188,7 @@ let concretize_cmd =
          "Resolve an abstract spec to a concrete spec DAG, or a whole file of \
           specs with $(b,--batch) (optionally in parallel with $(b,--jobs)).")
     Term.(const run $ reuse_flag $ splice_flag $ old_flag $ stats_flag $ json_flag
-          $ dot_flag $ batch_flag $ jobs_flag $ trace_flag $ trace_format_flag
-          $ spec_opt_arg)
+          $ dot_flag $ batch_flag $ jobs_flag $ trace_flag $ spec_opt_arg)
 
 (* ---- install ---- *)
 
@@ -295,8 +286,8 @@ let adaptive_flag =
 
 let install_cmd =
   let run reuse splicing mirror_specs retries no_fallback crash_at recover jobs
-      fleet fleet_seed adaptive trace trace_format spec_text =
-    with_trace ~trace ~trace_format @@ fun obs ->
+      fleet fleet_seed adaptive trace spec_text =
+    with_trace ~trace @@ fun obs ->
     let opts = options ~reuse ~splicing ~old_encoding:false in
     let opts =
       { opts with Core.Concretizer.obs; verify = Obs.enabled obs }
@@ -397,7 +388,7 @@ let install_cmd =
     Term.(const run $ reuse_flag $ splice_flag $ mirror_flag $ retries_flag
           $ no_fallback_flag $ crash_at_flag $ recover_flag $ install_jobs_flag
           $ fleet_flag $ fleet_seed_flag $ adaptive_flag $ trace_flag
-          $ trace_format_flag $ spec_arg)
+          $ spec_arg)
 
 (* ---- splice (manual, Fig. 2 mechanics) ---- *)
 
@@ -708,7 +699,7 @@ let fuzz_cmd =
   let verbose =
     Arg.(value & flag & info [ "verbose" ] ~doc:"Log progress per round.")
   in
-  let run seed rounds inject verbose trace trace_format =
+  let run seed rounds inject verbose trace =
     match
       match inject with
       | None -> Ok None
@@ -721,7 +712,7 @@ let fuzz_cmd =
       Format.eprintf "unknown fault %S (try pb or unfounded)@." s;
       2
     | Ok inject ->
-      with_trace ~trace ~trace_format @@ fun obs ->
+      with_trace ~trace @@ fun obs ->
       let log m = if verbose then Format.eprintf "%s@." m in
       let report = Fuzz.Harness.run ~log ?inject ~obs ~seed ~rounds () in
       Format.printf "%a" Fuzz.Harness.pp_report report;
@@ -734,151 +725,33 @@ let fuzz_cmd =
           solution independently, certify every UNSAT with a checked DRUP \
           proof, cross-check small instances by brute force, and shrink any \
           failure to a paste-ready reproducer.")
-    Term.(const run $ seed $ rounds $ inject $ verbose $ trace_flag
-          $ trace_format_flag)
+    Term.(const run $ seed $ rounds $ inject $ verbose $ trace_flag)
 
 (* ---- trace-report ---- *)
 
-(* Aggregate a recorded trace (jsonl, or a chrome trace_event object)
-   into per-phase totals and duration histograms — the offline
-   counterpart of --trace-format summary. *)
 let trace_report_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let run file =
-    let text =
-      let ic = open_in file in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
-    let num = function
-      | Sjson.Float f -> f
-      | Sjson.Int n -> float_of_int n
-      | _ -> 0.
-    in
-    (* span name -> duration histogram (ms), in first-seen order *)
-    let tbl = Hashtbl.create 32 in
-    let order = ref [] in
-    let add_span name ms =
-      let h =
-        match Hashtbl.find_opt tbl name with
-        | Some h -> h
-        | None ->
-          let h = Obs.Hist.create () in
-          Hashtbl.replace tbl name h;
-          order := name :: !order;
-          h
-      in
-      Obs.Hist.observe h ms
-    in
-    let metric_lines = ref [] in
-    let metric name v = metric_lines := (name, v) :: !metric_lines in
-    let chrome_events evs =
-      List.iter
-        (fun ev ->
-          match Sjson.member_opt "ph" ev with
-          | Some (Sjson.String "X") ->
-            add_span (Sjson.get_string (Sjson.member "name" ev))
-              (num (Sjson.member "dur" ev) /. 1e3)
-          | Some (Sjson.String "C") ->
-            metric
-              (Sjson.get_string (Sjson.member "name" ev))
-              (string_of_int
-                 (Sjson.get_int (Sjson.member "value" (Sjson.member "args" ev))))
-          | _ -> ())
-        (Sjson.to_list evs)
-    in
-    let jsonl_line j =
-      match Sjson.member_opt "kind" j with
-      | Some (Sjson.String "span") ->
-        add_span (Sjson.get_string (Sjson.member "name" j))
-          (num (Sjson.member "dur_ns" j) /. 1e6)
-      | Some (Sjson.String ("counter" | "gauge")) ->
-        metric (Sjson.get_string (Sjson.member "name" j))
-          (string_of_int (Sjson.get_int (Sjson.member "value" j)))
-      | Some (Sjson.String "histogram") ->
-        let v = Sjson.member "value" j in
-        metric (Sjson.get_string (Sjson.member "name" j))
-          (Printf.sprintf "n=%d sum=%.3f p50=%.3f p99=%.3f"
-             (Sjson.get_int (Sjson.member "count" v))
-             (num (Sjson.member "sum" v))
-             (num (Sjson.member "p50" v))
-             (num (Sjson.member "p99" v)))
-      | _ -> ()
-    in
-    let total_lines = ref 0 and skipped = ref 0 in
-    match
-      let trimmed = String.trim text in
-      if trimmed = "" then Error "empty trace file"
-      else
-        match Sjson.of_string trimmed with
-        | j -> (
-          (* a single JSON document: a chrome trace (or one jsonl line) *)
-          match Sjson.member_opt "traceEvents" j with
-          | Some evs -> Ok (chrome_events evs)
-          | None -> Ok (jsonl_line j))
-        | exception Sjson.Parse_error _ ->
-          (* One JSON object per line. Unparseable lines are counted
-             and skipped, not fatal: a truncated tail (a crashed
-             writer) must not hide the rest of the trace. *)
-          String.split_on_char '\n' text
-          |> List.iter (fun line ->
-                 let line = String.trim line in
-                 if line <> "" then begin
-                   incr total_lines;
-                   match Sjson.of_string line with
-                   | j -> jsonl_line j
-                   | exception Sjson.Parse_error _ -> incr skipped
-                 end);
-          if !total_lines > 0 && !skipped = !total_lines then
-            Error
-              (Printf.sprintf "all %d lines of %s failed to parse" !total_lines
-                 file)
-          else Ok ()
-    with
-    | exception Failure e ->
-      Format.eprintf "error: %s@." e;
-      1
+    let ic = open_in_bin file in
+    let text = really_input_string ic (in_channel_length ic) in
+    close_in ic;
+    match Obs.Sink.report text with
     | Error e ->
-      Format.eprintf "error: %s@." e;
+      Format.eprintf "error: %s: %s@." file e;
       1
-    | Ok () ->
-      if !skipped > 0 then
-        Format.eprintf "warning: skipped %d of %d unparseable lines@." !skipped
-          !total_lines;
-      let names = List.rev !order in
-      if names = [] && !metric_lines = [] then begin
-        (* Valid input, nothing in it: say so explicitly, succeed. *)
-        Format.printf "no events in %s@." file;
-        0
-      end
-      else begin
-        if names <> [] then begin
-          Format.printf "%-32s %8s %12s %12s %12s %12s@." "phase" "count"
-            "total_ms" "p50_ms" "p99_ms" "max_ms";
-          List.iter
-            (fun name ->
-              let h = Hashtbl.find tbl name in
-              Format.printf "%-32s %8d %12.3f %12.3f %12.3f %12.3f@." name
-                (Obs.Hist.count h) (Obs.Hist.sum h) (Obs.Hist.quantile h 0.5)
-                (Obs.Hist.quantile h 0.99) (Obs.Hist.max_value h))
-            names
-        end;
-        if !metric_lines <> [] then begin
-          Format.printf "%-44s %s@." "metric" "value";
-          List.iter
-            (fun (n, v) -> Format.printf "%-44s %s@." n v)
-            (List.rev !metric_lines)
-        end;
-        0
-      end
+    | Ok "" ->
+      Format.printf "no events in %s@." file;
+      0
+    | Ok table ->
+      print_string table;
+      0
   in
   Cmd.v
     (Cmd.info "trace-report"
        ~doc:
-         "Aggregate a trace recorded with $(b,--trace) (jsonl or chrome \
-          format) into per-phase totals and duration histograms.")
+         "Aggregate a trace recorded with $(b,--trace) into per-phase \
+          totals and duration quantiles, followed by every counter, gauge \
+          and histogram it carries.")
     Term.(const run $ file)
 
 (* ---- serve / client (resident solve server) ---- *)
@@ -927,8 +800,8 @@ let serve_cmd =
               no flight recorder.")
   in
   let run reuse splicing workers queue deadline_ms socket horizon recorder
-      no_live trace trace_format =
-    with_trace ~trace ~trace_format @@ fun obs ->
+      no_live trace =
+    with_trace ~trace @@ fun obs ->
     let opts =
       { (options ~reuse ~splicing ~old_encoding:false) with Core.Concretizer.obs }
     in
@@ -971,7 +844,7 @@ let serve_cmd =
           $(b,spackml client --shutdown).")
     Term.(const run $ reuse_flag $ splice_flag $ workers_flag $ queue_flag
           $ deadline_flag $ socket_opt $ horizon_flag $ recorder_flag
-          $ no_live_flag $ trace_flag $ trace_format_flag)
+          $ no_live_flag $ trace_flag)
 
 let client_cmd =
   let deadline_flag =

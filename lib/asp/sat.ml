@@ -157,16 +157,16 @@ type t = {
   mutable heap : int array;
   mutable heap_len : int;
   mutable heap_pos : int array;      (* var -> index in heap, -1 if absent *)
-  stat_set : Obs.Stats.t;
-  c_conflicts : Obs.Stats.counter;
-  c_decisions : Obs.Stats.counter;
-  c_propagations : Obs.Stats.counter;
-  c_learnts : Obs.Stats.counter;
-  c_restarts : Obs.Stats.counter;
-  c_reduces : Obs.Stats.counter;
-  c_removed : Obs.Stats.counter;
-  c_minimized : Obs.Stats.counter;
-  c_rephases : Obs.Stats.counter;
+  (* the counters [stats] reports, in its order *)
+  mutable c_conflicts : int;
+  mutable c_decisions : int;
+  mutable c_propagations : int;
+  mutable c_learnts : int;
+  mutable c_restarts : int;
+  mutable c_reduces : int;
+  mutable c_removed : int;
+  mutable c_minimized : int;
+  mutable c_rephases : int;
   mutable obs : Obs.ctx;
   mutable at_restart : int * int * int; (* conflicts, decisions, props *)
   (* scratch for analysis *)
@@ -178,7 +178,6 @@ type t = {
   (* restart state *)
   mutable ema_fast : float;          (* recent LBD average  (alpha 1/32) *)
   mutable ema_slow : float;          (* long-term LBD average (alpha 1/8192) *)
-  mutable conflict_count : int;      (* int mirror of c_conflicts *)
   (* learnt-DB reduction *)
   mutable max_learnts : int;         (* arena-learnt count triggering reduce *)
   (* proof logging: [None] = off; steps are kept newest-first *)
@@ -196,18 +195,6 @@ type t = {
 }
 
 let blank () =
-  let stat_set = Obs.Stats.create () in
-  (* Registration order fixes the [stats] output order; the pre-arena
-     counters keep their slots, new ones are appended. *)
-  let c_conflicts = Obs.Stats.counter stat_set "conflicts" in
-  let c_decisions = Obs.Stats.counter stat_set "decisions" in
-  let c_propagations = Obs.Stats.counter stat_set "propagations" in
-  let c_learnts = Obs.Stats.counter stat_set "learnts" in
-  let c_restarts = Obs.Stats.counter stat_set "restarts" in
-  let c_reduces = Obs.Stats.counter stat_set "reduces" in
-  let c_removed = Obs.Stats.counter stat_set "removed" in
-  let c_minimized = Obs.Stats.counter stat_set "minimized" in
-  let c_rephases = Obs.Stats.counter stat_set "rephases" in
   { nvars = 0;
     assign = Bytes.create 0;
     level = [||];
@@ -238,16 +225,15 @@ let blank () =
     heap = [||];
     heap_len = 0;
     heap_pos = [||];
-    stat_set;
-    c_conflicts;
-    c_decisions;
-    c_propagations;
-    c_learnts;
-    c_restarts;
-    c_reduces;
-    c_removed;
-    c_minimized;
-    c_rephases;
+    c_conflicts = 0;
+    c_decisions = 0;
+    c_propagations = 0;
+    c_learnts = 0;
+    c_restarts = 0;
+    c_reduces = 0;
+    c_removed = 0;
+    c_minimized = 0;
+    c_rephases = 0;
     obs = Obs.disabled;
     at_restart = (0, 0, 0);
     seen = Bytes.create 0;
@@ -257,7 +243,6 @@ let blank () =
     lbd_stamp = 0;
     ema_fast = 0.0;
     ema_slow = 0.0;
-    conflict_count = 0;
     max_learnts = 2000;
     proof = None;
     n_pb_inputs = 0;
@@ -300,7 +285,7 @@ let cl_deleted s cref = s.arena.(cref) land f_deleted <> 0
 let cl_lbd s cref = s.arena.(cref + 1)
 let cl_set_lbd s cref lbd = s.arena.(cref + 1) <- lbd
 let cl_stamp s cref = s.arena.(cref + 2)
-let cl_touch s cref = s.arena.(cref + 2) <- s.conflict_count
+let cl_touch s cref = s.arena.(cref + 2) <- s.c_conflicts
 let cl_lit s cref i = s.arena.(cref + 3 + i)
 
 let cl_delete s cref =
@@ -325,7 +310,7 @@ let alloc_clause s lits ~learnt ~lbd =
   let cref = s.arena_top in
   s.arena.(cref) <- (size lsl 3) lor (if learnt then f_learnt else 0);
   s.arena.(cref + 1) <- lbd;
-  s.arena.(cref + 2) <- s.conflict_count;
+  s.arena.(cref + 2) <- s.c_conflicts;
   Array.blit lits 0 s.arena (cref + 3) size;
   s.arena_top <- cref + size + 3;
   cref
@@ -557,7 +542,7 @@ let propagate s =
     while s.qhead < Vec.size s.trail do
       let l = Vec.get s.trail s.qhead in
       s.qhead <- s.qhead + 1;
-      Obs.Stats.incr s.c_propagations;
+      s.c_propagations <- s.c_propagations + 1;
       (* PB checks for l being true (sums were updated at enqueue). *)
       pb_check s s.pb_watch.(l);
       (* Clause propagation: literal [not l] just became false; watch
@@ -858,7 +843,7 @@ let analyze s confl =
     then kept := l :: !kept
     else incr removed
   done;
-  if !removed > 0 then Obs.Stats.add s.c_minimized !removed;
+  if !removed > 0 then s.c_minimized <- s.c_minimized + !removed;
   let learnt_lits = Array.of_list (learnt_lits.(0) :: !kept) in
   (* Clear all seen marks (analysis + minimization probes). *)
   for j = 0 to Vec.size s.to_clear - 1 do
@@ -1096,7 +1081,7 @@ let compact_arena s =
   s.wasted <- 0
 
 let reduce_db s =
-  Obs.Stats.incr s.c_reduces;
+  s.c_reduces <- s.c_reduces + 1;
   (* Rank non-glue, non-locked learnts: worst = high LBD, then least
      recently touched. Glue (lbd <= 2) is kept forever. *)
   let cands = ref [] in
@@ -1123,7 +1108,7 @@ let reduce_db s =
     s.n_learnts <- s.n_learnts - 1;
     s.n_arena_learnts <- s.n_arena_learnts - 1
   done;
-  if to_remove > 0 then Obs.Stats.add s.c_removed to_remove;
+  if to_remove > 0 then s.c_removed <- s.c_removed + to_remove;
   (* Drop dead crefs from the learnt list eagerly. *)
   let live = Vec.create 0 in
   for i = 0 to Vec.size s.learnts - 1 do
@@ -1160,7 +1145,7 @@ let update_target_phase s =
   done
 
 let rephase s =
-  Obs.Stats.incr s.c_rephases;
+  s.c_rephases <- s.c_rephases + 1;
   (match s.rephase_kind land 3 with
   | 0 -> Bytes.blit s.target_phase 0 s.phase 0 s.nvars
   | 1 ->
@@ -1180,7 +1165,7 @@ let rephase s =
     s.best_trail <- 0);
   s.rephase_kind <- s.rephase_kind + 1;
   s.rephase_interval <- s.rephase_interval + (s.rephase_interval / 2);
-  s.next_rephase <- s.conflict_count + s.rephase_interval
+  s.next_rephase <- s.c_conflicts + s.rephase_interval
 
 (* -- search -------------------------------------------------------- *)
 
@@ -1224,9 +1209,9 @@ let set_obs s obs = s.obs <- obs
    updates. *)
 let note_restart s =
   if Obs.enabled s.obs then begin
-    let c = Obs.Stats.value s.c_conflicts
-    and d = Obs.Stats.value s.c_decisions
-    and p = Obs.Stats.value s.c_propagations in
+    let c = s.c_conflicts
+    and d = s.c_decisions
+    and p = s.c_propagations in
     let c0, d0, p0 = s.at_restart in
     Obs.observe s.obs "sat.conflicts_per_restart" (float_of_int (c - c0));
     Obs.observe s.obs "sat.decisions_per_restart" (float_of_int (d - d0));
@@ -1268,8 +1253,7 @@ let solve ?(assumptions = []) s =
          while true do
            match propagate s with
            | Some confl ->
-             Obs.Stats.incr s.c_conflicts;
-             s.conflict_count <- s.conflict_count + 1;
+             s.c_conflicts <- s.c_conflicts + 1;
              incr since_restart;
              incr spent;
              check_budget s !spent;
@@ -1303,7 +1287,7 @@ let solve ?(assumptions = []) s =
              | 2 ->
                attach_binary s learnt.(0) learnt.(1);
                s.n_learnts <- s.n_learnts + 1;
-               Obs.Stats.incr s.c_learnts;
+               s.c_learnts <- s.c_learnts + 1;
                if lit_value s learnt.(0) = 0 then
                  enqueue s learnt.(0) ((learnt.(1) lsl 1) lor 1)
              | _ ->
@@ -1311,7 +1295,7 @@ let solve ?(assumptions = []) s =
                Vec.push s.learnts cref;
                s.n_learnts <- s.n_learnts + 1;
                s.n_arena_learnts <- s.n_arena_learnts + 1;
-               Obs.Stats.incr s.c_learnts;
+               s.c_learnts <- s.c_learnts + 1;
                attach_cref s cref;
                if lit_value s learnt.(0) = 0 then
                  enqueue s learnt.(0) (cref lsl 1));
@@ -1323,15 +1307,15 @@ let solve ?(assumptions = []) s =
            | None ->
              let want_restart =
                !since_restart >= restart_min_conflicts
-               && s.conflict_count >= 100
+               && s.c_conflicts >= 100
                && s.ema_fast > restart_ratio *. s.ema_slow
              in
              if want_restart && decision_level s > nassum then begin
                (* Restart, keeping assumptions. *)
-               Obs.Stats.incr s.c_restarts;
+               s.c_restarts <- s.c_restarts + 1;
                note_restart s;
                since_restart := 0;
-               if s.conflict_count >= s.next_rephase then begin
+               if s.c_conflicts >= s.next_rephase then begin
                  (* Rephasing runs at level 0; any assumptions are
                     re-placed by the [dl < nassum] branch below. *)
                  cancel_until s 0;
@@ -1361,7 +1345,7 @@ let solve ?(assumptions = []) s =
                    raise Sat_exc
                  end
                  else begin
-                   Obs.Stats.incr s.c_decisions;
+                   s.c_decisions <- s.c_decisions + 1;
                    Vec.push s.trail_lim (Vec.size s.trail);
                    let l = if Bytes.get s.phase v = '\001' then pos v else neg v in
                    enqueue s l r_decision
@@ -1386,18 +1370,28 @@ let solve ?(assumptions = []) s =
 
 let value s v = Bytes.get s.model v = '\001'
 
-let lit_value_in_model s l = if lit_sign l then value s (lit_var l) else not (value s (lit_var l))
+let counters s =
+  [ ("conflicts", s.c_conflicts);
+    ("decisions", s.c_decisions);
+    ("propagations", s.c_propagations);
+    ("learnts", s.c_learnts);
+    ("restarts", s.c_restarts);
+    ("reduces", s.c_reduces);
+    ("removed", s.c_removed);
+    ("minimized", s.c_minimized);
+    ("rephases", s.c_rephases) ]
 
-(* Shims over the Obs.Stats set: the pre-arena keys keep their order,
-   new counters and the learnt-DB size are appended. *)
-let stats s =
-  Obs.Stats.snapshot s.stat_set
-    ~extra:
-      [ ("clauses", s.n_clauses);
-        ("pbs", List.length s.pbs);
-        ("vars", s.nvars);
-        ("learnt_db", s.n_learnts);
-        ("arena_words", s.arena_top) ]
+let gauges s =
+  [ ("clauses", s.n_clauses);
+    ("pbs", List.length s.pbs);
+    ("vars", s.nvars);
+    ("learnt_db", s.n_learnts);
+    ("arena_words", s.arena_top) ]
+
+let stats s = counters s @ gauges s
 
 let stats_delta ~before s =
-  Obs.Stats.delta ~monotonic:(Obs.Stats.names s.stat_set) ~before (stats s)
+  List.map
+    (fun (k, v) -> (k, v - Option.value ~default:0 (List.assoc_opt k before)))
+    (counters s)
+  @ gauges s

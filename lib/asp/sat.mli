@@ -120,8 +120,6 @@ val value : t -> int -> bool
 (** Value of a variable in the most recent model. Only meaningful after
     [solve] returned [true]. *)
 
-val lit_value_in_model : t -> lit -> bool
-
 val set_obs : t -> Obs.ctx -> unit
 (** Attach a tracing context: each learnt clause's LBD feeds the
     [sat.lbd] histogram, and each restart records the
@@ -134,10 +132,9 @@ val stats : t -> (string * int) list
     restarts, reduces (learnt-DB reductions), removed (clauses deleted
     by reduction), minimized (literals stripped by clause
     minimization), rephases; plus gauges: clauses, pbs, vars,
-    learnt_db, arena_words. Stored in an {!Obs.Stats} set;
-    this accessor is a snapshot shim. *)
+    learnt_db, arena_words. Always in this order. *)
 
 val stats_delta : before:(string * int) list -> t -> (string * int) list
-(** {!stats} relative to an earlier snapshot: monotonic counters are
-    differenced, gauges reported absolute. Lets a trace attribute
+(** {!stats} relative to an earlier snapshot: the nine counters are
+    differenced, the gauges reported absolute. Lets a trace attribute
     solver work to individual {!solve} calls. *)

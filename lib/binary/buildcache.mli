@@ -39,13 +39,14 @@ val specs : t -> Spec.Concrete.t list
 val install_entry :
   Store.t -> hash:string -> entry -> Store.record * Relocate.stats
 (** Install one already-fetched entry into the store (transactionally,
-    via {!Store.begin_install}/{!Store.commit}), relocating every
-    embedded prefix from its build-time location to the target store's
-    layout. The entry's dependencies must already be installed (or
-    concurrently installable — their target prefixes are computed, not
-    read). Taking the entry by value is what lets the installer look a
-    hash up {e once} and pass the result through — no TOCTOU window —
-    and lets the mirror layer hand over fetched (and
+    via {!Store.claim}/{!Store.commit}), relocating every embedded
+    prefix from its build-time location to the target store's layout.
+    An entry another writer already installed is returned as found,
+    with empty relocation stats. The entry's dependencies must already
+    be installed (or concurrently installable — their target prefixes
+    are computed, not read). Taking the entry by value is what lets the
+    installer look a hash up {e once} and pass the result through — no
+    TOCTOU window — and lets the mirror layer hand over fetched (and
     integrity-verified) entries directly. *)
 
 val install_from :

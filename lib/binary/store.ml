@@ -209,14 +209,6 @@ let claim t ~hash ~prefix =
   | Claimed _ -> ());
   r
 
-let begin_install t ~hash ~prefix =
-  match claim t ~hash ~prefix with
-  | Claimed txn -> txn
-  | Present _ ->
-    invalid_arg
-      (Printf.sprintf "Store.begin_install: %s is already installed"
-         (Chash.short hash))
-
 let stage t tx ~rel file =
   if not tx.tx_staged then begin
     tick t ("journal staged " ^ Chash.short tx.tx_hash);
@@ -313,8 +305,6 @@ let resolve_journal vfs ~root =
              { reason = Printf.sprintf "journal %s: entry is not text" hash }))
     entries;
   (List.sort String.compare !rolled_back, List.sort String.compare !rolled_forward)
-
-let cleanup_pending t = ignore (resolve_journal t.vfs ~root:t.root)
 
 type recovery = {
   rolled_back : string list;

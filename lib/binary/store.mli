@@ -89,11 +89,6 @@ val claim : t -> hash:string -> prefix:string -> claim_outcome
     returns [Claimed]. Raises {!Crashed} if the store has crashed or
     crashes at the journal write. *)
 
-val begin_install : t -> hash:string -> prefix:string -> txn
-(** {!claim} specialised for callers that know the hash is absent and
-    uncontended (single-writer paths, tests).
-    @raise Invalid_argument if the hash is already installed. *)
-
 val txn_prefix : txn -> string
 (** The {e final} prefix — writers compute embedded paths against it,
     while the bytes land in staging until {!commit}. *)
@@ -117,13 +112,6 @@ val abort : t -> txn -> unit
 val in_flight : t -> string list
 (** Hashes currently holding a claim lease, sorted. Empty on a
     quiescent store — asserted by tests after every install wave. *)
-
-val cleanup_pending : t -> unit
-(** Resolve any outstanding journal entries on a {e live} store (used
-    when an install fails typed mid-plan and must leave no staging
-    residue). Crash injection does not fire here. Only safe when no
-    claim is in flight — concurrent installers use per-transaction
-    {!abort} instead. *)
 
 val set_obs : t -> Obs.ctx -> unit
 (** Attach a tracing context: store-mediated writes count into

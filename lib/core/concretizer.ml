@@ -132,17 +132,13 @@ let run_verify ~repo ~options ~requests (solution : Decode.solution) =
   Obs.incr obs ~by:total "concretize.verify_violations";
   total
 
-(* Publish a finished request's flat stats into the Obs metric
-   registry, so traces carry the same numbers as [pp_stats]. *)
+(* Publish what of a finished request's [pp_stats] numbers no other
+   metric or span carries: the ground sizes, pool sizes and solve time
+   are already [ground.*], [encode.pool_*] and the [solve] span. *)
 let publish_stats obs (s : stats) =
   if Obs.enabled obs then begin
     Obs.publish obs ~prefix:"sat" s.sat_stats;
-    Obs.gauge obs "concretize.ground_atoms" s.ground_atoms;
-    Obs.gauge obs "concretize.ground_rules" s.ground_rules;
-    Obs.gauge obs "concretize.fact_count" s.fact_count;
-    Obs.gauge obs "concretize.pool_total" s.pool_total;
-    Obs.gauge obs "concretize.pool_used" s.pool_used;
-    Obs.observe obs "concretize.solve_seconds" s.solve_seconds
+    Obs.gauge obs "concretize.fact_count" s.fact_count
   end
 
 let concretize_v ~repo ?(options = default_options) ?budget ?closure
@@ -263,19 +259,24 @@ let pp_stats fmt s =
 
 (* ----- multicore batch concretization ------------------------------ *)
 
+(* Domains beyond the cores only contend for them, so a batch runs
+   slower than with one domain per core. *)
+let batch_jobs ~jobs n =
+  max 1 (min jobs (min n (Domain.recommended_domain_count ())))
+
 let concretize_batch ~repo ?(options = default_options) ?(jobs = 1) requests =
   (* Resolve the mirror layer once, before any domain spawns: mirror
      probing mutates breaker state and must not race (and every domain
      must see the same pool for determinism). *)
   let options = { options with reuse = effective_reuse options; mirrors = None } in
   let obs = options.obs in
-  Obs.with_span obs ~cat:"concretize" "batch"
-    ~attrs:[ ("requests", Obs.I (List.length requests)); ("jobs", Obs.I jobs) ]
-  @@ fun _span ->
   let arr = Array.of_list requests in
   let n = Array.length arr in
+  let jobs = batch_jobs ~jobs n in
+  Obs.with_span obs ~cat:"concretize" "batch"
+    ~attrs:[ ("requests", Obs.I n); ("jobs", Obs.I jobs) ]
+  @@ fun _span ->
   let results : (outcome, failure) result option array = Array.make n None in
-  let jobs = if n = 0 then 1 else max 1 (min jobs n) in
   (* Static round-robin partition: request [i] is solved by domain
      [i mod jobs] and written to slot [i], so the result list does not
      depend on the number of domains. The solves are fully independent,

@@ -49,8 +49,12 @@ type options = {
       (** tracing context ({!Obs.disabled} by default): when enabled,
           every request emits a [concretize] span with child
           [encode]/[assemble]/[ground]/[solve]/[decode] (and [verify])
-          phase spans, and the flat counters below are mirrored into
-          the [Obs] metric registry *)
+          phase spans. Of the {!stats}, [sat_stats] are added to
+          [sat.*] counters and [fact_count] is the
+          [concretize.fact_count] gauge; the ground and pool sizes are
+          the [ground.atoms]/[ground.rules] and
+          [encode.pool_total]/[encode.pool_kept] metrics, and the solve
+          time is the [solve] span *)
 }
 
 val default_options : options
@@ -137,9 +141,15 @@ val concretize_batch :
   ?jobs:int ->
   Encode.request list ->
   (outcome, failure) result list
-(** Concretize independent requests in parallel over [jobs] OCaml
-    domains (default 1), one result per request in request order.
-    Requests are partitioned statically (request [i] on domain
-    [i mod jobs]) and each is solved by {!concretize_v}, so results
-    are byte-identical for any [jobs]. The mirror layer is consulted
-    once, before any domain spawns. *)
+(** Concretize independent requests in parallel, one result per
+    request in request order. [jobs] (default 1) is capped by
+    {!batch_jobs}; the [batch] span's [jobs] attribute records the
+    capped count. Requests are partitioned statically (request [i] on
+    domain [i mod jobs]) and each is solved by {!concretize_v}, so
+    results are byte-identical for any [jobs]. The mirror layer is
+    consulted once, before any domain spawns. *)
+
+val batch_jobs : jobs:int -> int -> int
+(** [batch_jobs ~jobs n]: the domains a batch of [n] requests runs on,
+    [jobs] capped by [n] and by [Domain.recommended_domain_count ()],
+    and at least 1. *)

@@ -4,12 +4,9 @@
    served answer is byte-identical to the CLI's. What stays resident is
    what that call can reuse across requests, served over a Unix socket:
 
-   - a pool of OCaml 5 domain workers fed by a work-distributing
-     request queue with stealing: submission is round-robin over
-     per-worker queues, an idle worker drains its own queue first and
-     then steals from its neighbours; admission is bounded
-     ([max_queue] enqueued jobs) with a typed [overloaded] rejection
-     instead of unbounded latency;
+   - a pool of OCaml 5 domain workers taking jobs from one FIFO
+     queue; admission is bounded ([max_queue] enqueued jobs) with a
+     typed [overloaded] rejection instead of unbounded latency;
    - per-request deadlines and conflict caps enforced inside the SAT
      core by the [Asp.Sat.budget] hook — a preempted request
      answers [timeout];
@@ -202,12 +199,11 @@ type t = {
   config : config;
   sock_path : string;
   listen_fd : Unix.file_descr;
+  workers : int;  (* spawned worker domains *)
   (* queueing (guarded by [mu]) *)
   mu : Mutex.t;
   nonempty : Condition.t;
-  queues : job Queue.t array;  (* one per worker; stealing crosses them *)
-  mutable submit_rr : int;
-  mutable pending : int;
+  jobs : job Queue.t;
   mutable running : bool;
   mutable served : int;
   mutable rejected : int;
@@ -308,15 +304,12 @@ type admission = Admitted | Overloaded
 let submit t job =
   Mutex.lock t.mu;
   let r =
-    if (not t.running) || t.pending >= t.config.max_queue then begin
+    if (not t.running) || Queue.length t.jobs >= t.config.max_queue then begin
       t.rejected <- t.rejected + 1;
       Overloaded
     end
     else begin
-      t.pending <- t.pending + 1;
-      let i = t.submit_rr in
-      t.submit_rr <- (i + 1) mod Array.length t.queues;
-      Queue.push job t.queues.(i);
+      Queue.push job t.jobs;
       Condition.signal t.nonempty;
       Admitted
     end
@@ -324,29 +317,13 @@ let submit t job =
   Mutex.unlock t.mu;
   r
 
-(* Own queue first, then steal round-robin from the neighbours. *)
-let pop_any t i =
-  let n = Array.length t.queues in
-  let rec go k =
-    if k = n then None
-    else
-      let q = t.queues.((i + k) mod n) in
-      if Queue.is_empty q then go (k + 1)
-      else begin
-        if k > 0 then Obs.incr (obs t) "serve.steals";
-        Some (Queue.pop q)
-      end
-  in
-  go 0
-
-(* Blocks for work; [None] = shutdown and every queue drained, so a
+(* Blocks for work; [None] = shutdown and the queue drained, so a
    stopping server still answers everything it admitted. *)
-let take_job t i =
+let take_job t =
   Mutex.lock t.mu;
   let rec go () =
-    match pop_any t i with
+    match Queue.take_opt t.jobs with
     | Some j ->
-      t.pending <- t.pending - 1;
       Mutex.unlock t.mu;
       Some j
     | None ->
@@ -560,11 +537,11 @@ let live_stats_json lv ?window_s () =
 
 let run_stats t payload =
   Mutex.lock t.mu;
-  let pending = t.pending and served = t.served and rejected = t.rejected in
+  let pending = Queue.length t.jobs and served = t.served and rejected = t.rejected in
   Mutex.unlock t.mu;
   Sjson.Object
     ([ ("status", Sjson.String "ok");
-       ("workers", Sjson.Int (Array.length t.queues));
+       ("workers", Sjson.Int t.workers);
        ("pending", Sjson.Int pending);
        ("served", Sjson.Int served);
        ("rejected", Sjson.Int rejected);
@@ -690,7 +667,7 @@ let handle_job t worker job =
 
 let worker_loop t i =
   let rec go () =
-    match take_job t i with
+    match take_job t with
     | None -> ()
     | Some job ->
       handle_job t i job;
@@ -899,9 +876,8 @@ let start ~repo ?(config = default_config) ~socket () =
         listen_fd;
         mu = Mutex.create ();
         nonempty = Condition.create ();
-        queues = Array.init workers (fun _ -> Queue.create ());
-        submit_rr = 0;
-        pending = 0;
+        jobs = Queue.create ();
+        workers;
         running = true;
         served = 0;
         rejected = 0;

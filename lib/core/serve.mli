@@ -4,9 +4,9 @@
     request against the current buildcache, so answers are
     byte-identical to the CLI's. Resident across requests:
 
-    - a pool of OCaml 5 domain workers behind per-worker request queues
-      with stealing, and bounded admission ([max_queue]) answering a
-      typed [overloaded] status instead of queueing without bound;
+    - a pool of OCaml 5 domain workers taking jobs from one FIFO
+      queue, and bounded admission ([max_queue]) answering a typed
+      [overloaded] status instead of queueing without bound;
     - per-request deadlines and conflict caps enforced {e inside} the
       SAT core via {!Asp.Sat.budget}: a preempted request
       answers [timeout];

@@ -232,8 +232,6 @@ module Window = struct
   let total ?window_s ?now_s (c : counter) =
     let now = match now_s with Some t -> t | None -> Clock.now_s () in
     locked_sl c (fun () -> fold_live c ?window_s now (fun acc r -> acc + !r) 0)
-
-  let counter_covered_s ?window_s (c : counter) = covered c ?window_s ()
 end
 
 (* ------------------------------------------------------------------ *)
@@ -448,17 +446,10 @@ let metrics (ctx : ctx) =
   |> List.sort (fun (a, _) (b, _) -> String.compare a b)
 
 (* ------------------------------------------------------------------ *)
-(* Sinks *)
+(* The trace: its one writer and its one reader *)
 
 module Sink = struct
-  type t = Null | Jsonl | Chrome | Summary
-
-  let of_string = function
-    | "null" -> Ok Null
-    | "jsonl" -> Ok Jsonl
-    | "chrome" -> Ok Chrome
-    | "summary" -> Ok Summary
-    | s -> Error (Printf.sprintf "unknown trace format %S (expected chrome|jsonl|summary|null)" s)
+  type t = Chrome
 
   let jvalue = function
     | I n -> Sjson.Int n
@@ -524,9 +515,25 @@ module Sink = struct
     let out = List.map (chrome_event_json tids) evs in
     Sjson.Object [ ("traceEvents", Sjson.Array (thread_meta tids @ out)) ]
 
-  let chrome ctx =
+  (* A metric's final value as the args of a "C" event. A histogram
+     carries its summary, not its buckets: [report] reads these back. *)
+  let metric_args = function
+    | Counter n | Gauge n -> [ ("value", Sjson.Int n) ]
+    | Histogram h ->
+        [
+          ("count", Sjson.Int (Hist.count h));
+          ("sum", Sjson.Float (Hist.sum h));
+          ("min", Sjson.Float (Hist.min_value h));
+          ("max", Sjson.Float (Hist.max_value h));
+          ("p50", Sjson.Float (Hist.quantile h 0.5));
+          ("p90", Sjson.Float (Hist.quantile h 0.9));
+          ("p99", Sjson.Float (Hist.quantile h 0.99));
+        ]
+
+  let render ctx Chrome =
+    let evs = events ctx in
     let tids = Hashtbl.create 8 in
-    let evs = List.map (chrome_event_json tids) (events ctx) in
+    let out = List.map (chrome_event_json tids) evs in
     let meta = thread_meta tids in
     (* Final metric values as counter events at the end of the trace. *)
     let t_end =
@@ -538,96 +545,45 @@ module Sink = struct
             | Instant { t_ns; _ } -> t_ns
           in
           if Int64.compare t acc > 0 then t else acc)
-        0L (events ctx)
+        0L evs
     in
     let counters =
-      List.filter_map
+      List.map
         (fun (name, mv) ->
-          match mv with
-          | Counter n | Gauge n ->
-              Some
-                (Sjson.Object
-                   [
-                     ("name", Sjson.String name);
-                     ("ph", Sjson.String "C");
-                     ("ts", Sjson.Float (us t_end));
-                     ("pid", Sjson.Int 1);
-                     ("args", Sjson.Object [ ("value", Sjson.Int n) ]);
-                   ])
-          | Histogram _ -> None)
+          Sjson.Object
+            [
+              ("name", Sjson.String name);
+              ("ph", Sjson.String "C");
+              ("ts", Sjson.Float (us t_end));
+              ("pid", Sjson.Int 1);
+              ("args", Sjson.Object (metric_args mv));
+            ])
         (metrics ctx)
     in
     Sjson.to_string
-      (Sjson.Object [ ("traceEvents", Sjson.Array (meta @ evs @ counters)) ])
+      (Sjson.Object [ ("traceEvents", Sjson.Array (meta @ out @ counters)) ])
 
-  let hist_json h =
-    Sjson.Object
-      [
-        ("count", Sjson.Int (Hist.count h));
-        ("sum", Sjson.Float (Hist.sum h));
-        ("min", Sjson.Float (Hist.min_value h));
-        ("max", Sjson.Float (Hist.max_value h));
-        ("p50", Sjson.Float (Hist.quantile h 0.5));
-        ("p90", Sjson.Float (Hist.quantile h 0.9));
-        ("p99", Sjson.Float (Hist.quantile h 0.99));
-      ]
+  let write_file ctx sink path =
+    let oc = open_out path in
+    Fun.protect
+      ~finally:(fun () -> close_out oc)
+      (fun () -> output_string oc (render ctx sink))
 
-  let jsonl ctx =
-    let b = Buffer.create 4096 in
-    let line j = Buffer.add_string b (Sjson.to_string j ^ "\n") in
+  let num = function
+    | Sjson.Float f -> f
+    | Sjson.Int n -> float_of_int n
+    | _ -> raise (Sjson.Parse_error "expected a number")
+
+  (* Spans aggregate by name, in first-seen order; metrics print in
+     trace order. *)
+  let report_events evs =
+    let tbl = Hashtbl.create 32 and order = ref [] and mets = ref [] in
+    let name_of ev = Sjson.get_string (Sjson.member "name" ev) in
     List.iter
       (fun ev ->
-        match ev with
-        | Span { name; cat; tid; t0_ns; dur_ns; attrs } ->
-            line
-              (Sjson.Object
-                 [
-                   ("kind", Sjson.String "span");
-                   ("name", Sjson.String name);
-                   ("cat", Sjson.String cat);
-                   ("tid", Sjson.Int tid);
-                   ("t0_ns", Sjson.Float (Int64.to_float t0_ns));
-                   ("dur_ns", Sjson.Float (Int64.to_float dur_ns));
-                   ("attrs", jattrs attrs);
-                 ])
-        | Instant { name; tid; t_ns; attrs } ->
-            line
-              (Sjson.Object
-                 [
-                   ("kind", Sjson.String "instant");
-                   ("name", Sjson.String name);
-                   ("tid", Sjson.Int tid);
-                   ("t_ns", Sjson.Float (Int64.to_float t_ns));
-                   ("attrs", jattrs attrs);
-                 ]))
-      (events ctx);
-    List.iter
-      (fun (name, mv) ->
-        let kind, payload =
-          match mv with
-          | Counter n -> ("counter", Sjson.Int n)
-          | Gauge n -> ("gauge", Sjson.Int n)
-          | Histogram h -> ("histogram", hist_json h)
-        in
-        line
-          (Sjson.Object
-             [
-               ("kind", Sjson.String kind);
-               ("name", Sjson.String name);
-               ("value", payload);
-             ]))
-      (metrics ctx);
-    Buffer.contents b
-
-  let summary ctx =
-    let b = Buffer.create 2048 in
-    (* Aggregate spans by name. *)
-    let tbl = Hashtbl.create 32 in
-    let order = ref [] in
-    List.iter
-      (fun ev ->
-        match ev with
-        | Span { name; dur_ns; _ } ->
+        match Sjson.member_opt "ph" ev with
+        | Some (Sjson.String "X") ->
+            let name = name_of ev in
             let h =
               match Hashtbl.find_opt tbl name with
               | Some h -> h
@@ -637,53 +593,49 @@ module Sink = struct
                   order := name :: !order;
                   h
             in
-            Hist.observe h (Int64.to_float dur_ns /. 1e6)
-        | Instant _ -> ())
-      (events ctx);
-    let names = List.rev !order in
-    if names <> [] then begin
-      Buffer.add_string b
-        (Printf.sprintf "%-32s %8s %12s %12s %12s\n" "span" "count" "total_ms"
-           "p50_ms" "max_ms");
+            Hist.observe h (num (Sjson.member "dur" ev) /. 1e3)
+        | Some (Sjson.String "C") ->
+            let args = Sjson.member "args" ev in
+            let field k = num (Sjson.member k args) in
+            let v =
+              match Sjson.member_opt "value" args with
+              | Some v -> string_of_int (Sjson.get_int v)
+              | None ->
+                  Printf.sprintf "n=%d sum=%.3f p50=%.3f p99=%.3f"
+                    (Sjson.get_int (Sjson.member "count" args))
+                    (field "sum") (field "p50") (field "p99")
+            in
+            mets := (name_of ev, v) :: !mets
+        | _ -> ())
+      evs;
+    let b = Buffer.create 2048 in
+    if !order <> [] then begin
+      Printf.bprintf b "%-32s %8s %12s %12s %12s %12s\n" "phase" "count"
+        "total_ms" "p50_ms" "p99_ms" "max_ms";
       List.iter
         (fun name ->
           let h = Hashtbl.find tbl name in
-          Buffer.add_string b
-            (Printf.sprintf "%-32s %8d %12.3f %12.3f %12.3f\n" name
-               (Hist.count h) (Hist.sum h) (Hist.quantile h 0.5)
-               (Hist.max_value h)))
-        names
+          Printf.bprintf b "%-32s %8d %12.3f %12.3f %12.3f %12.3f\n" name
+            (Hist.count h) (Hist.sum h) (Hist.quantile h 0.5)
+            (Hist.quantile h 0.99) (Hist.max_value h))
+        (List.rev !order)
     end;
-    let ms = metrics ctx in
-    if ms <> [] then begin
-      Buffer.add_string b
-        (Printf.sprintf "%-44s %s\n" "metric" "value");
-      List.iter
-        (fun (name, mv) ->
-          let v =
-            match mv with
-            | Counter n -> string_of_int n
-            | Gauge n -> Printf.sprintf "%d (gauge)" n
-            | Histogram h ->
-                Printf.sprintf "n=%d sum=%.3f p50=%.3f p99=%.3f" (Hist.count h)
-                  (Hist.sum h) (Hist.quantile h 0.5) (Hist.quantile h 0.99)
-          in
-          Buffer.add_string b (Printf.sprintf "%-44s %s\n" name v))
-        ms
+    if !mets <> [] then begin
+      Printf.bprintf b "%-44s %s\n" "metric" "value";
+      List.iter (fun (n, v) -> Printf.bprintf b "%-44s %s\n" n v) (List.rev !mets)
     end;
     Buffer.contents b
 
-  let render ctx = function
-    | Null -> ""
-    | Jsonl -> jsonl ctx
-    | Chrome -> chrome ctx
-    | Summary -> summary ctx
-
-  let write_file ctx sink path =
-    let oc = open_out path in
-    Fun.protect
-      ~finally:(fun () -> close_out oc)
-      (fun () -> output_string oc (render ctx sink))
+  let report text =
+    match Sjson.of_string text with
+    | exception Sjson.Parse_error e -> Error e
+    | json -> (
+        match Sjson.member_opt "traceEvents" json with
+        | None -> Error "not a Chrome trace: no traceEvents"
+        | Some evs -> (
+            match report_events (Sjson.to_list evs) with
+            | s -> Ok s
+            | exception Sjson.Parse_error e -> Error e))
 end
 
 (* ------------------------------------------------------------------ *)
@@ -853,41 +805,4 @@ module Recorder = struct
   let kept r = locked r (fun () -> r.r_len)
 
   let capacity r = r.r_cap
-end
-
-(* ------------------------------------------------------------------ *)
-(* Flat stat sets *)
-
-module Stats = struct
-  type counter = { c_name : string; mutable c_val : int }
-
-  type t = { mutable cs : counter list (* reverse registration order *) }
-
-  let create () = { cs = [] }
-
-  let counter t name =
-    let c = { c_name = name; c_val = 0 } in
-    t.cs <- c :: t.cs;
-    c
-
-  let incr c = c.c_val <- c.c_val + 1
-
-  let add c n = c.c_val <- c.c_val + n
-
-  let value c = c.c_val
-
-  let names t = List.rev_map (fun c -> c.c_name) t.cs
-
-  let snapshot t ~extra =
-    List.rev_map (fun c -> (c.c_name, c.c_val)) t.cs @ extra
-
-  let delta ~monotonic ~before after =
-    List.map
-      (fun (k, v) ->
-        if List.mem k monotonic then
-          match List.assoc_opt k before with
-          | Some v0 -> (k, v - v0)
-          | None -> (k, v)
-        else (k, v))
-      after
 end

@@ -8,10 +8,10 @@
       multicore batch renders as one timeline per domain);
     - {e metrics}: named counters, gauges, and log-bucketed histograms
       with quantile estimates;
-    - {e sinks}: renderings of a finished context — a JSONL event log,
-      a Chrome/Perfetto [trace_event] JSON (loadable in
-      [ui.perfetto.dev]), and a human-readable summary table. The
-      no-op sink is simply never rendering.
+    - {e the trace}: a finished context rendered as one Chrome/Perfetto
+      [trace_event] JSON file (loadable in [ui.perfetto.dev]) that
+      carries every span and every metric's final value, and the one
+      reader of that file ({!Sink.report}).
 
     Everything takes a {!ctx}. The {!disabled} context is a constant
     [None]-like value: every operation on it is a single branch and no
@@ -100,8 +100,6 @@ module Window : sig
   val add : ?now_s:float -> counter -> int -> unit
 
   val total : ?window_s:float -> ?now_s:float -> counter -> int
-
-  val counter_covered_s : ?window_s:float -> counter -> float
 end
 
 (** {1 Contexts} *)
@@ -113,7 +111,7 @@ val disabled : ctx
 
 val create : unit -> ctx
 (** A fresh enabled context collecting events and metrics in memory.
-    Render with {!Sink.render} (or never — the no-op sink). *)
+    Render it with {!Sink.render}. *)
 
 val enabled : ctx -> bool
 
@@ -161,7 +159,7 @@ val publish : ctx -> prefix:string -> (string * int) list -> unit
 (** Bulk-add a stat snapshot as counters named [prefix ^ "." ^ key]
     (the bridge from the flat [Sat.stats]-style lists). *)
 
-(** {1 Introspection} (tests, smoke benches, trace-report) *)
+(** {1 Introspection} (tests, smoke benches, the benchmark harness) *)
 
 type event =
   | Span of {
@@ -187,25 +185,30 @@ type metric_value = Counter of int | Gauge of int | Histogram of Hist.t
 val metrics : ctx -> (string * metric_value) list
 (** Sorted by name. Empty on {!disabled}. *)
 
-(** {1 Sinks} *)
+(** {1 The trace} *)
 
 module Sink : sig
-  type t = Null | Jsonl | Chrome | Summary
-
-  val of_string : string -> (t, string) result
-  (** ["null" | "jsonl" | "chrome" | "summary"]. *)
+  type t = Chrome
 
   val render : ctx -> t -> string
-  (** [Null] renders [""]. [Chrome] is a [{"traceEvents": [...]}]
-      object (Perfetto-loadable); [Jsonl] one JSON object per line
-      (span/instant events, then metric records); [Summary] a
-      per-span-name aggregate table plus metrics. *)
+  (** A [{"traceEvents": [...]}] object (Perfetto-loadable): spans as
+      ["X"] events, instants as ["i"] events, then each metric's final
+      value as a ["C"] event at the end of the trace. A counter's or
+      gauge's args are [{"value": n}]; a histogram's are its [count],
+      [sum], [min], [max], [p50], [p90] and [p99]. *)
 
   val write_file : ctx -> t -> string -> unit
 
   val chrome_events : event list -> Sjson.t
   (** Render a bare event list (e.g. one flight-recorder trace) as a
       Perfetto-loadable [{"traceEvents": [...]}] object. *)
+
+  val report : string -> (string, string) result
+  (** Read a rendered trace back as a table: one row per span name
+      (count, total, p50, p99 and max in ms, in first-seen order), then
+      one row per metric ([n=… sum=… p50=… p99=…] for a histogram).
+      [Ok ""] for a valid trace with no spans or metrics; [Error] when
+      the text is not a complete Chrome trace. *)
 end
 
 (** {1 Flight recorder}
@@ -275,43 +278,4 @@ module Recorder : sig
   (** Traces currently held. *)
 
   val capacity : t -> int
-end
-
-(** {1 Flat stat sets}
-
-    The uniform storage behind the legacy [(string * int) list] stat
-    APIs ({!Asp.Sat.stats} and friends): named monotonic counters in
-    registration order, snapshotted together with computed gauges. The
-    old accessors become thin shims over this. *)
-module Stats : sig
-  type t
-
-  type counter
-
-  val create : unit -> t
-
-  val counter : t -> string -> counter
-  (** Register a monotonic counter. Snapshot order = registration
-      order. *)
-
-  val incr : counter -> unit
-
-  val add : counter -> int -> unit
-
-  val value : counter -> int
-
-  val names : t -> string list
-  (** Registered counter names, in order. *)
-
-  val snapshot : t -> extra:(string * int) list -> (string * int) list
-  (** Counters in registration order, then [extra] (gauges computed by
-      the caller). *)
-
-  val delta :
-    monotonic:string list ->
-    before:(string * int) list ->
-    (string * int) list ->
-    (string * int) list
-  (** Difference the [monotonic] keys against [before]; report the
-      rest absolute. *)
 end

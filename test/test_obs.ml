@@ -201,8 +201,7 @@ let test_disabled_is_empty () =
       Obs.observe ctx "h" 3.0);
   Alcotest.(check bool) "not enabled" false (Obs.enabled ctx);
   Alcotest.(check int) "no events" 0 (List.length (Obs.events ctx));
-  Alcotest.(check int) "no metrics" 0 (List.length (Obs.metrics ctx));
-  Alcotest.(check string) "null sink" "" (Obs.Sink.render ctx Obs.Sink.Null)
+  Alcotest.(check int) "no metrics" 0 (List.length (Obs.metrics ctx))
 
 let test_metrics () =
   let ctx = Obs.create () in
@@ -229,20 +228,46 @@ let test_metrics () =
   | Obs.Counter 5 -> ()
   | _ -> Alcotest.fail "published stat"
 
-let test_stats_shim () =
-  let s = Obs.Stats.create () in
-  let a = Obs.Stats.counter s "a" in
-  let b = Obs.Stats.counter s "b" in
-  Obs.Stats.incr a;
-  Obs.Stats.add b 10;
-  let snap0 = Obs.Stats.snapshot s ~extra:[ ("gauge", 100) ] in
-  Alcotest.(check bool) "registration order" true
-    (snap0 = [ ("a", 1); ("b", 10); ("gauge", 100) ]);
-  Obs.Stats.add a 4;
-  let snap1 = Obs.Stats.snapshot s ~extra:[ ("gauge", 50) ] in
-  let d = Obs.Stats.delta ~monotonic:(Obs.Stats.names s) ~before:snap0 snap1 in
-  Alcotest.(check bool) "delta diffs monotonic, reports gauges absolute" true
-    (d = [ ("a", 4); ("b", 0); ("gauge", 50) ])
+(* The rendered trace carries every metric, and [Sink.report] reads it
+   back: the span row, the counter and gauge values, the histogram's
+   count and sum. Text cut short is an error, a trace with nothing in it
+   an empty report. *)
+let test_report_reads_render () =
+  let ctx = Obs.create () in
+  Obs.with_span ctx ~cat:"t" "step" (fun _ -> ());
+  Obs.incr ctx ~by:3 "c";
+  Obs.gauge ctx "g" 7;
+  Obs.observe ctx "h" 2.0;
+  Obs.observe ctx "h" 8.0;
+  let text = Obs.Sink.render ctx Obs.Sink.Chrome in
+  let report =
+    match Obs.Sink.report text with
+    | Ok r -> r
+    | Error e -> Alcotest.fail ("report: " ^ e)
+  in
+  let lines = String.split_on_char '\n' report in
+  let row name =
+    match
+      List.find_opt
+        (fun l -> match String.split_on_char ' ' l with n :: _ -> n = name | [] -> false)
+        lines
+    with
+    | Some l -> List.filter (( <> ) "") (String.split_on_char ' ' l)
+    | None -> Alcotest.fail ("no row for " ^ name)
+  in
+  Alcotest.(check string) "span row counts the span" "1" (List.nth (row "step") 1);
+  Alcotest.(check (list string)) "counter" [ "c"; "3" ] (row "c");
+  Alcotest.(check (list string)) "gauge" [ "g"; "7" ] (row "g");
+  (match row "h" with
+  | [ "h"; "n=2"; "sum=10.000"; p50; p99 ] ->
+    Alcotest.(check bool) "histogram quantiles" true
+      (String.starts_with ~prefix:"p50=" p50 && String.starts_with ~prefix:"p99=" p99)
+  | l -> Alcotest.fail ("histogram row: " ^ String.concat " " l));
+  (match Obs.Sink.report (String.sub text 0 (String.length text / 2)) with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "a truncated trace must be an error");
+  Alcotest.(check (result string string)) "empty trace" (Ok "")
+    (Obs.Sink.report (Obs.Sink.render (Obs.create ()) Obs.Sink.Chrome))
 
 (* Golden test: a real (small) concretization's Chrome trace must parse
    with Sjson, survive a re-serialize/re-parse round trip, and contain
@@ -278,14 +303,7 @@ let test_chrome_roundtrip () =
   List.iter
     (fun phase ->
       Alcotest.(check bool) ("has " ^ phase ^ " span") true (List.mem phase names))
-    [ "concretize"; "encode"; "assemble"; "ground"; "solve"; "decode"; "verify" ];
-  (* the jsonl rendering of the same ctx parses line by line *)
-  let lines =
-    String.split_on_char '\n' (Obs.Sink.render obs Obs.Sink.Jsonl)
-    |> List.filter (fun l -> String.trim l <> "")
-  in
-  Alcotest.(check bool) "jsonl has lines" true (List.length lines > 0);
-  List.iter (fun l -> ignore (Sjson.of_string l)) lines
+    [ "concretize"; "encode"; "assemble"; "ground"; "solve"; "decode"; "verify" ]
 
 (* A teed ctx fans every span and metric into both backends; teeing
    with a disabled ctx is the identity (no wrapper allocation). *)
@@ -380,16 +398,6 @@ let test_chrome_events_roundtrip () =
   Alcotest.(check (list string)) "has the instant" [ "serve.dequeued" ]
     (phased "i")
 
-let test_sink_of_string () =
-  Alcotest.(check bool) "chrome" true (Obs.Sink.of_string "chrome" = Ok Obs.Sink.Chrome);
-  Alcotest.(check bool) "jsonl" true (Obs.Sink.of_string "jsonl" = Ok Obs.Sink.Jsonl);
-  Alcotest.(check bool) "summary" true
-    (Obs.Sink.of_string "summary" = Ok Obs.Sink.Summary);
-  Alcotest.(check bool) "null" true (Obs.Sink.of_string "null" = Ok Obs.Sink.Null);
-  match Obs.Sink.of_string "xml" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "xml should be rejected"
-
 let () =
   Alcotest.run "obs"
     [ ( "histograms",
@@ -406,13 +414,12 @@ let () =
             test_disabled_is_empty;
           Alcotest.test_case "counters, gauges, histograms, publish" `Quick
             test_metrics;
-          Alcotest.test_case "stat sets: snapshot order and delta" `Quick
-            test_stats_shim;
+          Alcotest.test_case "report reads the rendered trace back" `Quick
+            test_report_reads_render;
           Alcotest.test_case "tee fans out, disabled is identity" `Quick
             test_tee;
           Alcotest.test_case "recorder eviction keeps errors and deadlines"
-            `Quick test_recorder_eviction;
-          Alcotest.test_case "sink names parse" `Quick test_sink_of_string ] );
+            `Quick test_recorder_eviction ] );
       ( "golden",
         [ Alcotest.test_case "chrome trace of a concretization round-trips"
             `Quick test_chrome_roundtrip;

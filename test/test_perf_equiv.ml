@@ -107,7 +107,27 @@ let test_batch_determinism () =
   let par = CC.concretize_batch ~repo ~options:opts ~jobs:4 requests in
   Alcotest.(check int) "one result per request" (List.length requests) (List.length seq);
   Alcotest.(check string) "jobs=1 and jobs=4 byte-identical" (render_batch seq)
-    (render_batch par)
+    (render_batch par);
+  (* More jobs than cores run on one domain per core, and the batch
+     span records the count that ran. *)
+  let obs = Obs.create () in
+  let wide = CC.concretize_batch ~repo ~options:{ opts with CC.obs } ~jobs:64 requests in
+  Alcotest.(check string) "jobs=1 and jobs=64 byte-identical" (render_batch seq)
+    (render_batch wide);
+  match
+    List.find_map
+      (function
+        | Obs.Span { name = "batch"; attrs; _ } -> List.assoc_opt "jobs" attrs
+        | _ -> None)
+      (Obs.events obs)
+  with
+  | Some (Obs.I jobs) ->
+    Alcotest.(check bool)
+      (Printf.sprintf "batch ran %d domains on %d cores" jobs
+         (Domain.recommended_domain_count ()))
+      true
+      (jobs >= 1 && jobs <= Domain.recommended_domain_count ())
+  | _ -> Alcotest.fail "no batch span with a jobs attribute"
 
 let () =
   Alcotest.run "perf_equiv"

@@ -328,6 +328,32 @@ let test_drup_many_deletions () =
     (Printf.sprintf "12k deletions checked in %.3fs (< 5s)" dt)
     true (dt < 5.0)
 
+(* ---- 8. The stat snapshot ---- *)
+
+(* [stats] lists the nine counters, then the five gauges, always in
+   this order; [stats_delta] differences the counters against an
+   earlier snapshot and reports the gauges as they are. The earlier
+   snapshot here sits one below every value, so a counter reads 1 and a
+   gauge its own value, whatever the search did. *)
+let test_stats_delta () =
+  let s = S.create () in
+  S.set_reduce_interval s 1;
+  add_php s 7 6;
+  Alcotest.(check bool) "php unsat" false (S.solve s);
+  let counters =
+    [ "conflicts"; "decisions"; "propagations"; "learnts"; "restarts";
+      "reduces"; "removed"; "minimized"; "rephases" ]
+  and gauges = [ "clauses"; "pbs"; "vars"; "learnt_db"; "arena_words" ] in
+  let now = S.stats s in
+  Alcotest.(check (list string)) "keys in order" (counters @ gauges)
+    (List.map fst now);
+  Alcotest.(check bool) "the search counted" true
+    (stat s "conflicts" > 0 && stat s "reduces" > 0);
+  let before = List.map (fun (k, v) -> (k, v - 1)) now in
+  Alcotest.(check (list (pair string int))) "counters differenced, gauges absolute"
+    (List.map (fun (k, v) -> (k, if List.mem k counters then 1 else v)) now)
+    (S.stats_delta ~before s)
+
 let () =
   Alcotest.run "sat_core"
     [ ( "differential",
@@ -347,4 +373,7 @@ let () =
             test_php_under_reduction ] );
       ( "budget",
         [ Alcotest.test_case "PHP preempted under Glucose restarts" `Quick
-            check_budget_preempt ] ) ]
+            check_budget_preempt ] );
+      ( "stats",
+        [ Alcotest.test_case "snapshot order; delta differences counters"
+            `Quick test_stats_delta ] ) ]
