@@ -245,14 +245,14 @@ let test_report_reads_render () =
     | Ok r -> r
     | Error e -> Alcotest.fail ("report: " ^ e)
   in
-  let lines = String.split_on_char '\n' report in
+  let rows =
+    List.map
+      (fun l -> List.filter (( <> ) "") (String.split_on_char ' ' l))
+      (String.split_on_char '\n' report)
+  in
   let row name =
-    match
-      List.find_opt
-        (fun l -> match String.split_on_char ' ' l with n :: _ -> n = name | [] -> false)
-        lines
-    with
-    | Some l -> List.filter (( <> ) "") (String.split_on_char ' ' l)
+    match List.find_opt (function n :: _ -> n = name | [] -> false) rows with
+    | Some r -> r
     | None -> Alcotest.fail ("no row for " ^ name)
   in
   Alcotest.(check string) "span row counts the span" "1" (List.nth (row "step") 1);
