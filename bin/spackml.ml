@@ -732,10 +732,7 @@ let fuzz_cmd =
 let trace_report_cmd =
   let file = Arg.(required & pos 0 (some file) None & info [] ~docv:"FILE") in
   let run file =
-    let ic = open_in_bin file in
-    let text = really_input_string ic (in_channel_length ic) in
-    close_in ic;
-    match Obs.Sink.report text with
+    match Obs.Sink.report (In_channel.with_open_bin file In_channel.input_all) with
     | Error e ->
       Format.eprintf "error: %s: %s@." file e;
       1

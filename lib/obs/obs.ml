@@ -627,15 +627,11 @@ module Sink = struct
     Buffer.contents b
 
   let report text =
-    match Sjson.of_string text with
-    | exception Sjson.Parse_error e -> Error e
-    | json -> (
-        match Sjson.member_opt "traceEvents" json with
-        | None -> Error "not a Chrome trace: no traceEvents"
-        | Some evs -> (
-            match report_events (Sjson.to_list evs) with
-            | s -> Ok s
-            | exception Sjson.Parse_error e -> Error e))
+    try
+      match Sjson.member_opt "traceEvents" (Sjson.of_string text) with
+      | None -> Error "not a Chrome trace: no traceEvents"
+      | Some evs -> Ok (report_events (Sjson.to_list evs))
+    with Sjson.Parse_error e -> Error e
 end
 
 (* ------------------------------------------------------------------ *)
