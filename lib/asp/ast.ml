@@ -186,7 +186,7 @@ let check_rule_safety i (r : rule) =
     Error
       (Format.asprintf "rule %d: unsafe variable %s in %a" i v pp_statement (Rule r))
 
-let check_safety prog =
+let check_safety ?(first = 0) prog =
   let rec go i = function
     | [] -> Ok ()
     | Rule { head = Head_atom a; body = [] } :: rest
@@ -208,4 +208,4 @@ let check_safety prog =
       | Some _ -> Error (Format.asprintf "minimize statement %d: unsafe variable" i)
       | None -> go (i + 1) rest)
   in
-  go 0 prog
+  go first prog

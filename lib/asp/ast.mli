@@ -67,10 +67,10 @@ val pp_statement : Format.formatter -> statement -> unit
 
 val pp_program : Format.formatter -> program -> unit
 
-val check_safety : program -> (unit, string) result
+val check_safety : ?first:int -> program -> (unit, string) result
 (** Every variable in a rule head, negative literal, or comparison must
     occur in a positive body literal (for choice elements and minimize
     elements, their local condition also binds). A choice element's
     condition may not hold a negative literal: the grounder cannot keep
     a per-element condition. Returns a description of the first
-    rejected rule. *)
+    rejected rule, numbering statements from [first] (default 0). *)

@@ -43,13 +43,15 @@ type cterm = Const of Term.t | Slot of int | Fn of string * cterm list
 
 (* The grounder's record of one predicate (name and arity): its atoms,
    newest first, a posting table per argument position ([||] until the
-   first atom), and the phase-1 triggers of the body literals over it.
-   Compiled atoms point at their predicate's record, so no join, intern
-   or trigger lookup hashes a predicate name. *)
+   first atom), and the phase-1 triggers of the body literals over it,
+   the base's apart from the request's (see {!base}). Compiled atoms
+   point at their predicate's record, so no join, intern or trigger
+   lookup hashes a predicate name. *)
 type pred_index = {
   mutable all : atom_id list;
   mutable by_arg : posting Term_tbl.t array;
-  mutable triggers : trigger list;
+  mutable base_triggers : trigger list;  (* fixed once the base is prepared *)
+  mutable triggers : trigger list;  (* the request's; newer statements first *)
 }
 
 and catom = {
@@ -86,7 +88,8 @@ type cmin = {
   menv : env;
 }
 
-(* A compiled statement, made once per [ground] call. *)
+(* A compiled statement, made once by {!prepare} for a base's
+   statements and once per [ground] call for the request's. *)
 type cstmt =
   | C_fact of Ast.atom * pred_index  (* ground and body-less: no join *)
   | C_rule of pseudo  (* a normal rule *)
@@ -101,9 +104,10 @@ type cstmt =
     }
   | C_minimize of cmin list
 
-(* Interned atom store. Atoms interned with [~possible:true] can be
-   true in some model; atoms interned only through negative literals
-   (whose subject is never derivable) are constant false. *)
+(* Interned atom store, one per [ground] call. Atoms interned with
+   [~possible:true] can be true in some model; atoms interned only
+   through negative literals (whose subject is never derivable) are
+   constant false. *)
 type store = {
   tbl : atom_id Ast.Atom_tbl.t;
   mutable arr : Ast.atom array;
@@ -111,14 +115,15 @@ type store = {
   mutable possible : Bytes.t;
   mutable count : int;
   mutable fresh : bool;  (* the last [intern] newly marked its atom possible *)
-  pred_tbl : pred_index Pred_tbl.t;
   mutable hits : int;  (** joins seeded through an argument index *)
   mutable misses : int;  (** joins that scanned the whole predicate *)
 }
 
 let no_atom = { Ast.pred = ""; args = [] }
 
-let no_pred = { all = []; by_arg = [||]; triggers = [] }
+let new_pred () = { all = []; by_arg = [||]; base_triggers = []; triggers = [] }
+
+let no_pred = new_pred ()
 
 (* [n] is the expected atom count; the arrays double past it. *)
 let store_create n =
@@ -128,7 +133,6 @@ let store_create n =
     possible = Bytes.make n '\000';
     count = 0;
     fresh = false;
-    pred_tbl = Pred_tbl.create 64;
     hits = 0;
     misses = 0 }
 
@@ -146,13 +150,21 @@ let store_grow st =
     st.possible <- possible
   end
 
-let pred_index st pred arity =
-  match Pred_tbl.find_opt st.pred_tbl (pred, arity) with
+(* Where compiling finds a predicate's record: in the base's table,
+   else in the table of the statements being compiled, which gains it
+   on first sight. A request's own predicates never enter the base. *)
+type scope = { shared : pred_index Pred_tbl.t; own : pred_index Pred_tbl.t }
+
+let pred_index sc pred arity =
+  match Pred_tbl.find_opt sc.shared (pred, arity) with
   | Some pi -> pi
-  | None ->
-    let pi = { all = []; by_arg = [||]; triggers = [] } in
-    Pred_tbl.add st.pred_tbl (pred, arity) pi;
-    pi
+  | None -> (
+    match Pred_tbl.find_opt sc.own (pred, arity) with
+    | Some pi -> pi
+    | None ->
+      let pi = new_pred () in
+      Pred_tbl.add sc.own (pred, arity) pi;
+      pi)
 
 let push_posting tbl key id =
   match Term_tbl.find tbl key with
@@ -270,42 +282,42 @@ let rec compile_term vars t =
     | Term.App (f, args) -> Fn (f, List.map (compile_term vars) args)
     | Term.Int _ | Term.Sym _ | Term.Str _ -> Const t
 
-let compile_atom st vars (a : Ast.atom) =
+let compile_atom sc vars (a : Ast.atom) =
   { src = a;
     cground = List.for_all Term.is_ground a.Ast.args;
     cargs = List.map (compile_term vars) a.Ast.args;
-    pi = pred_index st a.Ast.pred (List.length a.Ast.args) }
+    pi = pred_index sc a.Ast.pred (List.length a.Ast.args) }
 
-let compile_body st vars =
+let compile_body sc vars =
   List.map (function
-    | Ast.Pos a -> Cpos (compile_atom st vars a)
-    | Ast.Neg a -> Cneg (compile_atom st vars a)
+    | Ast.Pos a -> Cpos (compile_atom sc vars a)
+    | Ast.Neg a -> Cneg (compile_atom sc vars a)
     | Ast.Cmp (op, l, r) -> Ccmp (op, compile_term vars l, compile_term vars r))
 
-let compile st pstmt = function
+let compile sc pstmt = function
   | Ast.Rule { head = Ast.Head_atom h; body = [] }
     when List.for_all Term.is_ground h.Ast.args ->
-    C_fact (h, pred_index st h.Ast.pred (List.length h.Ast.args))
+    C_fact (h, pred_index sc h.Ast.pred (List.length h.Ast.args))
   | Ast.Rule { head = Ast.Head_atom h; body } ->
     let vars = ref [] in
-    let pbody = compile_body st vars body in
-    let phead = compile_atom st vars h in
+    let pbody = compile_body sc vars body in
+    let phead = compile_atom sc vars h in
     let penv = env_create (List.length !vars) in
     C_rule { phead; pbody; pemit = true; pstmt; penv }
   | Ast.Rule { head = Ast.Head_none; body } ->
     let vars = ref [] in
-    let body = compile_body st vars body in
+    let body = compile_body sc vars body in
     C_constraint (body, env_create (List.length !vars))
   | Ast.Rule { head = Ast.Head_choice { lo; hi; elems }; body } ->
     (* the body and every element share one scope: a variable of an
        element that also occurs in the body is the body's *)
     let vars = ref [] in
-    let body = compile_body st vars body in
+    let body = compile_body sc vars body in
     let elems =
       List.map
         (fun (e : Ast.choice_elem) ->
-          let cond = compile_body st vars e.cond in
-          (compile_atom st vars e.elem, cond))
+          let cond = compile_body sc vars e.cond in
+          (compile_atom sc vars e.elem, cond))
         elems
     in
     let env = env_create (List.length !vars) in
@@ -321,7 +333,7 @@ let compile st pstmt = function
       (List.map
          (fun (e : Ast.min_elem) ->
            let vars = ref [] in
-           let mcond = compile_body st vars e.mcond in
+           let mcond = compile_body sc vars e.mcond in
            let mweight = compile_term vars e.weight in
            let mterms = List.map (compile_term vars) e.terms in
            let menv = env_create (List.length !vars) in
@@ -471,9 +483,15 @@ let rec ground_negs st env = function
     id :: ground_negs st env rest
   | (Cpos _ | Ccmp _) :: rest -> ground_negs st env rest
 
+(* The ground program. It keeps the atoms and their bits, not the
+   store's table and indexes, so those die with the [ground] call. *)
 type t = {
-  st : store;
+  atoms : Ast.atom array;  (* by id; slots from [count] on are unused *)
+  count : int;
+  possible : Bytes.t;  (* per atom: '\001' iff some model may hold it *)
   certain : Bytes.t;  (* per atom: '\001' iff it is a fact of [grules] *)
+  hits : int;
+  misses : int;
   grules : grule list;
   gmins : gmin list;
   gmin_priorities : int list;
@@ -532,19 +550,22 @@ module Rule_tbl = Hashtbl.Make (struct
 end)
 
 (* Index triggers by the predicates of their positive body literals,
-   so a new atom only retriggers relevant rules. *)
-let add_triggers p =
+   so a new atom only retriggers relevant rules. A base's statements
+   file theirs under [base_triggers], a request's under [triggers]. *)
+let add_triggers ~base p =
   ignore
     (List.fold_left
        (fun (li, rank) lit ->
          match lit with
          | Cpos a ->
-           a.pi.triggers <-
+           let tr =
              { tr_rule = p;
                tr_seed = a;
                tr_rank = rank;
                tr_rest = List.filteri (fun i _ -> i <> li) p.pbody }
-             :: a.pi.triggers;
+           in
+           if base then a.pi.base_triggers <- tr :: a.pi.base_triggers
+           else a.pi.triggers <- tr :: a.pi.triggers;
            (li + 1, rank + 1)
          | Cneg _ | Ccmp _ -> (li + 1, rank))
        (0, 0) p.pbody)
@@ -559,13 +580,48 @@ let pseudos_of = function
   | C_choice { pseudos; _ } -> pseudos
   | C_fact _ | C_constraint _ | C_minimize _ -> []
 
+let iter_envs f = function
+  | C_fact _ -> ()
+  | C_rule p -> f p.penv
+  | C_constraint (_, env) | C_choice { env; _ } -> f env
+  | C_minimize ms -> List.iter (fun m -> f m.menv) ms
+
+(* A program prefix compiled once: its statements in order, its
+   predicates' records with the phase-1 triggers of its rules, and its
+   declared [#minimize] priorities. [ground] mutates the records and
+   the statements' substitutions while it runs, so a base serves one
+   domain; between calls it holds no atom, posting, request trigger or
+   binding ({!reset}). *)
+type base = {
+  bstmts : cstmt list;
+  blen : int;
+  bpreds : pred_index Pred_tbl.t;
+  bpriorities : int list;
+}
+
+(* Clear what a [ground] call left on the base, even one that raised. *)
+let reset base =
+  Pred_tbl.iter
+    (fun _ pi ->
+      pi.all <- [];
+      pi.by_arg <- [||];
+      pi.triggers <- [])
+    base.bpreds;
+  List.iter (iter_envs (fun env -> undo env 0)) base.bstmts
+
+(* [f i cs] over the base's statements, then the request's, [i] being
+   the statement's index in the program the two make together. *)
+let iter_stmts base cstmts f =
+  List.iteri f base.bstmts;
+  List.iteri (fun i cs -> f (base.blen + i) cs) cstmts
+
 (* Phase 1: the possible-atom fixpoint, emitting normal rules as it
    goes. A normal rule's body instance is complete when the last of its
    positive atoms is popped: the join seeded there sees every other
    body atom as possible. Earlier pops of its other atoms may find the
    same instance; [simplify] drops the repeats. *)
-let phase1 st cstmts ~emit =
-  Array.iter (fun cs -> List.iter add_triggers (pseudos_of cs)) cstmts;
+let phase1 st base cstmts ~emit =
+  List.iter (fun cs -> List.iter (add_triggers ~base:false) (pseudos_of cs)) cstmts;
   let queue = Queue.create () in
   (* [rank] < 0: no seed atom *)
   let fire p lits rank seed =
@@ -582,33 +638,36 @@ let phase1 st cstmts ~emit =
   in
   (* Seed: facts are interned outright; other rules with no positive
      body literal fire immediately. *)
-  Array.iteri
-    (fun i -> function
-      | C_fact (a, pi) ->
-        let hid = intern st pi a ~possible:true in
-        if st.fresh then Queue.add hid queue;
-        emit i { ghead = Gatom hid; gpos = []; gneg = [] }
-      | cs ->
-        List.iter
-          (fun p ->
-            if not (List.exists (function Cpos _ -> true | _ -> false) p.pbody) then
-              fire p p.pbody (-1) (-1))
-          (pseudos_of cs))
-    cstmts;
+  iter_stmts base cstmts (fun i -> function
+    | C_fact (a, pi) ->
+      let hid = intern st pi a ~possible:true in
+      if st.fresh then Queue.add hid queue;
+      emit i { ghead = Gatom hid; gpos = []; gneg = [] }
+    | cs ->
+      List.iter
+        (fun p ->
+          if not (List.exists (function Cpos _ -> true | _ -> false) p.pbody) then
+            fire p p.pbody (-1) (-1))
+        (pseudos_of cs));
   (* Delta loop: for each new atom, re-evaluate rules triggered through
-     the matching body position, seeding the join there. *)
+     the matching body position, seeding the join there: the request's
+     triggers, then the base's, the order a single program's list of
+     triggers would have. *)
+  let rec retrigger id args = function
+    | [] -> ()
+    | tr :: more ->
+      let env = tr.tr_rule.penv in
+      if unify_list env tr.tr_seed.cargs args then fire tr.tr_rule tr.tr_rest tr.tr_rank id;
+      undo env 0;
+      retrigger id args more
+  in
   let iters = ref 0 in
   while not (Queue.is_empty queue) do
     incr iters;
     let id = Queue.pop queue in
-    let args = st.arr.(id).Ast.args in
-    List.iter
-      (fun tr ->
-        let env = tr.tr_rule.penv in
-        if unify_list env tr.tr_seed.cargs args then
-          fire tr.tr_rule tr.tr_rest tr.tr_rank id;
-        undo env 0)
-      st.preds.(id).triggers
+    let args = st.arr.(id).Ast.args and pi = st.preds.(id) in
+    retrigger id args pi.triggers;
+    retrigger id args pi.base_triggers
   done;
   !iters
 
@@ -650,29 +709,26 @@ let ground_min buf m pos neg =
    lists need every possible atom, and the statements that derive no
    atom — constraints and #minimize — which a seeded join would find
    once per positive literal. Each is joined once. *)
-let final_pass st cstmts ~emit =
+let final_pass st base cstmts ~emit =
   let gmins = ref [] and buf = Buffer.create 64 in
   let body_instances env body k =
     try join st env body ~k:(fun pos -> k pos (ground_negs st env body))
     with Stuck_cmp -> invalid_arg "grounder: unsafe comparison"
   in
-  Array.iteri
-    (fun i -> function
-      | C_fact _ | C_rule _ -> ()
-      | C_constraint (body, env) ->
-        body_instances env body (fun gpos gneg ->
-            emit i { ghead = Gconstraint; gpos; gneg })
-      | C_choice { lo; hi; elems; body; env; _ } ->
-        body_instances env body (fun gpos gneg ->
-            let gelems = choice_elems st env elems in
-            emit i { ghead = Gchoice { lo; hi; gelems }; gpos; gneg })
-      | C_minimize ms ->
-        List.iter
-          (fun m ->
-            body_instances m.menv m.mcond (fun pos neg ->
-                gmins := ground_min buf m pos neg :: !gmins))
-          ms)
-    cstmts;
+  iter_stmts base cstmts (fun i -> function
+    | C_fact _ | C_rule _ -> ()
+    | C_constraint (body, env) ->
+      body_instances env body (fun gpos gneg -> emit i { ghead = Gconstraint; gpos; gneg })
+    | C_choice { lo; hi; elems; body; env; _ } ->
+      body_instances env body (fun gpos gneg ->
+          let gelems = choice_elems st env elems in
+          emit i { ghead = Gchoice { lo; hi; gelems }; gpos; gneg })
+    | C_minimize ms ->
+      List.iter
+        (fun m ->
+          body_instances m.menv m.mcond (fun pos neg ->
+              gmins := ground_min buf m pos neg :: !gmins))
+        ms);
   List.rev !gmins
 
 (* Fact propagation (what clingo's grounder does): atoms that are
@@ -682,7 +738,7 @@ let final_pass st cstmts ~emit =
    dropped, and rules whose head is a fact disappear. The hash_attr
    recovery rules of 5.3 compile to pure copies of facts, so this pass
    is what keeps the new encoding's overhead at clingo-like levels. *)
-let simplify st grules gmins =
+let simplify (st : store) grules gmins =
   let possible id = Bytes.get st.possible id = '\001' in
   (* 1. negative literals on impossible atoms are trivially true.
      Most bodies are negation-free, so only copy records when a
@@ -704,23 +760,26 @@ let simplify st grules gmins =
         if n == m.gcond_neg then m else { m with gcond_neg = n })
       gmins
   in
-  (* 2. least fixpoint of certain atoms over negation-free atom rules *)
+  (* 2. least fixpoint of certain atoms over negation-free atom rules,
+     the sources; the [i]-th has head [heads.(i)] and [counts.(i)]
+     positive subgoals not yet certain *)
   let certain = Bytes.make st.count '\000' in
   let is_certain id = Bytes.get certain id = '\001' in
-  let sources =
-    List.filter_map
-      (fun r ->
-        match r.ghead with
-        | Gatom h when r.gneg = [] -> Some (h, r.gpos)
-        | _ -> None)
-      grules
-  in
-  let rule_arr = Array.of_list sources in
-  let counts = Array.map (fun (_, pos) -> List.length pos) rule_arr in
+  let is_source r = match r.ghead with Gatom _ -> r.gneg = [] | _ -> false in
+  let n = List.fold_left (fun n r -> if is_source r then n + 1 else n) 0 grules in
+  let heads = Array.make n 0 and counts = Array.make n 0 in
   let by_atom = Array.make st.count [] in
-  Array.iteri
-    (fun i (_, pos) -> List.iter (fun id -> by_atom.(id) <- i :: by_atom.(id)) pos)
-    rule_arr;
+  let i = ref 0 in
+  List.iter
+    (fun r ->
+      match r.ghead with
+      | Gatom h when r.gneg = [] ->
+        heads.(!i) <- h;
+        counts.(!i) <- List.length r.gpos;
+        List.iter (fun id -> by_atom.(id) <- !i :: by_atom.(id)) r.gpos;
+        incr i
+      | _ -> ())
+    grules;
   let queue = Queue.create () in
   let derive id =
     if not (is_certain id) then begin
@@ -728,12 +787,12 @@ let simplify st grules gmins =
       Queue.add id queue
     end
   in
-  Array.iteri (fun i c -> if c = 0 then derive (fst rule_arr.(i))) counts;
+  Array.iteri (fun i c -> if c = 0 then derive heads.(i)) counts;
   while not (Queue.is_empty queue) do
     List.iter
       (fun i ->
         counts.(i) <- counts.(i) - 1;
-        if counts.(i) = 0 then derive (fst rule_arr.(i)))
+        if counts.(i) = 0 then derive heads.(i))
       by_atom.(Queue.pop queue)
   done;
   (* 3. rewrite: certain atoms become facts, in atom-id order. This is
@@ -784,15 +843,31 @@ let declared_priorities prog =
     prog
   |> List.sort_uniq Int.compare
 
-let ground ?(obs = Obs.disabled) ?jobs:_ prog =
-  (match Ast.check_safety prog with
+let check ?first prog =
+  match Ast.check_safety ?first prog with
   | Ok () -> ()
-  | Error e -> invalid_arg ("grounder: " ^ e));
+  | Error e -> invalid_arg ("grounder: " ^ e)
+
+(* The base of a program grounded on its own: no statement, and an
+   empty predicate table that nothing ever adds to, so every domain
+   can share it. *)
+let no_base = { bstmts = []; blen = 0; bpreds = Pred_tbl.create 1; bpriorities = [] }
+
+let prepare prog =
+  check prog;
+  let sc = { shared = no_base.bpreds; own = Pred_tbl.create 64 } in
+  let bstmts = List.mapi (compile sc) prog in
+  List.iter (fun cs -> List.iter (add_triggers ~base:true) (pseudos_of cs)) bstmts;
+  { bstmts; blen = List.length prog; bpreds = sc.own; bpriorities = declared_priorities prog }
+
+let ground_with obs base prog =
+  let nb = base.blen in
   (* Most statements are facts, one atom each: the statement count is
      a cheap estimate of the atom count. *)
-  let nstmts = List.length prog in
+  let nstmts = nb + List.length prog in
   let st = store_create (max 64 nstmts) in
-  let cstmts = Array.of_list (List.mapi (compile st) prog) in
+  let sc = { shared = base.bpreds; own = Pred_tbl.create 16 } in
+  let cstmts = List.mapi (fun i -> compile sc (nb + i)) prog in
   (* Rules are kept per statement and listed in statement order, the
      order a grounder joining one statement after another lists them:
      the SAT core's search depends on the order its clauses arrive.
@@ -804,16 +879,16 @@ let ground ?(obs = Obs.disabled) ?jobs:_ prog =
   in
   let iters =
     Obs.with_span obs ~cat:"ground" "ground.phase1" (fun sp ->
-        let iters = phase1 st cstmts ~emit in
+        let iters = phase1 st base cstmts ~emit in
         Obs.set_attr sp "fixpoint_iters" (Obs.I iters);
         Obs.set_attr sp "possible_atoms" (Obs.I st.count);
         Obs.set_attr sp "rules" (Obs.I !emitted);
         iters)
   in
   let gmins =
-    Obs.with_span obs ~cat:"ground" "ground.phase2" (fun sp ->
+    Obs.with_span obs ~cat:"ground" "ground.final" (fun sp ->
         let before = !emitted in
-        let gmins = final_pass st cstmts ~emit in
+        let gmins = final_pass st base cstmts ~emit in
         Obs.set_attr sp "rules" (Obs.I (!emitted - before));
         gmins)
   in
@@ -831,7 +906,31 @@ let ground ?(obs = Obs.disabled) ?jobs:_ prog =
   Obs.incr obs ~by:st.hits "ground.index_hits";
   Obs.incr obs ~by:st.misses "ground.index_misses";
   Obs.gauge obs "ground.atoms" st.count;
-  { st; certain; grules; gmins; gmin_priorities = declared_priorities prog }
+  let gmin_priorities =
+    match declared_priorities prog with
+    | [] -> base.bpriorities
+    | ps -> List.sort_uniq Int.compare (base.bpriorities @ ps)
+  in
+  { atoms = st.arr;
+    count = st.count;
+    possible = st.possible;
+    certain;
+    hits = st.hits;
+    misses = st.misses;
+    grules;
+    gmins;
+    gmin_priorities }
+
+let ground ?(obs = Obs.disabled) ?jobs:_ ?(base = no_base) prog =
+  check ~first:base.blen prog;
+  reset base;
+  match ground_with obs base prog with
+  | t ->
+    reset base;
+    t
+  | exception e ->
+    reset base;
+    raise e
 
 let rules t = t.grules
 
@@ -839,17 +938,17 @@ let minimizes t = t.gmins
 
 let minimize_priorities t = t.gmin_priorities
 
-let atom_count t = t.st.count
+let atom_count t = t.count
 
-let index_hits t = t.st.hits
+let index_hits t = t.hits
 
-let index_misses t = t.st.misses
+let index_misses t = t.misses
 
-let possible t id = Bytes.get t.st.possible id = '\001'
+let possible t id = Bytes.get t.possible id = '\001'
 
 let fact t id = Bytes.get t.certain id = '\001'
 
-let atom_of_id t id = t.st.arr.(id)
+let atom_of_id t id = t.atoms.(id)
 
 let pp_atom_id t fmt id = Ast.pp_atom fmt (atom_of_id t id)
 

@@ -12,12 +12,15 @@
     drops negative literals on atoms that can never hold, and keeps
     each rule once. Ground rules refer to interned atom ids.
 
-    Each statement is compiled once per {!ground} call: its variables
-    become slots of an array that the join binds and unbinds through
-    an undo trail, and its atoms point at their predicate's atom list,
-    argument indexes and triggers. A join step allocates nothing but
-    the ids it matched and the index keys of bound compound arguments;
-    ground facts are interned without a join. *)
+    Each statement is compiled once: its variables become slots of an
+    array that the join binds and unbinds through an undo trail, and
+    its atoms point at their predicate's atom list, argument indexes
+    and triggers. A join step allocates nothing but the ids it matched
+    and the index keys of bound compound arguments; ground facts are
+    interned without a join. A program prefix that many calls share,
+    such as the concretizer's logic program, is compiled once into a
+    {!base}; each {!ground} call compiles only the statements it
+    adds. *)
 
 type atom_id = int
 
@@ -38,9 +41,24 @@ type gmin = {
 
 type t
 
-val ground : ?obs:Obs.ctx -> ?jobs:int -> Ast.program -> t
-(** [?obs] records one span per pass ([ground.phase1] for the
-    fixpoint, [ground.phase2] for the final pass, [ground.simplify]),
+type base
+(** A program prefix, safety-checked and compiled, with the phase-1
+    triggers of its rules filed. A base belongs to one domain: a
+    {!ground} call mutates it while it runs, and leaves it as
+    {!prepare} made it when it returns or raises, so no atom, index or
+    binding of one request outlives the call. *)
+
+val prepare : Ast.program -> base
+(** Raises [Invalid_argument] on a program {!Ast.check_safety}
+    rejects. *)
+
+val ground : ?obs:Obs.ctx -> ?jobs:int -> ?base:base -> Ast.program -> t
+(** [ground ~base prog] grounds the base's statements followed by
+    [prog], with the atoms, rules and order of grounding the two
+    programs concatenated; without [?base], [prog] alone.
+
+    [?obs] records one span per pass ([ground.phase1] for the
+    fixpoint, [ground.final] for the final pass, [ground.simplify]),
     each with the count of rules it emitted (phase 1's count includes
     instances found more than once, which [simplify] drops), plus the
     fixpoint iteration count, join-index hit/miss counters, and
@@ -49,8 +67,9 @@ val ground : ?obs:Obs.ctx -> ?jobs:int -> Ast.program -> t
     [?jobs] is ignored: grounding runs on the calling domain. It is
     kept only because the benchmark harness still passes it.
 
-    Raises [Invalid_argument] on a program {!Ast.check_safety}
-    rejects. *)
+    Raises [Invalid_argument] on a [prog] {!Ast.check_safety} rejects
+    (its statements numbered after the base's), and on a [#minimize]
+    weight that grounds to no integer. *)
 
 val rules : t -> grule list
 

@@ -65,13 +65,24 @@ module Vec = struct
   let size v = v.len
 
   (* Clear the abandoned slots: for boxed payloads a popped pointer
-     would otherwise keep its object reachable forever. *)
+     would otherwise keep its object reachable forever. A vector that
+     is already [n] long is not written, so the shared {!no_watch}
+     stays untouched. *)
   let shrink v n =
-    for i = n to v.len - 1 do
-      v.data.(i) <- v.dummy
-    done;
-    v.len <- n
+    if n < v.len then begin
+      for i = n to v.len - 1 do
+        v.data.(i) <- v.dummy
+      done;
+      v.len <- n
+    end
 end
+
+(* Every literal's watch list until its first watch: one empty vector
+   that is never pushed to. Filling a fresh solver's watch array from
+   it, a value older than the request, keeps [Array.make] from
+   emptying the minor heap first, as it does for a young initial value
+   in an array of more than 256 words. *)
+let no_watch : int Vec.t = Vec.create 0
 
 (* A per-solve resource budget, set once on a solver and honored by
    every subsequent [solve] call until replaced. [b_conflicts] caps the
@@ -424,11 +435,8 @@ let reserve s cap =
     let lbd_mark = Array.make (cap + 1) 0 in
     Array.blit s.lbd_mark 0 lbd_mark 0 (Array.length s.lbd_mark);
     s.lbd_mark <- lbd_mark;
-    let watches = Array.make (2 * cap) (Vec.create 0) in
+    let watches = Array.make (2 * cap) no_watch in
     Array.blit s.watches 0 watches 0 (2 * old);
-    for i = 2 * old to (2 * cap) - 1 do
-      watches.(i) <- Vec.create 0
-    done;
     s.watches <- watches;
     let pb_watch = Array.make (2 * cap) [] in
     Array.blit s.pb_watch 0 pb_watch 0 (2 * old);
@@ -537,6 +545,21 @@ let rec pb_check s = function
     done;
     pb_check s rest
 
+(* File the pair under [l], giving [l] its own watch list on its first
+   watch. *)
+let watch_pair s l blocker payload =
+  let ws = s.watches.(l) in
+  let ws =
+    if ws != no_watch then ws
+    else begin
+      let v = Vec.create 0 in
+      s.watches.(l) <- v;
+      v
+    end
+  in
+  Vec.push ws blocker;
+  Vec.push ws payload
+
 let propagate s =
   try
     while s.qhead < Vec.size s.trail do
@@ -611,9 +634,7 @@ let propagate s =
                 if lit_value s lits.(base + !k) <> 2 then begin
                   lits.(base + 1) <- lits.(base + !k);
                   lits.(base + !k) <- falsified;
-                  let wl = s.watches.(lit_not lits.(base + 1)) in
-                  Vec.push wl first;
-                  Vec.push wl payload;
+                  watch_pair s (lit_not lits.(base + 1)) first payload;
                   found := true
                 end;
                 incr k
@@ -871,11 +892,6 @@ let analyze s confl =
   (learnt_lits, !btlevel, lbd)
 
 (* -- clause management --------------------------------------------- *)
-
-let watch_pair s l blocker payload =
-  let ws = s.watches.(l) in
-  Vec.push ws blocker;
-  Vec.push ws payload
 
 let attach_binary s a b =
   (* Clause (a \/ b), stored only in the two watch lists. *)

@@ -377,13 +377,13 @@ let run_serial store ~repo ~caches ~mirrors ~fallback ~obs ~spec ~acc =
   let rec go node =
     if not (Hashtbl.mem visited node) then begin
       Hashtbl.replace visited node ();
-      (* Spans nest along the DAG walk: a node's span contains the
-         spans of the dependencies it triggered. *)
+      List.iter (fun (c, _) -> go c) (Spec.Concrete.children spec node);
+      (* Opened after the dependencies ran, so a node's span holds its
+         own install only and the walk's spans sum to at most the
+         install, as on the parallel path. *)
       Obs.with_span obs ~cat:"install" "install.node"
         ~attrs:[ ("node", Obs.S node) ]
-      @@ fun nspan ->
-      List.iter (fun (c, _) -> go c) (Spec.Concrete.children spec node);
-      install_node store ~repo ~caches ~mirrors ~fallback ~obs ~spec ~acc node nspan
+        (install_node store ~repo ~caches ~mirrors ~fallback ~obs ~spec ~acc node)
     end
   in
   try go (Spec.Concrete.root spec)

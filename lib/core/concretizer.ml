@@ -165,15 +165,15 @@ let concretize_v ~repo ?(options = default_options) ?budget ?closure
           ~reuse:(effective_reuse options) ~prune:options.prune ?closure ~obs
           ~host_os:options.host_os ~host_target:options.host_target requests)
   in
-  let statements =
+  let base, statements =
     Obs.with_span obs ~cat:"concretize" "assemble" (fun _ ->
-        Program.statements ~encoding:options.encoding ~splicing:options.splicing
-        @ encoded.Encode.rules @ encoded.Encode.facts)
+        ( Program.prepared ~encoding:options.encoding ~splicing:options.splicing,
+          encoded.Encode.rules @ encoded.Encode.facts ))
   in
   let t1 = now () in
   let ground =
     Obs.with_span obs ~cat:"concretize" "ground" (fun _ ->
-        Asp.Ground.ground ~obs statements)
+        Asp.Ground.ground ~obs ~base statements)
   in
   let t2 = now () in
   let result =

@@ -190,18 +190,24 @@ let assemble ~encoding ~splicing () =
   in
   String.concat "\n" sections
 
-(* Parsed once per domain and (encoding, splicing) pair. Per domain
-   because the parser interns constants in the calling domain's table,
+(* One value per domain and (encoding, splicing) pair, made on first
+   use. Per domain because the parser interns constants in the calling
+   domain's table, because a prepared base is mutated while it grounds,
    and because an OCaml 5 [Lazy.t] must not be forced from two domains
    at once. *)
-let parsed : ((Encode.encoding * bool) * Asp.Ast.program) list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
+let per_domain make =
+  let key = Domain.DLS.new_key (fun () -> ref []) in
+  fun ~encoding ~splicing ->
+    let cache = Domain.DLS.get key in
+    match List.assoc_opt (encoding, splicing) !cache with
+    | Some v -> v
+    | None ->
+      let v = make ~encoding ~splicing in
+      cache := ((encoding, splicing), v) :: !cache;
+      v
 
-let statements ~encoding ~splicing =
-  let cache = Domain.DLS.get parsed in
-  match List.assoc_opt (encoding, splicing) !cache with
-  | Some prog -> prog
-  | None ->
-    let prog = Asp.parse (assemble ~encoding ~splicing ()) in
-    cache := ((encoding, splicing), prog) :: !cache;
-    prog
+let statements =
+  per_domain (fun ~encoding ~splicing -> Asp.parse (assemble ~encoding ~splicing ()))
+
+let prepared =
+  per_domain (fun ~encoding ~splicing -> Asp.Ground.prepare (statements ~encoding ~splicing))

@@ -35,3 +35,9 @@ val assemble : encoding:Encode.encoding -> splicing:bool -> unit -> string
 val statements : encoding:Encode.encoding -> splicing:bool -> Asp.Ast.program
 (** [assemble]'s text, parsed: once per domain and argument pair, then
     served from a domain-local cache. *)
+
+val prepared : encoding:Encode.encoding -> splicing:bool -> Asp.Ground.base
+(** {!statements}, prepared for grounding ({!Asp.Ground.prepare}): once
+    per domain and argument pair, from a domain-local cache like
+    {!statements}'. A request grounds [Asp.Ground.ground ~base] over
+    only the statements its encoding adds. *)

@@ -297,6 +297,57 @@ let test_single_pass_emission () =
   check "reversed" (List.rev prog);
   List.iter (fun seed -> check (Printf.sprintf "shuffle %d" seed) (shuffle seed prog)) [ 1; 2; 3 ]
 
+(* A prepared base serves request after request: grounding a request
+   over it gives what grounding the base's statements followed by the
+   request gives, whatever was grounded over it before, a call that
+   raised included. The unsafe comparison fails the safety check; the
+   text weight fails inside the base's own [#minimize] join, after
+   phase 1 has filled the base's predicates. The second request adds a
+   rule over a base predicate, a predicate of its own and an objective
+   level. *)
+let test_base_leaks_nothing () =
+  let base_stmts = Asp.parse mini_program in
+  let base = Asp.Ground.prepare base_stmts in
+  let req2 =
+    Asp.parse
+      {|
+        root(c). dep(c,d). decl(d,"2").
+        installed(d,"h9"). hash_ver("h9","2").
+        mark(d). extra(P) :- node(P), mark(P).
+        #minimize { 1@3,P : extra(P) }.
+      |}
+  in
+  let bad_cmp = Asp.parse "r(X) :- node(X), X < Y." in
+  let bad_weight = mini_facts @ Asp.parse {|picked_w(a,"heavy").|} in
+  let fingerprint g =
+    let n = Asp.Ground.atom_count g in
+    ( Format.asprintf "%a" Asp.Ground.pp g,
+      n,
+      List.init n (fun id ->
+          ( Format.asprintf "%a" (Asp.Ground.pp_atom_id g) id,
+            Asp.Ground.fact g id,
+            Asp.Ground.possible g id )),
+      (Asp.Ground.minimizes g, Asp.Ground.minimize_priorities g) )
+  in
+  let want = List.map (fun p -> fingerprint (Asp.Ground.ground (base_stmts @ p))) in
+  let check label progs =
+    List.iter2
+      (fun p w ->
+        Alcotest.(check bool) label true (fingerprint (Asp.Ground.ground ~base p) = w))
+      progs (want progs)
+  in
+  let raises label prog =
+    match Asp.Ground.ground ~base prog with
+    | exception Invalid_argument _ -> ()
+    | _ -> Alcotest.fail (label ^ " should raise")
+  in
+  check "first, then second" [ mini_facts; req2 ];
+  check "second, then first" [ req2; mini_facts ];
+  raises "unsafe comparison" bad_cmp;
+  check "after the safety error" [ mini_facts; req2 ];
+  raises "text weight" bad_weight;
+  check "after the weight error" [ req2; mini_facts ]
+
 (* ---- brute-force stable-model fuzz ---- *)
 
 let prop_stable_equiv =
@@ -394,7 +445,8 @@ let () =
           Alcotest.test_case "show ignored" `Quick test_show_ignored ] );
       ( "grounder",
         [ Alcotest.test_case "counts" `Quick test_grounding_counts;
-          Alcotest.test_case "single-pass emission" `Quick test_single_pass_emission ] );
+          Alcotest.test_case "single-pass emission" `Quick test_single_pass_emission;
+          Alcotest.test_case "prepared base leaks nothing" `Quick test_base_leaks_nothing ] );
       ( "translation",
         [ Alcotest.test_case "fact as a choice element" `Quick test_fact_choice_element;
           Alcotest.test_case "fact in a minimize condition" `Quick test_fact_in_minimize;

@@ -159,6 +159,37 @@ let test_installer_counters () =
   let r3 = B.Installer.install_exn lonely ~repo app_spec in
   Alcotest.(check int) "built" 3 (B.Installer.rebuild_count r3)
 
+(* A serial install's [install.node] spans each hold one node's own
+   work: none contains another's, so together they fit inside the
+   [install] span. *)
+let test_serial_node_spans () =
+  let _vfs, farm = fresh_store "/farm" in
+  ignore (B.Errors.ok_exn (B.Builder.build_all farm ~repo app_spec));
+  let cache = B.Buildcache.create ~name:"c" in
+  ignore (B.Errors.ok_exn (B.Buildcache.push cache farm app_spec));
+  let _vfs2, cluster = fresh_store "/cluster" in
+  let obs = Obs.create () in
+  ignore (B.Installer.install_exn cluster ~repo ~caches:[ cache ] ~obs app_spec);
+  let spans name =
+    List.filter_map
+      (function
+        | Obs.Span { name = n; t0_ns; dur_ns; _ } when n = name -> Some (t0_ns, dur_ns)
+        | _ -> None)
+      (Obs.events obs)
+  in
+  let nodes = List.sort compare (spans "install.node") in
+  Alcotest.(check int) "one span per node" 3 (List.length nodes);
+  let rec disjoint = function
+    | (t0, d) :: ((t1, _) :: _ as rest) -> Int64.add t0 d <= t1 && disjoint rest
+    | _ -> true
+  in
+  Alcotest.(check bool) "no node span contains another" true (disjoint nodes);
+  let total = List.fold_left (fun acc (_, d) -> Int64.add acc d) 0L nodes in
+  match spans "install" with
+  | [ (_, install) ] ->
+    Alcotest.(check bool) "node spans sum to at most the install" true (total <= install)
+  | l -> Alcotest.failf "%d install spans" (List.length l)
+
 (* ---- a lying splice fails the linker ---- *)
 
 let test_bad_splice_fails_link () =
@@ -200,4 +231,5 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick test_buildcache_roundtrip ] );
       ( "installer",
         [ Alcotest.test_case "counters" `Quick test_installer_counters;
+          Alcotest.test_case "serial node spans" `Quick test_serial_node_spans;
           Alcotest.test_case "bad splice fails link" `Quick test_bad_splice_fails_link ] ) ]

@@ -255,14 +255,17 @@ let test_encodings_agree_without_splicing () =
    regenerate, run
    [LOCAL_GOLDEN_OUT=test/local_golden.expected dune exec
    test/test_concretizer.exe -- test golden] from the repository root. *)
+let local_setup =
+  lazy
+    (let repo = Radiuss.Universe.repo () in
+     let local = Radiuss.Caches.local ~repo () in
+     ( repo,
+       { CC.default_options with
+         CC.reuse = Radiuss.Caches.reusable_specs local;
+         CC.splicing = true } ))
+
 let golden_lines () =
-  let repo = Radiuss.Universe.repo () in
-  let local = Radiuss.Caches.local ~repo () in
-  let options =
-    { CC.default_options with
-      CC.reuse = Radiuss.Caches.reusable_specs local;
-      CC.splicing = true }
-  in
+  let repo, options = Lazy.force local_setup in
   List.map
     (fun name ->
       let text =
@@ -279,12 +282,23 @@ let golden_lines () =
           ~splicing:options.CC.splicing ~reuse:options.CC.reuse ~prune:options.CC.prune
           ~host_os:options.CC.host_os ~host_target:options.CC.host_target [ request ]
       in
+      let request_stmts = encoded.Core.Encode.rules @ encoded.Core.Encode.facts in
       let ground =
         Asp.Ground.ground
           (Core.Program.statements ~encoding:options.CC.encoding
              ~splicing:options.CC.splicing
-          @ encoded.Core.Encode.rules @ encoded.Core.Encode.facts)
+          @ request_stmts)
       in
+      let pp g = Format.asprintf "%a" Asp.Ground.pp g in
+      Alcotest.(check string)
+        (text ^ ": grounding over the prepared base")
+        (pp ground)
+        (pp
+           (Asp.Ground.ground
+              ~base:
+                (Core.Program.prepared ~encoding:options.CC.encoding
+                   ~splicing:options.CC.splicing)
+              request_stmts));
       let sat k = Option.value ~default:0 (List.assoc_opt k o.CC.stats.CC.sat_stats) in
       Printf.sprintf "%s %s %s atoms=%d rules=%d pp=%s conflicts=%d decisions=%d propagations=%d"
         text
@@ -293,7 +307,7 @@ let golden_lines () =
            (List.map (fun (p, c) -> Printf.sprintf "%d:%d" p c) o.CC.stats.CC.costs))
         (Asp.Ground.atom_count ground)
         (List.length (Asp.Ground.rules ground))
-        (Digest.to_hex (Digest.string (Format.asprintf "%a" Asp.Ground.pp ground)))
+        (Digest.to_hex (Digest.string (pp ground)))
         (sat "conflicts") (sat "decisions") (sat "propagations"))
     Radiuss.Universe.top_level
 
@@ -315,6 +329,32 @@ let test_local_golden () =
     in
     Alcotest.(check int) "one line per objective" (List.length expected) (List.length lines);
     List.iter2 (fun want got -> Alcotest.(check string) "answer" want got) expected lines
+
+(* A local request allocates less than a 4M-word minor heap holds, so
+   it runs without a minor collection unless something forces one,
+   as [Array.make] of more than 256 slots from a young value does. *)
+let test_local_request_no_minor_gc () =
+  let repo, options = Lazy.force local_setup in
+  let request = Core.Encode.request_of_string "mfem ^mpiabi" in
+  let solve () =
+    match CC.concretize_v ~repo ~options [ request ] with
+    | Ok _ -> ()
+    | Error f -> Alcotest.fail f.CC.f_message
+  in
+  solve ();
+  let saved = Gc.get () in
+  Gc.set { saved with Gc.minor_heap_size = 4 * 1024 * 1024 };
+  let collections () = (Gc.quick_stat ()).Gc.minor_collections in
+  let before, after =
+    Fun.protect
+      ~finally:(fun () -> Gc.set saved)
+      (fun () ->
+        Gc.minor ();
+        let before = collections () in
+        solve ();
+        (before, collections ()))
+  in
+  Alcotest.(check int) "minor collections during the request" 0 (after - before)
 
 let () =
   Alcotest.run "concretizer"
@@ -340,4 +380,7 @@ let () =
           Alcotest.test_case "target constraint" `Quick test_splice_respects_target_constraint;
           Alcotest.test_case "reuse beats splice" `Quick test_plain_reuse_beats_splice ] );
       ( "golden",
-        [ Alcotest.test_case "local answers" `Quick test_local_golden ] ) ]
+        [ Alcotest.test_case "local answers" `Quick test_local_golden ] );
+      ( "allocation",
+        [ Alcotest.test_case "local request forces no minor collection" `Quick
+            test_local_request_no_minor_gc ] ) ]
