@@ -849,8 +849,8 @@ let check ?first prog =
   | Error e -> invalid_arg ("grounder: " ^ e)
 
 (* The base of a program grounded on its own: no statement, and an
-   empty predicate table that nothing ever adds to, so every domain
-   can share it. *)
+   empty predicate table that is only ever read, so every domain can
+   share it. *)
 let no_base = { bstmts = []; blen = 0; bpreds = Pred_tbl.create 1; bpriorities = [] }
 
 let prepare prog =
@@ -907,9 +907,7 @@ let ground_with obs base prog =
   Obs.incr obs ~by:st.misses "ground.index_misses";
   Obs.gauge obs "ground.atoms" st.count;
   let gmin_priorities =
-    match declared_priorities prog with
-    | [] -> base.bpriorities
-    | ps -> List.sort_uniq Int.compare (base.bpriorities @ ps)
+    List.sort_uniq Int.compare (base.bpriorities @ declared_priorities prog)
   in
   { atoms = st.arr;
     count = st.count;
@@ -921,16 +919,21 @@ let ground_with obs base prog =
     gmins;
     gmin_priorities }
 
-let ground ?(obs = Obs.disabled) ?jobs:_ ?(base = no_base) prog =
-  check ~first:base.blen prog;
-  reset base;
-  match ground_with obs base prog with
-  | t ->
+let ground ?(obs = Obs.disabled) ?jobs:_ ?base prog =
+  match base with
+  | None ->
+    check prog;
+    ground_with obs no_base prog
+  | Some base -> (
+    check ~first:base.blen prog;
     reset base;
-    t
-  | exception e ->
-    reset base;
-    raise e
+    match ground_with obs base prog with
+    | t ->
+      reset base;
+      t
+    | exception e ->
+      reset base;
+      raise e)
 
 let rules t = t.grules
 
