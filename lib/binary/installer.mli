@@ -85,7 +85,9 @@ val install_exn :
     is one [install] root span with a nested [install.node] span per
     DAG node (attributes: node, hash, action) and a per-node
     [install.node_ms] latency histogram, plus the {!Store} and
-    {!Mirror} instrumentation. *)
+    {!Mirror} instrumentation. A node's span holds that node's own
+    install, not its dependencies', so the node spans never contain
+    one another. *)
 
 val canonical_report : report -> string
 (** Schedule-independent rendering of a report: the sorted hash lists,
