@@ -246,15 +246,8 @@ let test_encodings_agree_without_splicing () =
 
 (* ---- golden local answers ---- *)
 
-(* The [install-local] requests: every top-level RADIUSS objective
-   (MPI-dependent ones as [^mpiabi]), splicing on, against the 64-spec
-   local cache. One line per request: root DAG hash, cost vector, ground
-   atom and rule counts, an MD5 of the unsorted [Asp.Ground.pp] text,
-   which pins atom ids and rule order, and the SAT core's conflict,
-   decision and propagation counts, which pin the search path. To
-   regenerate, run
-   [LOCAL_GOLDEN_OUT=test/local_golden.expected dune exec
-   test/test_concretizer.exe -- test golden] from the repository root. *)
+(* The [install-local] setting: the repository, and splicing on over
+   the 64-spec local cache. *)
 let local_setup =
   lazy
     (let repo = Radiuss.Universe.repo () in
@@ -264,6 +257,17 @@ let local_setup =
          CC.reuse = Radiuss.Caches.reusable_specs local;
          CC.splicing = true } ))
 
+(* The [install-local] requests: every top-level RADIUSS objective
+   (MPI-dependent ones as [^mpiabi]), splicing on, against the 64-spec
+   local cache. One line per request: root DAG hash, cost vector, ground
+   atom and rule counts, an MD5 of the unsorted [Asp.Ground.pp] text,
+   which pins atom ids and rule order, and the SAT core's conflict,
+   decision and propagation counts, which pin the search path. Each
+   request's statements grounded over [Program.prepared] must also
+   print the same text as the whole program grounded at once. To
+   regenerate, run
+   [LOCAL_GOLDEN_OUT=test/local_golden.expected dune exec
+   test/test_concretizer.exe -- test golden] from the repository root. *)
 let golden_lines () =
   let repo, options = Lazy.force local_setup in
   List.map
