@@ -811,8 +811,7 @@ let serve_cmd =
           (if no_live then None
            else
              Some
-               { Core.Serve.default_telemetry with
-                 Core.Serve.horizon_s = horizon;
+               { Core.Serve.horizon_s = horizon;
                  recorder_capacity = max 0 recorder });
         reuse_source =
           (if reuse then

@@ -17,8 +17,6 @@ let size t = Hashtbl.length t.entries
 
 let find t ~hash = Hashtbl.find_opt t.entries hash
 
-let mem t ~hash = Hashtbl.mem t.entries hash
-
 let specs t = Hashtbl.fold (fun _ e acc -> e.e_spec :: acc) t.entries []
 
 let relative ~prefix path =
@@ -75,51 +73,3 @@ let push_exn t store spec =
   !created
 
 let push t store spec = Errors.guard (fun () -> push_exn t store spec)
-
-let install_entry store ~hash entry =
-  let root_node = Spec.Concrete.root_node entry.e_spec in
-  let new_prefix_of h (n : Spec.Concrete.node) =
-    Store.prefix_for store ~name:n.Spec.Concrete.name ~version:n.Spec.Concrete.version
-      ~hash:h
-  in
-  (* Map every build-time prefix in the entry's sub-DAG to its
-     location in the target store. *)
-  let mapping =
-    List.filter_map
-      (fun (n : Spec.Concrete.node) ->
-        let h = Spec.Concrete.node_hash entry.e_spec n.Spec.Concrete.name in
-        match List.assoc_opt h entry.e_prefixes with
-        | Some old_prefix -> Some (old_prefix, new_prefix_of h n)
-        | None -> None)
-      (Spec.Concrete.nodes entry.e_spec)
-  in
-  let prefix = new_prefix_of hash root_node in
-  match Store.claim store ~hash ~prefix with
-  | Store.Present r ->
-    (* A concurrent installer won the race (or it was already there):
-       no bytes moved on our behalf, so no relocation stats. *)
-    (r, Relocate.empty_stats)
-  | Store.Claimed txn -> (
-    let finish () =
-      let stats = ref Relocate.empty_stats in
-      List.iter
-        (fun (rel, o) ->
-          let o = Object_file.copy o in
-          stats := Relocate.add_stats !stats (Relocate.relocate_object o ~mapping);
-          Store.stage store txn ~rel (Vfs.Object o))
-        entry.e_objects;
-      Store.stage store txn ~rel:".spack/spec.json"
-        (Vfs.Text (Spec.Codec.to_string ~pretty:true entry.e_spec));
-      let record = Store.commit store txn ~spec:entry.e_spec in
-      (record, !stats)
-    in
-    try finish () with
-    | Store.Crashed _ as e -> raise e
-    | e ->
-      Store.abort store txn;
-      raise e)
-
-let install_from t store ~hash =
-  match find t ~hash with
-  | None -> None
-  | Some entry -> Some (install_entry store ~hash entry)

@@ -4,7 +4,10 @@
     the install prefixes everything lived at when built — the data
     needed to relocate the binaries into any other store (§3.4:
     "Spack can build binaries on a node's local filesystem ... and
-    install them again on a separate cluster"). *)
+    install them again on a separate cluster"). Installing an entry is
+    the {!Installer}'s job: it looks a hash up once, here or through a
+    {!Mirror}, and copies the entry's objects into one {!Store.install}
+    transaction, relocating them on the way. *)
 
 type entry = {
   e_spec : Spec.Concrete.t;
@@ -30,28 +33,9 @@ val push_exn : t -> Store.t -> Spec.Concrete.t -> int
 
 val find : t -> hash:string -> entry option
 
-val mem : t -> hash:string -> bool
-
 val specs : t -> Spec.Concrete.t list
 (** The concrete specs of all entries — what the concretizer sees as
     reusable. *)
-
-val install_entry :
-  Store.t -> hash:string -> entry -> Store.record * Relocate.stats
-(** Install one already-fetched entry into the store (transactionally,
-    via {!Store.claim}/{!Store.commit}), relocating every embedded
-    prefix from its build-time location to the target store's layout.
-    An entry another writer already installed is returned as found,
-    with empty relocation stats. The entry's dependencies must already
-    be installed (or concurrently installable — their target prefixes
-    are computed, not read). Taking the entry by value is what lets the
-    installer look a hash up {e once} and pass the result through — no
-    TOCTOU window — and lets the mirror layer hand over fetched (and
-    integrity-verified) entries directly. *)
-
-val install_from :
-  t -> Store.t -> hash:string -> (Store.record * Relocate.stats) option
-(** {!find} then {!install_entry}. *)
 
 val relative : prefix:string -> string -> string
 (** Strip [prefix ^ "/"] from a path when it is a proper directory

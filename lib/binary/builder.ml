@@ -5,17 +5,6 @@ let family_of repo name =
   | Some p -> p.Pkg.Package.abi_family
   | None -> name
 
-(* Abort the transaction on a typed error so a failed build leaves no
-   journal residue for other in-flight installs to trip over; Crashed
-   must propagate untouched — a dead store cannot be cleaned, only
-   recovered. *)
-let abort_on_typed store txn f =
-  try f () with
-  | Store.Crashed _ as e -> raise e
-  | e ->
-    Store.abort store txn;
-    raise e
-
 let build_node_exn store ~repo ~spec ~node =
   let n = Spec.Concrete.node spec node in
   let hash = Spec.Concrete.node_hash spec node in
@@ -23,52 +12,47 @@ let build_node_exn store ~repo ~spec ~node =
     Store.prefix_for store ~name:n.Spec.Concrete.name ~version:n.Spec.Concrete.version
       ~hash
   in
-  match Store.claim store ~hash ~prefix with
-  | Store.Present r -> r
-  | Store.Claimed txn ->
-    abort_on_typed store txn @@ fun () ->
-    let deps = Spec.Concrete.children spec node in
-    let link_deps = List.filter (fun ((_ : string), dt) -> dt.Spec.Types.link) deps in
-    let dep_records =
-      List.map
-        (fun (c, _) ->
-          let ch = Spec.Concrete.node_hash spec c in
-          match Store.installed store ~hash:ch with
-          | Some r -> (c, r)
-          | None ->
-            Errors.raise_error
-              (Errors.Dependency_not_installed { node; dep = c; hash = ch }))
-        link_deps
-    in
-    let dep_surface (c, (r : Store.record)) =
-      let soname = Store.soname_of c in
-      match Vfs.read_object (Store.vfs store) (Store.lib_path ~prefix:r.prefix ~soname) with
-      | Some o -> (soname, Abi.required_of o.Object_file.exports ~fraction:import_fraction)
-      | None -> Errors.raise_error (Errors.No_object_in_prefix { node; dep = c })
-    in
-    let exports =
-      (* Family-private extras derive from the family, not the package:
-         implementations of one ABI must export identical surfaces. *)
-      let family = family_of repo n.Spec.Concrete.name in
-      Abi.synthesize ~family ~interface_version:"1"
-        ~extra_symbols:(Hashtbl.hash family mod 3)
-        ()
-    in
-    let obj =
-      Object_file.create
-        ~soname:(Store.soname_of node)
-        ~exports
-        ~imports:(List.map dep_surface dep_records)
-        ~needed:(List.map (fun (c, _) -> Store.soname_of c) link_deps)
-        ~rpaths:(List.map (fun (_, (r : Store.record)) -> r.Store.prefix ^ "/lib") dep_records)
-        ~embedded:[ prefix ]
-        ()
-    in
-    let sub = Spec.Concrete.subdag spec node in
-    Store.stage store txn ~rel:("lib/" ^ obj.Object_file.soname) (Vfs.Object obj);
-    Store.stage store txn ~rel:".spack/spec.json"
-      (Vfs.Text (Spec.Codec.to_string ~pretty:true sub));
-    Store.commit store txn ~spec:sub
+  ignore
+  @@ Store.install store ~hash ~prefix ~spec:(Spec.Concrete.subdag spec node)
+  @@ fun stage ->
+  let deps = Spec.Concrete.children spec node in
+  let link_deps = List.filter (fun ((_ : string), dt) -> dt.Spec.Types.link) deps in
+  let dep_records =
+    List.map
+      (fun (c, _) ->
+        let ch = Spec.Concrete.node_hash spec c in
+        match Store.installed store ~hash:ch with
+        | Some r -> (c, r)
+        | None ->
+          Errors.raise_error
+            (Errors.Dependency_not_installed { node; dep = c; hash = ch }))
+      link_deps
+  in
+  let dep_surface (c, (r : Store.record)) =
+    let soname = Store.soname_of c in
+    match Vfs.read_object (Store.vfs store) (Store.lib_path ~prefix:r.prefix ~soname) with
+    | Some o -> (soname, Abi.required_of o.Object_file.exports ~fraction:import_fraction)
+    | None -> Errors.raise_error (Errors.No_object_in_prefix { node; dep = c })
+  in
+  let exports =
+    (* Family-private extras derive from the family, not the package:
+       implementations of one ABI must export identical surfaces. *)
+    let family = family_of repo n.Spec.Concrete.name in
+    Abi.synthesize ~family ~interface_version:"1"
+      ~extra_symbols:(Hashtbl.hash family mod 3)
+      ()
+  in
+  let obj =
+    Object_file.create
+      ~soname:(Store.soname_of node)
+      ~exports
+      ~imports:(List.map dep_surface dep_records)
+      ~needed:(List.map (fun (c, _) -> Store.soname_of c) link_deps)
+      ~rpaths:(List.map (fun (_, (r : Store.record)) -> r.Store.prefix ^ "/lib") dep_records)
+      ~embedded:[ prefix ]
+      ()
+  in
+  stage ("lib/" ^ obj.Object_file.soname) (Vfs.Object obj)
 
 let build_node store ~repo ~spec ~node =
   Errors.guard (fun () -> build_node_exn store ~repo ~spec ~node)
@@ -80,7 +64,7 @@ let build_all store ~repo spec =
         List.iter (fun (c, _) -> go c) (Spec.Concrete.children spec node);
         let hash = Spec.Concrete.node_hash spec node in
         if not (Store.is_installed store ~hash) then begin
-          ignore (build_node_exn store ~repo ~spec ~node);
+          build_node_exn store ~repo ~spec ~node;
           built := hash :: !built
         end
       in

@@ -13,12 +13,15 @@ val build_node :
   repo:Pkg.Repo.t ->
   spec:Spec.Concrete.t ->
   node:string ->
-  (Store.record, Errors.t) result
-(** Compile one node; every link dependency must already be installed
-    ([Error (Dependency_not_installed _)] otherwise). *)
+  (unit, Errors.t) result
+(** Compile one node in one {!Store.install} transaction; every link
+    dependency must already be installed ([Error
+    (Dependency_not_installed _)] otherwise, with the transaction
+    aborted). A hash installed already, or committed meanwhile by a
+    concurrent writer, is left as it is. *)
 
 val build_node_exn :
-  Store.t -> repo:Pkg.Repo.t -> spec:Spec.Concrete.t -> node:string -> Store.record
+  Store.t -> repo:Pkg.Repo.t -> spec:Spec.Concrete.t -> node:string -> unit
 (** {!build_node}, raising {!Errors.Binary_error}. *)
 
 val build_all :

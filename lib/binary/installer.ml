@@ -10,39 +10,30 @@ type report = {
   link_result : (int, Linker.error list) result;
 }
 
-(* Where an already-built binary and its build-time prefixes can be
-   found: the local store, a directly-attached buildcache, or a fetch
-   through the mirror layer (which returns a cache entry). *)
-type source =
-  | From_store of Store.record
-  | From_cache of Buildcache.entry
-
-let find_source store caches ~hash =
-  match Store.installed store ~hash with
-  | Some r -> Some (From_store r)
-  | None ->
-    List.find_map
-      (fun c -> Option.map (fun e -> From_cache e) (Buildcache.find c ~hash))
-      caches
-
-let source_spec = function
-  | From_store r -> r.Store.spec
-  | From_cache e -> e.Buildcache.e_spec
-
-let source_prefix_of store = function
-  | From_store _ ->
-    fun hash -> Option.map (fun (r : Store.record) -> r.Store.prefix) (Store.installed store ~hash)
-  | From_cache e -> fun hash -> List.assoc_opt hash e.Buildcache.e_prefixes
-
-let source_objects store = function
-  | From_store r ->
-    let vfs = Store.vfs store in
-    Vfs.list_prefix vfs r.Store.prefix
-    |> List.filter_map (fun path ->
-           match Vfs.read vfs path with
-           | Some (Vfs.Object o) -> Some (Buildcache.relative ~prefix:r.Store.prefix path, o)
-           | _ -> None)
-  | From_cache e -> e.Buildcache.e_objects
+(* The one copy-relocate-stage loop: copy [objects] into [hash]'s
+   store transaction, relocating each through [mapping] and, for a
+   rewire, retargeting its NEEDED entries through [renames]. Empty
+   stats when another writer installed the hash meanwhile: its bytes
+   are our bytes (content addressing), and nothing moved. *)
+let relocate_into store ~hash ~prefix ~spec ~mapping ?(renames = []) objects =
+  let rename soname = Option.value (List.assoc_opt soname renames) ~default:soname in
+  Option.value ~default:Relocate.empty_stats
+  @@ Store.install store ~hash ~prefix ~spec
+  @@ fun stage ->
+  List.fold_left
+    (fun stats (rel, o) ->
+      let o = Object_file.copy o in
+      let stats = Relocate.add_stats stats (Relocate.relocate_object o ~mapping) in
+      let o =
+        if renames = [] then o
+        else
+          { o with
+            Object_file.needed = List.map rename o.Object_file.needed;
+            imports = List.map (fun (s, surf) -> (rename s, surf)) o.Object_file.imports }
+      in
+      stage rel (Vfs.Object o);
+      stats)
+    Relocate.empty_stats objects
 
 (* Pair the original node's direct link dependencies with the spliced
    node's: same names pair up; the replaced dependencies are the
@@ -64,24 +55,21 @@ let pair_children ~node ~old_children ~new_children =
          { node; replaced = only_old; replacements = only_new });
   List.map (fun c -> (c, c)) shared @ List.combine only_old only_new
 
-let rewire_node store ~spec ~node ~build_hash ~source =
-  let n = Spec.Concrete.node spec node in
-  let hash = Spec.Concrete.node_hash spec node in
-  let old_spec = source_spec source in
-  let old_prefix_of = source_prefix_of store source in
-  let old_root = Spec.Concrete.root old_spec in
-  let old_children = Spec.Concrete.children old_spec old_root in
-  let new_children = Spec.Concrete.children spec node in
+(* Rewire a spliced node (§4.2): relocate its original binary's
+   references from the prefixes it was built against to this store's
+   prefixes of the node and its ABI-compatible substitutes. The
+   original comes as its spec, a map from its nodes' hashes to their
+   build-time prefixes, and its objects. *)
+let rewire store ~spec ~node ~hash ~prefix ~build_hash ~old_spec ~old_prefix_of objects =
+  let old_children = Spec.Concrete.children old_spec (Spec.Concrete.root old_spec) in
+  let pairs =
+    pair_children ~node ~old_children ~new_children:(Spec.Concrete.children spec node)
+  in
   let new_prefix_of c =
     let cn = Spec.Concrete.node spec c in
-    Spec.Concrete.node_hash spec c
-    |> fun h ->
-    Store.prefix_for store ~name:cn.Spec.Concrete.name ~version:cn.Spec.Concrete.version ~hash:h
+    Store.prefix_for store ~name:cn.Spec.Concrete.name ~version:cn.Spec.Concrete.version
+      ~hash:(Spec.Concrete.node_hash spec c)
   in
-  let prefix =
-    Store.prefix_for store ~name:n.Spec.Concrete.name ~version:n.Spec.Concrete.version ~hash
-  in
-  let pairs = pair_children ~node ~old_children ~new_children in
   let mapping =
     (match old_prefix_of build_hash with
     | Some old_self -> [ (old_self, prefix) ]
@@ -104,318 +92,248 @@ let rewire_node store ~spec ~node ~build_hash ~source =
         else Some (Store.soname_of old_c, Store.soname_of new_c))
       pairs
   in
-  let rename soname =
-    match List.assoc_opt soname renames with Some s -> s | None -> soname
-  in
-  let sub = Spec.Concrete.subdag spec node in
-  match Store.claim store ~hash ~prefix with
-  | Store.Present _ ->
-    (* A concurrent install delivered the same hash while we prepared:
-       its bytes are our bytes (content addressing), nothing to patch. *)
-    Relocate.empty_stats
-  | Store.Claimed txn -> (
-    let finish () =
-      let stats = ref Relocate.empty_stats in
-      List.iter
-        (fun (rel, o) ->
-          let o = Object_file.copy o in
-          stats := Relocate.add_stats !stats (Relocate.relocate_object o ~mapping);
-          let o =
-            { o with
-              Object_file.needed = List.map rename o.Object_file.needed;
-              imports = List.map (fun (s, surf) -> (rename s, surf)) o.Object_file.imports }
-          in
-          Store.stage store txn ~rel (Vfs.Object o))
-        (source_objects store source);
-      Store.stage store txn ~rel:".spack/spec.json"
-        (Vfs.Text (Spec.Codec.to_string ~pretty:true sub));
-      ignore (Store.commit store txn ~spec:sub);
-      !stats
-    in
-    try finish () with
-    | Store.Crashed _ as e -> raise e
-    | e ->
-      Store.abort store txn;
-      raise e)
+  relocate_into store ~hash ~prefix ~spec:(Spec.Concrete.subdag spec node) ~mapping
+    ~renames objects
 
-let snapshot_telemetry g =
-  let t = Mirror.telemetry g in
-  let s = Mirror.fresh_telemetry () in
-  Mirror.add_telemetry s t;
-  s
+type action = Reused | Built | From_cache | Rewired | Fallback_built | Rewire_fallback
 
-let diff_telemetry ~before ~after =
-  let open Mirror in
-  { fetched = after.fetched - before.fetched;
-    attempts = after.attempts - before.attempts;
-    retries = after.retries - before.retries;
-    failovers = after.failovers - before.failovers;
-    breaker_skips = after.breaker_skips - before.breaker_skips;
-    breaker_trips = after.breaker_trips - before.breaker_trips;
-    quarantines = after.quarantines - before.quarantines;
-    backoff_ms = after.backoff_ms -. before.backoff_ms }
+let action_name = function
+  | Reused -> "reused"
+  | Built -> "built"
+  | From_cache -> "from_cache"
+  | Rewired -> "rewired"
+  | Fallback_built -> "fallback_built"
+  | Rewire_fallback -> "rewire_fallback"
 
-(* Shared accumulators for one install plan. A mutex (not per-list
-   atomics) because updates are multi-field: an action appends to its
-   hash list AND the committed list AND merges stats. *)
-type acc = {
-  mutable a_built : string list;
-  mutable a_reused : string list;
-  mutable a_from_cache : string list;
-  mutable a_rewired : string list;
-  mutable a_fallback_built : string list;
-  mutable a_rewire_fallbacks : string list;
-  mutable a_reloc : Relocate.stats;
-  mutable a_committed : string list;
-  a_mu : Mutex.t;
+(* What one node's install did: the slot the scheduler fills. *)
+type outcome = {
+  hash : string;
+  action : action;
+  reloc : Relocate.stats;
+  fetched : Mirror.telemetry option;  (* the node's own mirror fetch *)
 }
 
-let with_acc acc f =
-  Mutex.lock acc.a_mu;
-  let v = f () in
-  Mutex.unlock acc.a_mu;
-  v
+(* Where a looked-up hash is: installed, in a cache or delivered by a
+   mirror, or missing (with the mirrors' verdicts, [] without any). *)
+type found =
+  | Installed of Store.record
+  | Entry of Buildcache.entry
+  | Missing of (string * Mirror.fetch_error) list
 
 (* One node of the plan, dependencies already installed. Runs on
-   whichever domain picked the node up; everything it touches is either
-   domain-safe (store, vfs, mirrors, obs) or guarded by [acc.a_mu]. *)
-let install_node store ~repo ~caches ~mirrors ~fallback ~obs ~spec ~acc node nspan =
-  let action a = Obs.set_attr nspan "action" (Obs.S a) in
-  let t0 = Obs.Clock.now_s () in
+   whichever domain picked the node up and touches only domain-safe
+   state (store, vfs, mirrors). A plain node looks its own hash up, a
+   spliced one its original's ([build_hash]), each exactly once and in
+   one order: the store, each cache, the mirrors. *)
+let install_node store ~repo ~caches ~mirrors ~fallback ~spec ~node ~hash =
   let n = Spec.Concrete.node spec node in
-  let hash = Spec.Concrete.node_hash spec node in
-  Obs.set_attr nspan "hash" (Obs.S (Chash.short hash));
-  let can_build name = Pkg.Repo.mem repo name in
-  let build_from_source counter =
-    ignore (Builder.build_node_exn store ~repo ~spec ~node);
-    with_acc acc (fun () ->
-        acc.a_committed <- hash :: acc.a_committed;
-        counter acc hash)
+  let fetched = ref None in
+  let lookup hash =
+    match Store.installed store ~hash with
+    | Some r -> Installed r
+    | None -> (
+      match List.find_map (fun c -> Buildcache.find c ~hash) caches with
+      | Some e -> Entry e
+      | None -> (
+        match mirrors with
+        | None -> Missing []
+        | Some g -> (
+          let result, tel = Mirror.fetch_entry g ~hash in
+          fetched := Some tel;
+          match result with Ok e -> Entry e | Error verdicts -> Missing verdicts)))
   in
-  let record_cache_install stats =
-    with_acc acc (fun () ->
-        acc.a_committed <- hash :: acc.a_committed;
-        acc.a_reloc <- Relocate.add_stats acc.a_reloc stats;
-        acc.a_from_cache <- hash :: acc.a_from_cache)
+  let outcome ?(reloc = Relocate.empty_stats) action =
+    { hash; action; reloc; fetched = !fetched }
   in
-  let rewire ~build_hash source =
-    action "rewired";
-    let stats = rewire_node store ~spec ~node ~build_hash ~source in
-    with_acc acc (fun () ->
-        acc.a_committed <- hash :: acc.a_committed;
-        acc.a_reloc <- Relocate.add_stats acc.a_reloc stats;
-        acc.a_rewired <- hash :: acc.a_rewired)
+  let build action =
+    Builder.build_node_exn store ~repo ~spec ~node;
+    outcome action
   in
-  (if Store.is_installed store ~hash then begin
-     action "reused";
-     with_acc acc (fun () -> acc.a_reused <- hash :: acc.a_reused)
-   end
-   else
-     match n.Spec.Concrete.build_hash with
-     | Some build_hash -> (
-       (* A spliced node: rewire its original binary if any source
-          can deliver it; degrade to a source rebuild otherwise. *)
-       match find_source store caches ~hash:build_hash with
-       | Some source -> rewire ~build_hash source
-       | None -> (
-         let fetched =
-           match mirrors with
-           | Some g -> (
-             match Mirror.fetch_entry g ~hash:build_hash with
-             | Ok e -> Some e
-             | Error _ -> None)
-           | None -> None
-         in
-         match fetched with
-         | Some e -> rewire ~build_hash (From_cache e)
-         | None ->
-           if fallback && can_build n.Spec.Concrete.name then begin
-             action "rewire_fallback";
-             build_from_source (fun acc h ->
-                 acc.a_rewire_fallbacks <- h :: acc.a_rewire_fallbacks)
-           end
-           else
-             Errors.raise_error
-               (Errors.Original_binary_missing { node; build_hash })))
-     | None -> (
-       (* Look each cache up exactly once and install the entry we
-          found — probing with [mem] and re-querying opened a
-          vanished-entry window. *)
-       match List.find_map (fun c -> Buildcache.find c ~hash) caches with
-       | Some entry ->
-         action "from_cache";
-         let _, stats = Buildcache.install_entry store ~hash entry in
-         record_cache_install stats
-       | None -> (
-         match mirrors with
-         | None ->
-           action "built";
-           build_from_source (fun acc h -> acc.a_built <- h :: acc.a_built)
-         | Some g -> (
-           match Mirror.fetch_entry g ~hash with
-           | Ok entry ->
-             action "from_cache";
-             let _, stats = Buildcache.install_entry store ~hash entry in
-             record_cache_install stats
-           | Error verdicts ->
-             let authoritative_miss =
-               verdicts <> []
-               && List.for_all (fun (_, e) -> e = Mirror.Absent) verdicts
-             in
-             if authoritative_miss || verdicts = [] then begin
-               (* a plain miss: building was always the plan *)
-               action "built";
-               build_from_source (fun acc h -> acc.a_built <- h :: acc.a_built)
-             end
-             else if fallback && can_build n.Spec.Concrete.name then begin
-               action "fallback_built";
-               build_from_source (fun acc h ->
-                   acc.a_fallback_built <- h :: acc.a_fallback_built)
-             end
-             else
-               Errors.raise_error
-                 (Errors.Fetch_failed
-                    { hash;
-                      attempts = List.length verdicts;
-                      mirrors =
-                        List.map
-                          (fun (m, e) -> (m, Mirror.describe_error e))
-                          verdicts })))));
-  Obs.observe obs "install.node_ms" ((Obs.Clock.now_s () -. t0) *. 1000.)
+  let prefix_for h (m : Spec.Concrete.node) =
+    Store.prefix_for store ~name:m.Spec.Concrete.name ~version:m.Spec.Concrete.version
+      ~hash:h
+  in
+  let can_fall_back = fallback && Pkg.Repo.mem repo n.Spec.Concrete.name in
+  match n.Spec.Concrete.build_hash with
+  | Some _ when Store.is_installed store ~hash -> outcome Reused
+  | Some build_hash -> (
+    let rewire_from ~old_spec ~old_prefix_of objects =
+      outcome Rewired
+        ~reloc:
+          (rewire store ~spec ~node ~hash ~prefix:(prefix_for hash n) ~build_hash
+             ~old_spec ~old_prefix_of objects)
+    in
+    match lookup build_hash with
+    | Installed r ->
+      let vfs = Store.vfs store in
+      rewire_from ~old_spec:r.Store.spec
+        ~old_prefix_of:(fun h ->
+          Option.map (fun (d : Store.record) -> d.Store.prefix) (Store.installed store ~hash:h))
+        (Vfs.list_prefix vfs r.Store.prefix
+        |> List.filter_map (fun path ->
+               match Vfs.read vfs path with
+               | Some (Vfs.Object o) ->
+                 Some (Buildcache.relative ~prefix:r.Store.prefix path, o)
+               | _ -> None))
+    | Entry e ->
+      rewire_from ~old_spec:e.Buildcache.e_spec
+        ~old_prefix_of:(fun h -> List.assoc_opt h e.Buildcache.e_prefixes)
+        e.Buildcache.e_objects
+    | Missing _ ->
+      (* No source can deliver the original: degrade to a rebuild. *)
+      if can_fall_back then build Rewire_fallback
+      else Errors.raise_error (Errors.Original_binary_missing { node; build_hash }))
+  | None -> (
+    match lookup hash with
+    | Installed _ -> outcome Reused
+    | Entry e ->
+      (* Map every build-time prefix in the entry's sub-DAG to its
+         location in this store. *)
+      let mapping =
+        List.filter_map
+          (fun (m : Spec.Concrete.node) ->
+            let h = Spec.Concrete.node_hash e.Buildcache.e_spec m.Spec.Concrete.name in
+            Option.map
+              (fun old_prefix -> (old_prefix, prefix_for h m))
+              (List.assoc_opt h e.Buildcache.e_prefixes))
+          (Spec.Concrete.nodes e.Buildcache.e_spec)
+      in
+      outcome From_cache
+        ~reloc:
+          (relocate_into store ~hash
+             ~prefix:(prefix_for hash (Spec.Concrete.root_node e.Buildcache.e_spec))
+             ~spec:e.Buildcache.e_spec ~mapping e.Buildcache.e_objects)
+    | Missing verdicts ->
+      (* Every mirror answering "absent" (or no mirror at all) is a
+         plain miss: building was always the plan. *)
+      if List.for_all (fun (_, e) -> e = Mirror.Absent) verdicts then build Built
+      else if can_fall_back then build Fallback_built
+      else
+        Errors.raise_error
+          (Errors.Fetch_failed
+             { hash;
+               attempts = List.length verdicts;
+               mirrors = List.map (fun (m, e) -> (m, Mirror.describe_error e)) verdicts }))
 
-(* Ready-set scheduler: a node becomes ready when all its dependencies
-   have committed; [jobs] domains pull ready nodes until the plan
-   drains or a node fails. On failure remaining ready nodes are
-   abandoned but in-flight nodes run to completion (commit or abort),
-   so when the workers join every transaction this plan opened is
-   settled — rollback is then plain uninstalls, never journal surgery
-   that could clobber concurrent installs. *)
-let run_parallel store ~repo ~caches ~mirrors ~fallback ~obs ~spec ~acc ~jobs =
-  let nodes = Array.of_list (Spec.Concrete.nodes spec) in
-  let n_total = Array.length nodes in
-  let index = Hashtbl.create (2 * n_total) in
-  Array.iteri (fun i (n : Spec.Concrete.node) -> Hashtbl.replace index n.Spec.Concrete.name i) nodes;
-  let pending = Array.make n_total 0 in
-  let dependents = Array.make n_total [] in
-  Array.iteri
-    (fun i (n : Spec.Concrete.node) ->
-      let cs = Spec.Concrete.children spec n.Spec.Concrete.name in
-      pending.(i) <- List.length cs;
-      List.iter
-        (fun (c, _) ->
-          let ci = Hashtbl.find index c in
-          dependents.(ci) <- i :: dependents.(ci))
-        cs)
-    nodes;
-  let mu = Mutex.create () and cond = Condition.create () in
-  let ready = Queue.create () in
-  (* Leaves seed the ready set in topological-list order — a stable
-     starting schedule, though interleavings beyond it are free. *)
-  Array.iteri (fun i _ -> if pending.(i) = 0 then Queue.push i ready) pending;
-  let finished = ref 0 and stop = ref false in
-  let errors = ref [] in
-  let rec worker () =
-    Mutex.lock mu;
-    while Queue.is_empty ready && not !stop && !finished < n_total do
-      Condition.wait cond mu
-    done;
-    if !stop || Queue.is_empty ready then Mutex.unlock mu
-    else begin
-      let i = Queue.pop ready in
-      Mutex.unlock mu;
-      let name = nodes.(i).Spec.Concrete.name in
-      (match
-         Obs.with_span obs ~cat:"install" "install.node"
-           ~attrs:[ ("node", Obs.S name) ]
-           (fun nspan ->
-             install_node store ~repo ~caches ~mirrors ~fallback ~obs ~spec ~acc
-               name nspan)
-       with
-      | () ->
-        Mutex.lock mu;
-        incr finished;
-        List.iter
-          (fun p ->
-            pending.(p) <- pending.(p) - 1;
-            if pending.(p) = 0 then Queue.push p ready)
-          dependents.(i);
-        Condition.broadcast cond;
-        Mutex.unlock mu
-      | exception e ->
-        Mutex.lock mu;
-        incr finished;
-        errors := (i, e) :: !errors;
-        stop := true;
-        Condition.broadcast cond;
-        Mutex.unlock mu);
-      worker ()
-    end
-  in
-  let others = List.init (jobs - 1) (fun _ -> Domain.spawn worker) in
-  worker ();
-  List.iter Domain.join others;
-  (* Error priority is deterministic regardless of which domain lost
-     the race to report first: a crash dominates (the store is dead —
-     typed cleanup below would be fiction), then the typed error of the
-     smallest topological index — the one the serial walk would have
-     hit. *)
-  match List.sort (fun (i, _) (j, _) -> compare i j) !errors with
-  | [] -> ()
-  | errs -> (
-    match List.find_opt (fun (_, e) -> match e with Store.Crashed _ -> true | _ -> false) errs with
-    | Some (_, e) -> raise e
-    | None ->
-      let _, e = List.hd errs in
-      (match e with
-      | Errors.Binary_error _ ->
-        List.iter (fun h -> Store.uninstall store ~hash:h) acc.a_committed
-      | _ -> ());
-      raise e)
+module Ranks = Set.Make (Int)
 
-let run_serial store ~repo ~caches ~mirrors ~fallback ~obs ~spec ~acc =
-  let visited = Hashtbl.create 16 in
-  let rec go node =
-    if not (Hashtbl.mem visited node) then begin
-      Hashtbl.replace visited node ();
-      List.iter (fun (c, _) -> go c) (Spec.Concrete.children spec node);
-      (* Opened after the dependencies ran, so a node's span holds its
-         own install only and the walk's spans sum to at most the
-         install, as on the parallel path. *)
-      Obs.with_span obs ~cat:"install" "install.node"
-        ~attrs:[ ("node", Obs.S node) ]
-        (install_node store ~repo ~caches ~mirrors ~fallback ~obs ~spec ~acc node)
-    end
-  in
-  try go (Spec.Concrete.root spec)
-  with Errors.Binary_error e ->
-    (* A typed failure must leave the store as it found it: the failing
-       node's transaction already aborted at its claim site, so only
-       the committed nodes need dropping. (A simulated crash —
-       Store.Crashed — is NOT caught: power loss cannot clean up after
-       itself; that is Store.recover's job.) *)
-    List.iter (fun h -> Store.uninstall store ~hash:h) acc.a_committed;
-    Errors.raise_error e
-
+(* The ready-set scheduler. Nodes are ranked in depth-first post-order
+   from the root (children in [Concrete.children] order), a node
+   becomes ready when all its dependencies have installed, and each of
+   [jobs] workers (the calling domain plus [jobs - 1] spawned ones)
+   takes the lowest-ranked ready node. With one worker, nodes install
+   in exactly that post-order: the lowest-ranked unfinished node always
+   has its dependencies, which rank below it, installed. On failure
+   the remaining ready nodes are abandoned but in-flight ones run to
+   completion (commit or abort), so at the join every transaction this
+   plan opened is settled, and rollback is plain uninstalls, never
+   journal surgery that could clobber concurrent installs. *)
 let install_exn store ~repo ?(caches = []) ?mirrors ?(fallback = true)
     ?(obs = Obs.disabled) ?(jobs = 1) spec =
   if Obs.enabled obs then Store.set_obs store obs;
   Obs.with_span obs ~cat:"install" "install"
     ~attrs:[ ("root", Obs.S (Spec.Concrete.root spec)); ("jobs", Obs.I jobs) ]
   @@ fun _root_span ->
-  let acc =
-    { a_built = [];
-      a_reused = [];
-      a_from_cache = [];
-      a_rewired = [];
-      a_fallback_built = [];
-      a_rewire_fallbacks = [];
-      a_reloc = Relocate.empty_stats;
-      a_committed = [];
-      a_mu = Mutex.create () }
+  let rank = Hashtbl.create 16 and n_total = ref 0 in
+  let rec visit name =
+    if not (Hashtbl.mem rank name) then begin
+      Hashtbl.replace rank name (-1);
+      List.iter (fun (c, _) -> visit c) (Spec.Concrete.children spec name);
+      Hashtbl.replace rank name !n_total;
+      incr n_total
+    end
   in
-  let tel_before = Option.map snapshot_telemetry mirrors in
-  if jobs <= 1 then run_serial store ~repo ~caches ~mirrors ~fallback ~obs ~spec ~acc
-  else run_parallel store ~repo ~caches ~mirrors ~fallback ~obs ~spec ~acc ~jobs;
+  visit (Spec.Concrete.root spec);
+  let n_total = !n_total in
+  (* No array starts from a fresh value: making one of more than 256
+     slots that way would empty the minor heap. *)
+  let names = Array.make n_total "" in
+  Hashtbl.iter (fun name i -> names.(i) <- name) rank;
+  let pending = Array.make n_total 0 and dependents = Array.make n_total [] in
+  Array.iteri
+    (fun i name ->
+      let cs = Spec.Concrete.children spec name in
+      pending.(i) <- List.length cs;
+      List.iter
+        (fun (c, _) ->
+          let ci = Hashtbl.find rank c in
+          dependents.(ci) <- i :: dependents.(ci))
+        cs)
+    names;
+  let slots = Array.make n_total None in
+  let mu = Mutex.create () and cond = Condition.create () in
+  let ready = ref Ranks.empty in
+  Array.iteri (fun i p -> if p = 0 then ready := Ranks.add i !ready) pending;
+  let finished = ref 0 and stop = ref false and errors = ref [] in
+  let run i =
+    let node = names.(i) in
+    let hash = Spec.Concrete.node_hash spec node in
+    Obs.with_span obs ~cat:"install" "install.node"
+      ~attrs:[ ("node", Obs.S node); ("hash", Obs.S (Chash.short hash)) ]
+    @@ fun nspan ->
+    let t0 = Obs.Clock.now_s () in
+    let o = install_node store ~repo ~caches ~mirrors ~fallback ~spec ~node ~hash in
+    Obs.set_attr nspan "action" (Obs.S (action_name o.action));
+    Obs.observe obs "install.node_ms" ((Obs.Clock.now_s () -. t0) *. 1000.);
+    o
+  in
+  let rec worker () =
+    Mutex.lock mu;
+    while Ranks.is_empty !ready && (not !stop) && !finished < n_total do
+      Condition.wait cond mu
+    done;
+    if !stop || Ranks.is_empty !ready then Mutex.unlock mu
+    else begin
+      let i = Ranks.min_elt !ready in
+      ready := Ranks.remove i !ready;
+      Mutex.unlock mu;
+      let failure =
+        match run i with
+        | o ->
+          slots.(i) <- Some o;
+          None
+        | exception e -> Some e
+      in
+      Mutex.lock mu;
+      incr finished;
+      (match failure with
+      | None ->
+        List.iter
+          (fun p ->
+            pending.(p) <- pending.(p) - 1;
+            if pending.(p) = 0 then ready := Ranks.add p !ready)
+          dependents.(i)
+      | Some e ->
+        errors := (i, e) :: !errors;
+        stop := true);
+      Condition.broadcast cond;
+      Mutex.unlock mu;
+      worker ()
+    end
+  in
+  let others = List.init (max 0 (jobs - 1)) (fun _ -> Domain.spawn worker) in
+  worker ();
+  List.iter Domain.join others;
+  let outcomes = Array.to_list slots |> List.filter_map Fun.id in
+  (* A crash dominates (the store is dead, and typed cleanup would be
+     fiction); otherwise the error of the lowest-ranked failed node
+     wins, whichever domain reported first. *)
+  (match List.sort (fun (i, _) (j, _) -> compare i j) !errors with
+  | [] -> ()
+  | errs -> (
+    match List.find_opt (function _, Store.Crashed _ -> true | _ -> false) errs with
+    | Some (_, e) -> raise e
+    | None ->
+      let _, e = List.hd errs in
+      (match e with
+      | Errors.Binary_error _ ->
+        (* The failed node's own transaction aborted already; only
+           the nodes this plan installed need dropping. *)
+        List.iter
+          (fun o -> if o.action <> Reused then Store.uninstall store ~hash:o.hash)
+          outcomes
+      | _ -> ());
+      raise e));
   let root_record =
     match Store.installed store ~hash:(Spec.Concrete.dag_hash spec) with
     | Some r -> r
@@ -425,21 +343,27 @@ let install_exn store ~repo ?(caches = []) ?mirrors ?(fallback = true)
     Store.lib_path ~prefix:root_record.Store.prefix
       ~soname:(Store.soname_of (Spec.Concrete.root spec))
   in
-  (* Hash lists are sorted at construction, not left in visit order:
-     visit order is a schedule artifact, and reports must be
-    byte-identical whether the plan ran serial or on N domains. *)
-  let canon l = List.sort String.compare l in
-  { built = canon acc.a_built;
-    reused = canon acc.a_reused;
-    from_cache = canon acc.a_from_cache;
-    rewired = canon acc.a_rewired;
-    fallback_built = canon acc.a_fallback_built;
-    rewire_fallbacks = canon acc.a_rewire_fallbacks;
-    reloc = acc.a_reloc;
+  (* Hash lists are sorted, not left in schedule order, so reports are
+     byte-identical whatever the number of workers. *)
+  let hashes a =
+    List.filter_map (fun o -> if o.action = a then Some o.hash else None) outcomes
+    |> List.sort String.compare
+  in
+  { built = hashes Built;
+    reused = hashes Reused;
+    from_cache = hashes From_cache;
+    rewired = hashes Rewired;
+    fallback_built = hashes Fallback_built;
+    rewire_fallbacks = hashes Rewire_fallback;
+    reloc =
+      List.fold_left (fun s o -> Relocate.add_stats s o.reloc) Relocate.empty_stats outcomes;
     fetch_telemetry =
-      (match (mirrors, tel_before) with
-      | Some g, Some before -> Some (diff_telemetry ~before ~after:(Mirror.telemetry g))
-      | _ -> None);
+      Option.map
+        (fun _ ->
+          let t = Mirror.fresh_telemetry () in
+          List.iter (fun o -> Option.iter (Mirror.add_telemetry t) o.fetched) outcomes;
+          t)
+        mirrors;
     link_result = Linker.load (Store.vfs store) root_obj }
 
 let install store ~repo ?caches ?mirrors ?fallback ?obs ?jobs spec =

@@ -10,22 +10,31 @@
       relocate;
     - otherwise: build from source.
 
+    A node looks one hash up, once: its own, or a spliced node's
+    original. The lookup tries the store, then each cache, then the
+    mirrors. Cache installs and rewires share one copy–relocate–stage
+    loop; a rewire also retargets its NEEDED entries. Every node is one
+    {!Store.install} transaction, and a typed failure rolls back what
+    the plan committed, leaving the store as the call found it.
+
     With a {!Mirror.group} attached the fetch path is {e fallible} and
     the installer degrades gracefully: transient failures retry with
     backoff, corrupt entries are quarantined and refetched elsewhere,
     and an entry (including a rewiring source) that no mirror can
     deliver falls back to a source build when the repo has a recipe —
-    recorded in the report, not raised. Every node install is
-    transactional ({!Store.claim}/{!Store.commit}), and a typed
-    failure rolls the whole plan back, leaving the store unchanged.
+    recorded in the report, not raised.
 
-    With [~jobs:n] (n > 1) the plan runs on [n] OCaml domains under a
-    ready-set scheduler: a node is dispatched as soon as all its
-    dependencies have committed. The report is byte-identical to the
-    serial one for any schedule (hash lists are sorted at
-    construction); several installs — same or different specs — may
-    target one store concurrently, deduping in-flight work through the
-    store's per-hash claim lease.
+    One ready-set scheduler runs every plan. Nodes are ranked in
+    depth-first post-order from the root, children in
+    {!Spec.Concrete.children} order. A node is ready once all its
+    dependencies have installed, and each worker takes the
+    lowest-ranked ready node. [~jobs:n] runs [n] workers, the calling
+    domain and [n - 1] spawned ones; at one job, nodes install and the
+    store is written in exactly that post-order. Reports are
+    byte-identical for any schedule (hash lists are sorted), and
+    several installs — same or different specs — may target one store
+    concurrently, deduping in-flight work through the store's per-hash
+    lease.
 
     The report's counters are the quantities the paper's scenarios talk
     about (zero rebuilds of dependents when splicing, etc.), plus the
@@ -46,8 +55,9 @@ type report = {
           from source against the new dependencies instead of rewired *)
   reloc : Relocate.stats;
   fetch_telemetry : Mirror.telemetry option;
-      (** this install's share of the group's counters; [None] when no
-          mirrors were attached *)
+      (** the summed counts of this install's own fetches, whatever
+          other installs fetched through the same group meanwhile;
+          [None] when no mirrors were attached *)
   link_result : (int, Linker.error list) result;
 }
 
@@ -64,12 +74,15 @@ val install :
 (** [Error] carries the typed failure (unfetchable entry with
     [~fallback:false], splice arity mismatch, builder failure, ...),
     and the store is left exactly as it was before the call. A failed
-    {e link} is not an error — it is reported in [link_result].
-    [fallback] (default [true]) controls degradation to source builds
-    when mirrors cannot deliver an entry. [jobs] (default [1]) is the
-    number of domains running the plan; when several nodes fail in one
-    parallel run, the reported error is deterministically the one the
-    serial walk would have hit first (crashes take precedence). *)
+    {e link} is not an error — it
+    is reported in [link_result]. [fallback] (default [true]) controls
+    degradation to source builds when mirrors cannot deliver an entry.
+    [jobs] (default [1]) is the number of workers. A failure stops
+    dispatch, and nodes already running finish. The reported error is
+    then the lowest-ranked failure among the nodes that ran, and a
+    {!Store.Crashed} takes precedence. At one job that is the first
+    node in post-order that fails. At more jobs, a lower-ranked node
+    that never ran is not considered. *)
 
 val install_exn :
   Store.t ->
@@ -81,7 +94,7 @@ val install_exn :
   ?jobs:int ->
   Spec.Concrete.t ->
   report
-(** {!install}, raising {!Errors.Binary_error}. With [?obs] the walk
+(** {!install}, raising {!Errors.Binary_error}. With [?obs] the plan
     is one [install] root span with a nested [install.node] span per
     DAG node (attributes: node, hash, action) and a per-node
     [install.node_ms] latency histogram, plus the {!Store} and

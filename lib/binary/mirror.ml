@@ -527,16 +527,14 @@ let fetch_entry g ~hash =
   Obs.with_span g.g_obs ~cat:"mirror" "mirror.fetch"
     ~attrs:[ ("hash", Obs.S (Chash.short hash)) ]
   @@ fun span ->
-  let tel = g.g_tel in
+  (* This call's own counts: returned to the caller, and added to the
+     group's shared record under its mutex once the call is done. Each
+     bump also lands in the Obs metric of the same name, so the record
+     and the trace agree by construction. *)
+  let tel = fresh_telemetry () in
   let obs = g.g_obs in
-  (* Each telemetry bump also lands in the Obs metric of the same
-     name, so the legacy record and the trace agree by construction.
-     The bump runs under the group mutex: the record is shared by every
-     fetching domain. *)
   let count n bump =
-    Mutex.lock g.g_mu;
     bump ();
-    Mutex.unlock g.g_mu;
     Obs.incr obs ("mirror." ^ n)
   in
   (* Breaker state transitions show up as instants in the trace. *)
@@ -642,7 +640,11 @@ let fetch_entry g ~hash =
         in
         attempt 1
   in
-  try_mirrors (rank g)
+  let result = try_mirrors (rank g) in
+  Mutex.lock g.g_mu;
+  add_telemetry g.g_tel tel;
+  Mutex.unlock g.g_mu;
+  (result, tel)
 
 (* What the concretizer may treat as reusable right now: the entries of
    every mirror that is currently reachable — breaker not open, not in

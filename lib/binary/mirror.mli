@@ -235,10 +235,15 @@ val rank : group -> t list
     statistics. *)
 
 val fetch_entry :
-  group -> hash:string -> (Buildcache.entry, (string * fetch_error) list) result
+  group ->
+  hash:string ->
+  (Buildcache.entry, (string * fetch_error) list) result * telemetry
 (** Fetch with retry, backoff, breaker gating and ordered failover.
     [Error] carries each mirror's final verdict, in consultation
-    order. *)
+    order. The telemetry counts this call alone; the same counts are
+    added to the group's {!telemetry} when the call returns, so
+    concurrent fetches through one group never count each other's
+    work. *)
 
 val reachable_specs : group -> Spec.Concrete.t list
 (** The deduplicated concrete specs of every {e currently reachable}

@@ -123,9 +123,10 @@ let lib_path ~prefix ~soname = prefix ^ "/lib/" ^ soname
    Concurrency: the journal is per-hash, so transactions from parallel
    plan nodes and from independent installs interleave freely — each
    hash's entry walks claimed -> staged -> committing -> gone on its
-   own. Mutual exclusion per hash is the lease: {!claim} admits exactly
+   own. Mutual exclusion per hash is the lease: [claim] admits exactly
    one writer for a hash; everyone else blocks until the holder commits
-   (then sees the record) or aborts (then takes the lease over). *)
+   (then finds the hash installed) or aborts (then takes the lease
+   over). [install] is the one transaction built from these steps. *)
 
 let journal_dir root = root ^ "/.journal"
 
@@ -141,8 +142,6 @@ type txn = {
   mutable tx_staged : bool;  (* journal upgraded claimed -> staged *)
 }
 
-let txn_prefix tx = tx.tx_prefix
-
 let journal_text state ~prefix ~staging =
   Printf.sprintf "%s\n%s\n%s\n" state prefix staging
 
@@ -157,59 +156,49 @@ let release_claim t hash =
   Condition.broadcast t.cond;
   Mutex.unlock t.mu
 
-type claim_outcome =
-  | Claimed of txn
-  | Present of record
-
+(* Take [hash]'s lease: [Some txn] to write the hash, [None] when it
+   is installed — already, or by the holder this call waited out. *)
 let claim t ~hash ~prefix =
   Mutex.lock t.mu;
-  let waited = ref false in
-  let rec loop () =
+  let rec loop ~waited =
     if t.crashed then begin
       Mutex.unlock t.mu;
       raise (Crashed ("claim " ^ Chash.short hash))
     end
-    else
-      match Hashtbl.find_opt t.by_hash hash with
-      | Some r ->
-        Mutex.unlock t.mu;
-        Present r
-      | None ->
-        if Hashtbl.mem t.claims hash then begin
-          waited := true;
-          Condition.wait t.cond t.mu;
-          loop ()
-        end
-        else begin
-          Hashtbl.replace t.claims hash ();
-          Mutex.unlock t.mu;
-          Obs.incr t.obs "store.claims";
-          if !waited then Obs.incr t.obs "store.claim_waits";
-          let staging = staging_dir t.root ^ "/" ^ hash in
-          (* The claim itself is journalled before any staging, so a
-             crash mid-claim leaves a [claimed] entry recovery rolls
-             back. The crash tick fires before the journal write; a
-             dangling in-memory claim is irrelevant then — the store is
-             dead and every other domain raises too. *)
-          tick t ("journal claim " ^ Chash.short hash);
-          Vfs.write t.vfs (journal_path t.root hash)
-            (Vfs.Text (journal_text "claimed" ~prefix ~staging));
-          Claimed
-            { tx_hash = hash;
-              tx_prefix = prefix;
-              tx_staging = staging;
-              tx_files = [];
-              tx_staged = false }
-        end
+    else if Hashtbl.mem t.by_hash hash then begin
+      Mutex.unlock t.mu;
+      if waited then Obs.incr t.obs "store.claim_dedups";
+      None
+    end
+    else if Hashtbl.mem t.claims hash then begin
+      Condition.wait t.cond t.mu;
+      loop ~waited:true
+    end
+    else begin
+      Hashtbl.replace t.claims hash ();
+      Mutex.unlock t.mu;
+      Obs.incr t.obs "store.claims";
+      if waited then Obs.incr t.obs "store.claim_waits";
+      let staging = staging_dir t.root ^ "/" ^ hash in
+      (* The claim itself is journalled before any staging, so a crash
+         mid-claim leaves a [claimed] entry recovery rolls back. The
+         crash tick fires before the journal write; a dangling
+         in-memory claim is irrelevant then — the store is dead and
+         every other domain raises too. *)
+      tick t ("journal claim " ^ Chash.short hash);
+      Vfs.write t.vfs (journal_path t.root hash)
+        (Vfs.Text (journal_text "claimed" ~prefix ~staging));
+      Some
+        { tx_hash = hash;
+          tx_prefix = prefix;
+          tx_staging = staging;
+          tx_files = [];
+          tx_staged = false }
+    end
   in
-  let r = loop () in
-  (match r with
-  | Present _ ->
-    if !waited then Obs.incr t.obs "store.claim_dedups"
-  | Claimed _ -> ());
-  r
+  loop ~waited:false
 
-let stage t tx ~rel file =
+let stage t tx rel file =
   if not tx.tx_staged then begin
     tick t ("journal staged " ^ Chash.short tx.tx_hash);
     Vfs.write t.vfs (journal_path t.root tx.tx_hash)
@@ -242,15 +231,35 @@ let commit t tx ~spec =
     (List.rev tx.tx_files);
   tick t ("journal commit " ^ Chash.short tx.tx_hash);
   Vfs.remove t.vfs (journal_path t.root tx.tx_hash);
-  let record = { spec; prefix = tx.tx_prefix } in
-  register t ~hash:tx.tx_hash record;
-  release_claim t tx.tx_hash;
-  record
+  register t ~hash:tx.tx_hash { spec; prefix = tx.tx_prefix };
+  release_claim t tx.tx_hash
 
+(* Abort never ticks, so typed-failure cleanup always succeeds on a
+   live store. *)
 let abort t tx =
   ignore (Vfs.remove_prefix t.vfs tx.tx_staging);
   Vfs.remove t.vfs (journal_path t.root tx.tx_hash);
   release_claim t tx.tx_hash
+
+let spec_json = ".spack/spec.json"
+
+let install t ~hash ~prefix ~spec write =
+  match claim t ~hash ~prefix with
+  | None -> None
+  | Some tx -> (
+    match
+      let v = write (stage t tx) in
+      stage t tx spec_json (Vfs.Text (Spec.Codec.to_string ~pretty:true spec));
+      commit t tx ~spec;
+      v
+    with
+    | v -> Some v
+    | exception (Crashed _ as e) ->
+      (* A dead store cannot be cleaned, only recovered. *)
+      raise e
+    | exception e ->
+      abort t tx;
+      raise e)
 
 (* Resolve every outstanding journal entry against the VFS. Pure
    repair: no crash ticks (this is the post-reboot path). Returns
@@ -312,7 +321,7 @@ type recovery = {
   reregistered : int;
 }
 
-let spec_json_suffix = "/.spack/spec.json"
+let spec_json_suffix = "/" ^ spec_json
 
 let recover ~root vfs =
   let rolled_back, rolled_forward = resolve_journal vfs ~root in

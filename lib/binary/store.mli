@@ -5,24 +5,24 @@
     [<root>/<name>-<version>-<hash7>] derived from its sub-DAG hash, so
     ABI-distinct builds never collide and reuse is a hash lookup.
 
-    Writers never touch a final prefix directly: files are staged under
-    [<root>/.staging/<hash>/] with a write-ahead journal entry at
-    [<root>/.journal/<hash>], and {!commit} publishes them with
-    idempotent copy-then-drop steps. A crash at any point (simulated by
-    {!set_crash_after}) leaves a journal that {!recover} resolves —
-    entries that never reached commit roll back, interrupted commits
-    roll forward — and the registry itself is rebuilt from the
-    [.spack/spec.json] files on disk, so the store survives losing all
-    in-memory state.
+    Writers never touch a final prefix directly: {!install} is the one
+    node transaction. It stages files under [<root>/.staging/<hash>/]
+    with a write-ahead journal entry at [<root>/.journal/<hash>], and
+    publishes them with idempotent copy-then-drop steps. A crash at any
+    point (simulated by {!set_crash_after}) leaves a journal that
+    {!recover} resolves — entries that never reached commit roll back,
+    interrupted commits roll forward — and the registry itself is
+    rebuilt from the [.spack/spec.json] files on disk, so the store
+    survives losing all in-memory state.
 
     Concurrency: many writers — parallel nodes of one install plan, or
     independent installs on different domains — may share one store.
-    The registry and claim table are guarded by a store mutex, and the
-    per-hash {!claim} lease admits exactly one writer per hash: a
-    second claimant blocks until the holder commits (and then receives
-    the finished {!record} — in-flight dedup, not an error) or aborts
-    (and then takes the lease over). Journal entries for distinct
-    hashes interleave freely; each walks
+    The registry and claim table are guarded by a store mutex, and a
+    per-hash lease admits exactly one writer per hash: a second
+    {!install} of the hash blocks until the holder commits (and then
+    returns without writing — in-flight dedup, not an error) or aborts
+    (and then takes the lease over). Journal entries for
+    distinct hashes interleave freely; each walks
     [claimed -> staged -> committing -> gone] independently. *)
 
 type record = {
@@ -48,10 +48,6 @@ val vfs : t -> Vfs.t
 
 val prefix_for : t -> name:string -> version:Vers.Version.t -> hash:string -> string
 
-val register : t -> hash:string -> record -> unit
-(** In-memory registration only; durable state comes from the staged
-    [.spack/spec.json] files. Exposed for {!recover} and tests. *)
-
 val installed : t -> hash:string -> record option
 
 val is_installed : t -> hash:string -> bool
@@ -70,44 +66,36 @@ val soname_of : string -> string
 
 (** {1 Transactions} *)
 
-type txn
+val install :
+  t ->
+  hash:string ->
+  prefix:string ->
+  spec:Spec.Concrete.t ->
+  ((string -> Vfs.file -> unit) -> 'a) ->
+  'a option
+(** [install t ~hash ~prefix ~spec write] installs one node. [prefix]
+    is the node's final prefix ({!prefix_for} of [spec]'s root) and
+    [spec] its sub-DAG.
 
-type claim_outcome =
-  | Claimed of txn
-      (** This caller holds the lease: it must {!stage}+{!commit} or
-          {!abort} the transaction, or every later claimant of the hash
-          blocks forever. *)
-  | Present of record
-      (** The hash was already installed — possibly committed by a
-          concurrent holder this call waited out. Nothing to do. *)
+    It takes [hash]'s lease, blocking while another writer holds it,
+    and journals a [claimed] entry. If the hash is installed, already
+    or by the holder this call waited out, it returns [None] and
+    [write] does not run. Otherwise it calls [write stage].
+    [stage rel file] writes one file (path relative to [prefix]) into
+    the staging area, and the first call upgrades the journal entry to
+    [staged]; writers compute embedded paths against the final
+    [prefix]. Then [install] stages [.spack/spec.json], rendered from
+    [spec], which is what {!recover} reads back. It commits: marks the
+    entry [committing], publishes every staged file, drops the entry,
+    registers the record and releases the lease, waking blocked
+    writers. The result is [Some] of [write]'s value.
 
-val claim : t -> hash:string -> prefix:string -> claim_outcome
-(** Acquire the per-hash install lease. If the hash is installed,
-    returns [Present] immediately. If another writer holds the lease,
-    blocks until that writer commits ([Present]) or aborts (this caller
-    takes over, [Claimed]). Otherwise journals a [claimed] entry and
-    returns [Claimed]. Raises {!Crashed} if the store has crashed or
-    crashes at the journal write. *)
-
-val txn_prefix : txn -> string
-(** The {e final} prefix — writers compute embedded paths against it,
-    while the bytes land in staging until {!commit}. *)
-
-val stage : t -> txn -> rel:string -> Vfs.file -> unit
-(** Write one file (path relative to the final prefix) into the
-    transaction's staging area. The first stage of a transaction
-    upgrades its journal entry from [claimed] to [staged]. *)
-
-val commit : t -> txn -> spec:Spec.Concrete.t -> record
-(** Mark the journal [committing], publish every staged file to the
-    final prefix (idempotent copy-then-drop per file), clear the
-    journal entry, register the record and release the lease (waking
-    blocked claimants, who then see [Present]). *)
-
-val abort : t -> txn -> unit
-(** Drop the staging area and journal entry and release the lease; the
-    final prefix is untouched. Crash injection does not fire here, so
-    typed-failure cleanup always succeeds on a live store. *)
+    Any exception from [write] or from staging, except {!Crashed},
+    aborts: the staging area and journal entry go, the final prefix is
+    untouched, the lease is released, and the exception is re-raised.
+    Abort never ticks the crash counter, so typed-failure cleanup
+    always succeeds on a live store. {!Crashed} propagates untouched:
+    a dead store is only recovered. *)
 
 val in_flight : t -> string list
 (** Hashes currently holding a claim lease, sorted. Empty on a
@@ -116,9 +104,10 @@ val in_flight : t -> string list
 val set_obs : t -> Obs.ctx -> unit
 (** Attach a tracing context: store-mediated writes count into
     [store.writes], each transaction commit is a [store.commit] span
-    and bumps [store.journal_commits], claims count into [store.claims]
-    (with [store.claim_waits] / [store.claim_dedups] for contended
-    ones), and injected crashes appear as [store.crash] instants. *)
+    and bumps [store.journal_commits], leases taken by {!install}
+    count into [store.claims] (with [store.claim_waits] /
+    [store.claim_dedups] for contended ones), and injected crashes
+    appear as [store.crash] instants. *)
 
 (** {1 Crash injection and recovery} *)
 

@@ -23,30 +23,22 @@
    arrive out of order — they carry the request [id] for matching. *)
 
 (* Live-telemetry knobs: rolling SLO windows plus the flight recorder.
-   The horizon is split into [slots] rotating sub-windows, so the
-   wire "stats" op can answer "p99 over the last N seconds" without
-   ever scanning history; the recorder tail-samples completed request
-   traces (always keep errors/deadline misses/slowest K). *)
+   The horizon is split into [Obs.Window]'s 12 rotating sub-windows,
+   so the wire "stats" op can answer "p99 over the last N seconds"
+   without ever scanning history; the recorder tail-samples completed
+   request traces (always keep errors, deadline misses and the slowest
+   8; 1 in 16 of the rest). *)
 type telemetry = {
   horizon_s : float;  (* rolling-stats horizon *)
-  slots : int;  (* sub-windows per horizon *)
   recorder_capacity : int;  (* flight-recorder ring size; 0 disables *)
-  recorder_sample : int;  (* keep 1-in-N unremarkable request traces *)
-  recorder_slowest : int;  (* slowest K per horizon always kept *)
 }
 
-let default_telemetry =
-  { horizon_s = 60.;
-    slots = 12;
-    recorder_capacity = 256;
-    recorder_sample = 16;
-    recorder_slowest = 8 }
+let default_telemetry = { horizon_s = 60.; recorder_capacity = 256 }
 
 type config = {
   workers : int;  (* solver domains *)
   max_queue : int;  (* admission bound: max enqueued-not-yet-running jobs *)
   default_deadline_ms : float option;
-  default_conflicts : int option;
   fault_injection : bool;  (* honor the "boom" request flag *)
   reuse_source : (unit -> Spec.Concrete.t list) option;
       (* backing of the wire "reload" op *)
@@ -60,7 +52,6 @@ let default_config =
   { workers = 4;
     max_queue = 256;
     default_deadline_ms = None;
-    default_conflicts = None;
     fault_injection = false;
     reuse_source = None;
     telemetry = Some default_telemetry;
@@ -145,7 +136,6 @@ type job = {
    and histogram here shares the configured horizon/slot layout, so
    one "window" selector in the request applies uniformly. *)
 type live = {
-  lv_cfg : telemetry;
   lv_solve_ms : Obs.Window.hist;  (* end-to-end latency of solve ops *)
   lv_queue_ms : Obs.Window.hist;
   lv_requests : Obs.Window.counter;  (* every answered request *)
@@ -161,10 +151,9 @@ type live = {
 }
 
 let make_live (tc : telemetry) =
-  let h () = Obs.Window.hist ~slots:tc.slots ~horizon_s:tc.horizon_s () in
-  let c () = Obs.Window.counter ~slots:tc.slots ~horizon_s:tc.horizon_s () in
-  { lv_cfg = tc;
-    lv_solve_ms = h ();
+  let h () = Obs.Window.hist ~horizon_s:tc.horizon_s () in
+  let c () = Obs.Window.counter ~horizon_s:tc.horizon_s () in
+  { lv_solve_ms = h ();
     lv_queue_ms = h ();
     lv_requests = c ();
     lv_ok = c ();
@@ -179,7 +168,6 @@ let make_live (tc : telemetry) =
       (if tc.recorder_capacity > 0 then
          Some
            (Obs.Recorder.create ~capacity:tc.recorder_capacity
-              ~sample_every:tc.recorder_sample ~slowest_k:tc.recorder_slowest
               ~window_s:tc.horizon_s ())
        else None) }
 
@@ -449,12 +437,9 @@ let run_solve t job robs =
              closure cache. *)
           ("error", canonical_error e, [])
         | None ->
-        let conflicts =
-          match field_int "conflicts" payload with
-          | Some n -> Some n
-          | None -> t.config.default_conflicts
+        let budget =
+          budget_of ~conflicts:(field_int "conflicts" payload) ~deadline:job.j_deadline
         in
-        let budget = budget_of ~conflicts ~deadline:job.j_deadline in
         let reuse, gen, closure =
           pool_snapshot t request.Encode.req.Spec.Abstract.root.Spec.Abstract.name
         in

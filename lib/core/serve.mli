@@ -43,23 +43,18 @@
     optional), each with its ["rid"] and a Perfetto-loadable ["trace"]
     object. *)
 
-(** Live-telemetry configuration: the rolling-window layout behind the
-    ["stats"] window answer and the flight-recorder tail-sampling
-    policy. *)
+(** Live-telemetry configuration: the rolling-window horizon behind
+    the ["stats"] window answer and the flight recorder's size. The
+    horizon rotates in 12 sub-windows, the rounding unit of requested
+    windows; the recorder always keeps the slowest 8 solves per
+    horizon and 1 in 16 unremarkable ones. *)
 type telemetry = {
   horizon_s : float;
       (** rolling-stats horizon in seconds (default 60): the largest
           window ["stats"] can answer *)
-  slots : int;
-      (** sub-windows per horizon (default 12): rotation granularity,
-          and the rounding unit of requested windows *)
   recorder_capacity : int;
       (** flight-recorder ring size (default 256); [0] disables the
           recorder (and the ["dump"] op) but keeps the windows *)
-  recorder_sample : int;
-      (** keep 1-in-N unremarkable request traces (default 16) *)
-  recorder_slowest : int;
-      (** always keep the slowest K solves per horizon (default 8) *)
 }
 
 val default_telemetry : telemetry
@@ -70,8 +65,9 @@ type config = {
       (** admission bound on enqueued-not-yet-running jobs (default
           256); beyond it requests answer [overloaded] immediately *)
   default_deadline_ms : float option;
-      (** deadline applied to requests that don't carry one *)
-  default_conflicts : int option;  (** likewise for the conflict cap *)
+      (** deadline applied to requests that don't carry one; a
+          request's conflict cap comes only from its ["conflicts"]
+          field *)
   fault_injection : bool;
       (** honor the ["boom"] request flag (tests only): the worker
           raises mid-request and must answer a typed error *)

@@ -141,8 +141,9 @@ module Window = struct
     sl_data : 'a array;
   }
 
-  let make_slots ?(slots = 12) ~horizon_s mk =
-    let n = max 1 slots in
+  (* 12 sub-windows: a 60 s horizon rotates every 5 s. *)
+  let make_slots ~horizon_s mk =
+    let n = 12 in
     let horizon_s = if horizon_s > 0. then horizon_s else 60. in
     {
       sl_mu = Mutex.create ();
@@ -199,7 +200,7 @@ module Window = struct
 
   type hist = Hist.t slots
 
-  let hist ?slots ~horizon_s () = make_slots ?slots ~horizon_s Hist.create
+  let hist ~horizon_s () = make_slots ~horizon_s Hist.create
 
   let observe ?now_s (h : hist) v =
     let now = match now_s with Some t -> t | None -> Clock.now_s () in
@@ -220,8 +221,7 @@ module Window = struct
 
   type counter = int ref slots
 
-  let counter ?slots ~horizon_s () =
-    make_slots ?slots ~horizon_s (fun () -> ref 0)
+  let counter ~horizon_s () = make_slots ~horizon_s (fun () -> ref 0)
 
   let add ?now_s (c : counter) n =
     let now = match now_s with Some t -> t | None -> Clock.now_s () in

@@ -66,7 +66,7 @@ module Hist : sig
 end
 
 (** Rotating sliding-window metrics for live telemetry: a horizon of
-    [horizon_s] seconds split into [slots] sub-windows, each a plain
+    [horizon_s] seconds split into 12 sub-windows, each a plain
     {!Hist.t} (or int counter). Observations land in the sub-window for
     the current period; expired sub-windows are reset lazily when the
     clock wraps onto them, so rotation is O(1) and allocation-free.
@@ -78,8 +78,8 @@ end
 module Window : sig
   type hist
 
-  val hist : ?slots:int -> horizon_s:float -> unit -> hist
-  (** Default 12 slots (a 60 s horizon rotates every 5 s). *)
+  val hist : horizon_s:float -> unit -> hist
+  (** A 60 s horizon rotates every 5 s. *)
 
   val observe : ?now_s:float -> hist -> float -> unit
 
@@ -95,7 +95,7 @@ module Window : sig
 
   type counter
 
-  val counter : ?slots:int -> horizon_s:float -> unit -> counter
+  val counter : horizon_s:float -> unit -> counter
 
   val add : ?now_s:float -> counter -> int -> unit
 

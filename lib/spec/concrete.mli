@@ -46,8 +46,10 @@ val node : t -> string -> node
 val find_node : t -> string -> node option
 
 val nodes : t -> node list
-(** All nodes, root first, then topologically (dependents before
-    dependencies), ties by name. *)
+(** All nodes, breadth-first from the root: each node once, where it is
+    first reached, children in {!children} order. This is not a
+    topological order: for r→a, r→b, b→a it is [r a b]. {!Codec} writes
+    spec.json nodes in this order. *)
 
 val children : t -> string -> (string * deptypes) list
 (** Outgoing dependency edges of a node, sorted by child name. *)

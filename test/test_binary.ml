@@ -124,14 +124,11 @@ let test_buildcache_roundtrip () =
   Alcotest.(check int) "push is idempotent" 0 (B.Errors.ok_exn (B.Buildcache.push cache farm app_spec));
   (* install into a different store rooted elsewhere: relocation runs *)
   let _vfs2, cluster = fresh_store "/cluster/spack" in
-  (* deps first *)
-  let zh = Spec.Concrete.node_hash app_spec "zlib" in
-  let lh = Spec.Concrete.node_hash app_spec "libx" in
   let ah = Spec.Concrete.dag_hash app_spec in
-  List.iter
-    (fun h -> ignore (Option.get (B.Buildcache.install_from cache cluster ~hash:h)))
-    [ zh; lh ];
-  let _, stats = Option.get (B.Buildcache.install_from cache cluster ~hash:ah) in
+  let report = B.Installer.install_exn cluster ~repo ~caches:[ cache ] app_spec in
+  Alcotest.(check int) "every node from the cache" 3
+    (List.length report.B.Installer.from_cache);
+  let stats = report.B.Installer.reloc in
   Alcotest.(check bool) "relocations happened" true (stats.B.Relocate.patched > 0 || stats.B.Relocate.grown > 0);
   let root_rec = Option.get (B.Store.installed cluster ~hash:ah) in
   (match B.Linker.load (B.Store.vfs cluster) (B.Store.lib_path ~prefix:root_rec.B.Store.prefix ~soname:"libapp.so") with
@@ -161,7 +158,8 @@ let test_installer_counters () =
 
 (* A serial install's [install.node] spans each hold one node's own
    work: none contains another's, so together they fit inside the
-   [install] span. *)
+   [install] span. At one job they start in depth-first post-order
+   from the root, children by name. *)
 let test_serial_node_spans () =
   let _vfs, farm = fresh_store "/farm" in
   ignore (B.Errors.ok_exn (B.Builder.build_all farm ~repo app_spec));
@@ -169,15 +167,22 @@ let test_serial_node_spans () =
   ignore (B.Errors.ok_exn (B.Buildcache.push cache farm app_spec));
   let _vfs2, cluster = fresh_store "/cluster" in
   let obs = Obs.create () in
-  ignore (B.Installer.install_exn cluster ~repo ~caches:[ cache ] ~obs app_spec);
+  ignore (B.Installer.install_exn cluster ~repo ~caches:[ cache ] ~obs ~jobs:1 app_spec);
   let spans name =
     List.filter_map
       (function
-        | Obs.Span { name = n; t0_ns; dur_ns; _ } when n = name -> Some (t0_ns, dur_ns)
+        | Obs.Span { name = n; t0_ns; dur_ns; attrs; _ } when n = name ->
+          Some (t0_ns, dur_ns, List.assoc_opt "node" attrs)
         | _ -> None)
       (Obs.events obs)
   in
-  let nodes = List.sort compare (spans "install.node") in
+  let named = List.sort compare (spans "install.node") in
+  Alcotest.(check (list string)) "spans start in serial post-order"
+    [ "zlib"; "libx"; "app" ]
+    (List.map
+       (function _, _, Some (Obs.S node) -> node | _ -> "?")
+       named);
+  let nodes = List.map (fun (t0, d, _) -> (t0, d)) named in
   Alcotest.(check int) "one span per node" 3 (List.length nodes);
   let rec disjoint = function
     | (t0, d) :: ((t1, _) :: _ as rest) -> Int64.add t0 d <= t1 && disjoint rest
@@ -186,7 +191,7 @@ let test_serial_node_spans () =
   Alcotest.(check bool) "no node span contains another" true (disjoint nodes);
   let total = List.fold_left (fun acc (_, d) -> Int64.add acc d) 0L nodes in
   match spans "install" with
-  | [ (_, install) ] ->
+  | [ (_, install, _) ] ->
     Alcotest.(check bool) "node spans sum to at most the install" true (total <= install)
   | l -> Alcotest.failf "%d install spans" (List.length l)
 

@@ -167,7 +167,7 @@ let test_transient_then_success () =
   let faults = { M.no_faults with M.fp_seed = 5; fp_transient_pct = 60 } in
   let m = M.create ~faults ~name:"flaky" (Lazy.force origin) in
   let g = M.group ~policy:fast_policy [ m ] in
-  (match M.fetch_entry g ~hash:(root_hash ()) with
+  (match fst (M.fetch_entry g ~hash:(root_hash ())) with
   | Ok _ -> ()
   | Error vs ->
     Alcotest.failf "expected success, got: %s"
@@ -186,7 +186,7 @@ let test_corrupt_quarantine_failover () =
   let good = M.create ~name:"good" (Lazy.force origin) in
   let g = M.group ~policy:fast_policy [ bad; good ] in
   let hash = root_hash () in
-  (match M.fetch_entry g ~hash with
+  (match fst (M.fetch_entry g ~hash) with
   | Ok e ->
     (* the delivered entry is the intact one *)
     Alcotest.(check string) "verified digest" (M.entry_digest e)
@@ -212,7 +212,7 @@ let test_outage_trips_breaker () =
   let down = M.create ~faults ~name:"down" (Lazy.force origin) in
   let g = M.group ~policy:fast_policy [ down ] in
   let hash = root_hash () in
-  (match M.fetch_entry g ~hash with
+  (match fst (M.fetch_entry g ~hash) with
   | Ok _ -> Alcotest.fail "an offline mirror cannot deliver"
   | Error ((_, e) :: _) ->
     Alcotest.(check bool) "offline verdict" true (e = M.Offline || e = M.Breaker_open)
@@ -223,7 +223,7 @@ let test_outage_trips_breaker () =
   Alcotest.(check bool) "breaker opened" true
     (M.breaker_state (M.breaker_of down) = M.Open);
   let skips_before = (M.telemetry g).M.breaker_skips in
-  (match M.fetch_entry g ~hash with
+  (match fst (M.fetch_entry g ~hash) with
   | Ok _ -> Alcotest.fail "still offline"
   | Error _ -> ());
   Alcotest.(check bool) "open breaker short-circuits" true
@@ -384,6 +384,58 @@ let test_concurrent_installs_dedup () =
   Alcotest.(check (list string)) "no claims left in flight" []
     (B.Store.in_flight store);
   check_converged "concurrent same-spec installs" store
+
+(* Two installs into their own stores share one mirror whose
+   deliveries really sleep, so their fetches overlap: each report
+   counts its own three fetches, and the group all six. *)
+let test_concurrent_installs_count_own_fetches () =
+  let m =
+    M.create
+      ~faults:{ M.no_faults with M.fp_latency_ms = 5.0; fp_wall = true }
+      ~name:"wall" (Lazy.force origin)
+  in
+  let g = M.group ~policy:fast_policy [ m ] in
+  List.init 2 (fun _ ->
+      Domain.spawn (fun () ->
+          let _, store = fresh_store () in
+          B.Errors.ok_exn (B.Installer.install store ~repo ~mirrors:g app_spec)))
+  |> List.map Domain.join
+  |> List.iter (fun r ->
+         match r.B.Installer.fetch_telemetry with
+         | Some t -> Alcotest.(check int) "an install counts its own fetches" 3 t.M.fetched
+         | None -> Alcotest.fail "no fetch telemetry");
+  Alcotest.(check int) "the group counts both installs" 6 (M.telemetry g).M.fetched
+
+(* r -> a -> c and r -> b, every fetch failing: in depth-first
+   post-order (c, a, b, r) c fails first. Two workers start on the two
+   leaves, c and b, and may both fail; the lowest-ranked failure, c, is
+   reported. *)
+let test_lowest_ranked_failure_reported () =
+  let spec =
+    Spec.Concrete.create ~root:"r"
+      ~nodes:[ node "r" "1.0"; node "a" "1.0"; node "b" "1.0"; node "c" "1.0" ]
+      ~edges:[ ("r", "a", dt_link); ("r", "b", dt_link); ("a", "c", dt_link) ]
+      ()
+  in
+  let c = Spec.Concrete.node_hash spec "c" in
+  for _ = 1 to 10 do
+    List.iter
+      (fun jobs ->
+        let down =
+          M.create
+            ~faults:{ M.no_faults with M.fp_outage_after = Some 0; fp_outage_len = None }
+            ~name:"down" (Lazy.force origin)
+        in
+        let g = M.group ~policy:fast_policy [ down ] in
+        let _, store = fresh_store () in
+        (match B.Installer.install store ~repo ~mirrors:g ~fallback:false ~jobs spec with
+        | Error (B.Errors.Fetch_failed { hash; _ }) ->
+          Alcotest.(check string) (Printf.sprintf "jobs-%d reports c" jobs) c hash
+        | Ok _ -> Alcotest.fail "expected a typed failure"
+        | Error e -> Alcotest.failf "unexpected error: %s" (B.Errors.to_string e));
+        check_untouched (Printf.sprintf "jobs-%d failure" jobs) store)
+      [ 1; 2 ]
+  done
 
 let parallel_crash_recover_at ~jobs crash_at =
   let vfs, store = fresh_store () in
@@ -650,6 +702,10 @@ let () =
             `Quick test_parallel_matches_serial;
           Alcotest.test_case "concurrent installs dedup via claim leases"
             `Quick test_concurrent_installs_dedup;
+          Alcotest.test_case "concurrent installs count their own fetches"
+            `Quick test_concurrent_installs_count_own_fetches;
+          Alcotest.test_case "the lowest-ranked failure is reported" `Quick
+            test_lowest_ranked_failure_reported;
           Alcotest.test_case "jobs-3 crash at every write point recovers"
             `Quick test_parallel_crash_recover_everywhere;
           QCheck_alcotest.to_alcotest qcheck_recover_idempotent ] );
