@@ -94,12 +94,17 @@ let test_build_and_link () =
   Alcotest.(check int) "rebuild is a no-op" 0
     (List.length (B.Errors.ok_exn (B.Builder.build_all store ~repo app_spec)))
 
+(* The failure is raised inside the node's store transaction, which
+   must abort: no journal entry, no staged file, no lease left. *)
 let test_builder_requires_deps () =
-  let _vfs, store = fresh_store "/opt/store2" in
+  let vfs, store = fresh_store "/opt/store2" in
   Alcotest.(check bool) "missing dep fails" true
     (match B.Builder.build_node store ~repo ~spec:app_spec ~node:"app" with
     | Error (B.Errors.Dependency_not_installed { node = "app"; _ }) -> true
-    | _ -> false)
+    | _ -> false);
+  Alcotest.(check (list string)) "the transaction aborted" []
+    (B.Vfs.list_prefix vfs "/opt/store2");
+  Alcotest.(check (list string)) "no lease left" [] (B.Store.in_flight store)
 
 let test_linker_missing_lib () =
   let vfs = B.Vfs.create () in
