@@ -1208,7 +1208,7 @@ let serve_smoke () =
     | Ok c -> c
     | Error e -> failwith ("serve-smoke: connect: " ^ e)
   in
-  (* cold: the first request computes its root's closure *)
+  (* cold: the first request, on a fresh connection *)
   let cold_ms =
     let c = connect () in
     let t0 = Obs.Clock.now_s () in
@@ -1222,8 +1222,7 @@ let serve_smoke () =
     Core.Serve.Client.close c;
     ms
   in
-  Printf.printf "cold first request (includes the closure walk): %.1f ms\n%!"
-    cold_ms;
+  Printf.printf "cold first request: %.1f ms\n%!" cold_ms;
   (* replay: [total] mixed requests round-robin over [clients] client
      domains; every 100th is a ping, the rest solves *)
   let run_client cid =
@@ -1264,13 +1263,8 @@ let serve_smoke () =
   let mismatches = List.fold_left (fun a (m, _, _) -> a + m) 0 results in
   let pings = List.fold_left (fun a (_, p, _) -> a + p) 0 results in
   let not_ok = List.fold_left (fun a (_, _, n) -> a + n) 0 results in
-  (* server-side histograms and counters *)
+  (* the server-side latency histogram *)
   let metrics = Obs.metrics obs in
-  let counter name =
-    match List.assoc_opt name metrics with
-    | Some (Obs.Counter n) -> n
-    | _ -> 0
-  in
   let lat =
     match List.assoc_opt "serve.latency_ms" metrics with
     | Some (Obs.Histogram h) -> h
@@ -1287,11 +1281,8 @@ let serve_smoke () =
     total pings clients workers replay_s
     (float_of_int total /. replay_s);
   Printf.printf
-    "latency p50 %.2f ms, p99 %.2f ms (%d samples); vs stateless %.1fx; \
-     closure hits/misses %d/%d\n%!"
-    p50 p99 (Obs.Hist.count lat) warm_speedup
-    (counter "serve.closure_hits")
-    (counter "serve.closure_misses");
+    "latency p50 %.2f ms, p99 %.2f ms (%d samples); vs stateless %.1fx\n%!"
+    p50 p99 (Obs.Hist.count lat) warm_speedup;
   let json =
     Sjson.Object
       [ ("host", host_json ~reps:1 ());
@@ -1309,9 +1300,7 @@ let serve_smoke () =
         ("warm_speedup", Sjson.Float warm_speedup);
         ("byte_mismatches", Sjson.Int mismatches);
         ("pings", Sjson.Int pings);
-        ("statuses_not_ok", Sjson.Int not_ok);
-        ("closure_hits", Sjson.Int (counter "serve.closure_hits"));
-        ("closure_misses", Sjson.Int (counter "serve.closure_misses")) ]
+        ("statuses_not_ok", Sjson.Int not_ok) ]
   in
   let oc = open_out "BENCH_serve.json" in
   output_string oc (Sjson.to_string ~pretty:true json);
@@ -1521,7 +1510,7 @@ let obs_live_smoke () =
     start ~telemetry:(Some Core.Serve.default_telemetry) ~obs:Obs.disabled "on"
   in
   Fun.protect ~finally:(fun () -> Core.Serve.stop t_on) @@ fun () ->
-  (* warm both servers (closure caches) outside the measurement *)
+  (* warm both servers outside the measurement *)
   ignore (replay sock_off (4 * nspecs));
   ignore (replay sock_on (4 * nspecs));
   let off_min = ref infinity and on_min = ref infinity in

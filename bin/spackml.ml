@@ -834,10 +834,9 @@ let serve_cmd =
     (Cmd.info "serve"
        ~doc:
          "Run a resident concretization server: worker domains answering \
-          pruned one-shot concretizations with a resident closure cache, \
-          bounded admission, per-request deadlines, and a length-prefixed \
-          JSON protocol over a Unix socket. Stop it with \
-          $(b,spackml client --shutdown).")
+          pruned one-shot concretizations, bounded admission, per-request \
+          deadlines, and a length-prefixed JSON protocol over a Unix \
+          socket. Stop it with $(b,spackml client --shutdown).")
     Term.(const run $ reuse_flag $ splice_flag $ workers_flag $ queue_flag
           $ deadline_flag $ socket_opt $ horizon_flag $ recorder_flag
           $ no_live_flag $ trace_flag)
@@ -1004,8 +1003,7 @@ let top_cmd =
         "rates: overload %.1f%%   deadline-miss %.1f%%   error %.1f%%@."
         (pct (wn [ "overload_rate" ]))
         (pct (wn [ "deadline_miss_rate" ]))
-        (pct (wn [ "error_rate" ]));
-      Format.printf "caches: closure %.1f%%@." (pct (wn [ "closure_hit_rate" ])));
+        (pct (wn [ "error_rate" ])));
     match dump with
     | None -> ()
     | Some d ->
@@ -1063,8 +1061,8 @@ let top_cmd =
        ~doc:
          "Live dashboard for a running $(b,spackml serve): polls the wire \
           $(b,stats) and $(b,dump) ops and renders rolling-window latency \
-          quantiles, queue occupancy, overload/deadline-miss rates, the \
-          closure-cache hit rate, and the flight recorder's recent traces.")
+          quantiles, queue occupancy, overload/deadline-miss rates, and \
+          the flight recorder's recent traces.")
     Term.(const run $ socket_flag $ interval_flag $ window_flag $ count_flag
           $ once_flag)
 

@@ -105,11 +105,3 @@ let pp_incompatibility fmt = function
   | Missing_symbol s -> Format.fprintf fmt "undefined symbol: %s" s
   | Signature_mismatch s -> Format.fprintf fmt "signature mismatch: %s" s
   | Layout_mismatch t -> Format.fprintf fmt "type layout mismatch: %s" t
-
-let pp_surface fmt s =
-  List.iter (fun sym -> Format.fprintf fmt "T %s %s@." sym.mangled sym.sig_digest) s.symbols;
-  List.iter
-    (fun l ->
-      Format.fprintf fmt "L %s size=%d repr=%s%s@." l.type_name l.size l.repr
-        (if l.opaque then " (opaque)" else ""))
-    s.layouts

@@ -66,5 +66,3 @@ val mangle : family:string -> string -> string
 (** Itanium-flavoured name mangling for synthetic symbols. *)
 
 val pp_incompatibility : Format.formatter -> incompatibility -> unit
-
-val pp_surface : Format.formatter -> surface -> unit

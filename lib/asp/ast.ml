@@ -57,10 +57,6 @@ let dedup xs =
 
 let atom_vars a = dedup (List.concat_map Term.vars a.args)
 
-let body_lit_vars = function
-  | Pos a | Neg a -> atom_vars a
-  | Cmp (_, l, r) -> dedup (Term.vars l @ Term.vars r)
-
 let cmp_to_string = function
   | Eq -> "="
   | Ne -> "!="
@@ -119,9 +115,6 @@ let pp_statement fmt = function
          ~pp_sep:(fun fmt () -> Format.pp_print_string fmt " ; ")
          pp_elem)
       elems
-
-let pp_program fmt prog =
-  List.iter (fun s -> Format.fprintf fmt "%a@." pp_statement s) prog
 
 let positive_vars body =
   List.concat_map (function Pos a -> atom_vars a | Neg _ | Cmp _ -> []) body

@@ -55,8 +55,6 @@ module Atom_tbl : Hashtbl.S with type key = atom
 
 val atom_vars : atom -> string list
 
-val body_lit_vars : body_lit -> string list
-
 val cmp_to_string : cmp_op -> string
 
 val pp_atom : Format.formatter -> atom -> unit
@@ -64,8 +62,6 @@ val pp_atom : Format.formatter -> atom -> unit
 val pp_body_lit : Format.formatter -> body_lit -> unit
 
 val pp_statement : Format.formatter -> statement -> unit
-
-val pp_program : Format.formatter -> program -> unit
 
 val check_safety : ?first:int -> program -> (unit, string) result
 (** Every variable in a rule head, negative literal, or comparison must

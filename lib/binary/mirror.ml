@@ -218,8 +218,6 @@ let describe_error = function
       (Chash.short got)
   | Quarantined -> "entry quarantined on this mirror"
 
-let pp_fetch_error fmt e = Format.pp_print_string fmt (describe_error e)
-
 (* ---- entry integrity ----------------------------------------------- *)
 
 (* Content digest over everything install-relevant in an entry: the

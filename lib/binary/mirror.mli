@@ -122,8 +122,6 @@ type fetch_error =
 
 val describe_error : fetch_error -> string
 
-val pp_fetch_error : Format.formatter -> fetch_error -> unit
-
 type t
 
 val create : ?faults:fault_plan -> ?breaker_config:breaker_config -> name:string -> Buildcache.t -> t

@@ -96,15 +96,19 @@ let check_known ~repo requests =
           names)
     requests
 
-(* A failed concretization, with the refutation certificate when the
-   failure was an UNSAT answer computed under [certify = true]. *)
+(* Why a concretization failed. An UNSAT answer carries the
+   refutation certificate when it was computed under [certify = true]. *)
+type failure_kind =
+  | Unsat of Asp.Sat.proof_step list option
+  | Timeout
+  | Other
+
 type failure = {
   f_message : string;
-  f_proof : Asp.Sat.proof_step list option;
-  f_timeout : bool;
+  f_kind : failure_kind;
 }
 
-let fail msg = Error { f_message = msg; f_proof = None; f_timeout = false }
+let fail msg = Error { f_message = msg; f_kind = Other }
 
 (* Independent re-validation of the solution ([options.verify]): each
    returned spec is checked against the repo and its request without
@@ -141,8 +145,8 @@ let publish_stats obs (s : stats) =
     Obs.gauge obs "concretize.fact_count" s.fact_count
   end
 
-let concretize_v ~repo ?(options = default_options) ?budget ?closure
-    ?(attrs = []) requests =
+let concretize_v ~repo ?(options = default_options) ?budget ?(attrs = [])
+    requests =
   match check_known ~repo requests with
   | Some e -> fail e
   | None ->
@@ -162,7 +166,7 @@ let concretize_v ~repo ?(options = default_options) ?budget ?closure
   let encoded =
     Obs.with_span obs ~cat:"concretize" "encode" (fun _ ->
         Encode.encode ~repo ~encoding:options.encoding ~splicing:options.splicing
-          ~reuse:(effective_reuse options) ~prune:options.prune ?closure ~obs
+          ~reuse:(effective_reuse options) ~prune:options.prune ~obs
           ~host_os:options.host_os ~host_target:options.host_target requests)
   in
   let base, statements =
@@ -187,15 +191,11 @@ let concretize_v ~repo ?(options = default_options) ?budget ?closure
   let t3 = now () in
   match result with
   | None ->
-    Error
-      { f_message = "timeout: solve budget exhausted";
-        f_proof = None;
-        f_timeout = true }
+    Error { f_message = "timeout: solve budget exhausted"; f_kind = Timeout }
   | Some (Asp.Logic.Unsat proof) ->
     Error
       { f_message = "UNSAT: no valid concretization exists";
-        f_proof = proof;
-        f_timeout = false }
+        f_kind = Unsat proof }
   | Some (Asp.Logic.Sat model) -> (
     let decoded =
       Obs.with_span obs ~cat:"concretize" "decode" (fun _ ->

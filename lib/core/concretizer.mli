@@ -27,8 +27,8 @@ type options = {
           carry an independently checkable refutation *)
   prune : bool;
       (** restrict package facts and the reusable pool to the
-          dependency closure of the requested roots
-          ({!Encode.closure}) before grounding — sound, and the
+          dependency closure of the requested roots (see
+          {!Encode.encode}) before grounding — sound, and the
           difference between grounding a 5000-spec buildcache and the
           few dozen specs a request can actually reach *)
   verify : bool;
@@ -86,40 +86,41 @@ type outcome = {
   stats : stats;
 }
 
+(** Which failure a {!failure} is. *)
+type failure_kind =
+  | Unsat of Asp.Sat.proof_step list option
+      (** no valid concretization exists; carries the refutation
+          certificate iff [options.certify] was set *)
+  | Timeout
+      (** the solve was preempted by an exhausted {!Asp.Sat.budget}
+          (deadline or conflict cap) rather than answered *)
+  | Other
+      (** any other error: an unknown package, a virtual package as a
+          root, or a model that does not decode *)
+
 type failure = {
   f_message : string;
-  f_proof : Asp.Sat.proof_step list option;
-      (** the refutation certificate, present iff the failure was an
-          UNSAT answer and [options.certify] was set *)
-  f_timeout : bool;
-      (** the solve was preempted by an exhausted
-          {!Asp.Sat.budget} (deadline or conflict cap) rather
-          than answered *)
+      (** "UNSAT: no valid concretization exists", "timeout: solve
+          budget exhausted", or the error's description ("unknown
+          package: NAME", ...) *)
+  f_kind : failure_kind;
 }
-
-val check_known : repo:Pkg.Repo.t -> Encode.request list -> string option
-(** The first request naming an unknown package (root or [^dep]), or a
-    virtual package as its root, as the failure message
-    {!concretize_v} answers with ("unknown package: NAME", "virtual
-    packages cannot be requested as roots: ..."); [None] when every
-    name is known. *)
 
 val concretize_v :
   repo:Pkg.Repo.t ->
   ?options:options ->
   ?budget:Asp.Sat.budget ->
-  ?closure:(string, unit) Hashtbl.t ->
   ?attrs:(string * Obs.value) list ->
   Encode.request list ->
   (outcome, failure) result
-(** Like {!concretize} but with a structured failure that carries the
-    DRUP proof for certified UNSAT answers. [?attrs] are stamped on the
-    root ["concretize"] span (the serve layer passes the request id
-    here). [?budget] bounds the solve
+(** Like {!concretize} but with a structured failure whose [f_kind]
+    says what failed, and carries the DRUP proof for certified UNSAT
+    answers. A request naming an unknown package (root or [^dep]), or a
+    virtual package as its root, fails with [Other] before anything is
+    encoded. [?attrs] are stamped on the root ["concretize"] span (the
+    serve layer passes the request id here). [?budget] bounds the solve
     (conflict cap and/or external stop probe); exhaustion yields a
-    failure with [f_timeout = true]. [?closure] supplies a precomputed
-    dependency closure for pruning (see {!Encode.encode}), letting a
-    resident server skip the closure walk on repeat roots. *)
+    [Timeout] failure. *)
 
 val concretize :
   repo:Pkg.Repo.t ->

@@ -512,8 +512,8 @@ let provider_weight_facts ~repo packages =
 let target_ok_facts host_target =
   List.map (fun t -> f "target_ok" [ str t ]) (Spec.Targets.ancestors host_target)
 
-let encode ~repo ~encoding ~splicing ~reuse ?(prune = false) ?closure:closure_hint
-    ?(obs = Obs.disabled) ~host_os ~host_target requests =
+let encode ~repo ~encoding ~splicing ~reuse ?(prune = false) ?(obs = Obs.disabled)
+    ~host_os ~host_target requests =
   let roots =
     List.map
       (fun (r : request) -> r.req.Spec.Abstract.root.Spec.Abstract.name)
@@ -525,20 +525,12 @@ let encode ~repo ~encoding ~splicing ~reuse ?(prune = false) ?closure:closure_hi
   let pool_total = pool_size full_pool in
   let keep =
     if prune then
-      match closure_hint with
-      | Some cl ->
-        (* Precomputed (typically cached by the solve server, keyed on
-           roots + pool digest). The caller owns its correctness; a
-           stale hint would silently unprune or overprune. *)
-        Obs.incr obs "encode.closure_cache_hits";
-        Some cl
-      | None ->
-        Some
-          (Obs.with_span obs ~cat:"encode" "encode.closure" (fun sp ->
-               let cl = closure ~repo ~splicing ~pool:full_pool roots in
-               Obs.set_attr sp "pool_total" (Obs.I pool_total);
-               Obs.set_attr sp "closure_packages" (Obs.I (Hashtbl.length cl));
-               cl))
+      Some
+        (Obs.with_span obs ~cat:"encode" "encode.closure" (fun sp ->
+             let cl = closure ~repo ~splicing ~pool:full_pool roots in
+             Obs.set_attr sp "pool_total" (Obs.I pool_total);
+             Obs.set_attr sp "closure_packages" (Obs.I (Hashtbl.length cl));
+             cl))
     else None
   in
   let in_closure name =

@@ -46,40 +46,28 @@ type t = {
   pool_total : int;  (** pool size before pruning *)
 }
 
-val closure :
-  repo:Pkg.Repo.t ->
-  splicing:bool ->
-  pool:reuse_pool ->
-  string list ->
-  (string, unit) Hashtbl.t
-(** Dependency closure of a set of root package names: an
-    over-approximation of every package that can appear as a node in a
-    solution rooted there. Follows all dependency directives
-    (conditions ignored, like the grounder's possible-atom phase),
-    virtuals to all providers, [can_splice] directives of closure
-    packages to their targets, and reusable sub-DAGs rooted at closure
-    packages to all their nodes. Facts about packages outside the
-    closure cannot influence any model, so pruning them is sound. *)
-
 val encode :
   repo:Pkg.Repo.t ->
   encoding:encoding ->
   splicing:bool ->
   reuse:Spec.Concrete.t list ->
   ?prune:bool ->
-  ?closure:(string, unit) Hashtbl.t ->
   ?obs:Obs.ctx ->
   host_os:string ->
   host_target:string ->
   request list ->
   t
 (** [prune] (default [false]) restricts package facts and the reusable
-    pool to the {!closure} of the requested roots: a buildcache of
-    thousands of specs grounds like one holding only the specs a
-    request could actually use. [?closure] supplies that closure
-    precomputed (the solve server caches it keyed by roots + pool
-    digest); it is trusted as-is and only consulted when [prune] is
-    set, counting an [encode.closure_cache_hits] metric. [?obs]
-    records the closure computation as an [encode.closure] span and
-    the pool sizes as [encode.pool_total]/[encode.pool_kept]
-    gauges. *)
+    pool to the dependency closure of the requested roots, so a
+    buildcache of thousands of specs grounds like one holding only the
+    specs a request could actually use. The closure over-approximates
+    every package that can appear as a node in a solution rooted
+    there: it follows all dependency directives (conditions ignored,
+    like the grounder's possible-atom phase), virtuals to all
+    providers, [can_splice] directives of closure packages to their
+    targets, and reusable sub-DAGs rooted at closure packages to all
+    their nodes. Facts about packages outside the closure cannot
+    influence any model, so pruning them is sound. It is computed
+    afresh on every call. [?obs] records the closure computation as an
+    [encode.closure] span and the pool sizes as
+    [encode.pool_total]/[encode.pool_kept] gauges. *)

@@ -10,8 +10,8 @@
    - per-request deadlines and conflict caps enforced inside the SAT
      core by the [Asp.Sat.budget] hook — a preempted request
      answers [timeout];
-   - dependency closures cached by root and dropped whenever the
-     buildcache digest changes ([set_reuse] bumps a generation);
+   - the reusable pool, swapped by [set_reuse], which bumps a
+     generation whenever the buildcache digest changes;
    - length-prefixed JSON frames ([Sjson.Frame]) as the wire protocol,
      with [Client] as the in-process driver.
 
@@ -58,8 +58,7 @@ let default_config =
     options = Concretizer.default_options }
 
 (* The buildcache identity: a content hash over the sorted DAG hashes
-   of the reusable specs. Cached closures are valid exactly as long as
-   this digest is. *)
+   of the reusable specs. *)
 let pool_digest specs =
   List.map Spec.Concrete.dag_hash specs
   |> List.sort String.compare
@@ -145,8 +144,6 @@ type live = {
   lv_error : Obs.Window.counter;
   lv_overloaded : Obs.Window.counter;
   lv_deadline_miss : Obs.Window.counter;
-  lv_closure_hits : Obs.Window.counter;
-  lv_closure_misses : Obs.Window.counter;
   lv_recorder : Obs.Recorder.t option;
 }
 
@@ -162,8 +159,6 @@ let make_live (tc : telemetry) =
     lv_error = c ();
     lv_overloaded = c ();
     lv_deadline_miss = c ();
-    lv_closure_hits = c ();
-    lv_closure_misses = c ();
     lv_recorder =
       (if tc.recorder_capacity > 0 then
          Some
@@ -200,8 +195,6 @@ type t = {
   mutable reuse : Spec.Concrete.t list;
   mutable digest : string;
   mutable generation : int;
-  closures : (string, (string, unit) Hashtbl.t) Hashtbl.t;
-      (* root -> closure; valid for the current generation only *)
   (* live telemetry *)
   started_s : float;
   rid_counter : int Atomic.t;  (* server-assigned request ids *)
@@ -235,9 +228,8 @@ let pool_digest_of t =
   Mutex.unlock t.pool_mu;
   d
 
-(* Swap the reusable pool. A digest change bumps the generation and
-   drops every cached closure. Same digest = no-op, so callers can
-   re-feed the same buildcache freely. *)
+(* Swap the reusable pool. A digest change bumps the generation. Same
+   digest = no-op, so callers can re-feed the same buildcache freely. *)
 let set_reuse t specs =
   Mutex.lock t.pool_mu;
   let d = pool_digest specs in
@@ -246,42 +238,17 @@ let set_reuse t specs =
     t.reuse <- specs;
     t.digest <- d;
     t.generation <- t.generation + 1;
-    Hashtbl.reset t.closures;
     Obs.incr (obs t) "serve.evictions"
   end;
   Mutex.unlock t.pool_mu;
   changed
 
-(* A consistent snapshot of the buildcache state plus the cached (or
-   freshly computed and cached) closure for [root]. Taken under
-   [pool_mu] so a concurrent [set_reuse] can never pair an old closure
-   with a new pool. *)
-let pool_snapshot t root =
+(* The pool and its generation, read together under [pool_mu] so a
+   concurrent [set_reuse] can never pair an old pool with a new
+   generation. *)
+let pool_snapshot t =
   Mutex.lock t.pool_mu;
-  let closure =
-    if not t.config.options.Concretizer.prune then None
-    else
-      match Hashtbl.find_opt t.closures root with
-      | Some cl ->
-        Obs.incr (obs t) "serve.closure_hits";
-        (match t.live with
-        | Some lv -> Obs.Window.add lv.lv_closure_hits 1
-        | None -> ());
-        Some cl
-      | None ->
-        let cl =
-          Encode.closure ~repo:t.repo
-            ~splicing:t.config.options.Concretizer.splicing
-            ~pool:(Encode.pool_of_specs t.reuse) [ root ]
-        in
-        Hashtbl.replace t.closures root cl;
-        Obs.incr (obs t) "serve.closure_misses";
-        (match t.live with
-        | Some lv -> Obs.Window.add lv.lv_closure_misses 1
-        | None -> ());
-        Some cl
-  in
-  let snap = (t.reuse, t.generation, closure) in
+  let snap = (t.reuse, t.generation) in
   Mutex.unlock t.pool_mu;
   snap
 
@@ -339,13 +306,11 @@ let respond t conn v =
 
 let status_of_result = function
   | Ok _ -> "ok"
-  | Error (f : Concretizer.failure) ->
-    if f.Concretizer.f_timeout then "timeout"
-    else if
-      String.length f.Concretizer.f_message >= 5
-      && String.sub f.Concretizer.f_message 0 5 = "UNSAT"
-    then "unsat"
-    else "error"
+  | Error (f : Concretizer.failure) -> (
+    match f.Concretizer.f_kind with
+    | Concretizer.Unsat _ -> "unsat"
+    | Concretizer.Timeout -> "timeout"
+    | Concretizer.Other -> "error")
 
 (* The canonical solve answer: everything a response and a one-shot
    [Concretizer] run must agree on byte-for-byte, and nothing
@@ -364,7 +329,7 @@ let canonical_of_result (r : (Concretizer.outcome, Concretizer.failure) result) 
             (List.map
                (fun (p, c) -> Sjson.Array [ Sjson.Int p; Sjson.Int c ])
                o.Concretizer.stats.Concretizer.costs) ) ]
-  | Error f when f.Concretizer.f_timeout ->
+  | Error { Concretizer.f_kind = Concretizer.Timeout; _ } ->
     Sjson.Object [ ("status", Sjson.String "timeout") ]
   | Error f ->
     Sjson.Object
@@ -431,18 +396,10 @@ let run_solve t job robs =
            so an overload burst drains in bounded time. *)
         ("timeout", canonical_timeout, [ ("expired_in_queue", Sjson.Bool true) ])
       else
-        match Concretizer.check_known ~repo:t.repo [ request ] with
-        | Some e ->
-          (* Before [pool_snapshot]: an unknown root must not grow the
-             closure cache. *)
-          ("error", canonical_error e, [])
-        | None ->
         let budget =
           budget_of ~conflicts:(field_int "conflicts" payload) ~deadline:job.j_deadline
         in
-        let reuse, gen, closure =
-          pool_snapshot t request.Encode.req.Spec.Abstract.root.Spec.Abstract.name
-        in
+        let reuse, gen = pool_snapshot t in
         let result =
           Concretizer.concretize_v ~repo:t.repo
             ~options:
@@ -450,7 +407,7 @@ let run_solve t job robs =
                 Concretizer.reuse;
                 mirrors = None;
                 obs = robs }
-            ?budget ?closure
+            ?budget
             ~attrs:[ ("rid", Obs.S job.j_rid) ]
             [ request ]
         in
@@ -480,18 +437,12 @@ let live_stats_json lv ?window_s () =
   let total = Obs.Window.total ?window_s lv.lv_requests in
   let count c = Obs.Window.total ?window_s c in
   let rate n = if total = 0 then 0. else float_of_int n /. float_of_int total in
-  let hit_rate h m =
-    let s = h + m in
-    if s = 0 then 0. else float_of_int h /. float_of_int s
-  in
   let ok = count lv.lv_ok
   and unsat = count lv.lv_unsat
   and timeout = count lv.lv_timeout
   and error = count lv.lv_error
   and overloaded = count lv.lv_overloaded
-  and deadline_miss = count lv.lv_deadline_miss
-  and cl_hits = count lv.lv_closure_hits
-  and cl_misses = count lv.lv_closure_misses in
+  and deadline_miss = count lv.lv_deadline_miss in
   Sjson.Object
     ([ ("window_s", Sjson.Float covered);
        ("horizon_s", Sjson.Float (Obs.Window.hist_horizon_s lv.lv_solve_ms));
@@ -508,8 +459,7 @@ let live_stats_json lv ?window_s () =
              ("overloaded", Sjson.Int overloaded) ] );
        ("overload_rate", Sjson.Float (rate overloaded));
        ("deadline_miss_rate", Sjson.Float (rate deadline_miss));
-       ("error_rate", Sjson.Float (rate error));
-       ("closure_hit_rate", Sjson.Float (hit_rate cl_hits cl_misses)) ]
+       ("error_rate", Sjson.Float (rate error)) ]
     @
     match lv.lv_recorder with
     | None -> []
@@ -870,7 +820,6 @@ let start ~repo ?(config = default_config) ~socket () =
         reuse;
         digest = pool_digest reuse;
         generation = 0;
-        closures = Hashtbl.create 64;
         started_s = Obs.Clock.now_s ();
         rid_counter = Atomic.make 0;
         live = Option.map make_live config.telemetry;

@@ -10,9 +10,8 @@
     - per-request deadlines and conflict caps enforced {e inside} the
       SAT core via {!Asp.Sat.budget}: a preempted request
       answers [timeout];
-    - dependency closures ({!Encode.closure}) cached by root;
-      {!set_reuse} bumps a generation when the buildcache digest
-      changes and drops every cached closure;
+    - the reusable pool; {!set_reuse} swaps it and bumps a generation
+      when the buildcache digest changes;
     - length-prefixed JSON frames ({!Sjson.Frame}) over a Unix socket.
 
     {2 Wire protocol}
@@ -34,8 +33,8 @@
 
     With live telemetry on (the default), ["stats"] additionally
     answers a ["window"] object — rolling-window request counts, rps,
-    solve/queue latency quantiles, overload/deadline-miss/error rates,
-    closure-cache hit rate — computed
+    solve/queue latency quantiles, overload/deadline-miss/error rates —
+    computed
     over the last ["window"] seconds of the request (rounded up to
     sub-window granularity, clamped to the horizon; default the full
     horizon). ["dump"] returns the flight recorder's recent traces
@@ -87,10 +86,6 @@ type config = {
 
 val default_config : config
 
-val pool_digest : Spec.Concrete.t list -> string
-(** Content digest of a reusable pool: {!Chash.hash_string} over the
-    sorted DAG hashes. The validity key of cached closures. *)
-
 type t
 
 val start :
@@ -110,10 +105,11 @@ val stop : t -> unit
 val socket_path : t -> string
 
 val set_reuse : t -> Spec.Concrete.t list -> bool
-(** Replace the reusable pool. If the {!pool_digest} changed: bump the
-    generation and drop every cached closure. Returns whether anything
-    changed. Safe to call while requests are in flight — in-flight
-    solves finish against the pool snapshot they started with. *)
+(** Replace the reusable pool. If its content digest (a hash over
+    the sorted DAG hashes, {!pool_digest_of}) changed: bump the
+    generation. Returns whether anything changed. Safe to call while
+    requests are in flight — in-flight solves finish against the pool
+    snapshot they started with. *)
 
 val generation : t -> int
 

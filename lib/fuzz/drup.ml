@@ -339,8 +339,3 @@ let check steps =
         go (i + 1) rest)
   in
   go 0 steps
-
-let check_outcome = function
-  | Asp.Logic.Sat _ -> Error "outcome is SAT, nothing to certify"
-  | Asp.Logic.Unsat None -> Error "UNSAT carries no proof (certify was off)"
-  | Asp.Logic.Unsat (Some steps) -> check steps

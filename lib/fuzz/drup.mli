@@ -17,7 +17,3 @@
     plausible. *)
 
 val check : Asp.Sat.proof_step list -> (unit, string) result
-
-val check_outcome : Asp.Logic.outcome -> (unit, string) result
-(** Convenience: certify a solver outcome directly. SAT outcomes and
-    proofless UNSATs are errors. *)

@@ -51,13 +51,6 @@ let plain name versions =
 let virtual_name = "vmpi"
 let stray_name = "stray"
 
-let core_names u =
-  List.filter_map
-    (fun p ->
-      if p.up_provides = None && p.up_name <> stray_name then Some p.up_name
-      else None)
-    u.u_pkgs
-
 let generate rng =
   let n = Rng.range rng 3 7 in
   let name i = Printf.sprintf "p%d" i in

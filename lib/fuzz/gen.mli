@@ -42,8 +42,6 @@ val stray_name : string
 (** A package nothing references: its cached spec is the metamorphic
     no-op entry that must never change a solution. *)
 
-val core_names : t -> string list
-
 val generate : Rng.t -> t
 
 val to_repo : t -> Pkg.Repo.t

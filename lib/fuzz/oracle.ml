@@ -44,8 +44,10 @@ let pp_stats fmt s =
     s.sat_verified s.unsat_certified s.brute_confirmed s.encodings_agreed
     s.metamorphic_ok s.splices_linked
 
-let is_unsat_message m =
-  String.length m >= 5 && String.sub m 0 5 = "UNSAT"
+let is_unsat (f : Core.Concretizer.failure) =
+  match f.Core.Concretizer.f_kind with
+  | Core.Concretizer.Unsat _ -> true
+  | Core.Concretizer.Timeout | Core.Concretizer.Other -> false
 
 (* ---- brute-force reference enumerator ---------------------------- *)
 
@@ -267,8 +269,8 @@ let check ?(stats = fresh_stats ()) (u : Gen.t) =
              fail "request %s: brute-force reference missed the solver's valid solution" r
            | Some true -> stats.brute_confirmed <- stats.brute_confirmed + 1
            | None -> ())
-         | Error f when is_unsat_message f.Core.Concretizer.f_message -> (
-           (match f.Core.Concretizer.f_proof with
+         | Error { Core.Concretizer.f_kind = Core.Concretizer.Unsat proof; _ } -> (
+           (match proof with
            | None -> fail "request %s: UNSAT without a proof" r
            | Some steps -> (
              match Drup.check steps with
@@ -302,8 +304,7 @@ let check ?(stats = fresh_stats ()) (u : Gen.t) =
             then fail "request %s: encodings disagree on the root DAG" r
             else stats.encodings_agreed <- stats.encodings_agreed + 1
           | Error a, Error b
-            when is_unsat_message a.Core.Concretizer.f_message
-                 && is_unsat_message b.Core.Concretizer.f_message ->
+            when is_unsat a && is_unsat b ->
             stats.encodings_agreed <- stats.encodings_agreed + 1
           | Ok _, Error f ->
             fail "request %s: old encoding SAT but hash_attr failed: %s" r
@@ -332,8 +333,7 @@ let check ?(stats = fresh_stats ()) (u : Gen.t) =
                fail "request %s: an irrelevant cached spec changed the solution" r
              else stats.metamorphic_ok <- stats.metamorphic_ok + 1
            | Error a, Error b
-             when is_unsat_message a.Core.Concretizer.f_message
-                  && is_unsat_message b.Core.Concretizer.f_message ->
+             when is_unsat a && is_unsat b ->
              stats.metamorphic_ok <- stats.metamorphic_ok + 1
            | _ ->
              fail "request %s: an irrelevant cached spec flipped SAT/UNSAT" r));

@@ -28,5 +28,3 @@ let chance t pct = int t 100 < pct
 let pick t = function
   | [] -> invalid_arg "Rng.pick: empty list"
   | xs -> List.nth xs (int t (List.length xs))
-
-let fork t tag = create (Int64.to_int (next t) land max_int lxor Hashtbl.hash tag)

@@ -23,6 +23,3 @@ val chance : t -> int -> bool
 
 val pick : t -> 'a list -> 'a
 (** @raise Invalid_argument on the empty list. *)
-
-val fork : t -> string -> t
-(** An independent stream derived from this one and a tag. *)

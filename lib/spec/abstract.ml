@@ -15,8 +15,6 @@ type t = { root : node; deps : dep list }
 let node_any name =
   { name; version = Vers.Range.any; variants = Smap.empty; os = None; target = None }
 
-let of_name name = { root = node_any name; deps = [] }
-
 let node_satisfies ~name ~version ~variants ~os ~target c =
   (c.name = "" || String.equal c.name name)
   && Vers.Range.satisfies version c.version
@@ -68,33 +66,6 @@ let node_intersect a b =
       | Some os, Some target when not !conflict ->
         Some { name; version; variants; os; target }
       | _ -> None)
-
-let constrain a b =
-  match node_intersect a.root b.root with
-  | None -> None
-  | Some root ->
-    let conflict = ref false in
-    let merge_into deps d =
-      let found = ref false in
-      let deps =
-        List.map
-          (fun existing ->
-            if String.equal existing.node.name d.node.name then begin
-              found := true;
-              match node_intersect existing.node d.node with
-              | Some n ->
-                { dtypes = deptypes_union existing.dtypes d.dtypes; node = n }
-              | None ->
-                conflict := true;
-                existing
-            end
-            else existing)
-          deps
-      in
-      if !found then deps else deps @ [ d ]
-    in
-    let deps = List.fold_left merge_into a.deps b.deps in
-    if !conflict then None else Some { root; deps }
 
 (* Node-constraint implication: [general] accepts everything [specific]
    accepts. *)

@@ -23,9 +23,6 @@ type t = { root : node; deps : dep list }
 val node_any : string -> node
 (** Unconstrained node for a package name. *)
 
-val of_name : string -> t
-(** Abstract spec constraining only the package name. *)
-
 val node_satisfies :
   name:string ->
   version:Vers.Version.t ->
@@ -42,11 +39,6 @@ val node_intersect : node -> node -> node option
 (** Merge two node constraints; [None] when contradictory (disjoint
     version ranges or conflicting variant values). Names must match
     (or one be [""]). *)
-
-val constrain : t -> t -> t option
-(** Merge two abstract specs on the same root package: intersect root
-    constraints and concatenate dependency constraints, merging deps
-    that name the same package. *)
 
 val subsumes : t -> t -> bool
 (** [subsumes general specific]: every concrete spec satisfying

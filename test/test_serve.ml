@@ -10,7 +10,9 @@
      deadlines, shutdown with a full queue — the server answers
      everything it admits, evicts stale state, and never wedges;
    - telemetry: request ids assigned/echoed, the stats window block,
-     and flight-recorder retrieval of a missed deadline by rid. *)
+     and flight-recorder retrieval of a missed deadline by rid;
+   - statuses: "unsat" and "error" answers checked against the literal
+     strings, not against another run. *)
 
 module CC = Core.Concretizer
 module Serve = Core.Serve
@@ -367,18 +369,12 @@ let test_reuse_eviction () =
 
 (* ---- 6. unknown package names ---- *)
 
-(* Unknown names are rejected before the closure cache is consulted: a
-   client sending fresh unknown names must not grow the cache, and each
-   answer is the one-shot failure. *)
+(* Each answer to a fresh unknown name is the one-shot failure, byte
+   for byte. *)
 let test_unknown_names () =
   let _, repo = universe 42 in
-  let obs = Obs.create () in
   let opts = options () in
-  let config =
-    { Serve.default_config with
-      Serve.workers = 1;
-      options = { opts with CC.obs } }
-  in
+  let config = { Serve.default_config with Serve.workers = 1; options = opts } in
   with_server ~repo ~config @@ fun t ->
   with_client t @@ fun c ->
   for i = 1 to 50 do
@@ -390,9 +386,7 @@ let test_unknown_names () =
       (r ^ ": byte-identical to one-shot")
       (Sjson.to_string expected)
       (Sjson.to_string (result_of (ok (Client.solve c r))))
-  done;
-  Alcotest.(check int) "no closure computed for unknown names" 0
-    (counter obs "serve.closure_misses")
+  done
 
 (* ---- 7. reload op ---- *)
 
@@ -724,6 +718,45 @@ let test_telemetry_off () =
   Alcotest.(check string) "dump reports the recorder disabled" "error"
     (Sjson.get_string (Sjson.member "status" dump))
 
+(* ---- 13. statuses as literal strings ---- *)
+
+(* The replays compare served answers with [canonical_of_result] of a
+   one-shot run, so a status both sides derive wrongly would still
+   match; here the wire answers meet the literal strings. *)
+let test_literal_statuses () =
+  let repo = Radiuss.Universe.repo () in
+  let config = { Serve.default_config with Serve.workers = 1 } in
+  with_server ~repo ~config @@ fun t ->
+  with_client t @@ fun c ->
+  let check_answer spec ~status ~message =
+    let resp = ok (Client.solve c spec) in
+    let result = result_of resp in
+    Alcotest.(check string) (spec ^ ": status") status (status_of resp);
+    Alcotest.(check string) (spec ^ ": result status") status (status_of result);
+    Alcotest.(check string) (spec ^ ": message") message
+      (Sjson.get_string (Sjson.member "message" result));
+    Alcotest.(check int) (spec ^ ": server names the generation") 0
+      (Sjson.get_int (Sjson.member "generation" (Sjson.member "server" resp)))
+  in
+  check_answer "zlib@99" ~status:"unsat"
+    ~message:"UNSAT: no valid concretization exists";
+  check_answer "no-such-package" ~status:"error"
+    ~message:"unknown package: no-such-package";
+  (* behind "unsat" is the UNSAT kind, carrying a checkable proof
+     under certify *)
+  match
+    CC.concretize_v ~repo
+      ~options:{ CC.default_options with CC.certify = true }
+      [ Core.Encode.request_of_string "zlib@99" ]
+  with
+  | Error { CC.f_kind = CC.Unsat (Some steps); _ } ->
+    Alcotest.(check (result unit string)) "certified proof checks" (Ok ())
+      (Fuzz.Drup.check steps)
+  | Error { CC.f_kind = CC.Unsat None; _ } ->
+    Alcotest.fail "certified UNSAT carries no proof"
+  | Error f -> Alcotest.failf "zlib@99 failed but not as UNSAT: %s" f.CC.f_message
+  | Ok _ -> Alcotest.fail "zlib@99 concretized"
+
 let () =
   Alcotest.run "serve"
     [ ( "replay-glucose",
@@ -737,7 +770,7 @@ let () =
             test_worker_fault;
           Alcotest.test_case "buildcache change mid-stream" `Quick
             test_reuse_eviction;
-          Alcotest.test_case "unknown names skip the closure cache" `Quick
+          Alcotest.test_case "unknown names answer as one-shot" `Quick
             test_unknown_names;
           Alcotest.test_case "reload op" `Quick test_reload;
           Alcotest.test_case "overload admission" `Quick test_overload;
@@ -753,4 +786,7 @@ let () =
         [ Alcotest.test_case "rids, windowed stats, flight recorder" `Quick
             test_telemetry;
           Alcotest.test_case "telemetry off: no window, dump disabled"
-            `Quick test_telemetry_off ] ) ]
+            `Quick test_telemetry_off ] );
+      ( "statuses",
+        [ Alcotest.test_case "unsat and error literals" `Quick
+            test_literal_statuses ] ) ]
