@@ -214,18 +214,22 @@ let parse_mirror_spec s =
         | Some i -> (
           let k = String.sub kv 0 i in
           let v = String.sub kv (i + 1) (String.length kv - i - 1) in
-          let int_v f =
+          let int_v ?(lo = min_int) ?(hi = max_int) f =
             match int_of_string_opt v with
-            | Some n -> Ok (f n)
+            | Some n when n >= lo && n <= hi -> Ok (f n)
+            | Some _ when hi = max_int ->
+              Error (Printf.sprintf "%s: expected %d or more, got %s" k lo v)
+            | Some _ -> Error (Printf.sprintf "%s: expected %d to %d, got %s" k lo hi v)
             | None -> Error (Printf.sprintf "%s: expected an integer, got %S" k v)
           in
+          let pct = int_v ~lo:0 ~hi:100 and count = int_v ~lo:0 in
           match k with
-          | "transient" -> int_v (fun n -> { p with Binary.Mirror.fp_transient_pct = n })
-          | "corrupt" -> int_v (fun n -> { p with Binary.Mirror.fp_corrupt_pct = n })
+          | "transient" -> pct (fun n -> { p with Binary.Mirror.fp_transient_pct = n })
+          | "corrupt" -> pct (fun n -> { p with Binary.Mirror.fp_corrupt_pct = n })
           | "latency" ->
-            int_v (fun n -> { p with Binary.Mirror.fp_latency_ms = float_of_int n })
-          | "outage" -> int_v (fun n -> { p with Binary.Mirror.fp_outage_after = Some n })
-          | "outage-len" -> int_v (fun n -> { p with Binary.Mirror.fp_outage_len = Some n })
+            count (fun n -> { p with Binary.Mirror.fp_latency_ms = float_of_int n })
+          | "outage" -> count (fun n -> { p with Binary.Mirror.fp_outage_after = Some n })
+          | "outage-len" -> count (fun n -> { p with Binary.Mirror.fp_outage_len = Some n })
           | "seed" -> int_v (fun n -> { p with Binary.Mirror.fp_seed = n })
           | _ -> Error (Printf.sprintf "unknown fault key %S" k)))
     in
@@ -239,14 +243,17 @@ let mirror_flag =
       & info [ "mirror" ] ~docv:"NAME[:FAULTS]"
           ~doc:
             "Attach a simulated mirror over the bundled local buildcache \
-             (repeatable; consulted in order). FAULTS is a comma-separated \
-             fault plan: $(b,transient=P) and $(b,corrupt=P) (percentages), \
-             $(b,latency=MS), $(b,outage=N) (go hard-down after N fetches), \
-             $(b,outage-len=K), $(b,seed=S).")
+             (repeatable). Mirrors are consulted in the order their breaker \
+             state and measured latency rank them, ties in the order given. \
+             FAULTS is a comma-separated fault plan: $(b,transient=P) and \
+             $(b,corrupt=P) (percentages, 0 to 100), $(b,latency=MS), \
+             $(b,outage=N) (go hard-down after N fetches) and \
+             $(b,outage-len=K) (all 0 or more), $(b,seed=S).")
 
 let retries_flag =
   Arg.(value & opt (some int) None & info [ "retries" ] ~docv:"N"
-      ~doc:"Fetch attempts per mirror before failing over (default 4).")
+      ~doc:"Fetch attempts per mirror before failing over, 1 or more \
+            (default 4).")
 
 let no_fallback_flag =
   Arg.(value & flag & info [ "no-fallback" ]
@@ -271,7 +278,7 @@ let install_jobs_flag =
 let fleet_flag =
   Arg.(value & opt (some int) None & info [ "fleet" ] ~docv:"N"
       ~doc:"Replace explicit $(b,--mirror)s with a simulated fleet of N \
-            mirrors over the bundled buildcache, each with its own \
+            mirrors (N >= 1) over the bundled buildcache, each with its own \
             deterministic fault/latency profile (every fifth one is clean \
             and fast).")
 
@@ -279,30 +286,32 @@ let fleet_seed_flag =
   Arg.(value & opt int 0 & info [ "fleet-seed" ] ~docv:"S"
       ~doc:"Seed for the fleet's fault/latency profiles (with $(b,--fleet)).")
 
-let adaptive_flag =
-  Arg.(value & flag & info [ "adaptive" ]
-      ~doc:"Order mirrors adaptively — breaker state, consecutive failures, \
-            then measured latency — instead of the configured order.")
-
 let install_cmd =
   let run reuse splicing mirror_specs retries no_fallback crash_at recover jobs
-      fleet fleet_seed adaptive trace spec_text =
+      fleet fleet_seed trace spec_text =
     with_trace ~trace @@ fun obs ->
     let opts = options ~reuse ~splicing ~old_encoding:false in
     let opts =
       { opts with Core.Concretizer.obs; verify = Obs.enabled obs }
     in
-    match
-      List.fold_left
-        (fun acc s ->
-          match (acc, parse_mirror_spec s) with
-          | Error e, _ -> Error e
-          | Ok ms, Ok m -> Ok (m :: ms)
-          | Ok _, Error e -> Error e)
-        (Ok []) mirror_specs
-    with
+    let mirror_plans =
+      match (fleet, retries) with
+      | Some n, _ when n < 1 ->
+        Error (Printf.sprintf "--fleet: expected 1 or more, got %d" n)
+      | _, Some n when n < 1 ->
+        Error (Printf.sprintf "--retries: expected 1 or more, got %d" n)
+      | _ ->
+        List.fold_left
+          (fun acc s ->
+            match (acc, parse_mirror_spec s) with
+            | Error e, _ -> Error e
+            | Ok ms, Ok m -> Ok (m :: ms)
+            | Ok _, Error e -> Error ("--mirror: " ^ e))
+          (Ok []) mirror_specs
+    in
+    match mirror_plans with
     | Error e ->
-      Format.eprintf "error: --mirror: %s@." e;
+      Format.eprintf "error: %s@." e;
       2
     | Ok mirror_plans -> (
       let mirror_plans = List.rev mirror_plans in
@@ -312,19 +321,16 @@ let install_cmd =
         | Some n ->
           { Binary.Mirror.default_retry with Binary.Mirror.max_attempts = n }
       in
-      let selection =
-        if adaptive then Binary.Mirror.Adaptive else Binary.Mirror.Static
-      in
       let mirrors =
         match (fleet, mirror_plans) with
         | Some size, _ ->
           Some
-            (Binary.Mirror.fleet ~seed:fleet_seed ~policy ~obs ~selection ~size
+            (Binary.Mirror.fleet ~seed:fleet_seed ~policy ~obs ~size
                (Lazy.force local_cache).Radiuss.Caches.cache)
         | None, [] -> None
         | None, plans ->
           Some
-            (Binary.Mirror.group ~policy ~obs ~selection
+            (Binary.Mirror.group ~policy ~obs
                (List.map
                   (fun (name, faults) ->
                     Binary.Mirror.create ~faults ~name
@@ -387,7 +393,7 @@ let install_cmd =
           fault-injected mirrors with retry, failover and crash recovery.")
     Term.(const run $ reuse_flag $ splice_flag $ mirror_flag $ retries_flag
           $ no_fallback_flag $ crash_at_flag $ recover_flag $ install_jobs_flag
-          $ fleet_flag $ fleet_seed_flag $ adaptive_flag $ trace_flag
+          $ fleet_flag $ fleet_seed_flag $ trace_flag
           $ spec_arg)
 
 (* ---- splice (manual, Fig. 2 mechanics) ---- *)

@@ -43,23 +43,15 @@ val fact : atom -> statement
 
 val atom : string -> Term.t list -> atom
 
-val atom_equal : atom -> atom -> bool
-
-val atom_hash : atom -> int
-
 module Atom_tbl : Hashtbl.S with type key = atom
-(** Hashtable keyed by atoms, using {!atom_equal}/{!atom_hash}: the
+(** Hashtable keyed by atoms, with an atom equality and hash whose
     physical-equality fast path of interned constants ({!Term.str})
     makes it much cheaper than polymorphic hashing on the grounder's
     atom store. *)
 
-val atom_vars : atom -> string list
-
 val cmp_to_string : cmp_op -> string
 
 val pp_atom : Format.formatter -> atom -> unit
-
-val pp_body_lit : Format.formatter -> body_lit -> unit
 
 val pp_statement : Format.formatter -> statement -> unit
 

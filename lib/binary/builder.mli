@@ -28,6 +28,3 @@ val build_all :
   Store.t -> repo:Pkg.Repo.t -> Spec.Concrete.t -> (string list, Errors.t) result
 (** Build every node of the spec not yet installed, dependencies first;
     returns the hashes built. *)
-
-val import_fraction : float
-(** Fraction of a provider's symbols a consumer links against. *)

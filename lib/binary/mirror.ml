@@ -29,7 +29,7 @@ let die ~seed ~salt n =
 
 let hits ~seed ~salt pct = pct > 0 && die ~seed ~salt 100 < pct
 
-(* ---- injectable monotonic clock ----------------------------------- *)
+(* ---- simulated monotonic clock ------------------------------------ *)
 
 (* Mutexed: a parallel install's fetches all advance the one simulated
    clock, and timestamps feed breaker cooldowns on every domain. *)
@@ -92,7 +92,6 @@ let default_breaker = { failure_threshold = 3; cooldown_ms = 30_000.0 }
 type breaker_state = Closed | Open | Half_open
 
 type breaker = {
-  b_cfg : breaker_config;
   b_mu : Mutex.t;  (* one breaker is poked from every fetching domain *)
   mutable b_state : breaker_state;
   mutable b_failures : int;  (* consecutive, while closed *)
@@ -100,9 +99,8 @@ type breaker = {
   mutable b_trips : int;
 }
 
-let breaker ?(config = default_breaker) () =
-  { b_cfg = config;
-    b_mu = Mutex.create ();
+let breaker () =
+  { b_mu = Mutex.create ();
     b_state = Closed;
     b_failures = 0;
     b_open_until = 0.0;
@@ -143,7 +141,7 @@ let breaker_allows b clk =
 let trip b t =
   b.b_state <- Open;
   b.b_failures <- 0;
-  b.b_open_until <- t +. b.b_cfg.cooldown_ms;
+  b.b_open_until <- t +. default_breaker.cooldown_ms;
   b.b_trips <- b.b_trips + 1
 
 let breaker_record b clk ~ok =
@@ -162,7 +160,7 @@ let breaker_record b clk ~ok =
           true
         | Closed ->
           b.b_failures <- b.b_failures + 1;
-          if b.b_failures >= b.b_cfg.failure_threshold then begin
+          if b.b_failures >= default_breaker.failure_threshold then begin
             trip b t;
             true
           end
@@ -258,11 +256,11 @@ type t = {
   mutable m_lat_samples : int;
 }
 
-let create ?(faults = no_faults) ?breaker_config ~name cache =
+let create ?(faults = no_faults) ~name cache =
   { m_name = name;
     m_cache = cache;
     m_faults = faults;
-    m_breaker = breaker ?config:breaker_config ();
+    m_breaker = breaker ();
     m_mu = Mutex.create ();
     m_quarantine = Hashtbl.create 8;
     m_digests = Hashtbl.create 32;
@@ -296,8 +294,6 @@ let observe_latency m ms =
       if m.m_lat_samples = 0 then m.m_lat_ewma <- ms
       else m.m_lat_ewma <- (0.75 *. m.m_lat_ewma) +. (0.25 *. ms);
       m.m_lat_samples <- m.m_lat_samples + 1)
-
-let measured_latency m = m_locked m (fun () -> m.m_lat_ewma)
 
 let in_outage m n =
   match m.m_faults.fp_outage_after with
@@ -425,66 +421,48 @@ let pp_telemetry fmt t =
     t.fetched t.attempts t.retries t.failovers t.breaker_skips t.breaker_trips
     t.quarantines t.backoff_ms
 
-(* How a group orders mirrors for failover. [Static] is the configured
-   list — predictable, and what a client without history must do.
-   [Adaptive] feeds measurements back into the order: mirrors behind a
-   cooling-down breaker sink to the back, then ties break by consecutive
-   failure count, then by measured latency EWMA, then by configured
-   index (so the order is total and deterministic given the same
-   statistics). A tripped mirror that survives its half-open probe has
-   its failure count cleared — a few cooldown successes float it back
-   toward the front. *)
-type selection = Static | Adaptive
-
 type group = {
   g_mirrors : t list;
   g_policy : retry_policy;
   g_clock : clock;
-  g_tel : telemetry;
-  g_mu : Mutex.t;  (* guards the shared telemetry record *)
-  g_selection : selection;
   g_obs : Obs.ctx;
 }
 
-let group ?(policy = default_retry) ?clock:(clk = clock ()) ?(obs = Obs.disabled)
-    ?(selection = Static) mirrors =
-  { g_mirrors = mirrors;
-    g_policy = policy;
-    g_clock = clk;
-    g_tel = fresh_telemetry ();
-    g_mu = Mutex.create ();
-    g_selection = selection;
-    g_obs = obs }
+let group ?(policy = default_retry) ?(obs = Obs.disabled) mirrors =
+  { g_mirrors = mirrors; g_policy = policy; g_clock = clock (); g_obs = obs }
 
 let mirrors g = g.g_mirrors
 
-let telemetry g = g.g_tel
-
 let group_clock g = g.g_clock
 
-let selection g = g.g_selection
-
+(* The failover order, recomputed at every fetch from what the client
+   has measured: mirrors behind a cooling-down breaker sink to the
+   back, then ties break by consecutive failure count, then by latency
+   EWMA, then by configured index (so the order is total and
+   deterministic given the same statistics). A mirror not yet asked
+   counts as answering in one retry wait ([base_delay_ms]): a measured
+   mirror slower than that gives way to an untried one, a faster one
+   keeps its place. A tripped mirror that survives its half-open probe
+   has its failure count cleared, so it floats back toward the front. *)
 let rank g =
-  match g.g_selection with
-  | Static -> g.g_mirrors
-  | Adaptive ->
-    g.g_mirrors
-    |> List.mapi (fun i m ->
-           let blocked =
-             if breaker_would_allow m.m_breaker g.g_clock then 0 else 1
-           in
-           ((blocked, breaker_failures m.m_breaker, measured_latency m, i), m))
-    |> List.sort (fun (ka, _) (kb, _) -> compare ka kb)
-    |> List.map snd
+  g.g_mirrors
+  |> List.mapi (fun i m ->
+         let cooling = if breaker_would_allow m.m_breaker g.g_clock then 0 else 1 in
+         let latency =
+           m_locked m (fun () ->
+               if m.m_lat_samples = 0 then g.g_policy.base_delay_ms else m.m_lat_ewma)
+         in
+         ((cooling, breaker_failures m.m_breaker, latency, i), m))
+  |> List.sort (fun (ka, _) (kb, _) -> compare ka kb)
+  |> List.map snd
 
 (* A simulated fleet: [size] mirrors over one cache, each with its own
    deterministic fault/latency profile drawn from [seed]. Every fifth
-   mirror is near-clean and fast — the healthy minority an adaptive
-   client should discover and prefer; the rest mix transient failure
-   rates, latencies up to ~80ms, sticky corruption on some, and
-   bounded outage windows on a few. *)
-let fleet ?(seed = 0) ?policy ?clock ?obs ?selection ?(name_prefix = "m") ~size
-    cache =
+   mirror is near-clean and fast — the healthy minority [rank] should
+   discover and prefer; the rest mix transient failure rates,
+   latencies up to ~80ms, sticky corruption on some, and bounded
+   outage windows on a few. *)
+let fleet ?(seed = 0) ?policy ?obs ~size cache =
   let mirror i =
     let mseed = (seed * 1021) + i in
     let faults =
@@ -507,28 +485,27 @@ let fleet ?(seed = 0) ?policy ?clock ?obs ?selection ?(name_prefix = "m") ~size
           fp_wall = false;
           fp_outage_len = Some (10 + die ~seed:mseed ~salt:"outage_len" 30) }
     in
-    create ~faults ~name:(Printf.sprintf "%s%02d" name_prefix i) cache
+    create ~faults ~name:(Printf.sprintf "m%02d" i) cache
   in
-  group ?policy ?clock ?obs ?selection (List.init size mirror)
+  group ?policy ?obs (List.init size mirror)
 
-(* Fetch [hash] with per-mirror retry/backoff and ordered failover.
-   Absent is a healthy answer (resets the breaker); transient failures
-   retry with backoff on the same mirror until the policy or the
-   breaker says stop; corruption quarantines and fails over; outages
-   and open breakers fail over immediately. *)
 let breaker_state_name = function
   | Closed -> "closed"
   | Open -> "open"
   | Half_open -> "half_open"
 
+(* Fetch [hash] with per-mirror retry/backoff and failover in [rank] order.
+   Absent is a healthy answer (resets the breaker); transient failures
+   retry with backoff on the same mirror until the policy or the
+   breaker says stop; corruption quarantines and fails over; outages
+   and open breakers fail over immediately. *)
 let fetch_entry g ~hash =
   Obs.with_span g.g_obs ~cat:"mirror" "mirror.fetch"
     ~attrs:[ ("hash", Obs.S (Chash.short hash)) ]
   @@ fun span ->
-  (* This call's own counts: returned to the caller, and added to the
-     group's shared record under its mutex once the call is done. Each
-     bump also lands in the Obs metric of the same name, so the record
-     and the trace agree by construction. *)
+  (* This call's own counts, returned to the caller. Each bump also
+     lands in the Obs metric of the same name, so the record and the
+     trace agree by construction. *)
   let tel = fresh_telemetry () in
   let obs = g.g_obs in
   let count n bump =
@@ -638,11 +615,7 @@ let fetch_entry g ~hash =
         in
         attempt 1
   in
-  let result = try_mirrors (rank g) in
-  Mutex.lock g.g_mu;
-  add_telemetry g.g_tel tel;
-  Mutex.unlock g.g_mu;
-  (result, tel)
+  (try_mirrors (rank g), tel)
 
 (* What the concretizer may treat as reusable right now: the entries of
    every mirror that is currently reachable — breaker not open, not in

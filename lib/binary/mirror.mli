@@ -8,16 +8,17 @@
     the client-side machinery that makes the install path survive them:
 
     - a configurable {!retry_policy} (exponential backoff + bounded
-      jitter) over an injectable monotonic {!clock};
+      jitter) over a simulated monotonic {!clock};
     - a per-mirror circuit {!breaker} (closed → open after N
       consecutive failures → half-open probe);
-    - ordered failover across the mirrors of a {!group};
+    - failover across the mirrors of a {!group}, in the order {!rank}
+      derives from breaker state and measured latency;
     - end-to-end integrity: every delivered entry is re-hashed with
       {!Chash} against the trusted index digest {e and} its sub-DAG's
       Merkle hash; corrupted entries are quarantined per-mirror and
       refetched elsewhere. *)
 
-(** {1 Injectable clock} *)
+(** {1 Simulated clock} *)
 
 type clock
 
@@ -60,28 +61,21 @@ type breaker_config = {
 }
 
 val default_breaker : breaker_config
-(** 3 failures, 30s cooldown. *)
+(** 3 failures, 30s cooldown: what every breaker runs with. *)
 
 type breaker_state = Closed | Open | Half_open
 
 type breaker
 
-val breaker : ?config:breaker_config -> unit -> breaker
+val breaker : unit -> breaker
 
 val breaker_state : breaker -> breaker_state
 
 val breaker_trips : breaker -> int
 
-val breaker_failures : breaker -> int
-(** Consecutive failures recorded while closed — one of the adaptive
-    selection's ranking keys. *)
-
 val breaker_allows : breaker -> clock -> bool
 (** May a request go through now? An [Open] breaker whose cooldown has
     elapsed transitions to [Half_open] and admits exactly the probe. *)
-
-val breaker_would_allow : breaker -> clock -> bool
-(** {!breaker_allows} without the state transition (pure query). *)
 
 val breaker_record : breaker -> clock -> ok:bool -> bool
 (** Feed an outcome. Success closes the breaker and clears the failure
@@ -124,31 +118,20 @@ val describe_error : fetch_error -> string
 
 type t
 
-val create : ?faults:fault_plan -> ?breaker_config:breaker_config -> name:string -> Buildcache.t -> t
+val create : ?faults:fault_plan -> name:string -> Buildcache.t -> t
 
 val name : t -> string
 
 val breaker_of : t -> breaker
 
-val fetch_count : t -> int
-
-val measured_latency : t -> float
-(** Client-side smoothed per-attempt request time in simulated ms
-    (EWMA, weight 1/4 on the newest sample; [0.] before any attempt).
-    What the adaptive selection ranks by after breaker state. *)
-
 val quarantined : t -> string list
 (** Hashes this mirror has served corrupt and will no longer be asked
     for. *)
 
-val entry_payload : Buildcache.entry -> string
-(** The canonical byte rendering of an entry (spec text, objects via
-    {!Object_file.canonical}, build-time prefixes) — the bytes the
-    integrity check covers. *)
-
 val entry_digest : Buildcache.entry -> string
-(** {!Chash} digest of {!entry_payload} — what the trusted index
-    records and the client recomputes on delivery. *)
+(** {!Chash} digest of an entry's canonical bytes (spec text, objects
+    via {!Object_file.canonical}, build-time prefixes) — what the
+    trusted index records and the client recomputes on delivery. *)
 
 val fetch : t -> clock -> hash:string -> (Buildcache.entry, fetch_error) result
 (** One fetch attempt against one mirror, faults and integrity check
@@ -174,74 +157,50 @@ val add_telemetry : telemetry -> telemetry -> unit
 
 val pp_telemetry : Format.formatter -> telemetry -> unit
 
-type selection =
-  | Static  (** consult mirrors in configured order — the old behavior *)
-  | Adaptive
-      (** feedback loop: order by (breaker cooling?, consecutive
-          failures, latency EWMA, configured index) at every fetch, so
-          tripped and slow mirrors sink and recovered ones float back *)
-
 type group
 
-val group :
-  ?policy:retry_policy ->
-  ?clock:clock ->
-  ?obs:Obs.ctx ->
-  ?selection:selection ->
-  t list ->
-  group
-(** Ordered failover across [t list]; all fetches share the policy,
-    the clock and a telemetry accumulator. [selection] defaults to
-    {!Static}. With [?obs], every {!fetch_entry} is a [mirror.fetch]
-    span, each telemetry bump also lands in the matching [mirror.*]
-    counter, backoff waits feed the [mirror.backoff_ms] histogram,
-    verified payload bytes accumulate in [mirror.bytes_verified], and
-    circuit-breaker state transitions appear as [mirror.breaker]
-    instants. Groups are domain-safe: concurrent {!fetch_entry} calls
-    from parallel installs share breakers, telemetry and the clock. *)
+val group : ?policy:retry_policy -> ?obs:Obs.ctx -> t list -> group
+(** Failover across [t list] in {!rank} order; all fetches share the
+    policy and one fresh simulated clock. With [?obs], every
+    {!fetch_entry} is a [mirror.fetch] span, each telemetry bump also
+    lands in the matching [mirror.*] counter, backoff waits feed the
+    [mirror.backoff_ms] histogram, verified payload bytes accumulate in
+    [mirror.bytes_verified], and circuit-breaker state transitions
+    appear as [mirror.breaker] instants. Groups are domain-safe:
+    concurrent {!fetch_entry} calls from parallel installs share
+    breakers, latency measurements and the clock. *)
 
 val fleet :
-  ?seed:int ->
-  ?policy:retry_policy ->
-  ?clock:clock ->
-  ?obs:Obs.ctx ->
-  ?selection:selection ->
-  ?name_prefix:string ->
-  size:int ->
-  Buildcache.t ->
-  group
-(** A simulated fleet of [size] mirrors over one cache, each with a
-    deterministic fault/latency profile drawn from [seed]: every fifth
-    mirror is near-clean and fast, the rest mix transient failures
-    (5–34%), latency (5–80ms), sticky corruption on roughly a quarter,
-    and bounded outage windows on roughly a sixth. The profile set is a
-    pure function of [(seed, size)]. *)
+  ?seed:int -> ?policy:retry_policy -> ?obs:Obs.ctx -> size:int -> Buildcache.t -> group
+(** A simulated fleet of [size] mirrors [m00], [m01], … over one cache,
+    each with a deterministic fault/latency profile drawn from [seed]:
+    every fifth mirror is near-clean and fast, the rest mix transient
+    failures (5–34%), latency (5–80ms), sticky corruption on roughly a
+    quarter, and bounded outage windows on roughly a sixth. The
+    profile set is a pure function of [(seed, size)]. *)
 
 val mirrors : group -> t list
 
-val telemetry : group -> telemetry
-
 val group_clock : group -> clock
 
-val selection : group -> selection
-
 val rank : group -> t list
-(** The order {!fetch_entry} would consult mirrors in right now.
-    {!Static} groups return the configured list; {!Adaptive} groups
-    sort by (breaker cooling-down, consecutive failures, measured
-    latency, configured index) — deterministic given the same
-    statistics. *)
+(** The order {!fetch_entry} would consult mirrors in right now:
+    sorted by (breaker cooling down, consecutive failures, latency,
+    configured index). Latency is the mirror's client-side EWMA of
+    per-attempt request time (weight 1/4 on the newest sample); a
+    mirror with no sample yet counts as the policy's [base_delay_ms],
+    so a measured mirror slower than one retry wait gives way to an
+    untried one and a faster one keeps its place. Deterministic given
+    the same statistics. *)
 
 val fetch_entry :
   group ->
   hash:string ->
   (Buildcache.entry, (string * fetch_error) list) result * telemetry
-(** Fetch with retry, backoff, breaker gating and ordered failover.
-    [Error] carries each mirror's final verdict, in consultation
-    order. The telemetry counts this call alone; the same counts are
-    added to the group's {!telemetry} when the call returns, so
-    concurrent fetches through one group never count each other's
-    work. *)
+(** Fetch with retry, backoff, breaker gating and failover in {!rank}
+    order. [Error] carries each mirror's final verdict, in consultation
+    order. The telemetry counts this call alone, so concurrent fetches
+    through one group never count each other's work. *)
 
 val reachable_specs : group -> Spec.Concrete.t list
 (** The deduplicated concrete specs of every {e currently reachable}

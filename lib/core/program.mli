@@ -15,22 +15,17 @@ val reuse : string
 (** Reuse choice, imposition application, build/reuse objective
     plumbing — shared by both encodings. *)
 
-val hash_attr_recovery : string
-(** Fig. 3b: recover [imposed_constraint] from [hash_attr], with the
-    hash and depends_on impositions deferring to splices. *)
-
-val splice_logic : string
-(** Fig. 4b: choose between imposing an original dependency and
-    splicing in a compatible replacement. *)
-
 val optimization : string
 (** Objectives: minimize builds (highest priority, weight 100 as in
     §5.1.2), version preference, non-default variants, splice count. *)
 
 val assemble : encoding:Encode.encoding -> splicing:bool -> unit -> string
-(** The sections in order: {!base}, {!reuse}, {!hash_attr_recovery}
-    under the [Hash_attr] encoding, {!splice_logic} when [splicing],
-    then {!optimization}. *)
+(** The sections in order: {!base}, {!reuse}, the Fig. 3b recovery of
+    [imposed_constraint] from [hash_attr] (with the hash and
+    depends_on impositions deferring to splices) under the [Hash_attr]
+    encoding, the Fig. 4b choice between imposing an original
+    dependency and splicing in a compatible replacement when
+    [splicing], then {!optimization}. *)
 
 val statements : encoding:Encode.encoding -> splicing:bool -> Asp.Ast.program
 (** [assemble]'s text, parsed: once per domain and argument pair, then

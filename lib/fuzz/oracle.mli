@@ -30,10 +30,6 @@ val add_stats : stats -> stats -> unit
 
 val pp_stats : Format.formatter -> stats -> unit
 
-val brute_has_solution : repo:Pkg.Repo.t -> Gen.t -> string -> bool option
-(** Reference enumerator: does any candidate DAG satisfy the request?
-    [None] when the choice space is too large to enumerate. *)
-
 val check : ?stats:stats -> Gen.t -> string list
 (** Run every oracle over one universe; returns violation
     descriptions (empty = all invariants held). Never raises: internal

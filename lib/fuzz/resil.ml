@@ -321,7 +321,7 @@ let check ?(stats = fresh_stats ()) (u : Gen.t) plan =
        (u.Gen.u_cache_roots @ u.Gen.u_requests);
      (* 6. install storm: several independent installs — including two of
         the same spec, to force cross-install claim contention — race
-        onto one shared store through one adaptive mirror fleet. The
+        onto one shared store through one simulated mirror fleet. The
         union must equal the serial union, and no claim may leak. *)
      (match List.rev !storm_specs with
       | [] -> ()
@@ -352,8 +352,7 @@ let check ?(stats = fresh_stats ()) (u : Gen.t) plan =
             Binary.Store.create ~root:store_root (Binary.Vfs.create ())
           in
           let fleet =
-            Binary.Mirror.fleet ~seed:plan.pl_crash_at
-              ~selection:Binary.Mirror.Adaptive ~size:8 cache
+            Binary.Mirror.fleet ~seed:plan.pl_crash_at ~size:8 cache
           in
           let results =
             List.map

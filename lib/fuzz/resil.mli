@@ -16,7 +16,7 @@
       byte-identical to the serial one and the same fingerprint; a
       crash injected into a parallel faulty run recovers and resumes to
       convergence; and an install {e storm} — several installs racing
-      onto one shared store through an adaptive mirror fleet, two of
+      onto one shared store through a simulated mirror fleet, two of
       them the same spec — converges to the serial union with no claim
       left in flight.
 
@@ -25,18 +25,11 @@
 
 type plan = {
   pl_mirrors : (string * Binary.Mirror.fault_plan) list;
-      (** one fault plan per simulated mirror, in failover order *)
+      (** one fault plan per simulated mirror, in configured order *)
   pl_crash_at : int;
       (** crash point; reduced mod the observed write count at use *)
   pl_jobs : int;  (** domain count for the parallel-schedule scenarios *)
 }
-
-val gen_plan : Rng.t -> plan
-
-val plan_for : seed:int -> round:int -> plan
-(** The fault plan tested at (seed, round) — for reproducing reports. *)
-
-val pp_plan : Format.formatter -> plan -> unit
 
 type stats = {
   mutable installs_converged : int;
@@ -52,7 +45,7 @@ type stats = {
       (** crashes injected into jobs-N faulty runs that recovered and
           resumed to convergence *)
   mutable storms_converged : int;
-      (** concurrent multi-install unions (shared store, adaptive
+      (** concurrent multi-install unions (shared store, simulated
           fleet, duplicated spec for claim contention) that matched the
           serial union with no claim leaked *)
   mutable entries_quarantined : int;
@@ -84,9 +77,9 @@ type report = {
 }
 
 val run : ?log:(string -> unit) -> seed:int -> rounds:int -> unit -> report
-(** Round [k] tests [Harness.universe ~seed ~round:k] under
-    [plan_for ~seed ~round:k]; failing universes are shrunk with the
-    plan held fixed. *)
+(** Round [k] tests [Harness.universe ~seed ~round:k] under a fault
+    plan that is a pure function of [(seed, k)]; failing universes are
+    shrunk with the plan held fixed, and {!pp_failure} prints the plan. *)
 
 val pp_failure : Format.formatter -> failure -> unit
 

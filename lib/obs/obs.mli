@@ -23,8 +23,6 @@
 (** Monotonic time (CLOCK_MONOTONIC, via bechamel's stub). Immune to
     wall-clock steps from NTP — the right base for benchmark deltas. *)
 module Clock : sig
-  val now_ns : unit -> int64
-
   val now_s : unit -> float
   (** Seconds since an arbitrary epoch. Only differences mean
       anything. *)

@@ -108,19 +108,27 @@ let qcheck_backoff_deterministic =
 
 (* ---- circuit breaker ---- *)
 
+let threshold = M.default_breaker.M.failure_threshold
+
+let cooldown = M.default_breaker.M.cooldown_ms
+
+let fail_times b clk n =
+  for _ = 1 to n do
+    ignore (M.breaker_record b clk ~ok:false)
+  done
+
 let test_breaker_trips_and_recovers () =
-  let cfg = { M.failure_threshold = 3; cooldown_ms = 100.0 } in
-  let b = M.breaker ~config:cfg () in
+  let b = M.breaker () in
   let clk = M.clock () in
   Alcotest.(check bool) "starts closed" true (M.breaker_state b = M.Closed);
-  ignore (M.breaker_record b clk ~ok:false);
-  ignore (M.breaker_record b clk ~ok:false);
+  fail_times b clk (threshold - 1);
   Alcotest.(check bool) "below threshold stays closed" true
     (M.breaker_state b = M.Closed);
-  Alcotest.(check bool) "third failure trips" true (M.breaker_record b clk ~ok:false);
+  Alcotest.(check bool) "the threshold failure trips" true
+    (M.breaker_record b clk ~ok:false);
   Alcotest.(check bool) "open" true (M.breaker_state b = M.Open);
   Alcotest.(check bool) "open rejects" false (M.breaker_allows b clk);
-  M.advance clk 99.0;
+  M.advance clk (cooldown -. 1.0);
   Alcotest.(check bool) "still cooling down" false (M.breaker_allows b clk);
   M.advance clk 1.0;
   Alcotest.(check bool) "cooldown elapsed admits a probe" true (M.breaker_allows b clk);
@@ -128,26 +136,24 @@ let test_breaker_trips_and_recovers () =
   (* a failed probe re-opens immediately, no threshold *)
   ignore (M.breaker_record b clk ~ok:false);
   Alcotest.(check bool) "failed probe re-opens" true (M.breaker_state b = M.Open);
-  M.advance clk 100.0;
+  M.advance clk cooldown;
   Alcotest.(check bool) "probe again" true (M.breaker_allows b clk);
   ignore (M.breaker_record b clk ~ok:true);
   Alcotest.(check bool) "successful probe closes" true (M.breaker_state b = M.Closed);
-  ignore (M.breaker_record b clk ~ok:false);
-  ignore (M.breaker_record b clk ~ok:false);
+  fail_times b clk (threshold - 1);
   ignore (M.breaker_record b clk ~ok:true);
   Alcotest.(check bool) "success clears the failure count" true
     (M.breaker_state b = M.Closed);
-  ignore (M.breaker_record b clk ~ok:false);
-  ignore (M.breaker_record b clk ~ok:false);
+  fail_times b clk (threshold - 1);
   Alcotest.(check bool) "count restarted after success" true
     (M.breaker_state b = M.Closed)
 
 let test_breaker_consecutive_failures_reset () =
-  let b = M.breaker ~config:{ M.failure_threshold = 2; cooldown_ms = 10.0 } () in
+  let b = M.breaker () in
   let clk = M.clock () in
-  ignore (M.breaker_record b clk ~ok:false);
+  fail_times b clk (threshold - 1);
   ignore (M.breaker_record b clk ~ok:true);
-  ignore (M.breaker_record b clk ~ok:false);
+  fail_times b clk (threshold - 1);
   Alcotest.(check bool) "non-consecutive failures do not trip" true
     (M.breaker_state b = M.Closed);
   ignore (M.breaker_record b clk ~ok:false);
@@ -167,12 +173,12 @@ let test_transient_then_success () =
   let faults = { M.no_faults with M.fp_seed = 5; fp_transient_pct = 60 } in
   let m = M.create ~faults ~name:"flaky" (Lazy.force origin) in
   let g = M.group ~policy:fast_policy [ m ] in
-  (match fst (M.fetch_entry g ~hash:(root_hash ())) with
+  let result, t = M.fetch_entry g ~hash:(root_hash ()) in
+  (match result with
   | Ok _ -> ()
   | Error vs ->
     Alcotest.failf "expected success, got: %s"
       (String.concat "; " (List.map (fun (m, e) -> m ^ ":" ^ M.describe_error e) vs)));
-  let t = M.telemetry g in
   Alcotest.(check bool) "retried at least once" true (t.M.retries > 0);
   Alcotest.(check bool) "backoff advanced the clock" true (t.M.backoff_ms > 0.0);
   Alcotest.(check bool) "clock is simulated" true (M.now (M.group_clock g) > 0.0)
@@ -186,7 +192,8 @@ let test_corrupt_quarantine_failover () =
   let good = M.create ~name:"good" (Lazy.force origin) in
   let g = M.group ~policy:fast_policy [ bad; good ] in
   let hash = root_hash () in
-  (match fst (M.fetch_entry g ~hash) with
+  let result, t = M.fetch_entry g ~hash in
+  (match result with
   | Ok e ->
     (* the delivered entry is the intact one *)
     Alcotest.(check string) "verified digest" (M.entry_digest e)
@@ -196,7 +203,6 @@ let test_corrupt_quarantine_failover () =
     (List.mem hash (M.quarantined bad));
   Alcotest.(check (list string)) "good mirror quarantined nothing" []
     (M.quarantined good);
-  let t = M.telemetry g in
   Alcotest.(check bool) "failover counted" true (t.M.failovers > 0);
   Alcotest.(check bool) "quarantine counted" true (t.M.quarantines > 0);
   (* sticky: asking the bad mirror again short-circuits *)
@@ -222,12 +228,11 @@ let test_outage_trips_breaker () =
   ignore (M.fetch_entry g ~hash);
   Alcotest.(check bool) "breaker opened" true
     (M.breaker_state (M.breaker_of down) = M.Open);
-  let skips_before = (M.telemetry g).M.breaker_skips in
-  (match fst (M.fetch_entry g ~hash) with
+  let result, t = M.fetch_entry g ~hash in
+  (match result with
   | Ok _ -> Alcotest.fail "still offline"
   | Error _ -> ());
-  Alcotest.(check bool) "open breaker short-circuits" true
-    ((M.telemetry g).M.breaker_skips > skips_before)
+  Alcotest.(check bool) "open breaker short-circuits" true (t.M.breaker_skips > 0)
 
 (* ---- graceful degradation through the installer ---- *)
 
@@ -387,7 +392,7 @@ let test_concurrent_installs_dedup () =
 
 (* Two installs into their own stores share one mirror whose
    deliveries really sleep, so their fetches overlap: each report
-   counts its own three fetches, and the group all six. *)
+   counts its own three fetches. *)
 let test_concurrent_installs_count_own_fetches () =
   let m =
     M.create
@@ -403,8 +408,7 @@ let test_concurrent_installs_count_own_fetches () =
   |> List.iter (fun r ->
          match r.B.Installer.fetch_telemetry with
          | Some t -> Alcotest.(check int) "an install counts its own fetches" 3 t.M.fetched
-         | None -> Alcotest.fail "no fetch telemetry");
-  Alcotest.(check int) "the group counts both installs" 6 (M.telemetry g).M.fetched
+         | None -> Alcotest.fail "no fetch telemetry")
 
 (* r -> a -> c and r -> b, every fetch failing: in depth-first
    post-order (c, a, b, r) c fails first. Two workers start on the two
@@ -503,14 +507,14 @@ let qcheck_recover_idempotent =
       && B.Store.fingerprint s2 = fp1
       && B.Vfs.file_count vfs = files1)
 
-(* ---- adaptive mirror ordering ---- *)
+(* ---- mirror ranking ---- *)
 
-let test_adaptive_ordering_sinks_and_recovers () =
+let test_rank_sinks_and_recovers () =
   let cache = Lazy.force origin in
   let lat ms = { M.no_faults with M.fp_latency_ms = ms } in
   let slow = M.create ~name:"slow" ~faults:(lat 50.0) cache in
   let fast = M.create ~name:"fast" ~faults:(lat 1.0) cache in
-  let g = M.group ~policy:fast_policy ~selection:M.Adaptive [ slow; fast ] in
+  let g = M.group ~policy:fast_policy [ slow; fast ] in
   let clk = M.group_clock g in
   Alcotest.(check (list string)) "unmeasured mirrors keep configured order"
     [ "slow"; "fast" ]
@@ -523,42 +527,51 @@ let test_adaptive_ordering_sinks_and_recovers () =
     (List.map M.name (M.rank g));
   (* trip the fast mirror's breaker: it sinks to the very back *)
   let b = M.breaker_of fast in
-  for _ = 1 to 3 do
-    ignore (M.breaker_record b clk ~ok:false)
-  done;
+  fail_times b clk threshold;
   Alcotest.(check bool) "breaker open" true (M.breaker_state b = M.Open);
   Alcotest.(check (list string)) "tripped mirror sinks to the back"
     [ "slow"; "fast" ]
     (List.map M.name (M.rank g));
   (* cooldown elapses, probes succeed: it recovers to the front *)
-  M.advance clk M.default_breaker.M.cooldown_ms;
+  M.advance clk cooldown;
   Alcotest.(check bool) "cooldown admits the probe" true (M.breaker_allows b clk);
   ignore (M.breaker_record b clk ~ok:true);
   Alcotest.(check (list string)) "recovered mirror returns to the front"
     [ "fast"; "slow" ]
     (List.map M.name (M.rank g))
 
-let qcheck_adaptive_rank_by_latency =
+(* Latencies straddle fast_policy's 1-ms base delay, what an unmeasured
+   mirror ranks at, so measured mirrors land on both sides of it. *)
+let qcheck_rank_by_latency =
   QCheck.Test.make
-    ~name:"adaptive rank orders healthy mirrors by measured latency" ~count:40
-    QCheck.(list_of_size (Gen.int_range 2 6) (int_range 0 500))
-    (fun lats ->
+    ~name:"rank orders healthy mirrors by latency, untried at one retry wait"
+    ~count:40
+    QCheck.(
+      list_of_size (Gen.int_range 2 6)
+        (pair (make Gen.(oneof [ int_range 0 2; int_range 0 500 ])) bool))
+    (fun mirrors ->
       let cache = Lazy.force origin in
       let ms =
         List.mapi
-          (fun i l ->
+          (fun i (l, _) ->
             M.create
               ~name:(Printf.sprintf "m%d" i)
               ~faults:{ M.no_faults with M.fp_latency_ms = float_of_int l }
               cache)
-          lats
+          mirrors
       in
-      let g = M.group ~policy:fast_policy ~selection:M.Adaptive ms in
+      let g = M.group ~policy:fast_policy ms in
       let clk = M.group_clock g in
-      List.iter (fun m -> ignore (M.fetch m clk ~hash:(root_hash ()))) ms;
+      List.iter2
+        (fun m (_, measured) ->
+          if measured then ignore (M.fetch m clk ~hash:(root_hash ())))
+        ms mirrors;
       let expected =
-        List.mapi (fun i l -> (l, i)) lats
-        |> List.stable_sort compare
+        List.mapi
+          (fun i (l, measured) ->
+            ((if measured then float_of_int l else fast_policy.M.base_delay_ms), i))
+          mirrors
+        |> List.sort compare
         |> List.map (fun (_, i) -> Printf.sprintf "m%d" i)
       in
       List.map M.name (M.rank g) = expected)
@@ -570,14 +583,10 @@ let qcheck_tripped_mirrors_sink =
     (fun trips ->
       let cache = Lazy.force origin in
       let ms = List.mapi (fun i _ -> M.create ~name:(string_of_int i) cache) trips in
-      let g = M.group ~selection:M.Adaptive ms in
+      let g = M.group ms in
       let clk = M.group_clock g in
       List.iteri
-        (fun i m ->
-          if List.nth trips i then
-            for _ = 1 to M.default_breaker.M.failure_threshold do
-              ignore (M.breaker_record (M.breaker_of m) clk ~ok:false)
-            done)
+        (fun i m -> if List.nth trips i then fail_times (M.breaker_of m) clk threshold)
         ms;
       let is_tripped name = List.nth trips (int_of_string name) in
       let rec healthy_prefix = function
@@ -710,9 +719,9 @@ let () =
             `Quick test_parallel_crash_recover_everywhere;
           QCheck_alcotest.to_alcotest qcheck_recover_idempotent ] );
       ( "selection",
-        [ Alcotest.test_case "adaptive ordering sinks and recovers mirrors"
-            `Quick test_adaptive_ordering_sinks_and_recovers;
-          QCheck_alcotest.to_alcotest qcheck_adaptive_rank_by_latency;
+        [ Alcotest.test_case "rank sinks and recovers mirrors"
+            `Quick test_rank_sinks_and_recovers;
+          QCheck_alcotest.to_alcotest qcheck_rank_by_latency;
           QCheck_alcotest.to_alcotest qcheck_tripped_mirrors_sink ] );
       ( "satellites",
         [ Alcotest.test_case "relative requires a separator" `Quick
