@@ -81,9 +81,12 @@ let batch_flag =
 
 let jobs_flag =
   Arg.(value & opt int 1 & info [ "jobs" ] ~docv:"N"
-      ~doc:"Solve a $(b,--batch) over N parallel domains (default 1), \
-            capped at the batch size and the number of cores; \
+      ~doc:"Solve a $(b,--batch) over N parallel domains (N >= 1, default \
+            1), capped at the batch size and the number of cores; \
             $(b,--stats) prints the count used.")
+
+(* An out-of-range count is rejected with one stderr line and exit 2. *)
+let below flag lo n = Printf.sprintf "%s: expected %d or more, got %d" flag lo n
 
 let read_batch_file file =
   let ic = open_in file in
@@ -147,6 +150,9 @@ let concretize_cmd =
        span is part of the pipeline picture. *)
     let opts = { opts with Core.Concretizer.obs; verify = Obs.enabled obs } in
     match (batch, spec_text) with
+    | _ when jobs < 1 ->
+      Format.eprintf "error: %s@." (below "--jobs" 1 jobs);
+      2
     | Some file, None -> run_batch ~opts ~jobs ~stats file
     | Some _, Some _ ->
       Format.eprintf "error: give either a SPEC or --batch FILE, not both@.";
@@ -262,7 +268,9 @@ let no_fallback_flag =
 
 let crash_at_flag =
   Arg.(value & opt (some int) None & info [ "crash-at" ] ~docv:"K"
-      ~doc:"Simulate a crash (power loss) at the K-th store mutation.")
+      ~doc:"Simulate a crash (power loss) after K store mutations (K >= \
+            0): mutation K+1 crashes instead of writing, so 0 crashes \
+            before the first write.")
 
 let recover_flag =
   Arg.(value & flag & info [ "recover" ]
@@ -271,9 +279,9 @@ let recover_flag =
 
 let install_jobs_flag =
   Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N"
-      ~doc:"Install the spec DAG on N domains with ready-set scheduling (a \
-            node starts as soon as all its dependencies commit). The report \
-            is byte-identical to the serial one.")
+      ~doc:"Install the spec DAG on N domains (N >= 1) with ready-set \
+            scheduling (a node starts as soon as all its dependencies \
+            commit). The report is byte-identical to the serial one.")
 
 let fleet_flag =
   Arg.(value & opt (some int) None & info [ "fleet" ] ~docv:"N"
@@ -295,11 +303,11 @@ let install_cmd =
       { opts with Core.Concretizer.obs; verify = Obs.enabled obs }
     in
     let mirror_plans =
-      match (fleet, retries) with
-      | Some n, _ when n < 1 ->
-        Error (Printf.sprintf "--fleet: expected 1 or more, got %d" n)
-      | _, Some n when n < 1 ->
-        Error (Printf.sprintf "--retries: expected 1 or more, got %d" n)
+      match (fleet, retries, crash_at) with
+      | _ when jobs < 1 -> Error (below "--jobs" 1 jobs)
+      | _, _, Some k when k < 0 -> Error (below "--crash-at" 0 k)
+      | Some n, _, _ when n < 1 -> Error (below "--fleet" 1 n)
+      | _, Some n, _ when n < 1 -> Error (below "--retries" 1 n)
       | _ ->
         List.fold_left
           (fun acc s ->

@@ -22,6 +22,17 @@
     priority first) by branch-and-bound descent with activation
     literals.
 
+    Translation builds no list per rule: each clause and PB constraint
+    is assembled in one reusable literal buffer and handed to the SAT
+    core's array input path ({!Sat.add_clause_array},
+    {!Sat.add_pb_le_array}); bodies of two or more literals are shared
+    through a table keyed by their sorted atom ids; supports, the
+    positive dependency graph and Tarjan's state are int arrays, the
+    latter reused from one translation to the next on each domain. The
+    solver receives the variables, clauses, PB constraints and
+    level-0 units in the order the rules, atoms and [#minimize] tuples
+    dictate, so search and answers depend only on the ground program.
+
     Search runs on the glucose-class {!Sat} core, one solver per
     {!solve} call. *)
 
@@ -49,7 +60,8 @@ type loops
     each positive body atom), and the rules with such a head. *)
 
 val loops : Ground.t -> loops
-(** Computed once per solve, with an iterative Tarjan. *)
+(** Computed once per solve, with an iterative Tarjan over the graph in
+    compressed sparse rows. *)
 
 val unfounded : loops -> (Ground.atom_id -> bool) -> Ground.atom_id list
 (** [unfounded l truth] is the stability check of the interpretation

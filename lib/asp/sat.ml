@@ -43,19 +43,24 @@ let lit_not l = l lxor 1
 let lit_var l = l lsr 1
 let lit_sign l = l land 1 = 0 (* true = positive *)
 
-(* Dynamic arrays (watch lists and cref lists are int vecs). *)
+(* Growable int vectors: watch lists, the trail, clause-reference
+   lists. Monomorphic, so a push or a read is a plain int store or
+   load, with no float-array check and no write barrier. *)
 module Vec = struct
-  type 'a t = { mutable data : 'a array; mutable len : int; dummy : 'a }
+  type t = { mutable data : int array; mutable len : int }
 
   (* No storage until the first push: most literals' watch lists of a
      small instance stay empty. *)
-  let create dummy = { data = [||]; len = 0; dummy }
+  let create () = { data = [||]; len = 0 }
 
   let push v x =
     if v.len = Array.length v.data then begin
-      let data = Array.make (max 4 (2 * v.len)) v.dummy in
-      Array.blit v.data 0 data 0 v.len;
-      v.data <- data
+      if v.len = 0 then v.data <- [| 0; 0; 0; 0 |]
+      else begin
+        let data = Array.make (2 * v.len) 0 in
+        Array.blit v.data 0 data 0 v.len;
+        v.data <- data
+      end
     end;
     v.data.(v.len) <- x;
     v.len <- v.len + 1
@@ -64,25 +69,24 @@ module Vec = struct
   let set v i x = v.data.(i) <- x
   let size v = v.len
 
-  (* Clear the abandoned slots: for boxed payloads a popped pointer
-     would otherwise keep its object reachable forever. A vector that
-     is already [n] long is not written, so the shared {!no_watch}
-     stays untouched. *)
-  let shrink v n =
-    if n < v.len then begin
-      for i = n to v.len - 1 do
-        v.data.(i) <- v.dummy
-      done;
-      v.len <- n
-    end
+  (* A vector that is already [n] long is not written, so the shared
+     {!no_watch} stays untouched. *)
+  let shrink v n = if n < v.len then v.len <- n
 end
 
 (* Every literal's watch list until its first watch: one empty vector
-   that is never pushed to. Filling a fresh solver's watch array from
-   it, a value older than the request, keeps [Array.make] from
-   emptying the minor heap first, as it does for a young initial value
-   in an array of more than 256 words. *)
-let no_watch : int Vec.t = Vec.create 0
+   that is never pushed to, so a literal no clause watches allocates
+   nothing. *)
+let no_watch = Vec.create ()
+
+(* The per-literal tables, [watches] and [pb_watch], are kept in chunks
+   of 256 slots. An array of at most 256 words is allocated in the
+   minor heap, so storing a solve's young watch lists into it does not
+   make them roots of the next minor collection, as a store into one
+   major-heap array of every literal would: they die young with their
+   solver instead of being promoted. *)
+let chunk_bits = 8
+let chunk = 1 lsl chunk_bits
 
 (* A per-solve resource budget, set once on a solver and honored by
    every subsequent [solve] call until replaced. [b_conflicts] caps the
@@ -146,18 +150,19 @@ type t = {
   mutable act_gen : int array;       (* rescale generation per var *)
   mutable gen : int;                 (* current rescale generation *)
   mutable phase : Bytes.t;           (* saved phase: 1 true, 0 false *)
-  mutable watches : int Vec.t array; (* per literal: (blocker, payload) pairs *)
-  mutable pb_watch : (pb * int) list array; (* per literal: PBs containing it *)
+  (* per literal, in chunks of [chunk] slots ({!watch_list}): *)
+  mutable watches : Vec.t array array;  (* (blocker, payload) pairs *)
+  mutable pb_watch : (pb * int) list array array;  (* PBs containing it *)
   mutable model : Bytes.t;
-  trail : int Vec.t;
-  trail_lim : int Vec.t;
+  trail : Vec.t;
+  trail_lim : Vec.t;
   mutable qhead : int;
   (* clause arena *)
   mutable arena : int array;
   mutable arena_top : int;
   mutable wasted : int;              (* words owned by deleted clauses *)
-  clauses : int Vec.t;               (* crefs of problem clauses (size >= 3) *)
-  mutable learnts : int Vec.t;       (* crefs of learnt clauses (size >= 3) *)
+  clauses : Vec.t;                   (* crefs of problem clauses (size >= 3) *)
+  mutable learnts : Vec.t;           (* crefs of learnt clauses (size >= 3) *)
   mutable n_clauses : int;           (* live problem clauses incl. binaries *)
   mutable n_learnts : int;           (* live learnt clauses incl. binaries *)
   mutable n_arena_learnts : int;     (* live learnt clauses in the arena *)
@@ -182,8 +187,8 @@ type t = {
   mutable at_restart : int * int * int; (* conflicts, decisions, props *)
   (* scratch for analysis *)
   mutable seen : Bytes.t;
-  to_clear : int Vec.t;              (* vars whose seen bit must be reset *)
-  min_stack : int Vec.t;             (* lit_redundant worklist *)
+  to_clear : Vec.t;                  (* vars whose seen bit must be reset *)
+  min_stack : Vec.t;                 (* lit_redundant worklist *)
   mutable lbd_mark : int array;      (* per decision level, stamped *)
   mutable lbd_stamp : int;
   (* restart state *)
@@ -203,9 +208,12 @@ type t = {
   mutable rephase_interval : int;
   mutable rephase_kind : int;        (* cycles target/inverted/random/reset *)
   mutable rng : int;                 (* xorshift state for random phases *)
+  (* input scratch: the clause or PB constraint being added *)
+  mutable in_lits : int array;
+  mutable in_ws : int array;
 }
 
-let blank () =
+let blank arena_words =
   { nvars = 0;
     assign = Bytes.create 0;
     level = [||];
@@ -219,14 +227,14 @@ let blank () =
     watches = [||];
     pb_watch = [||];
     model = Bytes.create 0;
-    trail = Vec.create 0;
-    trail_lim = Vec.create 0;
+    trail = Vec.create ();
+    trail_lim = Vec.create ();
     qhead = 0;
-    arena = Array.make 1024 0;
+    arena = Array.make arena_words 0;
     arena_top = 0;
     wasted = 0;
-    clauses = Vec.create 0;
-    learnts = Vec.create 0;
+    clauses = Vec.create ();
+    learnts = Vec.create ();
     n_clauses = 0;
     n_learnts = 0;
     n_arena_learnts = 0;
@@ -248,8 +256,8 @@ let blank () =
     obs = Obs.disabled;
     at_restart = (0, 0, 0);
     seen = Bytes.create 0;
-    to_clear = Vec.create 0;
-    min_stack = Vec.create 0;
+    to_clear = Vec.create ();
+    min_stack = Vec.create ();
     lbd_mark = [||];
     lbd_stamp = 0;
     ema_fast = 0.0;
@@ -263,7 +271,9 @@ let blank () =
     next_rephase = 1000;
     rephase_interval = 1000;
     rephase_kind = 0;
-    rng = 0x9E3779B9 }
+    rng = 0x9E3779B9;
+    in_lits = [||];
+    in_ws = [||] }
 
 let nvars s = s.nvars
 
@@ -273,6 +283,8 @@ let proof s = Option.map List.rev s.proof
 
 let log_step s step =
   match s.proof with Some ps -> s.proof <- Some (step :: ps) | None -> ()
+
+let logging s = match s.proof with Some _ -> true | None -> false
 
 (* Fault-injection hook for the fuzz harness: when set, [add_pb_le]
    silently discards its constraint, so cardinality bounds vanish. *)
@@ -315,8 +327,8 @@ let arena_ensure s need =
     s.arena <- arena
   end
 
-let alloc_clause s lits ~learnt ~lbd =
-  let size = Array.length lits in
+(* The clause of the first [size] literals of [lits]. *)
+let alloc_clause s lits size ~learnt ~lbd =
   arena_ensure s (size + 3);
   let cref = s.arena_top in
   s.arena.(cref) <- (size lsl 3) lor (if learnt then f_learnt else 0);
@@ -435,12 +447,18 @@ let reserve s cap =
     let lbd_mark = Array.make (cap + 1) 0 in
     Array.blit s.lbd_mark 0 lbd_mark 0 (Array.length s.lbd_mark);
     s.lbd_mark <- lbd_mark;
-    let watches = Array.make (2 * cap) no_watch in
-    Array.blit s.watches 0 watches 0 (2 * old);
-    s.watches <- watches;
-    let pb_watch = Array.make (2 * cap) [] in
-    Array.blit s.pb_watch 0 pb_watch 0 (2 * old);
-    s.pb_watch <- pb_watch;
+    let have = Array.length s.watches and need = ((2 * cap) + chunk - 1) / chunk in
+    if need > have then begin
+      let watches = Array.make need [||] and pb_watch = Array.make need [||] in
+      Array.blit s.watches 0 watches 0 have;
+      Array.blit s.pb_watch 0 pb_watch 0 have;
+      for i = have to need - 1 do
+        watches.(i) <- Array.make chunk no_watch;
+        pb_watch.(i) <- Array.make chunk []
+      done;
+      s.watches <- watches;
+      s.pb_watch <- pb_watch
+    end;
     let heap = Array.make cap 0 in
     Array.blit s.heap 0 heap 0 s.heap_len;
     s.heap <- heap;
@@ -457,10 +475,14 @@ let new_var s =
   heap_insert s v;
   v
 
-let create ?(vars = 0) () =
-  let s = blank () in
+let create ?(vars = 0) ?(arena = 1024) () =
+  let s = blank (max 16 arena) in
   reserve s vars;
   s
+
+let watch_list s l = s.watches.(l lsr chunk_bits).(l land (chunk - 1))
+
+let pb_watches s l = s.pb_watch.(l lsr chunk_bits).(l land (chunk - 1))
 
 (* -- assignment ---------------------------------------------------- *)
 
@@ -483,7 +505,7 @@ let enqueue s l reason =
   Bytes.set s.phase v (if lit_sign l then '\001' else '\000');
   (* PB sums track assignment (mirrored exactly by [cancel_until]);
      bound checks happen when the literal is dequeued in [propagate]. *)
-  List.iter (fun (pb, w) -> pb.sum_true <- pb.sum_true + w) s.pb_watch.(l);
+  List.iter (fun (pb, w) -> pb.sum_true <- pb.sum_true + w) (pb_watches s l);
   Vec.push s.trail l
 
 (* -- propagation --------------------------------------------------- *)
@@ -513,7 +535,7 @@ let pb_explain_conflict pb s =
   (* All currently-true literals of the PB jointly overflow the bound:
      learn that they can't all be true. *)
   let lits = pb_true_negations pb s ~first:0 in
-  if s.proof <> None then
+  if logging s then
     log_step s (P_pb_lemma (pb.origin, pb.prefix @ Array.to_list lits));
   lits
 
@@ -521,7 +543,7 @@ let pb_explain_conflict pb s =
    if conflict analysis asks ({!reason_iter_other}). A proof logs it
    now, as the lemma the checker will need. *)
 let enqueue_pb s l pb =
-  if s.proof <> None then begin
+  if logging s then begin
     let lits = pb_true_negations pb s ~first:1 in
     lits.(0) <- l;
     log_step s (P_pb_lemma (pb.origin, pb.prefix @ Array.to_list lits))
@@ -548,12 +570,12 @@ let rec pb_check s = function
 (* File the pair under [l], giving [l] its own watch list on its first
    watch. *)
 let watch_pair s l blocker payload =
-  let ws = s.watches.(l) in
+  let ws = watch_list s l in
   let ws =
     if ws != no_watch then ws
     else begin
-      let v = Vec.create 0 in
-      s.watches.(l) <- v;
+      let v = Vec.create () in
+      s.watches.(l lsr chunk_bits).(l land (chunk - 1)) <- v;
       v
     end
   in
@@ -567,11 +589,11 @@ let propagate s =
       s.qhead <- s.qhead + 1;
       s.c_propagations <- s.c_propagations + 1;
       (* PB checks for l being true (sums were updated at enqueue). *)
-      pb_check s s.pb_watch.(l);
+      pb_check s (pb_watches s l);
       (* Clause propagation: literal [not l] just became false; watch
          pairs are filed under the literal that became true. *)
       let falsified = lit_not l in
-      let ws = s.watches.(l) in
+      let ws = watch_list s l in
       let j = ref 0 in
       let i = ref 0 in
       while !i < Vec.size ws do
@@ -672,7 +694,7 @@ let cancel_until s lvl =
     for i = Vec.size s.trail - 1 downto bound do
       let l = Vec.get s.trail i in
       let v = lit_var l in
-      List.iter (fun (pb, w) -> pb.sum_true <- pb.sum_true - w) s.pb_watch.(l);
+      List.iter (fun (pb, w) -> pb.sum_true <- pb.sum_true - w) (pb_watches s l);
       Bytes.set s.assign v '\000';
       s.reason.(v) <- r_none;
       heap_insert s v
@@ -903,100 +925,186 @@ let attach_cref s cref =
   watch_pair s (lit_not l0) l1 (cref lsl 1);
   watch_pair s (lit_not l1) l0 (cref lsl 1)
 
-let add_clause s lits =
+(* -- input ----------------------------------------------------------- *)
+
+(* Every clause and PB constraint enters through [in_lits] (and, for a
+   PB, [in_ws]): the list and array entry points below only fill them.
+   The scratch grows by doubling and is reused by every later input. *)
+let reserve_input s n =
+  if Array.length s.in_lits < n then begin
+    let cap = max 16 (2 * n) in
+    s.in_lits <- Array.make cap 0;
+    s.in_ws <- Array.make cap 0
+  end
+
+let rec fill_lits a i = function
+  | [] -> ()
+  | l :: ls ->
+    a.(i) <- l;
+    fill_lits a (i + 1) ls
+
+let rec fill_wlits ws ls i = function
+  | [] -> ()
+  | (w, l) :: rest ->
+    ws.(i) <- w;
+    ls.(i) <- l;
+    fill_wlits ws ls (i + 1) rest
+
+let prefix_list a n = List.init n (fun i -> a.(i))
+
+(* Sort the first [n] slots of [a] ascending. Input clauses are short,
+   so insertion sort; a long one is sorted through a copy. *)
+let sort_prefix a n =
+  if n <= 16 then
+    for i = 1 to n - 1 do
+      let x = a.(i) in
+      let j = ref (i - 1) in
+      while !j >= 0 && a.(!j) > x do
+        a.(!j + 1) <- a.(!j);
+        decr j
+      done;
+      a.(!j + 1) <- x
+    done
+  else begin
+    let b = Array.sub a 0 n in
+    Array.sort Int.compare b;
+    Array.blit b 0 a 0 n
+  end
+
+(* The clause of the first [n] literals of [in_lits]. *)
+let add_input_clause s n =
   if s.ok then begin
     assert (decision_level s = 0);
-    log_step s (P_input lits);
-    (* Simplify: dedup, drop false lits, detect tautology/satisfied. *)
-    let lits = List.sort_uniq Int.compare lits in
-    let tautology =
-      let rec tst = function
-        | a :: (b :: _ as rest) -> (a lxor b) = 1 || tst rest
-        | _ -> false
-      in
-      tst lits
-    in
-    if not tautology then begin
-      let satisfied = List.exists (fun l -> lit_value s l = 1) lits in
-      if not satisfied then begin
-        let lits = List.filter (fun l -> lit_value s l <> 2) lits in
-        match lits with
-        | [] ->
+    let a = s.in_lits in
+    if logging s then log_step s (P_input (prefix_list a n));
+    (* Simplify: dedup, detect tautology/satisfied, drop false lits. *)
+    sort_prefix a n;
+    let m = ref (min n 1) in
+    for i = 1 to n - 1 do
+      if a.(i) <> a.(!m - 1) then begin
+        a.(!m) <- a.(i);
+        incr m
+      end
+    done;
+    let tautology = ref false and satisfied = ref false in
+    for i = 0 to !m - 1 do
+      if i > 0 && a.(i - 1) lxor a.(i) = 1 then tautology := true;
+      if lit_value s a.(i) = 1 then satisfied := true
+    done;
+    if not (!tautology || !satisfied) then begin
+      let k = ref 0 in
+      for i = 0 to !m - 1 do
+        if lit_value s a.(i) <> 2 then begin
+          a.(!k) <- a.(i);
+          incr k
+        end
+      done;
+      match !k with
+      | 0 ->
+        log_step s (P_derived []);
+        s.ok <- false
+      | 1 ->
+        enqueue s a.(0) r_none;
+        (match propagate s with
+        | Some _ ->
           log_step s (P_derived []);
           s.ok <- false
-        | [ l ] ->
-          enqueue s l r_none;
-          (match propagate s with
-          | Some _ ->
-            log_step s (P_derived []);
-            s.ok <- false
-          | None -> ())
-        | [ a; b ] ->
-          attach_binary s a b;
-          s.n_clauses <- s.n_clauses + 1
-        | _ ->
-          let cref = alloc_clause s (Array.of_list lits) ~learnt:false ~lbd:0 in
-          Vec.push s.clauses cref;
-          attach_cref s cref;
-          s.n_clauses <- s.n_clauses + 1
-      end
+        | None -> ())
+      | 2 ->
+        attach_binary s a.(0) a.(1);
+        s.n_clauses <- s.n_clauses + 1
+      | k ->
+        let cref = alloc_clause s a k ~learnt:false ~lbd:0 in
+        Vec.push s.clauses cref;
+        attach_cref s cref;
+        s.n_clauses <- s.n_clauses + 1
     end
   end
 
-let add_pb_le s wlits bound =
+(* The PB constraint over the first [n] (weight, literal) pairs of
+   [in_ws] and [in_lits]. *)
+let add_input_pb s n bound =
   if s.ok && not !hook_drop_pb then begin
     assert (decision_level s = 0);
-    List.iter (fun (w, _) -> if w <= 0 then invalid_arg "add_pb_le: weight <= 0") wlits;
+    let ws = s.in_ws and ls = s.in_lits in
+    for i = 0 to n - 1 do
+      if ws.(i) <= 0 then invalid_arg "add_pb_le: weight <= 0"
+    done;
     let origin = s.n_pb_inputs in
     s.n_pb_inputs <- origin + 1;
-    log_step s (P_pb_input (wlits, bound));
-    (* Account for literals already true at level 0; drop false ones. *)
-    let fixed_true, rest =
-      List.partition (fun (_, l) -> lit_value s l = 1) wlits
-    in
-    let rest = List.filter (fun (_, l) -> lit_value s l = 0) rest in
-    let base = List.fold_left (fun acc (w, _) -> acc + w) 0 fixed_true in
-    (* Lemmas derived from the residual constraint are only valid
-       against the *original* PB once the negations of the absorbed
-       level-0-true literals are tacked back on. *)
-    let prefix = List.map (fun (_, l) -> lit_not l) fixed_true in
-    if base > bound then begin
+    let logging = logging s in
+    if logging then
+      log_step s (P_pb_input (List.init n (fun i -> (ws.(i), ls.(i))), bound));
+    (* Account for literals already true at level 0. Lemmas derived
+       from the residual constraint are only valid against the
+       *original* PB once the negations of those absorbed literals
+       ([prefix], kept only for the proof) are tacked back on. *)
+    let base = ref 0 and prefix = ref [] in
+    for i = n - 1 downto 0 do
+      if lit_value s ls.(i) = 1 then begin
+        base := !base + ws.(i);
+        if logging then prefix := lit_not ls.(i) :: !prefix
+      end
+    done;
+    let prefix = !prefix in
+    if !base > bound then begin
       log_step s (P_pb_lemma (origin, prefix));
       log_step s (P_derived []);
       s.ok <- false
     end
     else begin
-      let slack = bound - base in
-      let heavy, light = List.partition (fun (w, _) -> w > slack) rest in
+      let slack = bound - !base in
+      (* The unassigned literals, in input order, to the front; false
+         ones drop out. *)
+      let rest = ref 0 and light = ref 0 in
+      for i = 0 to n - 1 do
+        if lit_value s ls.(i) = 0 then begin
+          ws.(!rest) <- ws.(i);
+          ls.(!rest) <- ls.(i);
+          incr rest;
+          if ws.(i) <= slack then incr light
+        end
+      done;
       (* Attach the constraint over the light literals first, so any
          propagation triggered below keeps its sum in step. *)
-      if light <> [] then begin
-        let arr = Array.of_list light in
+      if !light > 0 then begin
+        let arr = Array.make !light (0, 0) in
+        let k = ref 0 in
+        for i = 0 to !rest - 1 do
+          if ws.(i) <= slack then begin
+            arr.(!k) <- (ws.(i), ls.(i));
+            incr k
+          end
+        done;
         Array.sort (fun (w1, _) (w2, _) -> Int.compare w2 w1) arr;
         let pb = { wlits = arr; bound = slack; sum_true = 0; origin; prefix } in
         s.pbs <- pb :: s.pbs;
-        Array.iter (fun (w, l) -> s.pb_watch.(l) <- (pb, w) :: s.pb_watch.(l)) arr
+        Array.iter
+          (fun (w, l) ->
+            s.pb_watch.(l lsr chunk_bits).(l land (chunk - 1)) <- (pb, w) :: pb_watches s l)
+          arr
       end;
       (* Literals heavier than the remaining slack are forced false. *)
-      List.iter
-        (fun (_, l) ->
-          if s.ok then
-            match lit_value s l with
-            | 0 -> (
-              log_step s (P_pb_lemma (origin, prefix @ [ lit_not l ]));
-              enqueue s (lit_not l) r_none;
-              match propagate s with
-              | Some _ ->
-                log_step s (P_derived []);
-                s.ok <- false
-              | None -> ())
-            | 1 ->
-              (* already true: bound unachievable *)
-              log_step s (P_pb_lemma (origin, prefix @ [ lit_not l ]));
+      for i = 0 to !rest - 1 do
+        if s.ok && ws.(i) > slack then begin
+          let l = ls.(i) in
+          match lit_value s l with
+          | 0 -> (
+            if logging then log_step s (P_pb_lemma (origin, prefix @ [ lit_not l ]));
+            enqueue s (lit_not l) r_none;
+            match propagate s with
+            | Some _ ->
               log_step s (P_derived []);
               s.ok <- false
-            | _ -> ())
-        heavy;
+            | None -> ())
+          | 1 ->
+            (* already true: bound unachievable *)
+            if logging then log_step s (P_pb_lemma (origin, prefix @ [ lit_not l ]));
+            log_step s (P_derived []);
+            s.ok <- false
+          | _ -> ()
+        end
+      done;
       if s.ok then
         match propagate s with
         | Some _ ->
@@ -1005,6 +1113,37 @@ let add_pb_le s wlits bound =
         | None -> ()
     end
   end
+
+(* Typed loops, not [Array.blit]: once the scratch is in the major
+   heap, a blit into it pays a write barrier per element. *)
+let add_clause_array s lits n =
+  reserve_input s n;
+  let a = s.in_lits in
+  for i = 0 to n - 1 do
+    a.(i) <- lits.(i)
+  done;
+  add_input_clause s n
+
+let add_pb_le_array s ws lits n bound =
+  reserve_input s n;
+  let w = s.in_ws and a = s.in_lits in
+  for i = 0 to n - 1 do
+    w.(i) <- ws.(i);
+    a.(i) <- lits.(i)
+  done;
+  add_input_pb s n bound
+
+let add_clause s lits =
+  let n = List.length lits in
+  reserve_input s n;
+  fill_lits s.in_lits 0 lits;
+  add_input_clause s n
+
+let add_pb_le s wlits bound =
+  let n = List.length wlits in
+  reserve_input s n;
+  fill_wlits s.in_ws s.in_lits 0 wlits;
+  add_input_pb s n bound
 
 (* -- learnt-DB reduction and arena GC ------------------------------ *)
 
@@ -1033,7 +1172,7 @@ let compact_arena s =
   let fresh = Array.make !cap 0 in
   let top = ref 0 in
   let relocate vec =
-    let out = Vec.create 0 in
+    let out = Vec.create () in
     for i = 0 to Vec.size vec - 1 do
       let cref = Vec.get vec i in
       let w0 = old.(cref) in
@@ -1057,7 +1196,7 @@ let compact_arena s =
   (* Patch watch lists: binary pairs pass through, relocated crefs are
      rewritten, dead crefs dropped. *)
   for l = 0 to (2 * s.nvars) - 1 do
-    let ws = s.watches.(l) in
+    let ws = watch_list s l in
     let j = ref 0 in
     let i = ref 0 in
     while !i < Vec.size ws do
@@ -1126,7 +1265,7 @@ let reduce_db s =
   done;
   if to_remove > 0 then s.c_removed <- s.c_removed + to_remove;
   (* Drop dead crefs from the learnt list eagerly. *)
-  let live = Vec.create 0 in
+  let live = Vec.create () in
   for i = 0 to Vec.size s.learnts - 1 do
     let cref = Vec.get s.learnts i in
     if not (cl_deleted s cref) then Vec.push live cref
@@ -1307,7 +1446,9 @@ let solve ?(assumptions = []) s =
                if lit_value s learnt.(0) = 0 then
                  enqueue s learnt.(0) ((learnt.(1) lsl 1) lor 1)
              | _ ->
-               let cref = alloc_clause s learnt ~learnt:true ~lbd in
+               let cref =
+                 alloc_clause s learnt (Array.length learnt) ~learnt:true ~lbd
+               in
                Vec.push s.learnts cref;
                s.n_learnts <- s.n_learnts + 1;
                s.n_arena_learnts <- s.n_arena_learnts + 1;

@@ -40,11 +40,13 @@ exception Timeout
     is left at decision level 0: learnt clauses, activities and phases
     survive, so it remains fully reusable. *)
 
-val create : ?vars:int -> unit -> t
+val create : ?vars:int -> ?arena:int -> unit -> t
 (** [?vars] (default 0) sizes the per-variable arrays for that many
     variables at once; past it they double. A caller that knows its
     variable count avoids the copies and the garbage of growing from
-    16. *)
+    16. [?arena] (default 1024) sizes the clause arena in words, where
+    a clause of [n >= 3] literals takes [n + 3]; past it the arena
+    doubles. *)
 
 val set_reduce_interval : t -> int -> unit
 (** Arena-learnt count that triggers the next [reduce_db] (default
@@ -99,15 +101,38 @@ val hook_drop_pb : bool ref
 (** Fault injection for the fuzz harness: when [true], {!add_pb_le}
     silently discards its constraint. Always reset after use. *)
 
+(** {2 Input}
+
+    A clause or PB constraint enters through one path. Its literals
+    (and weights) are copied into a scratch buffer the solver keeps
+    and reuses; a clause is sorted and deduplicated there, dropped if
+    it is a tautology or already satisfied at level 0, stripped of its
+    level-0-false literals, and then made a unit, an inline binary or
+    an arena clause; a PB constraint folds its level-0-true literals
+    into the bound, forces the literals heavier than the remaining
+    slack, and watches the rest, sorted by descending weight with
+    [Array.sort]. The [P_input] and [P_pb_input] proof steps are built
+    only when proof logging is on. The list and array entry points
+    differ only in how they fill the buffer, so the same input in the
+    same order gives the same solver state. Input may only be added
+    at decision level 0 (initially, or after any [solve] call
+    returns); input that makes the instance trivially unsatisfiable
+    makes the solver permanently UNSAT. *)
+
 val add_clause : t -> lit list -> unit
-(** Add a clause. May only be called when the solver is at decision
-    level 0 (initially, or after any [solve] call returns). If the
-    clause makes the instance trivially unsatisfiable the solver
-    becomes permanently UNSAT. *)
+
+val add_clause_array : t -> lit array -> int -> unit
+(** [add_clause_array s lits n] adds the clause of [lits.(0)] ..
+    [lits.(n - 1)]; [lits] is only read. *)
 
 val add_pb_le : t -> (int * lit) list -> int -> unit
 (** [add_pb_le s wlits bound]: constrain the weighted count of true
     literals to stay [<= bound]. Weights must be positive. *)
+
+val add_pb_le_array : t -> int array -> lit array -> int -> int -> unit
+(** [add_pb_le_array s ws lits n bound] is [add_pb_le] over the [n]
+    pairs [(ws.(i), lits.(i))], in index order; the arrays are only
+    read. *)
 
 val solve : ?assumptions:lit list -> t -> bool
 (** Search for a model extending the assumptions. [true] = SAT: query
