@@ -363,8 +363,9 @@ let test_local_request_no_minor_gc () =
 
 (* Solving a local ground program allocates fewer than 100 minor words
    per ground rule: a ground program reaches the SAT core through int
-   arrays, with no list built per rule. The 32 programs take 38-72
-   words per rule; translating through per-rule lists took 145-178. *)
+   arrays, with no list built per rule (the 32 programs take 38-72).
+   The bound is per rule because the 32 programs differ in size by
+   more than tenfold. *)
 let test_local_solve_allocation () =
   let repo, options = Lazy.force local_setup in
   List.iter
