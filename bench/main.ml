@@ -701,13 +701,13 @@ let perf_smoke () =
      baseline core needed 135 on this work; 112 keeps the old >= 1.2x
      reduction gate);
    - SAT-core time: the summed [sat.solve] spans per propagation they
-     made, divided by the time per 64-byte block of a fixed SHA-256
-     loop timed after each request of the same pass (median over the
-     reps), must stay within 1.5x of the median measured on the tree
+     made, divided by the time per 64-byte block of a SHA-256 digest
+     of a fixed 64 KiB buffer, timed after each request of the same
+     pass (median over the reps), must stay within 1.5x of the median measured on the tree
      before the gate moved here: 0.184 on a 2-core host. The hashing
      is work no measured layer owns, so the ratio cancels the +/-35%
-     host swings that raw wall time shows here, and a faster
-     translation no longer moves it;
+     host swings that raw wall time shows here, and translation time
+     does not enter it;
    - every solution is Verify-clean;
    - on a conflict-heavy UNSAT instance (pigeonhole) with an aggressive
      reduction interval, the learnt DB stays bounded — reductions fire,
