@@ -21,11 +21,6 @@ let options ~reuse ~splicing ~old_encoding =
     splicing;
     encoding = (if old_encoding then Core.Encode.Old else Core.Encode.Hash_attr) }
 
-let concretize_one ~opts text =
-  match Core.Concretizer.concretize_spec ~repo ~options:opts text with
-  | Ok o -> Ok o
-  | Error e -> Error e
-
 (* ---- flags shared by several commands ---- *)
 
 let reuse_flag =
@@ -85,8 +80,28 @@ let jobs_flag =
             1), capped at the batch size and the number of cores; \
             $(b,--stats) prints the count used.")
 
-(* An out-of-range count is rejected with one stderr line and exit 2. *)
-let below flag lo n = Printf.sprintf "%s: expected %d or more, got %d" flag lo n
+(* An out-of-range flag is rejected with one stderr line and exit 2,
+   before any work starts. Each check is [Some] error line when its
+   value is out of range. *)
+let at_least flag lo n =
+  if n >= lo then None
+  else Some (Printf.sprintf "%s: expected %d or more, got %d" flag lo n)
+
+let above_zero flag x =
+  if x > 0. then None
+  else Some (Printf.sprintf "%s: expected a value above 0, got %g" flag x)
+
+let not_negative flag x =
+  if x >= 0. then None
+  else Some (Printf.sprintf "%s: expected 0 or more, got %g" flag x)
+
+(* Run [k] only if every check passed; else print the first error. *)
+let checked checks k =
+  match List.find_map Fun.id checks with
+  | Some e ->
+    Format.eprintf "error: %s@." e;
+    2
+  | None -> k ()
 
 let read_batch_file file =
   let ic = open_in file in
@@ -144,15 +159,13 @@ let run_batch ~opts ~jobs ~stats file =
 let concretize_cmd =
   let spec_opt_arg = Arg.(value & pos 0 (some string) None & info [] ~docv:"SPEC") in
   let run reuse splicing old_encoding stats json dot batch jobs trace spec_text =
+    checked [ at_least "--jobs" 1 jobs ] @@ fun () ->
     with_trace ~trace @@ fun obs ->
     let opts = options ~reuse ~splicing ~old_encoding in
     (* A traced concretize also re-validates its solutions: the verify
        span is part of the pipeline picture. *)
     let opts = { opts with Core.Concretizer.obs; verify = Obs.enabled obs } in
     match (batch, spec_text) with
-    | _ when jobs < 1 ->
-      Format.eprintf "error: %s@." (below "--jobs" 1 jobs);
-      2
     | Some file, None -> run_batch ~opts ~jobs ~stats file
     | Some _, Some _ ->
       Format.eprintf "error: give either a SPEC or --batch FILE, not both@.";
@@ -161,7 +174,7 @@ let concretize_cmd =
       Format.eprintf "error: give a SPEC or --batch FILE@.";
       2
     | None, Some spec_text -> (
-    match concretize_one ~opts spec_text with
+    match Core.Concretizer.concretize_spec ~repo ~options:opts spec_text with
     | Error e ->
       Format.eprintf "error: %s@." e;
       1
@@ -297,25 +310,25 @@ let fleet_seed_flag =
 let install_cmd =
   let run reuse splicing mirror_specs retries no_fallback crash_at recover jobs
       fleet fleet_seed trace spec_text =
+    checked
+      [ at_least "--jobs" 1 jobs;
+        Option.bind crash_at (at_least "--crash-at" 0);
+        Option.bind fleet (at_least "--fleet" 1);
+        Option.bind retries (at_least "--retries" 1) ]
+    @@ fun () ->
     with_trace ~trace @@ fun obs ->
     let opts = options ~reuse ~splicing ~old_encoding:false in
     let opts =
       { opts with Core.Concretizer.obs; verify = Obs.enabled obs }
     in
     let mirror_plans =
-      match (fleet, retries, crash_at) with
-      | _ when jobs < 1 -> Error (below "--jobs" 1 jobs)
-      | _, _, Some k when k < 0 -> Error (below "--crash-at" 0 k)
-      | Some n, _, _ when n < 1 -> Error (below "--fleet" 1 n)
-      | _, Some n, _ when n < 1 -> Error (below "--retries" 1 n)
-      | _ ->
-        List.fold_left
-          (fun acc s ->
-            match (acc, parse_mirror_spec s) with
-            | Error e, _ -> Error e
-            | Ok ms, Ok m -> Ok (m :: ms)
-            | Ok _, Error e -> Error ("--mirror: " ^ e))
-          (Ok []) mirror_specs
+      List.fold_left
+        (fun acc s ->
+          match (acc, parse_mirror_spec s) with
+          | Error e, _ -> Error e
+          | Ok ms, Ok m -> Ok (m :: ms)
+          | Ok _, Error e -> Error ("--mirror: " ^ e))
+        (Ok []) mirror_specs
     in
     match mirror_plans with
     | Error e ->
@@ -349,7 +362,7 @@ let install_cmd =
          ones contribute, so a dead mirror degrades the solve instead of
          failing it *)
       let opts = { opts with Core.Concretizer.mirrors } in
-      match concretize_one ~opts spec_text with
+      match Core.Concretizer.concretize_spec ~repo ~options:opts spec_text with
       | Error e ->
         Format.eprintf "error: %s@." e;
         1
@@ -415,7 +428,8 @@ let splice_cmd =
   in
   let run intransitive target_text repl_text =
     let opts = options ~reuse:false ~splicing:false ~old_encoding:false in
-    match (concretize_one ~opts target_text, concretize_one ~opts repl_text) with
+    let concretize = Core.Concretizer.concretize_spec ~repo ~options:opts in
+    match (concretize target_text, concretize repl_text) with
     | Error e, _ | _, Error e ->
       Format.eprintf "error: %s@." e;
       1
@@ -774,18 +788,21 @@ let socket_flag =
 
 let serve_cmd =
   let workers_flag =
-    Arg.(value & opt int 4 & info [ "workers" ] ~docv:"N"
-        ~doc:"Solver worker domains (default 4).")
+    Arg.(value & opt int Core.Serve.default_config.Core.Serve.workers
+        & info [ "workers" ] ~docv:"N"
+            ~doc:"Solver worker domains, 1 or more (default: the host's \
+                  recommended domain count, one per core).")
   in
   let queue_flag =
     Arg.(value & opt int 256 & info [ "queue" ] ~docv:"N"
-        ~doc:"Admission bound: requests beyond N enqueued jobs are \
-              rejected with a typed $(b,overloaded) status (default 256).")
+        ~doc:"Admission bound, 1 or more: requests beyond N enqueued jobs \
+              are rejected with a typed $(b,overloaded) status (default \
+              256).")
   in
   let deadline_flag =
     Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS"
-        ~doc:"Default per-request deadline, enforced inside the SAT core; \
-              preempted requests answer $(b,timeout).")
+        ~doc:"Default per-request deadline, above 0, enforced inside the \
+              SAT core; preempted requests answer $(b,timeout).")
   in
   let socket_opt =
     Arg.(value & opt string "/tmp/spackml.sock"
@@ -794,16 +811,16 @@ let serve_cmd =
   in
   let horizon_flag =
     Arg.(value & opt float 60.0 & info [ "stats-horizon" ] ~docv:"S"
-        ~doc:"Rolling-stats horizon in seconds: the largest window the \
-              wire $(b,stats) op (and $(b,spackml top)) can report \
-              (default 60).")
+        ~doc:"Rolling-stats horizon in seconds, above 0: the largest \
+              window the wire $(b,stats) op (and $(b,spackml top)) can \
+              report (default 60).")
   in
   let recorder_flag =
     Arg.(value & opt int 256 & info [ "recorder" ] ~docv:"N"
         ~doc:"Flight-recorder capacity: completed request traces kept \
               for the wire $(b,dump) op, tail-sampled (errors, deadline \
-              misses and slowest solves always kept). 0 disables \
-              (default 256).")
+              misses and slowest solves always kept), 0 or more. 0 \
+              disables (default 256).")
   in
   let no_live_flag =
     Arg.(value & flag & info [ "no-live-telemetry" ]
@@ -812,6 +829,13 @@ let serve_cmd =
   in
   let run reuse splicing workers queue deadline_ms socket horizon recorder
       no_live trace =
+    checked
+      [ at_least "--workers" 1 workers;
+        at_least "--queue" 1 queue;
+        Option.bind deadline_ms (above_zero "--deadline-ms");
+        above_zero "--stats-horizon" horizon;
+        at_least "--recorder" 0 recorder ]
+    @@ fun () ->
     with_trace ~trace @@ fun obs ->
     let opts =
       { (options ~reuse ~splicing ~old_encoding:false) with Core.Concretizer.obs }
@@ -825,8 +849,7 @@ let serve_cmd =
           (if no_live then None
            else
              Some
-               { Core.Serve.horizon_s = horizon;
-                 recorder_capacity = max 0 recorder });
+               { Core.Serve.horizon_s = horizon; recorder_capacity = recorder });
         reuse_source =
           (if reuse then
              Some (fun () -> Radiuss.Caches.reusable_specs (Lazy.force local_cache))
@@ -858,11 +881,11 @@ let serve_cmd =
 let client_cmd =
   let deadline_flag =
     Arg.(value & opt (some float) None & info [ "deadline-ms" ] ~docv:"MS"
-        ~doc:"Per-request deadline.")
+        ~doc:"Per-request deadline, above 0.")
   in
   let conflicts_flag =
     Arg.(value & opt (some int) None & info [ "conflicts" ] ~docv:"N"
-        ~doc:"Per-request conflict cap.")
+        ~doc:"Per-request conflict cap, 0 or more.")
   in
   let ping_flag = Arg.(value & flag & info [ "ping" ] ~doc:"Send a ping.") in
   let stats_flag' =
@@ -878,17 +901,25 @@ let client_cmd =
   in
   let client_retries_flag =
     Arg.(value & opt int 0 & info [ "retries" ] ~docv:"N"
-        ~doc:"Retry each request up to N extra times, reconnecting with \
-              backoff on mid-request disconnects and backing off on typed \
-              $(b,overloaded) responses (default 0: fail fast).")
+        ~doc:"Retry each request up to N extra times (N >= 0), \
+              reconnecting with backoff on mid-request disconnects and \
+              backing off on typed $(b,overloaded) responses (default 0: \
+              fail fast).")
   in
   let backoff_flag =
     Arg.(value & opt float 5.0 & info [ "retry-backoff-ms" ] ~docv:"MS"
-        ~doc:"Base retry delay, doubling per retry (with $(b,--retries)).")
+        ~doc:"Base retry delay, 0 or more, doubling per retry (with \
+              $(b,--retries)).")
   in
   let specs_arg = Arg.(value & pos_all string [] & info [] ~docv:"SPEC") in
   let run socket deadline_ms conflicts retries backoff_ms ping stats reload
       shutdown specs =
+    checked
+      [ Option.bind deadline_ms (above_zero "--deadline-ms");
+        Option.bind conflicts (at_least "--conflicts" 0);
+        at_least "--retries" 0 retries;
+        not_negative "--retry-backoff-ms" backoff_ms ]
+    @@ fun () ->
     match Core.Serve.Client.connect ~retries ~backoff_ms socket with
     | Error e ->
       Format.eprintf "error: %s@." e;
@@ -947,16 +978,18 @@ let client_cmd =
 let top_cmd =
   let interval_flag =
     Arg.(value & opt float 2.0 & info [ "interval" ] ~docv:"S"
-        ~doc:"Refresh interval in seconds (default 2).")
+        ~doc:"Refresh interval in seconds, above 0 (default 2).")
   in
   let window_flag =
     Arg.(value & opt (some float) None & info [ "window" ] ~docv:"S"
-        ~doc:"Rolling window to display (default: the server's full \
-              horizon; rounded up to the server's sub-window size).")
+        ~doc:"Rolling window to display in seconds, above 0 (default: the \
+              server's full horizon; rounded up to the server's slot \
+              size).")
   in
   let count_flag =
     Arg.(value & opt int 0 & info [ "count" ] ~docv:"N"
-        ~doc:"Render N frames then exit; 0 = run until interrupted.")
+        ~doc:"Render N frames then exit, N >= 0; 0 = run until \
+              interrupted.")
   in
   let once_flag =
     Arg.(value & flag & info [ "once" ]
@@ -1041,6 +1074,11 @@ let top_cmd =
       end
   in
   let run socket interval window count once =
+    checked
+      [ above_zero "--interval" interval;
+        Option.bind window (above_zero "--window");
+        at_least "--count" 0 count ]
+    @@ fun () ->
     let count = if once then 1 else count in
     match Core.Serve.Client.connect socket with
     | Error e ->

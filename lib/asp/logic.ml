@@ -876,35 +876,3 @@ let solve ?(certify = false) ?(obs = Obs.disabled) ?budget ?portfolio:_ g =
         sat_stats = Sat.stats ctx.sat;
         stable_checks = ctx.stable_checks;
         loop_clauses = ctx.loop_clauses }
-
-let holds m a = List.exists (fun a' -> a' = a) m.atoms
-
-let enumerate ?(limit = 64) g =
-  let ctx = translate g in
-  let models = ref [] in
-  let continue_search = ref true in
-  while !continue_search && List.length !models < limit do
-    if solve_stable ctx ~assumptions:[] then begin
-      let atoms = extract_atoms ctx in
-      models :=
-        { atoms;
-          costs = [];
-          sat_stats = Sat.stats ctx.sat;
-          stable_checks = ctx.stable_checks;
-          loop_clauses = ctx.loop_clauses }
-        :: !models;
-      (* Block this exact assignment over the open atoms. *)
-      let blocking =
-        List.concat
-          (List.init (Ground.atom_count ctx.g) (fun id ->
-               if not (is_open ctx.g id) then []
-               else if Sat.value ctx.sat ctx.atom_var.(id) then
-                 [ Sat.neg ctx.atom_var.(id) ]
-               else [ Sat.pos ctx.atom_var.(id) ]))
-      in
-      if blocking = [] then continue_search := false
-      else Sat.add_clause ctx.sat blocking
-    end
-    else continue_search := false
-  done;
-  List.rev !models

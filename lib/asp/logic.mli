@@ -97,10 +97,3 @@ val solve :
     [?portfolio] is ignored: every solve runs on one SAT core. It is
     kept only because the benchmark harness still passes it. *)
 
-val holds : model -> Ast.atom -> bool
-
-val enumerate : ?limit:int -> Ground.t -> model list
-(** Enumerate stable models (up to [limit], default 64) by adding
-    blocking clauses over full assignments. [#minimize] statements
-    are ignored — enumeration explores the unoptimized model space
-    (used by tests and the CLI's solver front end). *)

@@ -22,12 +22,12 @@
    under its write mutex, so responses to pipelined requests may
    arrive out of order — they carry the request [id] for matching. *)
 
-(* Live-telemetry knobs: rolling SLO windows plus the flight recorder.
-   The horizon is split into [Obs.Window]'s 12 rotating sub-windows,
-   so the wire "stats" op can answer "p99 over the last N seconds"
-   without ever scanning history; the recorder tail-samples completed
-   request traces (always keep errors, deadline misses and the slowest
-   8; 1 in 16 of the rest). *)
+(* Live-telemetry knobs: one rolling window plus the flight recorder.
+   The horizon is split into [Obs.Window]'s 12 rotating slots, so the
+   wire "stats" op can answer "p99 over the last N seconds" without
+   ever scanning history; the recorder tail-samples completed request
+   traces (always keep errors, deadline misses and the slowest 8; 1 in
+   16 of the rest). *)
 type telemetry = {
   horizon_s : float;  (* rolling-stats horizon *)
   recorder_capacity : int;  (* flight-recorder ring size; 0 disables *)
@@ -49,7 +49,7 @@ type config = {
 }
 
 let default_config =
-  { workers = 4;
+  { workers = Domain.recommended_domain_count ();
     max_queue = 256;
     default_deadline_ms = None;
     fault_injection = false;
@@ -131,65 +131,51 @@ type job = {
          when the recorder is off or the op is not traced *)
 }
 
-(* Rolling-window state behind the live "stats" answer. Every counter
-   and histogram here shares the configured horizon/slot layout, so
-   one "window" selector in the request applies uniformly. *)
-type live = {
-  lv_solve_ms : Obs.Window.hist;  (* end-to-end latency of solve ops *)
-  lv_queue_ms : Obs.Window.hist;
-  lv_requests : Obs.Window.counter;  (* every answered request *)
-  lv_ok : Obs.Window.counter;
-  lv_unsat : Obs.Window.counter;
-  lv_timeout : Obs.Window.counter;
-  lv_error : Obs.Window.counter;
-  lv_overloaded : Obs.Window.counter;
-  lv_deadline_miss : Obs.Window.counter;
-  lv_recorder : Obs.Recorder.t option;
+(* One slot of the live "stats" window. Every answer lands in exactly
+   one status count, so the window's request count is their sum. *)
+type slot = {
+  sl_solve_ms : Obs.Hist.t;  (* end-to-end latency of solve answers *)
+  sl_queue_ms : Obs.Hist.t;  (* queue wait of every worker answer *)
+  sl_counts : int array;  (* answers per [statuses] entry, then deadline misses *)
 }
 
-let make_live (tc : telemetry) =
-  let h () = Obs.Window.hist ~horizon_s:tc.horizon_s () in
-  let c () = Obs.Window.counter ~horizon_s:tc.horizon_s () in
-  { lv_solve_ms = h ();
-    lv_queue_ms = h ();
-    lv_requests = c ();
-    lv_ok = c ();
-    lv_unsat = c ();
-    lv_timeout = c ();
-    lv_error = c ();
-    lv_overloaded = c ();
-    lv_deadline_miss = c ();
-    lv_recorder =
-      (if tc.recorder_capacity > 0 then
-         Some
-           (Obs.Recorder.create ~capacity:tc.recorder_capacity
-              ~window_s:tc.horizon_s ())
-       else None) }
+let statuses = [| "ok"; "unsat"; "timeout"; "error"; "overloaded" |]
 
-(* Count one answered (or rejected) request into the rolling windows. *)
-let live_count lv ~status ~deadline_missed =
-  Obs.Window.add lv.lv_requests 1;
-  (match status with
-  | "ok" -> Obs.Window.add lv.lv_ok 1
-  | "unsat" -> Obs.Window.add lv.lv_unsat 1
-  | "timeout" -> Obs.Window.add lv.lv_timeout 1
-  | "overloaded" -> Obs.Window.add lv.lv_overloaded 1
-  | _ -> Obs.Window.add lv.lv_error 1);
-  if deadline_missed then Obs.Window.add lv.lv_deadline_miss 1
+(* An unknown status counts as an error. *)
+let status_index s =
+  Option.value ~default:3 (Array.find_index (String.equal s) statuses)
+
+let deadline_misses = Array.length statuses
+
+let new_slot () =
+  { sl_solve_ms = Obs.Hist.create ();
+    sl_queue_ms = Obs.Hist.create ();
+    sl_counts = Array.make (deadline_misses + 1) 0 }
+
+let reset_slot s =
+  Obs.Hist.reset s.sl_solve_ms;
+  Obs.Hist.reset s.sl_queue_ms;
+  Array.fill s.sl_counts 0 (Array.length s.sl_counts) 0
+
+(* Fold step of a "stats" read: a copy, since the ring reuses slots. *)
+let add_slot acc s =
+  Array.iteri (fun i n -> acc.sl_counts.(i) <- acc.sl_counts.(i) + n) s.sl_counts;
+  { acc with
+    sl_solve_ms = Obs.Hist.merge acc.sl_solve_ms s.sl_solve_ms;
+    sl_queue_ms = Obs.Hist.merge acc.sl_queue_ms s.sl_queue_ms }
 
 type t = {
   repo : Pkg.Repo.t;
   config : config;
   sock_path : string;
   listen_fd : Unix.file_descr;
-  workers : int;  (* spawned worker domains *)
   (* queueing (guarded by [mu]) *)
   mu : Mutex.t;
   nonempty : Condition.t;
   jobs : job Queue.t;
   mutable running : bool;
-  mutable served : int;
-  mutable rejected : int;
+  mutable served : int;  (* worker answers *)
+  mutable rejected : int;  (* [overloaded] rejections *)
   (* buildcache state (guarded by [pool_mu]) *)
   pool_mu : Mutex.t;
   mutable reuse : Spec.Concrete.t list;
@@ -198,7 +184,8 @@ type t = {
   (* live telemetry *)
   started_s : float;
   rid_counter : int Atomic.t;  (* server-assigned request ids *)
-  live : live option;
+  window : slot Obs.Window.t option;  (* [None]: live telemetry off *)
+  recorder : Obs.Recorder.t option;
   (* lifecycle *)
   mutable accept_thread : Thread.t option;
   mutable domains : unit Domain.t list;
@@ -259,10 +246,7 @@ type admission = Admitted | Overloaded
 let submit t job =
   Mutex.lock t.mu;
   let r =
-    if (not t.running) || Queue.length t.jobs >= t.config.max_queue then begin
-      t.rejected <- t.rejected + 1;
-      Overloaded
-    end
+    if (not t.running) || Queue.length t.jobs >= t.config.max_queue then Overloaded
     else begin
       Queue.push job t.jobs;
       Condition.signal t.nonempty;
@@ -303,6 +287,37 @@ let respond t conn v =
      (* Peer went away mid-request: drop the response, keep serving. *)
      Obs.incr (obs t) "serve.dropped_responses");
   Mutex.unlock conn.c_wmu
+
+(* Account one answer. Every answer passes here once, after it is built
+   and before it is sent: a worker's, with its queue wait and latency,
+   or the reader thread's [overloaded] rejection, with neither. It
+   feeds the shared trace metrics, the live window and the
+   served/rejected totals. *)
+let record t ~op ~status ?(deadline_missed = false) ?timing () =
+  let obs = obs t in
+  Obs.incr obs ("serve.status." ^ status);
+  (match timing with
+  | Some (queue_ms, latency_ms) ->
+    Obs.observe obs "serve.queue_ms" queue_ms;
+    Obs.observe obs "serve.latency_ms" latency_ms;
+    if op = "solve" then Obs.observe obs "serve.solve_ms" latency_ms
+  | None -> ());
+  (match t.window with
+  | Some w ->
+    let i = status_index status in
+    Obs.Window.update w (fun s ->
+        let c = s.sl_counts in
+        c.(i) <- c.(i) + 1;
+        if deadline_missed then c.(deadline_misses) <- c.(deadline_misses) + 1;
+        match timing with
+        | Some (queue_ms, latency_ms) ->
+          Obs.Hist.observe s.sl_queue_ms queue_ms;
+          if op = "solve" then Obs.Hist.observe s.sl_solve_ms latency_ms
+        | None -> ())
+  | None -> ());
+  Mutex.lock t.mu;
+  if timing = None then t.rejected <- t.rejected + 1 else t.served <- t.served + 1;
+  Mutex.unlock t.mu
 
 let status_of_result = function
   | Ok _ -> "ok"
@@ -427,41 +442,32 @@ let hist_summary_json h =
       ("p99", Sjson.Float (Obs.Hist.quantile h 0.99));
       ("max", Sjson.Float (Obs.Hist.max_value h)) ]
 
-(* The rolling-window block of a "stats" answer. [window_s] comes from
-   the request's "window" field (seconds), rounded up to slot
-   granularity and clamped to the horizon; default = full horizon. *)
-let live_stats_json lv ?window_s () =
-  let covered = Obs.Window.hist_covered_s ?window_s lv.lv_solve_ms in
-  let solve = Obs.Window.merged ?window_s lv.lv_solve_ms in
-  let queue = Obs.Window.merged ?window_s lv.lv_queue_ms in
-  let total = Obs.Window.total ?window_s lv.lv_requests in
-  let count c = Obs.Window.total ?window_s c in
-  let rate n = if total = 0 then 0. else float_of_int n /. float_of_int total in
-  let ok = count lv.lv_ok
-  and unsat = count lv.lv_unsat
-  and timeout = count lv.lv_timeout
-  and error = count lv.lv_error
-  and overloaded = count lv.lv_overloaded
-  and deadline_miss = count lv.lv_deadline_miss in
+(* The rolling-window block of a "stats" answer: one fold of the ring,
+   so one snapshot. [window_s] comes from the request's "window" field
+   (seconds), rounded up to slot granularity and clamped to the
+   horizon; default = full horizon. *)
+let window_json t w ?window_s () =
+  let covered = Obs.Window.covered_s ?window_s w in
+  let sum = Obs.Window.fold ?window_s w add_slot (new_slot ()) in
+  let count status = sum.sl_counts.(status_index status) in
+  let requests = Array.fold_left (fun n s -> n + count s) 0 statuses in
+  let rate n = if requests = 0 then 0. else float_of_int n /. float_of_int requests in
   Sjson.Object
     ([ ("window_s", Sjson.Float covered);
-       ("horizon_s", Sjson.Float (Obs.Window.hist_horizon_s lv.lv_solve_ms));
-       ("requests", Sjson.Int total);
-       ("rps", Sjson.Float (float_of_int total /. covered));
-       ("solve_ms", hist_summary_json solve);
-       ("queue_ms", hist_summary_json queue);
+       ("horizon_s", Sjson.Float (Obs.Window.horizon_s w));
+       ("requests", Sjson.Int requests);
+       ("rps", Sjson.Float (float_of_int requests /. covered));
+       ("solve_ms", hist_summary_json sum.sl_solve_ms);
+       ("queue_ms", hist_summary_json sum.sl_queue_ms);
        ( "statuses",
          Sjson.Object
-           [ ("ok", Sjson.Int ok);
-             ("unsat", Sjson.Int unsat);
-             ("timeout", Sjson.Int timeout);
-             ("error", Sjson.Int error);
-             ("overloaded", Sjson.Int overloaded) ] );
-       ("overload_rate", Sjson.Float (rate overloaded));
-       ("deadline_miss_rate", Sjson.Float (rate deadline_miss));
-       ("error_rate", Sjson.Float (rate error)) ]
+           (Array.to_list (Array.map (fun s -> (s, Sjson.Int (count s))) statuses)) );
+       ("overload_rate", Sjson.Float (rate (count "overloaded")));
+       ( "deadline_miss_rate",
+         Sjson.Float (rate sum.sl_counts.(deadline_misses)) );
+       ("error_rate", Sjson.Float (rate (count "error"))) ]
     @
-    match lv.lv_recorder with
+    match t.recorder with
     | None -> []
     | Some r ->
       [ ( "recorder",
@@ -476,7 +482,7 @@ let run_stats t payload =
   Mutex.unlock t.mu;
   Sjson.Object
     ([ ("status", Sjson.String "ok");
-       ("workers", Sjson.Int t.workers);
+       ("workers", Sjson.Int t.config.workers);
        ("pending", Sjson.Int pending);
        ("served", Sjson.Int served);
        ("rejected", Sjson.Int rejected);
@@ -484,11 +490,11 @@ let run_stats t payload =
        ("digest", Sjson.String (pool_digest_of t));
        ("uptime_s", Sjson.Float (Obs.Clock.now_s () -. t.started_s)) ]
     @
-    match t.live with
+    match t.window with
     | None -> []
-    | Some lv ->
+    | Some w ->
       let window_s = field_number "window" payload in
-      [ ("window", live_stats_json lv ?window_s ()) ])
+      [ ("window", window_json t w ?window_s ()) ])
 
 (* One flight-recorder entry on the wire; "trace" is a self-contained
    Perfetto-loadable object. *)
@@ -507,8 +513,8 @@ let trace_json (tr : Obs.Recorder.trace) =
       ("trace", Obs.Sink.chrome_events tr.Obs.Recorder.tr_events) ]
 
 let run_dump t payload =
-  match t.live with
-  | Some { lv_recorder = Some r; _ } ->
+  match t.recorder with
+  | Some r ->
     let n = match field_int "n" payload with Some n -> max 0 n | None -> 32 in
     let keep =
       match field_string "keep" payload with
@@ -522,12 +528,11 @@ let run_dump t payload =
         ("kept", Sjson.Int (Obs.Recorder.kept r));
         ("returned", Sjson.Int (List.length traces));
         ("traces", Sjson.Array (List.map trace_json traces)) ]
-  | _ -> canonical_error "dump: flight recorder disabled"
+  | None -> canonical_error "dump: flight recorder disabled"
 
 let handle_job t worker job =
   Fun.protect ~finally:(fun () -> conn_job_end job.j_conn) @@ fun () ->
   let queue_ms = (Obs.Clock.now_s () -. job.j_received) *. 1000. in
-  Obs.observe (obs t) "serve.queue_ms" queue_ms;
   let op = job.j_op in
   (* [robs] carries every span of this request into both the shared
      server context (--trace) and the job's flight-recorder context.
@@ -548,8 +553,6 @@ let handle_job t worker job =
         match op with
         | "solve" -> run_solve t job robs
         | "ping" -> ("ok", Sjson.Object [ ("status", Sjson.String "pong") ], [])
-        | "stats" -> ("ok", run_stats t job.j_payload, [])
-        | "dump" -> ("ok", run_dump t job.j_payload, [])
         | op -> ("error", canonical_error ("unknown op: " ^ op), [])
       with
       | r -> r
@@ -563,30 +566,19 @@ let handle_job t worker job =
     Obs.set_attr span "status" (Obs.S status);
     r
   in
-  Obs.incr (obs t) ("serve.status." ^ status);
   let latency_ms = (Obs.Clock.now_s () -. job.j_received) *. 1000. in
-  Obs.observe (obs t) "serve.latency_ms" latency_ms;
-  if op = "solve" then Obs.observe (obs t) "serve.solve_ms" latency_ms;
   let deadline_missed = status = "timeout" && job.j_deadline <> None in
-  (match t.live with
-  | Some lv ->
-    Obs.Window.observe lv.lv_queue_ms queue_ms;
-    if op = "solve" then Obs.Window.observe lv.lv_solve_ms latency_ms;
-    live_count lv ~status ~deadline_missed;
-    (* Tail-sampling: the keep decision sees the completed request.
-       Only solve traces (and anything that errored) compete for ring
-       space — pings and stats polls would crowd out the signal. *)
-    (match lv.lv_recorder with
-    | Some r when op = "solve" || status <> "ok" ->
-      ignore
-        (Obs.Recorder.record r ~rid:job.j_rid ~op ~status ~deadline_missed
-           ~worker ~start_s:job.j_received ~dur_ms:latency_ms
-           ~queue_ms ~events:(Obs.events job.j_obs))
-    | _ -> ())
-  | None -> ());
-  Mutex.lock t.mu;
-  t.served <- t.served + 1;
-  Mutex.unlock t.mu;
+  record t ~op ~status ~deadline_missed ~timing:(queue_ms, latency_ms) ();
+  (* Tail-sampling: the keep decision sees the completed request. Only
+     solve traces (and anything that errored) compete for ring space:
+     pings would crowd out the signal. *)
+  (match t.recorder with
+  | Some r when op = "solve" || status <> "ok" ->
+    ignore
+      (Obs.Recorder.record r ~rid:job.j_rid ~op ~status ~deadline_missed
+         ~worker ~start_s:job.j_received ~dur_ms:latency_ms ~queue_ms
+         ~events:(Obs.events job.j_obs))
+  | _ -> ());
   respond t job.j_conn
     (Sjson.Object
        [ ("id", job.j_id);
@@ -628,38 +620,16 @@ let frame_error_response msg =
       ("status", Sjson.String "error");
       ("result", canonical_error msg) ]
 
-(* Immediate (reader-thread) ops that must work even when the solve
-   queue is saturated: admin and lifecycle. *)
-let dispatch_inline t conn id rid op =
-  match op with
-  | "reload" ->
-    let result =
-      match t.config.reuse_source with
-      | None -> canonical_error "reload: no reuse source configured"
-      | Some f ->
-        let changed = set_reuse t (f ()) in
-        Sjson.Object
-          [ ("status", Sjson.String "ok");
-            ("changed", Sjson.Bool changed);
-            ("generation", Sjson.Int (generation t));
-            ("digest", Sjson.String (pool_digest_of t)) ]
-    in
-    respond t conn
-      (Sjson.Object
-         [ ("id", id);
-           ("rid", Sjson.String rid);
-           ("status", Sjson.String "ok");
-           ("result", result) ]);
-    `Continue
-  | "shutdown" ->
-    respond t conn
-      (Sjson.Object
-         [ ("id", id);
-           ("rid", Sjson.String rid);
-           ("status", Sjson.String "ok");
-           ("result", Sjson.Object [ ("status", Sjson.String "stopping") ]) ]);
-    `Shutdown
-  | _ -> `Not_inline
+let run_reload t =
+  match t.config.reuse_source with
+  | None -> canonical_error "reload: no reuse source configured"
+  | Some f ->
+    let changed = set_reuse t (f ()) in
+    Sjson.Object
+      [ ("status", Sjson.String "ok");
+        ("changed", Sjson.Bool changed);
+        ("generation", Sjson.Int (generation t));
+        ("digest", Sjson.String (pool_digest_of t)) ]
 
 let request_stop t =
   Mutex.lock t.mu;
@@ -679,53 +649,67 @@ let request_stop t =
     with Unix.Unix_error _ -> ()
   end
 
+(* Queue a request, or answer [overloaded] when the queue is full. *)
+let enqueue t conn id rid op payload =
+  let now = Obs.Clock.now_s () in
+  let deadline_ms =
+    match field_number "deadline_ms" payload with
+    | Some ms -> Some ms
+    | None -> t.config.default_deadline_ms
+  in
+  (* The per-request context is created at frame decode, so its epoch
+     is the moment the request entered the server: the gap before
+     "serve.dequeued" is the queue wait, visible in the trace. *)
+  let j_obs =
+    if t.recorder <> None && op = "solve" then Obs.create () else Obs.disabled
+  in
+  Obs.instant j_obs
+    ~attrs:[ ("rid", Obs.S rid); ("op", Obs.S op) ]
+    "serve.received";
+  let job =
+    { j_conn = conn;
+      j_id = id;
+      j_rid = rid;
+      j_op = op;
+      j_payload = payload;
+      j_received = now;
+      j_deadline = Option.map (fun ms -> now +. (ms /. 1000.)) deadline_ms;
+      j_obs }
+  in
+  conn_job_begin conn;
+  match submit t job with
+  | Admitted -> ()
+  | Overloaded ->
+    record t ~op ~status:"overloaded" ();
+    respond t conn (overloaded_response id rid);
+    conn_job_end conn
+
+(* Admin and lifecycle ops are answered here, on the reader thread:
+   they must work even when the solve queue is saturated, and they are
+   not requests the window counts, so polling "stats" leaves the rates
+   it shows alone. "ping" is queued: it probes the queue. *)
 let dispatch t conn payload =
   let id =
     match Sjson.member_opt "id" payload with Some v -> v | None -> Sjson.Null
   in
   let op = match field_string "op" payload with Some o -> o | None -> "solve" in
   let rid = rid_of t payload in
-  match dispatch_inline t conn id rid op with
-  | `Shutdown -> request_stop t
-  | `Continue -> ()
-  | `Not_inline ->
-    let now = Obs.Clock.now_s () in
-    let deadline_ms =
-      match field_number "deadline_ms" payload with
-      | Some ms -> Some ms
-      | None -> t.config.default_deadline_ms
-    in
-    (* The per-request context is created at frame decode, so its epoch
-       is the moment the request entered the server: the gap before
-       "serve.dequeued" is the queue wait, visible in the trace. *)
-    let j_obs =
-      match t.live with
-      | Some { lv_recorder = Some _; _ } when op = "solve" -> Obs.create ()
-      | _ -> Obs.disabled
-    in
-    Obs.instant j_obs
-      ~attrs:[ ("rid", Obs.S rid); ("op", Obs.S op) ]
-      "serve.received";
-    let job =
-      { j_conn = conn;
-        j_id = id;
-        j_rid = rid;
-        j_op = op;
-        j_payload = payload;
-        j_received = now;
-        j_deadline = Option.map (fun ms -> now +. (ms /. 1000.)) deadline_ms;
-        j_obs }
-    in
-    conn_job_begin conn;
-    (match submit t job with
-    | Admitted -> ()
-    | Overloaded ->
-      Obs.incr (obs t) "serve.status.overloaded";
-      (match t.live with
-      | Some lv -> live_count lv ~status:"overloaded" ~deadline_missed:false
-      | None -> ());
-      respond t conn (overloaded_response id rid);
-      conn_job_end conn)
+  let answer result =
+    respond t conn
+      (Sjson.Object
+         [ ("id", id);
+           ("rid", Sjson.String rid);
+           ("status", Sjson.String "ok");
+           ("result", result) ])
+  in
+  match op with
+  | "stats" -> answer (run_stats t payload)
+  | "dump" -> answer (run_dump t payload)
+  | "reload" -> answer (run_reload t)
+  | "shutdown" ->
+    answer (Sjson.Object [ ("status", Sjson.String "stopping") ]);
+    request_stop t
+  | _ -> enqueue t conn id rid op payload
 
 let reader t conn =
   let dec = Sjson.Frame.create () in
@@ -790,46 +774,69 @@ let accept_loop t =
 
 (* ---- lifecycle ----------------------------------------------------- *)
 
-let start ~repo ?(config = default_config) ~socket () =
-  (* Workers write to peers that may vanish: surface EPIPE as the
-     (handled) Unix_error, not a process kill. *)
-  if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+(* Bind and listen on [socket], replacing a stale socket file. *)
+let listen socket =
   (try Unix.unlink socket with Unix.Unix_error _ -> ());
-  let listen_fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  match Unix.bind listen_fd (Unix.ADDR_UNIX socket) with
-  | exception Unix.Unix_error (e, _, _) ->
-    (try Unix.close listen_fd with Unix.Unix_error _ -> ());
-    Error (Printf.sprintf "bind %s: %s" socket (Unix.error_message e))
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  match Unix.bind fd (Unix.ADDR_UNIX socket) with
   | () ->
-    Unix.listen listen_fd 64;
-    let workers = max 1 config.workers in
-    let reuse = config.options.Concretizer.reuse in
-    let t =
-      { repo;
-        config;
-        sock_path = socket;
-        listen_fd;
-        mu = Mutex.create ();
-        nonempty = Condition.create ();
-        jobs = Queue.create ();
-        workers;
-        running = true;
-        served = 0;
-        rejected = 0;
-        pool_mu = Mutex.create ();
-        reuse;
-        digest = pool_digest reuse;
-        generation = 0;
-        started_s = Obs.Clock.now_s ();
-        rid_counter = Atomic.make 0;
-        live = Option.map make_live config.telemetry;
-        accept_thread = None;
-        domains = [] }
-    in
-    t.domains <-
-      List.init workers (fun i -> Domain.spawn (fun () -> worker_loop t i));
-    t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
-    Ok t
+    Unix.listen fd 64;
+    Ok fd
+  | exception Unix.Unix_error (e, _, _) ->
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    Error (Printf.sprintf "bind %s: %s" socket (Unix.error_message e))
+
+let start ~repo ?(config = default_config) ~socket () =
+  let tc = config.telemetry in
+  match tc with
+  | _ when config.workers < 1 ->
+    Error (Printf.sprintf "workers: expected 1 or more, got %d" config.workers)
+  | Some { horizon_s; _ } when not (horizon_s > 0.) ->
+    Error (Printf.sprintf "horizon_s: expected a value above 0, got %g" horizon_s)
+  | _ -> (
+    (* Workers write to peers that may vanish: surface EPIPE as the
+       (handled) Unix_error, not a process kill. *)
+    if Sys.os_type = "Unix" then Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
+    match listen socket with
+    | Error _ as e -> e
+    | Ok listen_fd ->
+      let reuse = config.options.Concretizer.reuse in
+      let t =
+        { repo;
+          config;
+          sock_path = socket;
+          listen_fd;
+          mu = Mutex.create ();
+          nonempty = Condition.create ();
+          jobs = Queue.create ();
+          running = true;
+          served = 0;
+          rejected = 0;
+          pool_mu = Mutex.create ();
+          reuse;
+          digest = pool_digest reuse;
+          generation = 0;
+          started_s = Obs.Clock.now_s ();
+          rid_counter = Atomic.make 0;
+          window =
+            Option.map
+              (fun tc ->
+                Obs.Window.create ~horizon_s:tc.horizon_s ~reset:reset_slot new_slot)
+              tc;
+          recorder =
+            Option.bind tc (fun tc ->
+                if tc.recorder_capacity > 0 then
+                  Some
+                    (Obs.Recorder.create ~capacity:tc.recorder_capacity
+                       ~window_s:tc.horizon_s ())
+                else None);
+          accept_thread = None;
+          domains = [] }
+      in
+      t.domains <-
+        List.init config.workers (fun i -> Domain.spawn (fun () -> worker_loop t i));
+      t.accept_thread <- Some (Thread.create (fun () -> accept_loop t) ());
+      Ok t)
 
 let socket_path t = t.sock_path
 

@@ -31,35 +31,43 @@
     routing detail. Responses to pipelined requests may arrive out of
     request order.
 
-    With live telemetry on (the default), ["stats"] additionally
-    answers a ["window"] object — rolling-window request counts, rps,
-    solve/queue latency quantiles, overload/deadline-miss/error rates —
-    computed
-    over the last ["window"] seconds of the request (rounded up to
-    sub-window granularity, clamped to the horizon; default the full
-    horizon). ["dump"] returns the flight recorder's recent traces
+    ["stats"], ["dump"], ["reload"] and ["shutdown"] are answered on
+    the connection's reader thread, so they work on a saturated queue;
+    ["ping"] and ["solve"] are queued. ["stats"] answers the cumulative
+    totals ([served] worker answers, [rejected] overloads). With live
+    telemetry on (the default) it adds a ["window"] object: request
+    counts per status, rps, solve/queue latency quantiles and
+    overload/deadline-miss/error rates over the last ["window"]
+    seconds of the request (rounded up to slot granularity, clamped to
+    the horizon; default the full horizon). The object is one snapshot
+    of one ring: its ["requests"] is the sum of its five status
+    counts. Only queued requests and overload rejections are counted;
+    ["stats"] and ["dump"] are not. ["dump"] returns the flight
+    recorder's recent traces
     ([{"n": int, "keep": "error"|"deadline"|"slow"|"sampled"}]
     optional), each with its ["rid"] and a Perfetto-loadable ["trace"]
     object. *)
 
 (** Live-telemetry configuration: the rolling-window horizon behind
     the ["stats"] window answer and the flight recorder's size. The
-    horizon rotates in 12 sub-windows, the rounding unit of requested
+    horizon rotates in 12 slots, the rounding unit of requested
     windows; the recorder always keeps the slowest 8 solves per
     horizon and 1 in 16 unremarkable ones. *)
 type telemetry = {
   horizon_s : float;
-      (** rolling-stats horizon in seconds (default 60): the largest
-          window ["stats"] can answer *)
+      (** rolling-stats horizon in seconds, above 0 (default 60): the
+          largest window ["stats"] can answer *)
   recorder_capacity : int;
       (** flight-recorder ring size (default 256); [0] disables the
-          recorder (and the ["dump"] op) but keeps the windows *)
+          recorder (and the ["dump"] op) but keeps the window *)
 }
 
 val default_telemetry : telemetry
 
 type config = {
-  workers : int;  (** solver domains (default 4) *)
+  workers : int;
+      (** solver domains, 1 or more (default
+          [Domain.recommended_domain_count ()], one per core) *)
   max_queue : int;
       (** admission bound on enqueued-not-yet-running jobs (default
           256); beyond it requests answer [overloaded] immediately *)
@@ -92,7 +100,8 @@ val start :
   repo:Pkg.Repo.t -> ?config:config -> socket:string -> unit ->
   (t, string) result
 (** Bind the Unix socket, spawn the worker domains and the acceptor,
-    and return immediately. *)
+    and return immediately. [Error] without binding when [workers] is
+    below 1 or the telemetry horizon is not above 0. *)
 
 val wait : t -> unit
 (** Block until the server stops — a client sent ["shutdown"], or

@@ -71,7 +71,6 @@ module Hist = struct
 
   let max_value h = if h.count = 0 then 0. else h.vmax
 
-  (* Clear in place (window rotation reuses slot histograms). *)
   let reset h =
     Array.fill h.counts 0 n_buckets 0;
     h.count <- 0;
@@ -124,114 +123,70 @@ end
 (* Sliding windows *)
 
 module Window = struct
-  (* A horizon of [horizon_s] seconds is split into [slots] sub-windows
-     of [slot_s] seconds each. Slot [i] holds data for absolute period
-     [p] (p = floor (now / slot_s)) iff p mod slots = i and the slot was
-     last touched during period p; stale slots are reset lazily on the
-     next observe or merge that lands on them. A merge over the last
-     [window_s] seconds combines the ceil (window_s / slot_s) most
-     recent live periods — the window is rounded up to slot granularity
-     and clamped to the horizon. Time must be fed monotonically (the
-     default is Clock.now_s, which is). *)
-  type 'a slots = {
-    sl_mu : Mutex.t;
-    sl_slot_s : float;
-    sl_n : int;
-    sl_ids : int array; (* absolute period held by slot i; -1 = empty *)
-    sl_data : 'a array;
+  (* A horizon of [horizon_s] seconds is split into 12 slots of
+     [slot_s] seconds each. Slot [i] holds the data of absolute period
+     [p] (p = floor (now / slot_s)) iff p mod 12 = i and the slot was
+     last updated during period p. An update that lands on a stale slot
+     resets it in place first; a fold skips stale slots. A fold over
+     the last [window_s] seconds visits the ceil (window_s / slot_s)
+     most recent periods, so the window is rounded up to slot
+     granularity and clamped to the horizon. Time must be fed
+     monotonically (the default, Clock.now_s, is). *)
+  let n_slots = 12
+
+  type 'a t = {
+    mu : Mutex.t;
+    slot_s : float;
+    ids : int array; (* absolute period held by slot i; -1 = empty *)
+    slots : 'a array;
+    reset : 'a -> unit;
   }
 
-  (* 12 sub-windows: a 60 s horizon rotates every 5 s. *)
-  let make_slots ~horizon_s mk =
-    let n = 12 in
-    let horizon_s = if horizon_s > 0. then horizon_s else 60. in
+  let create ~horizon_s ~reset make =
+    if not (horizon_s > 0.) then invalid_arg "Obs.Window.create: horizon_s <= 0";
     {
-      sl_mu = Mutex.create ();
-      sl_slot_s = horizon_s /. float_of_int n;
-      sl_n = n;
-      sl_ids = Array.make n (-1);
-      sl_data = Array.init n (fun _ -> mk ());
+      mu = Mutex.create ();
+      slot_s = horizon_s /. float_of_int n_slots;
+      ids = Array.make n_slots (-1);
+      slots = Array.init n_slots (fun _ -> make ());
+      reset;
     }
 
-  let period sl now_s =
-    let p = int_of_float (Float.floor (now_s /. sl.sl_slot_s)) in
-    if p < 0 then 0 else p
+  let horizon_s w = w.slot_s *. float_of_int n_slots
 
-  (* Slot for [now_s], reset if it still holds an expired period. *)
-  let touch sl ~reset now_s =
-    let p = period sl now_s in
-    let i = p mod sl.sl_n in
-    if sl.sl_ids.(i) <> p then begin
-      reset sl.sl_data.(i);
-      sl.sl_ids.(i) <- p
-    end;
-    i
+  (* Slots a window of [window_s] spans: rounded up, within [1, 12]. *)
+  let span w = function
+    | None -> n_slots
+    | Some s ->
+        let k = Float.ceil (Float.min (s /. w.slot_s) (float_of_int n_slots)) in
+        max 1 (int_of_float k)
 
-  (* Fold over the live slots covering the last [window_s] seconds. *)
-  let fold_live sl ?window_s now_s f acc =
-    let p = period sl now_s in
-    let k =
-      match window_s with
-      | None -> sl.sl_n
-      | Some w ->
-          let k = int_of_float (Float.ceil (w /. sl.sl_slot_s)) in
-          max 1 (min sl.sl_n k)
-    in
-    let acc = ref acc in
-    for j = 0 to k - 1 do
-      let pj = p - j in
-      if pj >= 0 then begin
-        let i = pj mod sl.sl_n in
-        if sl.sl_ids.(i) = pj then acc := f !acc sl.sl_data.(i)
-      end
-    done;
-    !acc
+  let covered_s ?window_s w = w.slot_s *. float_of_int (span w window_s)
 
-  let locked_sl sl f =
-    Mutex.lock sl.sl_mu;
-    Fun.protect ~finally:(fun () -> Mutex.unlock sl.sl_mu) f
-
-  let covered sl ?window_s () =
-    match window_s with
-    | None -> sl.sl_slot_s *. float_of_int sl.sl_n
-    | Some w ->
-        let k = int_of_float (Float.ceil (w /. sl.sl_slot_s)) in
-        sl.sl_slot_s *. float_of_int (max 1 (min sl.sl_n k))
-
-  type hist = Hist.t slots
-
-  let hist ~horizon_s () = make_slots ~horizon_s Hist.create
-
-  let observe ?now_s (h : hist) v =
+  (* Run [f] on the current period under the lock, one clock read. *)
+  let at w now_s f =
     let now = match now_s with Some t -> t | None -> Clock.now_s () in
-    locked_sl h (fun () ->
-        let i = touch h ~reset:Hist.reset now in
-        Hist.observe h.sl_data.(i) v)
+    let p = max 0 (int_of_float (Float.floor (now /. w.slot_s))) in
+    Mutex.protect w.mu (fun () -> f p)
 
-  let merged ?window_s ?now_s (h : hist) =
-    let now = match now_s with Some t -> t | None -> Clock.now_s () in
-    locked_sl h (fun () ->
-        fold_live h ?window_s now
-          (fun acc slot -> Hist.merge acc slot)
-          (Hist.create ()))
+  let update ?now_s w f =
+    at w now_s (fun p ->
+        let i = p mod n_slots in
+        if w.ids.(i) <> p then begin
+          w.reset w.slots.(i);
+          w.ids.(i) <- p
+        end;
+        f w.slots.(i))
 
-  let hist_covered_s ?window_s (h : hist) = covered h ?window_s ()
-
-  let hist_horizon_s (h : hist) = h.sl_slot_s *. float_of_int h.sl_n
-
-  type counter = int ref slots
-
-  let counter ~horizon_s () = make_slots ~horizon_s (fun () -> ref 0)
-
-  let add ?now_s (c : counter) n =
-    let now = match now_s with Some t -> t | None -> Clock.now_s () in
-    locked_sl c (fun () ->
-        let i = touch c ~reset:(fun r -> r := 0) now in
-        c.sl_data.(i) := !(c.sl_data.(i)) + n)
-
-  let total ?window_s ?now_s (c : counter) =
-    let now = match now_s with Some t -> t | None -> Clock.now_s () in
-    locked_sl c (fun () -> fold_live c ?window_s now (fun acc r -> acc + !r) 0)
+  let fold ?window_s ?now_s w f acc =
+    let k = span w window_s in
+    at w now_s (fun p ->
+        let acc = ref acc in
+        for pj = p downto max 0 (p - k + 1) do
+          let i = pj mod n_slots in
+          if w.ids.(i) = pj then acc := f !acc w.slots.(i)
+        done;
+        !acc)
 end
 
 (* ------------------------------------------------------------------ *)

@@ -49,6 +49,9 @@ module Hist : sig
 
   val max_value : t -> float
 
+  val reset : t -> unit
+  (** Empty the histogram in place. *)
+
   val merge : t -> t -> t
   (** Pointwise bucket sum; inputs unchanged. *)
 
@@ -63,41 +66,42 @@ module Hist : sig
   (** Non-empty buckets as [(lo, hi, count)], ascending. *)
 end
 
-(** Rotating sliding-window metrics for live telemetry: a horizon of
-    [horizon_s] seconds split into 12 sub-windows, each a plain
-    {!Hist.t} (or int counter). Observations land in the sub-window for
-    the current period; expired sub-windows are reset lazily when the
-    clock wraps onto them, so rotation is O(1) and allocation-free.
-    Reading merges the live sub-windows covering the requested window
-    (rounded {e up} to slot granularity and clamped to the horizon)
-    with the associative {!Hist.merge}. All operations are domain-safe.
-    Time must be fed monotonically; the [?now_s] parameters exist for
-    deterministic tests and default to {!Clock.now_s}. *)
+(** A rotating sliding window for live telemetry: a horizon of
+    [horizon_s] seconds split into 12 slots, each holding one value of
+    the caller's choosing (the server's holds two {!Hist.t}s and its
+    status counts). An update lands in the slot of the current period;
+    a slot still holding an expired period is first cleared in place
+    with the [reset] given at creation, so rotation is O(1) and
+    allocation-free. A fold visits the live slots covering the
+    requested window (rounded {e up} to slot granularity and clamped to
+    the horizon), newest first. Each update and each fold reads the
+    clock once and runs under the window's one lock, so a fold is one
+    snapshot of every slot it visits. Time must be fed monotonically;
+    the [?now_s] parameters exist for deterministic tests and default
+    to {!Clock.now_s}. *)
 module Window : sig
-  type hist
+  type 'a t
 
-  val hist : horizon_s:float -> unit -> hist
-  (** A 60 s horizon rotates every 5 s. *)
+  val create : horizon_s:float -> reset:('a -> unit) -> (unit -> 'a) -> 'a t
+  (** [create ~horizon_s ~reset make] makes the 12 slots with [make];
+      a 60 s horizon rotates every 5 s. Raises [Invalid_argument]
+      unless [horizon_s > 0]. *)
 
-  val observe : ?now_s:float -> hist -> float -> unit
+  val update : ?now_s:float -> 'a t -> ('a -> unit) -> unit
+  (** Apply [f] to the current slot, under the lock. *)
 
-  val merged : ?window_s:float -> ?now_s:float -> hist -> Hist.t
-  (** Merge of the sub-windows covering the last [window_s] seconds
-      (default: the full horizon). *)
+  val fold :
+    ?window_s:float -> ?now_s:float -> 'a t -> ('b -> 'a -> 'b) -> 'b -> 'b
+  (** Fold over the live slots covering the last [window_s] seconds
+      (default: the full horizon), under the lock. Slots are reused
+      after the fold returns, so the accumulator must copy what it
+      keeps. *)
 
-  val hist_covered_s : ?window_s:float -> hist -> float
-  (** Seconds actually covered by [merged ?window_s]: the window
-      rounded up to slot granularity, clamped to the horizon. *)
+  val covered_s : ?window_s:float -> 'a t -> float
+  (** Seconds a fold over [window_s] covers: the window rounded up to
+      slot granularity, clamped to the horizon. *)
 
-  val hist_horizon_s : hist -> float
-
-  type counter
-
-  val counter : horizon_s:float -> unit -> counter
-
-  val add : ?now_s:float -> counter -> int -> unit
-
-  val total : ?window_s:float -> ?now_s:float -> counter -> int
+  val horizon_s : 'a t -> float
 end
 
 (** {1 Contexts} *)

@@ -157,33 +157,6 @@ let test_minimize_keys () =
 let test_show_ignored () =
   check_atoms "show is skipped" "#show foo/1. a." [ "a" ]
 
-(* ---- enumeration ---- *)
-
-let test_enumerate_all () =
-  let g = Asp.Ground.ground (Asp.parse "{a; b}. :- a, b.") in
-  let models = Asp.Logic.enumerate g in
-  (* {}, {a}, {b} *)
-  Alcotest.(check int) "three models" 3 (List.length models);
-  let keys =
-    List.map
-      (fun (m : Asp.Logic.model) ->
-        List.map (fun (a : Asp.Ast.atom) -> a.Asp.Ast.pred) m.Asp.Logic.atoms
-        |> List.sort String.compare |> String.concat ",")
-      models
-    |> List.sort String.compare
-  in
-  Alcotest.(check (list string)) "the right models" [ ""; "a"; "b" ] keys
-
-let test_enumerate_limit () =
-  let g = Asp.Ground.ground (Asp.parse "{a; b; c}.") in
-  Alcotest.(check int) "limit respected" 4
-    (List.length (Asp.Logic.enumerate ~limit:4 g));
-  Alcotest.(check int) "all eight" 8 (List.length (Asp.Logic.enumerate g))
-
-let test_enumerate_unsat () =
-  let g = Asp.Ground.ground (Asp.parse "a. :- a.") in
-  Alcotest.(check int) "no models" 0 (List.length (Asp.Logic.enumerate g))
-
 (* ---- grounder details ---- *)
 
 let test_grounding_counts () =
@@ -375,9 +348,10 @@ let prop_restricted_check =
 (* Facts and impossible atoms get no SAT variable. A fact can still be
    a choice element; the cardinality bounds must then count it. *)
 let test_fact_choice_element () =
-  let models = Asp.Logic.enumerate (Asp.Ground.ground (Asp.parse "p. 1 { p ; q } 1.")) in
-  Alcotest.(check (list (list string))) "exactly {p}" [ [ "p" ] ]
-    (List.map (fun m -> atoms_of (Asp.Logic.Sat m)) models);
+  Alcotest.(check (list string)) "a model is {p}" [ "p" ]
+    (atoms_of (solve "p. 1 { p ; q } 1."));
+  Alcotest.(check bool) "and no model holds q" true
+    (is_unsat (solve "p. 1 { p ; q } 1. :- not q."));
   Alcotest.(check bool) "upper bound 0 excludes the fact" true
     (is_unsat (solve "p. { p ; q } 0."))
 
@@ -451,10 +425,6 @@ let () =
         [ Alcotest.test_case "fact as a choice element" `Quick test_fact_choice_element;
           Alcotest.test_case "fact in a minimize condition" `Quick test_fact_in_minimize;
           Alcotest.test_case "facts get no variable" `Quick test_facts_get_no_variable ] );
-      ( "enumeration",
-        [ Alcotest.test_case "all models" `Quick test_enumerate_all;
-          Alcotest.test_case "limit" `Quick test_enumerate_limit;
-          Alcotest.test_case "unsat" `Quick test_enumerate_unsat ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest prop_stable_equiv;
           QCheck_alcotest.to_alcotest prop_restricted_check ] ) ]

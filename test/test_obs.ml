@@ -98,17 +98,17 @@ let prop_window_merge_cumulative =
         List.sort compare
           (List.map (fun (off, v) -> (float_of_int off /. 10.0, v)) raw)
       in
-      let w = Obs.Window.hist ~horizon_s:60.0 () in
+      let w = Obs.Window.create ~horizon_s:60.0 ~reset:Obs.Hist.reset Obs.Hist.create in
       let cum = Obs.Hist.create () in
       List.iter
         (fun (off, v) ->
-          Obs.Window.observe ~now_s:(t0 +. off) w v;
+          Obs.Window.update ~now_s:(t0 +. off) w (fun h -> Obs.Hist.observe h v);
           Obs.Hist.observe cum v)
         obs_list;
       let now =
         t0 +. match List.rev obs_list with (off, _) :: _ -> off | [] -> 0.0
       in
-      let m = Obs.Window.merged ~now_s:now w in
+      let m = Obs.Window.fold ~now_s:now w Obs.Hist.merge (Obs.Hist.create ()) in
       Obs.Hist.buckets m = Obs.Hist.buckets cum
       && Obs.Hist.count m = Obs.Hist.count cum
       (* sums are added in different orders; allow float reassociation *)
@@ -130,17 +130,18 @@ let prop_window_rotation_counts =
        (G.list_size (G.int_range 0 40)
           (G.pair (G.int_range 0 200) (G.int_range 0 5))))
     (fun steps ->
-      let c = Obs.Window.counter ~horizon_s:10.0 () in
+      let c = Obs.Window.create ~horizon_s:10.0 ~reset:(fun r -> r := 0) (fun () -> ref 0) in
+      let total now_s = Obs.Window.fold ~now_s c (fun acc r -> acc + !r) 0 in
       let t = ref 0.0 and fed = ref 0 and ok = ref true in
       List.iter
         (fun (dt, k) ->
           t := !t +. (float_of_int dt /. 10.0);
-          Obs.Window.add ~now_s:!t c k;
+          Obs.Window.update ~now_s:!t c (fun r -> r := !r + k);
           fed := !fed + k;
-          let tot = Obs.Window.total ~now_s:!t c in
+          let tot = total !t in
           if tot < 0 || tot > !fed then ok := false)
         steps;
-      !ok && Obs.Window.total ~now_s:(!t +. 100.0) c = 0)
+      !ok && total (!t +. 100.0) = 0)
 
 (* Concurrent domains tracing into one ctx: each domain's spans must be
    well-nested in its own timeline (that is the invariant the Chrome

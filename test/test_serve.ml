@@ -10,7 +10,8 @@
      deadlines, shutdown with a full queue — the server answers
      everything it admits, evicts stale state, and never wedges;
    - telemetry: request ids assigned/echoed, the stats window block,
-     and flight-recorder retrieval of a missed deadline by rid;
+     flight-recorder retrieval of a missed deadline by rid, admin reads
+     on a saturated queue, and window blocks read under load;
    - statuses: "unsat" and "error" answers checked against the literal
      strings, not against another run. *)
 
@@ -718,6 +719,135 @@ let test_telemetry_off () =
   Alcotest.(check string) "dump reports the recorder disabled" "error"
     (Sjson.get_string (Sjson.member "status" dump))
 
+(* Keep [depth] pipelined solves of [r] in flight on one connection
+   until [stop] is set, then drain. Returns the answers and how many of
+   them were [overloaded]. *)
+let flood t r ~depth stop =
+  with_client t @@ fun c ->
+  let sent = ref 0 and got = ref 0 and overloaded = ref 0 in
+  let send () =
+    ok
+      (Client.send c
+         (Sjson.Object
+            [ ("id", Sjson.Int !sent);
+              ("op", Sjson.String "solve");
+              ("spec", Sjson.String r) ]));
+    incr sent
+  in
+  for _ = 1 to depth do
+    send ()
+  done;
+  while !got < !sent do
+    if status_of (ok (Client.recv c)) = "overloaded" then incr overloaded;
+    incr got;
+    if not (Atomic.get stop) then send ()
+  done;
+  (!got, !overloaded)
+
+let window_int path w =
+  Sjson.get_int (List.fold_left (fun j k -> Sjson.member k j) w path)
+
+(* "stats" and "dump" answer on the reader thread: with the one queue
+   slot kept full they still answer ok, and the window counts the
+   queued traffic only, never the polls. *)
+let test_admin_inline () =
+  let u, repo = universe 42 in
+  let config =
+    { Serve.default_config with
+      Serve.workers = 1;
+      max_queue = 1;
+      options = options () }
+  in
+  let r = List.hd u.Fuzz.Gen.u_requests in
+  with_server ~repo ~config @@ fun t ->
+  with_client t @@ fun c ->
+  let stats () =
+    let resp = ok (Client.stats c) in
+    Alcotest.(check string) "stats answers ok" "ok" (status_of resp);
+    result_of resp
+  in
+  let stop = Atomic.make false in
+  let d = Domain.spawn (fun () -> flood t r ~depth:4 stop) in
+  let answers, overloaded =
+    Fun.protect
+      ~finally:(fun () -> Atomic.set stop true)
+      (fun () ->
+        (* wait until the flood is turning requests away *)
+        let rec saturate tries =
+          if window_int [ "rejected" ] (stats ()) = 0 && tries > 0 then begin
+            Unix.sleepf 0.005;
+            saturate (tries - 1)
+          end
+        in
+        saturate 400;
+        for _ = 1 to 20 do
+          ignore (Sjson.member "window" (stats ()))
+        done;
+        Alcotest.(check string) "dump answers ok" "ok"
+          (status_of (ok (Client.dump c))));
+    Domain.join d
+  in
+  Alcotest.(check bool) "the queue turned solves away" true (overloaded > 0);
+  let res = stats () in
+  let w = Sjson.member "window" res in
+  let answered = answers - overloaded in
+  Alcotest.(check int) "window requests are the solves" answers
+    (window_int [ "requests" ] w);
+  Alcotest.(check int) "window overloads" overloaded
+    (window_int [ "statuses"; "overloaded" ] w);
+  Alcotest.(check int) "solve_ms counts the answered solves" answered
+    (window_int [ "solve_ms"; "count" ] w);
+  Alcotest.(check int) "queue_ms counts the answered solves" answered
+    (window_int [ "queue_ms"; "count" ] w);
+  Alcotest.(check int) "served counts the answered solves" answered
+    (window_int [ "served" ] res);
+  Alcotest.(check int) "rejected counts the overloads" overloaded
+    (window_int [ "rejected" ] res)
+
+(* A window block is one snapshot: polled while three connections
+   pipeline solves into two workers and a queue that turns some away,
+   every block's statuses sum to its request count, and its solve and
+   queue histograms both count exactly the answers that were not
+   turned away. *)
+let test_window_snapshot () =
+  let u, repo = universe 42 in
+  let config =
+    { Serve.default_config with
+      Serve.workers = 2;
+      max_queue = 2;
+      options = options () }
+  in
+  let r = List.hd u.Fuzz.Gen.u_requests in
+  with_server ~repo ~config @@ fun t ->
+  let stop = Atomic.make false in
+  let floods = List.init 3 (fun _ -> Domain.spawn (fun () -> flood t r ~depth:4 stop)) in
+  let polls = 1000 and torn = ref 0 in
+  Fun.protect
+    ~finally:(fun () ->
+      Atomic.set stop true;
+      List.iter (fun d -> ignore (Domain.join d)) floods)
+    (fun () ->
+      with_client t @@ fun c ->
+      for _ = 1 to polls do
+        let w = Sjson.member "window" (result_of (ok (Client.stats c))) in
+        let n path = window_int path w in
+        let statuses =
+          List.fold_left
+            (fun acc s -> acc + n [ "statuses"; s ])
+            0
+            [ "ok"; "unsat"; "timeout"; "error"; "overloaded" ]
+        in
+        let answered = n [ "requests" ] - n [ "statuses"; "overloaded" ] in
+        if
+          n [ "requests" ] <> statuses
+          || n [ "solve_ms"; "count" ] <> answered
+          || n [ "queue_ms"; "count" ] <> answered
+        then incr torn
+      done);
+  Alcotest.(check int)
+    (Printf.sprintf "torn window blocks of %d polls" polls)
+    0 !torn
+
 (* ---- 13. statuses as literal strings ---- *)
 
 (* The replays compare served answers with [canonical_of_result] of a
@@ -786,7 +916,11 @@ let () =
         [ Alcotest.test_case "rids, windowed stats, flight recorder" `Quick
             test_telemetry;
           Alcotest.test_case "telemetry off: no window, dump disabled"
-            `Quick test_telemetry_off ] );
+            `Quick test_telemetry_off;
+          Alcotest.test_case "admin reads answer on a saturated queue" `Quick
+            test_admin_inline;
+          Alcotest.test_case "every window block is one snapshot" `Quick
+            test_window_snapshot ] );
       ( "statuses",
         [ Alcotest.test_case "unsat and error literals" `Quick
             test_literal_statuses ] ) ]
