@@ -169,7 +169,7 @@ module Client : sig
 
   val stats : ?window_s:float -> t -> (Sjson.t, string) result
   (** [?window_s] selects the rolling window of the ["window"] block
-      (rounded up to sub-window granularity, clamped to the horizon). *)
+      (rounded up to slot granularity, clamped to the horizon). *)
 
   val dump : ?n:int -> ?keep:string -> t -> (Sjson.t, string) result
   (** Fetch up to [n] (default 32) recent flight-recorder traces,

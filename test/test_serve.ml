@@ -744,8 +744,8 @@ let flood t r ~depth stop =
   done;
   (!got, !overloaded)
 
-let window_int path w =
-  Sjson.get_int (List.fold_left (fun j k -> Sjson.member k j) w path)
+let int_at path j =
+  Sjson.get_int (List.fold_left (fun j k -> Sjson.member k j) j path)
 
 (* "stats" and "dump" answer on the reader thread: with the one queue
    slot kept full they still answer ok, and the window counts the
@@ -774,7 +774,7 @@ let test_admin_inline () =
       (fun () ->
         (* wait until the flood is turning requests away *)
         let rec saturate tries =
-          if window_int [ "rejected" ] (stats ()) = 0 && tries > 0 then begin
+          if int_at [ "rejected" ] (stats ()) = 0 && tries > 0 then begin
             Unix.sleepf 0.005;
             saturate (tries - 1)
           end
@@ -792,17 +792,17 @@ let test_admin_inline () =
   let w = Sjson.member "window" res in
   let answered = answers - overloaded in
   Alcotest.(check int) "window requests are the solves" answers
-    (window_int [ "requests" ] w);
+    (int_at [ "requests" ] w);
   Alcotest.(check int) "window overloads" overloaded
-    (window_int [ "statuses"; "overloaded" ] w);
+    (int_at [ "statuses"; "overloaded" ] w);
   Alcotest.(check int) "solve_ms counts the answered solves" answered
-    (window_int [ "solve_ms"; "count" ] w);
+    (int_at [ "solve_ms"; "count" ] w);
   Alcotest.(check int) "queue_ms counts the answered solves" answered
-    (window_int [ "queue_ms"; "count" ] w);
+    (int_at [ "queue_ms"; "count" ] w);
   Alcotest.(check int) "served counts the answered solves" answered
-    (window_int [ "served" ] res);
+    (int_at [ "served" ] res);
   Alcotest.(check int) "rejected counts the overloads" overloaded
-    (window_int [ "rejected" ] res)
+    (int_at [ "rejected" ] res)
 
 (* A window block is one snapshot: polled while three connections
    pipeline solves into two workers and a queue that turns some away,
@@ -830,7 +830,7 @@ let test_window_snapshot () =
       with_client t @@ fun c ->
       for _ = 1 to polls do
         let w = Sjson.member "window" (result_of (ok (Client.stats c))) in
-        let n path = window_int path w in
+        let n path = int_at path w in
         let statuses =
           List.fold_left
             (fun acc s -> acc + n [ "statuses"; s ])
